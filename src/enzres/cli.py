@@ -41,6 +41,17 @@ def _threads() -> int:
     return val
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float (nan and inf exit 2 as bad usage)."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return val
+
+
 def _emit(doc: dict, path: str | None = None):
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     text = json.dumps(doc, indent=2)
@@ -223,10 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mesh", help="build or convert a mesh")
     p.add_argument("--kind", choices=["concentric", "file"],
                    default="concentric")
-    p.add_argument("--rd", type=float)
-    p.add_argument("--r0", type=float)
-    p.add_argument("--rb", type=float, default=None)
-    p.add_argument("--h", type=float)
+    p.add_argument("--rd", type=_finite_float)
+    p.add_argument("--r0", type=_finite_float)
+    p.add_argument("--rb", type=_finite_float, default=None)
+    p.add_argument("--h", type=_finite_float)
     p.add_argument("--in", dest="infile")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_mesh)
@@ -234,37 +245,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda0", help="find the permissible leading "
                                        "eigenvalue on a bracket")
     p.add_argument("--mesh", required=True)
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
+    p.add_argument("--lo", type=_finite_float, required=True)
+    p.add_argument("--hi", type=_finite_float, required=True)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_lambda0)
 
     p = sub.add_parser("expand", help="compute the perturbation series")
     p.add_argument("--mesh", required=True)
     p.add_argument("--order", type=int, default=4)
-    p.add_argument("--lambda0", type=float, default=None)
-    p.add_argument("--lo", type=float, default=None)
-    p.add_argument("--hi", type=float, default=None)
+    p.add_argument("--lambda0", type=_finite_float, default=None)
+    p.add_argument("--lo", type=_finite_float, default=None)
+    p.add_argument("--hi", type=_finite_float, default=None)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("resonate", help="trace the lossy resonance omega("
                                         "gamma) from a stored series")
     p.add_argument("--series", required=True)
-    p.add_argument("--eps-inf", type=float, required=True)
-    p.add_argument("--omega-p", type=float, required=True)
-    p.add_argument("--omega-0", type=float, required=True)
-    p.add_argument("--eps-d", type=float, default=1.0)
-    p.add_argument("--gamma-max", type=float, required=True)
+    p.add_argument("--eps-inf", type=_finite_float, required=True)
+    p.add_argument("--omega-p", type=_finite_float, required=True)
+    p.add_argument("--omega-0", type=_finite_float, required=True)
+    p.add_argument("--eps-d", type=_finite_float, default=1.0)
+    p.add_argument("--gamma-max", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_resonate)
 
     p = sub.add_parser("optimize", help="optimal shell design")
     p.add_argument("--mesh", required=True)
-    p.add_argument("--lambda0", type=float, default=None)
-    p.add_argument("--lo", type=float, default=None)
-    p.add_argument("--hi", type=float, default=None)
+    p.add_argument("--lambda0", type=_finite_float, default=None)
+    p.add_argument("--lo", type=_finite_float, default=None)
+    p.add_argument("--hi", type=_finite_float, default=None)
     p.add_argument("--method", choices=["dual", "saddle"], default="dual")
     p.add_argument("-o", "--out")
     p.add_argument("--csv")
@@ -272,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-disk", help="closed-form oracle comparison "
                                              "suite")
-    p.add_argument("--h", type=float, default=0.02)
+    p.add_argument("--h", type=_finite_float, default=0.02)
     p.set_defaults(func=cmd_validate_disk)
     return ap
 

@@ -19,15 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (BoundaryFunctional, Field, assemble_mass,
-                        element_geometry, linear_solve, weak_normal_flux)
+                        element_geometry, factor_spd, solve_mean_zero,
+                        weak_normal_flux)
 from enzres.mesh import Mesh
 from enzres.perturbation import compute_psi_d
 
-__all__ = ["DesignProblem", "DesignState", "make_disk_problem",
+__all__ = ["DesignProblem", "DesignState", "DualSolution", "StageRecord",
+           "make_disk_problem",
            "energy_density", "dual_objective", "bathtub_projection",
            "minimize_dual", "recover_design", "saddle_solve",
            "evaluate_design", "lambda1_of_design", "design_to_json",
@@ -211,7 +212,7 @@ def _density_grad(prob: DesignProblem, wx, wy):
 
 
 def _make_objective(prob: DesignProblem, beta: float):
-    lam0, areas = prob.lambda0, prob.areas
+    areas = prob.areas
     n = prob.nodes.size
 
     def fun(x):
@@ -225,28 +226,15 @@ def _make_objective(prob: DesignProblem, beta: float):
         np.add.at(g, prob.conn.ravel(), g_el.ravel())
         return g + prob.f_r
 
-    def make_hessp(x):
-        _, wx, wy, _, _, p1, p2 = _dual_parts(prob, x, beta)
-        dgrad = _density_grad(prob, wx, wy)
+    return fun, jac
 
-        def hessp(_x, v):
-            vl = v[prob.conn]
-            vx = (prob.gx * vl).sum(axis=1)
-            vy = (prob.gy * vl).sum(axis=1)
-            gv = (dgrad * vl).sum(axis=1)
-            h_el = (dgrad * (areas * p2 * gv)[:, None]
-                    + (prob.gx * (areas * p1 * vx)[:, None]
-                       + prob.gy * (areas * p1 * vy)[:, None]))
-            h = np.zeros(n)
-            np.add.at(h, prob.conn.ravel(), h_el.ravel())
-            return h
 
-        return hessp
-
-    def hessp(x, v):
-        return make_hessp(x)(x, v)
-
-    return fun, jac, hessp
+def _scatter_local(prob: DesignProblem, blocks: np.ndarray) -> sp.csr_matrix:
+    """Accumulate per-element 3x3 blocks over the design nodes."""
+    rows = np.repeat(prob.conn, 3, axis=1).ravel()
+    cols = np.tile(prob.conn, (1, 3)).ravel()
+    n = prob.nodes.size
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _hessian(prob: DesignProblem, x: np.ndarray, beta: float) -> sp.csr_matrix:
@@ -258,65 +246,123 @@ def _hessian(prob: DesignProblem, x: np.ndarray, beta: float) -> sp.csr_matrix:
               + (prob.gx[:, :, None] * prob.gx[:, None, :]
                  + prob.gy[:, :, None] * prob.gy[:, None, :])
               * (areas * p1)[:, None, None])
-    rows = np.repeat(prob.conn, 3, axis=1).ravel()
-    cols = np.tile(prob.conn, (1, 3)).ravel()
-    n = prob.nodes.size
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return _scatter_local(prob, blocks)
+
+
+def _newton_step(prob: DesignProblem, x: np.ndarray, beta: float,
+                 g: np.ndarray) -> np.ndarray:
+    """Newton direction -H^{-1} g; the Hessian is shifted until its factor
+    gives a descent direction, with steepest descent as the last resort."""
+    hess = _hessian(prob, x, beta)
+    shift = 0.0
+    while True:
+        try:
+            step = factor_spd(hess + shift * sp.eye(hess.shape[0])).solve(-g)
+        except RuntimeError:
+            step = None
+        if step is not None and np.all(np.isfinite(step)) and g @ step < 0:
+            return step
+        shift = max(2.0 * shift, 1e-12 * prob.lambda0)
+        if shift > 1e6 * prob.lambda0:
+            return -g
+
+
+@dataclass(frozen=True)
+class StageRecord:
+    """What one beta stage of `minimize_dual` did: Newton directions
+    computed (each costs one Hessian factorization, or more when the
+    Hessian needs a shift), objective evaluations, final gradient norm, and
+    why it stopped ("gtol", "rounding floor", "max_iter" or "line-search
+    failure")."""
+
+    beta: float
+    steps: int
+    evaluations: int
+    gnorm: float
+    exit: str
+
+
+#: stage exits that count as converged
+CONVERGED_EXITS = ("gtol", "rounding floor")
+#: Newton steps allowed per beta stage
+MAX_NEWTON_STEPS = 60
+#: relative size of a Newton decrement lost in rounding of J
+ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
 
 
 def _newton_stage(prob: DesignProblem, x: np.ndarray, beta: float,
-                  fun, jac, gtol: float, max_iter: int = 60) -> np.ndarray:
-    """Damped Newton with direct sparse factorization for one beta stage."""
-    fx = fun(x)
-    for _ in range(max_iter):
-        g = jac(x)
-        if np.linalg.norm(g) <= gtol:
-            break
-        hess = _hessian(prob, x, beta)
-        shift = 0.0
-        while True:
-            try:
-                step = spla.splu((hess + shift * sp.eye(hess.shape[0])).tocsc()
-                                 ).solve(-g)
-            except RuntimeError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)) and g @ step < 0:
-                break
-            shift = max(2.0 * shift, 1e-12 * prob.lambda0)
-            if shift > 1e6 * prob.lambda0:
-                step = -g
-                break
-        t, slope = 1.0, float(g @ step)
-        while True:
-            x_new = x + t * step
+                  gtol: float):
+    """Damped Newton with direct sparse factorization for one beta stage.
+
+    Steps are accepted by the Armijo test until the Newton decrement
+    -g.step falls to the rounding level of J, where comparing objective
+    values compares noise; there the full step is taken only if it lowers
+    |g| (the gradient-based acceptance of approximate Wolfe line searches,
+    Hager & Zhang 2005), and otherwise the stage ends at the rounding
+    floor.  Returns (x, StageRecord).
+    """
+    fun, jac = _make_objective(prob, beta)
+    fx, g = fun(x), jac(x)
+    gnorm = float(np.linalg.norm(g))
+    evals = 1
+
+    def record(steps, exit):
+        return StageRecord(beta=beta, steps=steps, evaluations=evals,
+                           gnorm=gnorm, exit=exit)
+
+    for steps in range(MAX_NEWTON_STEPS):
+        if gnorm <= gtol:
+            return x, record(steps, "gtol")
+        step = _newton_step(prob, x, beta, g)
+        slope = float(g @ step)
+        if -slope <= ROUNDING_FLOOR * max(1.0, abs(fx)):
+            x_new = x + step
+            g_new = jac(x_new)
+            if not np.linalg.norm(g_new) < gnorm:
+                return x, record(steps + 1, "rounding floor")
             f_new = fun(x_new)
-            if f_new <= fx + 1e-4 * t * slope:
-                break
-            t *= 0.5
-            if t < 1e-14:
-                return x
-        x, fx = x_new, f_new
-    return x
+            evals += 1
+        else:
+            t = 1.0
+            while True:
+                x_new = x + t * step
+                f_new = fun(x_new)
+                evals += 1
+                if f_new <= fx + 1e-4 * t * slope:
+                    break
+                t *= 0.5
+                if t < 1e-14:
+                    return x, record(steps + 1, "line-search failure")
+            g_new = jac(x_new)
+        x, fx, g = x_new, f_new, g_new
+        gnorm = float(np.linalg.norm(g))
+    return x, record(MAX_NEWTON_STEPS,
+                     "gtol" if gnorm <= gtol else "max_iter")
+
+
+@dataclass
+class DualSolution(Field):
+    """Minimizer of the smoothed dual, with one record per beta stage."""
+
+    stages: tuple = ()
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.stages) and all(s.exit in CONVERGED_EXITS
+                                         for s in self.stages)
 
 
 def minimize_dual(prob: DesignProblem, beta_schedule=None,
-                  tol: float = 1e-8, f_scale: float = 1.0) -> Field:
-    """Minimize the smoothed dual with beta continuation (Newton-CG).
+                  tol: float = 1e-8) -> DualSolution:
+    """Minimize the smoothed dual with beta continuation (damped Newton).
 
-    `beta_schedule` defaults to halving from 0.1*lambda0*diam^2 down to
-    tol*lambda0*diam^2.  Returns the minimizer at the final beta; the
-    additive gauge is fixed by the plus function itself (stationarity in
-    the constant direction pins the smoothed superlevel measure to A0).
-    `f_scale` rescales the boundary load; at 0 the objective is nonnegative
-    and the zero field attains its minimum.
+    `beta_schedule` defaults to quartering from 0.1*lambda0*diam^2 down to
+    tol*lambda0*diam^2.  Returns the minimizer at the final beta with the
+    record of every stage; the additive gauge is fixed by the plus function
+    itself (stationarity in the constant direction pins the smoothed
+    superlevel measure to A0).  Raises NumericalError if the final gradient
+    is far from stationary.
     """
-    if f_scale == 0.0:
-        return prob.expand(np.zeros(prob.nodes.size))
-    if f_scale != 1.0:
-        prob = DesignProblem(mesh=prob.mesh, lambda0=prob.lambda0,
-                             f=BoundaryFunctional(prob.mesh, prob.f.tag,
-                                                  prob.f.weights * f_scale),
-                             norm_const=prob.norm_const)
     pts = prob.mesh.nodes[prob.nodes]
     diam2 = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
     if beta_schedule is None:
@@ -325,28 +371,30 @@ def minimize_dual(prob: DesignProblem, beta_schedule=None,
         beta_schedule = []
         while beta > beta_min:
             beta_schedule.append(beta)
-            beta *= 0.5
+            beta *= 0.25
         beta_schedule.append(beta_min)
 
     x = np.zeros(prob.nodes.size)
-    gnorm = np.inf
-    gtol = 1e-8 * max(1.0, float(np.linalg.norm(prob.f_r)))
+    load = max(1.0, float(np.linalg.norm(prob.f_r)))
+    stages = []
     for beta in beta_schedule:
-        fun, jac, _ = _make_objective(prob, float(beta))
-        x = _newton_stage(prob, x, float(beta), fun, jac, gtol)
-        gnorm = float(np.linalg.norm(jac(x)))
-    f_scale = max(1.0, float(np.linalg.norm(prob.f_r)))
-    if gnorm > 1e-5 * f_scale:
+        x, rec = _newton_stage(prob, x, float(beta), 1e-8 * load)
+        stages.append(rec)
+    if stages[-1].gnorm > 1e-5 * load:
         raise NumericalError(
-            f"minimize_dual: stationarity not reached (|grad| = {gnorm:.3e} "
-            f"at final beta = {beta_schedule[-1]:.3e})")
-    return prob.expand(x)
+            f"minimize_dual: stationarity not reached (|grad| = "
+            f"{stages[-1].gnorm:.3e} at final beta = {beta_schedule[-1]:.3e})")
+    w = prob.expand(x)
+    return DualSolution(w.mesh, w.values, w.support, stages=tuple(stages))
 
 
 def recover_design(prob: DesignProblem, w: Field) -> DesignState:
     """Bathtub-project the energy density of w and shift the gauge by
     z0/lambda0 so the projection level becomes 0; the resulting primal
-    value L(w, theta) then coincides with the (unsmoothed) dual objective."""
+    value L(w, theta) then coincides with the (unsmoothed) dual objective.
+
+    The state is flagged converged only when w is a `DualSolution` whose
+    every beta stage converged."""
     d = energy_density(w, prob.lambda0, prob)
     theta, z0 = bathtub_projection(d, prob.areas, prob.A0)
     w1 = prob.expand(prob.reduce(w) + z0 / prob.lambda0)
@@ -355,8 +403,9 @@ def recover_design(prob: DesignProblem, w: Field) -> DesignState:
     value = _primal_value(prob, w1, theta1)
     dual = dual_objective(w1, prob, beta=0.0)
     frac = float(prob.areas[(theta1 > 1e-12) & (theta1 < 1 - 1e-12)].sum())
+    converged = isinstance(w, DualSolution) and w.converged
     return DesignState(theta=theta1, w=w1, z0=z0, value=value,
-                       history=[(value, dual)], converged=True,
+                       history=[(value, dual)], converged=converged,
                        fractional_mass=frac)
 
 
@@ -383,22 +432,17 @@ def evaluate_design(prob: DesignProblem, theta: np.ndarray,
     a = theta + eps * (1.0 - theta)
     local = (prob.gx[:, :, None] * prob.gx[:, None, :]
              + prob.gy[:, :, None] * prob.gy[:, None, :])
-    local = local * (a * prob.areas)[:, None, None]
-    nloc = prob.nodes.size
-    rows = np.repeat(prob.conn, 3, axis=1).ravel()
-    cols = np.tile(prob.conn, (1, 3)).ravel()
-    K = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(nloc, nloc)).tocsr()
+    K = _scatter_local(prob, local * (a * prob.areas)[:, None, None])
     # load: lambda0 * theta against hat functions (element-lumped), minus f
+    nloc = prob.nodes.size
     b = np.zeros(nloc)
     np.add.at(b, prob.conn.ravel(),
               np.repeat(prob.lambda0 * theta * prob.areas / 3.0, 3))
     b -= prob.f_r
     m = np.zeros(nloc)
     np.add.at(m, prob.conn.ravel(), np.repeat(prob.areas / 3.0, 3))
-    bordered = sp.bmat([[K, m[:, None]], [m[None, :], None]], format="csc")
-    sol = linear_solve(bordered, np.concatenate([b, [0.0]]))
-    w = prob.expand(sol[:-1])
+    u, _ = solve_mean_zero(K, m, b)
+    w = prob.expand(u)
     return w, _primal_value(prob, w, theta)
 
 

@@ -10,8 +10,10 @@ Conventions used throughout the package:
   weights are oriented along the *outward normal of the core region* and
   satisfy the mass identity <flux, 1> = -int(lambda*u + source) as an
   algebraic identity of the discrete system.
-* The mean-zero Neumann solve uses a bordered (Lagrange multiplier) system,
-  so inconsistent data never diverges; the multiplier reports the
+* Every mean-zero Neumann problem goes through ``solve_mean_zero``: the
+  bordered (Lagrange multiplier) system is solved exactly through its
+  multiplier and one symmetric positive definite factorization, so
+  inconsistent data never diverges and the multiplier reports the
   consistency defect.
 """
 
@@ -29,7 +31,8 @@ from enzres.mesh import Mesh, _as_tagset
 __all__ = ["Field", "BoundaryFunctional", "assemble_stiffness",
            "assemble_mass", "mass_vector", "solve_dirichlet_helmholtz",
            "weak_normal_flux", "solve_neumann_mean_zero", "dirichlet_modes",
-           "linear_solve", "element_geometry"]
+           "linear_solve", "factor_spd", "solve_mean_zero",
+           "element_geometry"]
 
 
 @dataclass
@@ -51,9 +54,6 @@ class Field:
             raise InputError("Field: values must have one entry per node")
         if not np.all(np.isfinite(self.values)):
             raise InputError("Field: values must be finite")
-
-    def restrict_sum(self, weights: np.ndarray):
-        return weights @ self.values
 
 
 @dataclass
@@ -189,6 +189,63 @@ def linear_solve(A, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def factor_spd(A):
+    """Sparse LU of a symmetric positive definite matrix in SuperLU's
+    symmetric mode: minimum-degree ordering of A + A^T and pivots taken on
+    the diagonal, which keeps the fill of a Cholesky factor.  Raises
+    RuntimeError on an exactly zero pivot."""
+    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0, options={"SymmetricMode": True})
+
+
+def solve_mean_zero(K, m: np.ndarray, b: np.ndarray):
+    """Solve the bordered mean-zero system
+
+        [K    m] [u ]   [b]
+        [m^T  0] [mu] = [0]
+
+    for a real symmetric positive semidefinite K whose kernel is the
+    constants (the stiffness matrix of a connected region) and positive
+    weights m.  Summing the first block row gives mu = sum(b) / sum(m);
+    K u = b - mu*m is then consistent and is solved as an SPD system with
+    one node pinned, and u is shifted by a constant so that m @ u = 0.  The
+    solution is checked against the bordered equations (relative residual
+    1e-10).  `b` may be real or complex.
+
+    Returns (u, mu).
+    """
+    K = sp.csc_matrix(K)
+    m = np.asarray(m, dtype=float)
+    b = np.asarray(b)
+    n = K.shape[0]
+    if K.shape != (n, n) or m.shape != (n,) or b.shape != (n,):
+        raise InputError("solve_mean_zero: dimension mismatch")
+    if np.iscomplexobj(K):
+        raise InputError("solve_mean_zero: K must be real")
+    mu = b.sum() / m.sum()
+    r = b - mu * m
+    pin = int(np.argmax(K.diagonal()))
+    keep = np.delete(np.arange(n), pin)
+    try:
+        lu = factor_spd(K[keep][:, keep])
+    except RuntimeError as exc:
+        raise NumericalError(f"solve_mean_zero: factorization failed ({exc})")
+    u = np.zeros(n, dtype=r.dtype)
+    if np.iscomplexobj(r):
+        sol = lu.solve(np.column_stack([r.real[keep], r.imag[keep]]))
+        u[keep] = sol[:, 0] + 1j * sol[:, 1]
+    else:
+        u[keep] = lu.solve(r[keep])
+    u -= (m @ u) / m.sum()
+    res = np.hypot(np.linalg.norm(K @ u + mu * m - b), abs(m @ u))
+    nb = np.linalg.norm(b)
+    if nb > 0 and not res <= 1e-10 * nb:
+        raise NumericalError(
+            f"solve_mean_zero: relative residual {res / nb:.3e} exceeds 1e-10 "
+            "(region disconnected or matrix singular to working precision?)")
+    return u, mu
+
+
 def _condition_estimate(A: sp.csc_matrix, lu, iters: int = 6) -> float:
     """Cheap estimate of norm(A) * norm(inv(A)) via inverse power iteration
     on an already computed factorization."""
@@ -312,10 +369,10 @@ def solve_neumann_mean_zero(mesh: Mesh, region, source,
 
     `boundary_flux` is taken in the orientation `weak_normal_flux` produces
     (outward normal of the core), so it enters the right-hand side with a
-    minus sign.  The mean constraint is imposed by a bordered system whose
-    multiplier reports the consistency defect
-    int(source) - <boundary_flux, 1>; inconsistent data is solved against
-    the constant-orthogonal part and the defect returned to the caller.
+    minus sign.  The mean constraint is imposed by `solve_mean_zero`, whose
+    multiplier is the consistency defect int(source) - <boundary_flux, 1>
+    divided by the region area; inconsistent data is solved against the
+    constant-orthogonal part and the defect returned to the caller.
 
     Returns (Field, consistency_defect).
     """
@@ -333,14 +390,8 @@ def solve_neumann_mean_zero(mesh: Mesh, region, source,
     b = M @ svals - boundary_flux.weights
     defect = m @ svals - boundary_flux.total()
 
-    K_rr = K[nodes][:, nodes]
-    m_r = m[nodes]
-    border = sp.bmat([[K_rr, m_r[:, None]],
-                      [m_r[None, :], None]], format="csc").astype(dtype)
-    rhs = np.concatenate([b[nodes], [0.0]])
-    sol = linear_solve(border, rhs)
     u = np.zeros(mesh.n_nodes, dtype=dtype)
-    u[nodes] = sol[:-1]
+    u[nodes], _ = solve_mean_zero(K[nodes][:, nodes], m[nodes], b[nodes])
     return Field(mesh=mesh, values=u, support=frozenset(tags)), defect
 
 

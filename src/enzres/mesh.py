@@ -103,8 +103,12 @@ def build_concentric_mesh(r_d: float, r_0: float, h: float,
     radii_breaks = [0.0, float(r_d), float(r_0)]
     if r_b is not None:
         radii_breaks.append(float(r_b))
-    if h <= 0.0:
-        raise InputError(f"build_concentric_mesh: h must be > 0, got {h}")
+    if not 0.0 < h < math.inf:
+        raise InputError(f"build_concentric_mesh: h must be finite and > 0, "
+                         f"got {h}")
+    if not math.isfinite(radii_breaks[-1]):
+        raise InputError(f"build_concentric_mesh: radii must be finite "
+                         f"({radii_breaks[1:]})")
     for a, b in zip(radii_breaks, radii_breaks[1:]):
         if not b > a:
             raise InputError(
@@ -356,9 +360,13 @@ def load_mesh(text) -> Mesh:
             raise InputError(f"enzmesh parse: line {ln}: node line needs "
                              f"2 floats, got {len(tok)} tokens")
         try:
-            nodes[i] = [float(tok[0]), float(tok[1])]
+            x, y = float(tok[0]), float(tok[1])
         except ValueError:
             raise InputError(f"enzmesh parse: line {ln}: bad coordinate")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InputError(f"enzmesh parse: line {ln}: non-finite "
+                             "coordinate")
+        nodes[i] = x, y
 
     m = section("triangles")
     triangles = np.empty((m, 3), dtype=np.int64)

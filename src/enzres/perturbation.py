@@ -36,6 +36,8 @@ SHELL = 1
 #: tolerance factors (relative to |Omega|) for entering / running the recursion
 CONSISTENCY_TOL = 1e-6
 DEFECT_TOL = 1e-8
+#: most core Dirichlet modes the pole scan of `find_lambda0` computes
+MAX_POLE_SCAN = 64
 
 
 @dataclass
@@ -89,7 +91,9 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     The interval may not straddle a pole of the residual (a Dirichlet
     eigenvalue of the core with nonzero-mean eigenfunction) and the residual
     must change sign across it; the residual is strictly increasing between
-    poles so the root is unique.
+    poles so the root is unique.  Intervals reaching above the
+    `MAX_POLE_SCAN`-th core mode are refused, since their poles cannot all
+    be checked.
     """
     t_lo, t_hi = (float(t) for t in search_interval)
     if not (0 < t_lo < t_hi):
@@ -101,7 +105,7 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     count = 8
     while True:
         modes = dirichlet_modes(mesh, CORE, count)
-        if modes[-1][0] > t_hi or count >= 64:
+        if modes[-1][0] > t_hi or count >= MAX_POLE_SCAN:
             break
         count *= 2
     for mu, _chi, mean in modes:
@@ -110,6 +114,11 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
                 f"find_lambda0: interval ({t_lo}, {t_hi}) straddles Dirichlet "
                 f"eigenvalue mu = {mu:.6g} of the core (pole of the "
                 "consistency residual)")
+    if modes[-1][0] <= t_hi:
+        raise InputError(
+            f"find_lambda0: pole scan truncated: the {count} lowest Dirichlet "
+            f"eigenvalues of the core lie below t_hi = {t_hi}, so poles "
+            f"above mu = {modes[-1][0]:.6g} go unchecked; narrow the interval")
 
     K = assemble_stiffness(mesh, {CORE: 1.0})
     M = assemble_mass(mesh, {CORE: 1.0})

@@ -55,6 +55,13 @@ class TestMesh:
         assert res.returncode == 2
         assert "error" in res.stderr.lower()
 
+    @pytest.mark.parametrize("h", ["nan", "inf"])
+    def test_non_finite_float_exit_2(self, h):
+        res = run_cli("mesh", "--rd", "1", "--r0", "1.3", "--h", h)
+        assert res.returncode == 2
+        assert "must be finite" in res.stderr
+        assert "internal error" not in res.stderr
+
     def test_missing_file_exit_2(self):
         res = run_cli("mesh", "--kind", "file", "--in", "no-such.mesh")
         assert res.returncode == 2
@@ -127,6 +134,7 @@ class TestOptimize:
         assert (tmp_path / "design.csv").exists()
         payload = json.loads(out.read_text())
         assert payload["schema_version"] == 1
+        assert dual["converged"] is True and payload["converged"] is True
 
 
 class TestValidateDisk:

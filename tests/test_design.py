@@ -5,11 +5,13 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enzres import design
 from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
-from enzres.design import (bathtub_projection, design_from_json,
+from enzres.design import (CONVERGED_EXITS, bathtub_projection, design_from_json,
                            design_to_csv, design_to_json, dual_objective,
                            energy_density, evaluate_design,
                            lambda1_of_design, make_disk_problem,
@@ -108,6 +110,54 @@ class TestObjective:
         sharp = dual_objective(w, prob, beta=0.0)
         smooth = dual_objective(w, prob, beta=1e-3)
         assert smooth >= sharp
+
+
+class TestConvergence:
+    EXITS = ("gtol", "rounding floor", "max_iter", "line-search failure")
+
+    def test_no_stage_capped_and_few_factorizations(self, disk_problem,
+                                                    monkeypatch):
+        # Two beta stages used to stall at the 60-step cap here, with 189
+        # Hessian factorizations in all.
+        calls = []
+        splu = spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        w = minimize_dual(disk_problem)
+        assert w.stages and all(s.exit != "max_iter" for s in w.stages)
+        assert len(calls) <= 60
+        assert w.converged
+
+    def test_stage_records(self, disk_problem, dual_state):
+        w = minimize_dual(disk_problem)
+        for rec in w.stages:
+            assert rec.exit in self.EXITS
+            assert rec.evaluations >= rec.steps >= 0
+            assert np.isfinite(rec.gnorm) and rec.gnorm >= 0
+        betas = [rec.beta for rec in w.stages]
+        assert betas == sorted(betas, reverse=True)
+        assert dual_state.converged
+
+    def test_capped_stage_is_not_converged(self, mesh_coarse, lambda0_coarse,
+                                           monkeypatch):
+        # Two Newton steps per stage cap the early stages on the coarse mesh
+        # while the later ones still reach gtol.
+        prob = make_disk_problem(mesh_coarse, lambda0_coarse)
+        monkeypatch.setattr(design, "MAX_NEWTON_STEPS", 2)
+        w = minimize_dual(prob)
+        assert any(s.exit == "max_iter" for s in w.stages)
+        assert w.stages[-1].exit in CONVERGED_EXITS
+        assert not w.converged
+        state = recover_design(prob, w)
+        assert state.converged is False
+        assert json.loads(design_to_json(state, prob))["converged"] is False
+
+    def test_plain_field_is_not_evidence(self, disk_problem, dual_state):
+        assert recover_design(disk_problem, dual_state.w).converged is False
 
 
 class TestOptimum:

@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from enzres.bessel_oracle import disk_case, disk_psi_d
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (BoundaryFunctional, Field, assemble_mass,
                         assemble_stiffness, dirichlet_modes, linear_solve,
                         mass_vector, solve_dirichlet_helmholtz,
-                        solve_neumann_mean_zero, weak_normal_flux)
+                        solve_mean_zero, solve_neumann_mean_zero,
+                        weak_normal_flux)
 from enzres.mesh import load_mesh
 
 from conftest import HS
@@ -175,3 +177,48 @@ class TestNeumann:
         # core flux, so the compatibility defect is the (tiny) residual of
         # the consistency condition times lambda0.
         assert abs(defect) < 1e-8
+
+
+class TestMeanZeroSolve:
+    """The shared mean-zero solve against an explicitly built bordered
+    system [[K, m], [m^T, 0]] [u; mu] = [b; 0] on the coarse shell."""
+
+    @pytest.fixture(scope="class")
+    def shell_system(self, mesh_coarse):
+        nodes = mesh_coarse.region_nodes(1)
+        K = assemble_stiffness(mesh_coarse, {1: 1.0})[nodes][:, nodes]
+        m = mass_vector(mesh_coarse, 1)[nodes]
+        return K, m
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_matches_bordered_reference(self, shell_system, dtype,
+                                        consistent):
+        K, m = shell_system
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal(m.size)
+        if dtype is complex:
+            b = b + 1j * rng.standard_normal(m.size)
+        if consistent:
+            b -= b.sum() / m.sum() * m
+        bordered = sp.bmat([[K, m[:, None]], [m[None, :], None]],
+                           format="csc").astype(dtype)
+        ref = spla.spsolve(bordered, np.concatenate([b, [0.0]]))
+        u, mu = solve_mean_zero(K, m, b)
+        assert u.dtype == np.dtype(dtype)
+        assert np.linalg.norm(u - ref[:-1]) <= 1e-10 * np.linalg.norm(ref[:-1])
+        assert mu == pytest.approx(b.sum() / m.sum(), rel=1e-12, abs=1e-14)
+        assert mu == pytest.approx(ref[-1], rel=1e-8, abs=1e-12)
+        assert abs(m @ u) <= 1e-13 * m.sum() * np.abs(u).max()
+
+    def test_rejects_disconnected_region(self, mesh_coarse):
+        # Core and outer shell share no node, so K has a two-dimensional
+        # kernel; a load balanced only overall has no solution.
+        nodes = mesh_coarse.region_nodes({0, 2})
+        K = assemble_stiffness(mesh_coarse, {0: 1.0, 2: 1.0})[nodes][:, nodes]
+        m = mass_vector(mesh_coarse, {0, 2})[nodes]
+        in_core = np.isin(nodes, mesh_coarse.region_nodes(0))
+        b = np.where(in_core, 1.0 / m[in_core].sum(),
+                     -1.0 / m[~in_core].sum()) * m
+        with pytest.raises(NumericalError):
+            solve_mean_zero(K, m, b)

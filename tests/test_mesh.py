@@ -12,6 +12,12 @@ from enzres.mesh import (Mesh, build_concentric_mesh, load_mesh, mesh_metrics,
 
 
 class TestBuildConcentric:
+    @pytest.mark.parametrize("r_0,h", [(1.4, math.nan), (1.4, math.inf),
+                                       (math.inf, 0.1), (math.nan, 0.1)])
+    def test_rejects_non_finite_sizes(self, r_0, h):
+        with pytest.raises(InputError):
+            build_concentric_mesh(1.0, r_0, h)
+
     def test_region_areas_converge_second_order(self):
         # Polygonal area deficit of a circle of radius r is O(h^2 r).
         errs = []
@@ -125,6 +131,12 @@ class TestLoadErrors:
     def test_truncated_file(self):
         with pytest.raises(InputError):
             load_mesh("enzmesh v1\nnodes 2\n0 0\n")
+
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_reports_line(self, coord):
+        text = SQUARE_TEXT.replace("1.0 1.0\n", f"1.0 {coord}\n")
+        with pytest.raises(InputError, match="line 5: non-finite"):
+            load_mesh(text)
 
     def test_trailing_garbage_rejected(self):
         m = build_concentric_mesh(1.0, 1.4, 0.2)

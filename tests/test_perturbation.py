@@ -37,6 +37,13 @@ class TestFindLambda0:
         with pytest.raises(InputError):
             find_lambda0(mesh_coarse, (14.0, 6.0))
 
+    def test_truncated_pole_scan_raises(self, mesh_coarse):
+        # At h = 0.08 the 64th core mode sits near 321; no nonzero-mean
+        # mode among the first 64 lies in (250, 400), but one near 375
+        # (mode 76) does, beyond what the scan computes.
+        with pytest.raises(InputError, match="pole scan truncated"):
+            find_lambda0(mesh_coarse, (250.0, 400.0))
+
 
 class TestRecursionInvariants:
     def test_mean_zero_correctors(self, series_fine):
