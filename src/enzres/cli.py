@@ -3,10 +3,7 @@ validate-disk.
 
 All commands emit machine-readable output (JSON to stdout, files via -o),
 are deterministic given their flags, and use exit codes 0 (success),
-1 (numerical/internal failure), 2 (invalid input).  The environment
-variable ENZRES_THREADS is reserved for bounding worker parallelism; the
-current implementation is single-threaded (default 1) and only validates
-and records the value.
+1 (numerical/internal failure), 2 (invalid input).
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -28,17 +24,6 @@ from enzres.fem import mass_vector, weak_normal_flux
 from enzres.mesh import build_concentric_mesh, load_mesh, mesh_metrics, save_mesh
 
 SCHEMA_VERSION = 1
-
-
-def _threads() -> int:
-    raw = os.environ.get("ENZRES_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise InputError(f"ENZRES_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise InputError(f"ENZRES_THREADS must be >= 1, got {val}")
-    return val
 
 
 def _finite_float(text: str) -> float:
@@ -92,16 +77,14 @@ def cmd_mesh(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(save_mesh(mesh))
-    _emit({"metrics": mesh_metrics(mesh), "output": args.out,
-           "threads": _threads()})
+    _emit({"metrics": mesh_metrics(mesh), "output": args.out})
     return 0
 
 
 def cmd_lambda0(args) -> int:
     mesh = _read_mesh(args.mesh)
     lam0 = pert.find_lambda0(mesh, (args.lo, args.hi))
-    _emit({"lambda0": lam0, "interval": [args.lo, args.hi],
-           "threads": _threads()}, args.out)
+    _emit({"lambda0": lam0, "interval": [args.lo, args.hi]}, args.out)
     return 0
 
 
@@ -114,8 +97,7 @@ def cmd_expand(args) -> int:
             fh.write(pert.series_to_json(series))
     _emit({"lambda0": series.lambda0, "lambda": series.lambda_coeffs,
            "e": series.constants, "norm_const": series.norm_const,
-           "order": series.order, "output": args.out,
-           "threads": _threads()})
+           "order": series.order, "output": args.out})
     return 0
 
 
@@ -145,8 +127,7 @@ def cmd_resonate(args) -> int:
            "omega_prime0": [trace.omega_prime0.real, trace.omega_prime0.imag],
            "calibration_scale_t": disp.calibrate_scale(series.lambda0 / scale,
                                                        lam_star),
-           "rows": len(trace.gammas), "output": args.out,
-           "threads": _threads()})
+           "rows": len(trace.gammas), "output": args.out})
     return 0
 
 
@@ -169,7 +150,7 @@ def cmd_optimize(args) -> int:
            "lambda1": design_mod.lambda1_of_design(state, prob),
            "value": state.value, "converged": state.converged,
            "fractional_mass": state.fractional_mass,
-           "output": args.out, "threads": _threads()})
+           "output": args.out})
     return 0
 
 
@@ -217,8 +198,7 @@ def cmd_validate_disk(args) -> int:
     for name, value, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {value:.6g}")
     _emit({"h": h, "lambda0": lam_h[h], "order": order,
-           "lambda1": series.lambda_coeffs[0], "all_passed": ok,
-           "threads": _threads()})
+           "lambda1": series.lambda_coeffs[0], "all_passed": ok})
     return 0 if ok else 1
 
 
@@ -227,8 +207,7 @@ def cmd_validate_disk(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="enzres",
-        description="ENZ core-shell resonance toolkit (env: ENZRES_THREADS "
-                    "bounds worker parallelism, default 1)")
+        description="ENZ core-shell resonance toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mesh", help="build or convert a mesh")
@@ -291,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _threads()
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (BoundaryFunctional, Field, assemble_mass,
+from enzres.fem import (BoundaryFunctional, Field, dirichlet_operator,
                         element_geometry, factor_spd, solve_mean_zero,
                         weak_normal_flux)
 from enzres.mesh import Mesh
@@ -125,7 +125,7 @@ def make_disk_problem(mesh: Mesh, lambda0: float) -> DesignProblem:
     the same core solve."""
     psi_d = compute_psi_d(mesh, lambda0)
     f = weak_normal_flux(psi_d, lambda0, source=None)
-    M_core = assemble_mass(mesh, {CORE: 1.0})
+    M_core = dirichlet_operator(mesh, CORE).M
     a0 = f.total() / lambda0
     norm_const = float(a0 + psi_d.values @ (M_core @ psi_d.values))
     return DesignProblem(mesh=mesh, lambda0=lambda0, f=f,

@@ -5,6 +5,15 @@ Conventions used throughout the package:
 * Stiffness and mass matrices are assembled over a chosen set of regions at
   full node dimension; unsolved nodes simply carry zero rows/columns and the
   solvers restrict to the nodes touching the included elements.
+* Every Dirichlet problem goes through one ``DirichletOperator`` per mesh,
+  region and boundary tag (cached on ``Mesh._cache``): it holds the
+  region's K and M, their interior blocks, the region's mass vector and
+  the region areas.  ``factor(lam)`` makes one sparse LU of K_ii - lam*M_ii
+  (minimum-degree ordering of A + A^T, partial pivoting, one condition
+  check) that any number of right-hand sides reuse, each with its own
+  residual check.  Factors are never cached: they are dropped when the
+  call that made them returns.  Dirichlet solves, the weak flux and the
+  Dirichlet eigenmodes all build on this operator.
 * Normal fluxes across the core interface are extracted variationally
   (``weak_normal_flux``), never by pointwise differentiation; the resulting
   weights are oriented along the *outward normal of the core region* and
@@ -29,10 +38,11 @@ from enzres.errors import InputError, NumericalError
 from enzres.mesh import Mesh, _as_tagset
 
 __all__ = ["Field", "BoundaryFunctional", "assemble_stiffness",
-           "assemble_mass", "mass_vector", "solve_dirichlet_helmholtz",
-           "weak_normal_flux", "solve_neumann_mean_zero", "dirichlet_modes",
-           "linear_solve", "factor_spd", "solve_mean_zero",
-           "element_geometry"]
+           "assemble_mass", "mass_vector", "DirichletOperator",
+           "DirichletFactor", "dirichlet_operator",
+           "solve_dirichlet_helmholtz", "weak_normal_flux",
+           "solve_neumann_mean_zero", "dirichlet_modes", "linear_solve",
+           "factor_spd", "solve_mean_zero", "element_geometry"]
 
 
 @dataclass
@@ -266,74 +276,136 @@ def _condition_estimate(A: sp.csc_matrix, lu, iters: int = 6) -> float:
 # ---------------------------------------------------------------------------
 # boundary-value solves
 
-def solve_dirichlet_helmholtz(mesh: Mesh, region, lam, source=None,
-                              g=1.0, boundary_tag: int = 0,
-                              operators=None) -> Field:
-    """Solve (-Delta - lam) u = source in the region, u = g on its tagged
-    boundary.
+class DirichletOperator:
+    """Helmholtz operator -Delta - lam of a region with Dirichlet data on
+    one tagged boundary.
 
-    `source` may be None (zero), a scalar, or a Field; `g` a scalar or an
-    array over all nodes (read on boundary nodes only).  Errors out if lam
-    is numerically a Dirichlet eigenvalue of the region.  `operators` may
-    pass a pre-assembled (K, M) pair for the region to skip re-assembly in
-    root-finding loops.
+    Holds the region's stiffness and mass matrices at full node dimension
+    (their boundary rows give the weak flux, their boundary columns couple
+    the Dirichlet data into the interior equations), the interior blocks
+    `K_ii` and `M_ii`, the region's mass vector `m` and the area of every
+    mesh region.  None of this depends on the shift, so one operator per
+    mesh and region is kept on `Mesh._cache` (see `dirichlet_operator`).
+    A shift is factored by `factor`; factors are never cached, and live
+    only as long as the caller holds them.  The operator keeps no reference
+    to the mesh: a mesh -> cache -> operator -> mesh cycle would keep every
+    dropped mesh alive until the cyclic garbage collector runs.
     """
-    tags = _as_tagset(region)
-    if operators is None:
-        K = assemble_stiffness(mesh, {t: 1.0 for t in tags})
-        M = assemble_mass(mesh, {t: 1.0 for t in tags})
-    else:
-        K, M = operators
-    nodes = mesh.region_nodes(tags)
-    bnodes = mesh.boundary_nodes(boundary_tag)
-    interior = np.setdiff1d(nodes, bnodes, assume_unique=True)
 
-    dtype = complex if (np.iscomplexobj(np.asarray(lam))
-                        or np.iscomplexobj(np.asarray(g))) else float
-    svals = _source_values(mesh, source, dtype)
-    if np.iscomplexobj(svals):
-        dtype = complex
+    def __init__(self, mesh: Mesh, region, boundary_tag: int = 0):
+        tags = _as_tagset(region)
+        self.n_nodes = mesh.n_nodes
+        self.tags = frozenset(tags)
+        self.K = assemble_stiffness(mesh, {t: 1.0 for t in tags})
+        self.M = assemble_mass(mesh, {t: 1.0 for t in tags})
+        self.m = mass_vector(mesh, tags)
+        self.boundary = mesh.boundary_nodes(boundary_tag)
+        self.interior = np.setdiff1d(mesh.region_nodes(tags), self.boundary,
+                                     assume_unique=True)
+        self.K_ii = self.K[self.interior][:, self.interior].tocsc()
+        self.M_ii = self.M[self.interior][:, self.interior].tocsc()
+        self.area_by_region = mesh.area_by_region()
 
-    gvals = np.zeros(mesh.n_nodes, dtype=dtype)
-    gvals[bnodes] = np.asarray(g)[bnodes] if np.ndim(g) else g
-
-    A = (K - lam * M).astype(dtype).tocsr()
-    rhs = M @ svals - A @ gvals
-    A_ii = A[interior][:, interior].tocsc()
-    try:
-        lu = spla.splu(A_ii)
-    except RuntimeError as exc:
-        raise NumericalError(
-            f"solve_dirichlet_helmholtz: singular system at lambda = {lam} "
-            f"(lambda is a Dirichlet eigenvalue of the region; {exc})")
-    cond = _condition_estimate(A_ii, lu)
-    if cond > 1e10:
-        raise NumericalError(
-            f"solve_dirichlet_helmholtz: condition estimate {cond:.2e} too "
-            f"large; lambda = {lam} is near a Dirichlet eigenvalue of the "
-            "region")
-    u_i = lu.solve(rhs[interior])
-    b_i = rhs[interior]
-    res = np.linalg.norm(A_ii @ u_i - b_i)
-    scale = np.linalg.norm(b_i)
-    if scale > 0 and res > 1e-10 * scale:
-        raise NumericalError(
-            f"solve_dirichlet_helmholtz: residual {res / scale:.3e} > 1e-10")
-
-    u = gvals.copy()
-    u[interior] = u_i
-    return Field(mesh=mesh, values=u, support=frozenset(tags))
+    def factor(self, lam) -> "DirichletFactor":
+        """Factor K_ii - lam*M_ii (real or complex lam)."""
+        return DirichletFactor(self, lam)
 
 
-def _source_values(mesh: Mesh, source, dtype):
+def dirichlet_operator(mesh: Mesh, region, boundary_tag: int = 0):
+    """The mesh's `DirichletOperator` for a region and boundary tag, built
+    on first use and kept on `Mesh._cache`."""
+    key = ("dirichlet", frozenset(_as_tagset(region)), int(boundary_tag))
+    if key not in mesh._cache:
+        mesh._cache[key] = DirichletOperator(mesh, region, boundary_tag)
+    return mesh._cache[key]
+
+
+class DirichletFactor:
+    """Sparse LU of K_ii - lam*M_ii for one shift lam.
+
+    The matrix is indefinite above the lowest Dirichlet eigenvalue, so it is
+    factored with SuperLU's default partial pivoting; the minimum-degree
+    ordering of A + A^T suits its symmetric pattern and roughly halves the
+    fill of the column ordering.  The condition estimate is checked once,
+    here; every `solve` checks its own residual.
+    """
+
+    def __init__(self, op: DirichletOperator, lam):
+        self.op, self.lam = op, lam
+        dtype = complex if np.iscomplexobj(np.asarray(lam)) else float
+        self.A_ii = (op.K_ii - lam * op.M_ii).astype(dtype).tocsc()
+        try:
+            self.lu = spla.splu(self.A_ii, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise NumericalError(
+                f"DirichletOperator.factor: singular system at lambda = "
+                f"{lam} (lambda is a Dirichlet eigenvalue of the region; "
+                f"{exc})")
+        cond = _condition_estimate(self.A_ii, self.lu)
+        if cond > 1e10:
+            raise NumericalError(
+                f"DirichletOperator.factor: condition estimate {cond:.2e} "
+                f"too large; lambda = {lam} is near a Dirichlet eigenvalue "
+                "of the region")
+
+    def solve(self, source=None, g=1.0) -> np.ndarray:
+        """Nodal values of the solution of (-Delta - lam) u = source in the
+        region, u = g on its tagged boundary (zero off the region).
+
+        `source` may be None (zero), a scalar, a Field or a per-node array;
+        `g` a scalar or an array over all nodes (read on boundary nodes
+        only).  Complex data with a real shift is solved as its real and
+        imaginary parts.
+        """
+        op = self.op
+        dtype = complex if (np.iscomplexobj(self.A_ii)
+                            or np.iscomplexobj(np.asarray(g))) else float
+        svals = _source_values(op.n_nodes, source, dtype)
+        if np.iscomplexobj(svals):
+            dtype = complex
+
+        gvals = np.zeros(op.n_nodes, dtype=dtype)
+        gvals[op.boundary] = np.asarray(g)[op.boundary] if np.ndim(g) else g
+        rhs = op.M @ svals - (op.K @ gvals - self.lam * (op.M @ gvals))
+        b_i = rhs[op.interior]
+        if np.iscomplexobj(b_i) and not np.iscomplexobj(self.A_ii):
+            sol = self.lu.solve(np.column_stack([b_i.real, b_i.imag]))
+            u_i = sol[:, 0] + 1j * sol[:, 1]
+        else:
+            u_i = self.lu.solve(b_i.astype(self.A_ii.dtype, copy=False))
+        res = np.linalg.norm(self.A_ii @ u_i - b_i)
+        scale = np.linalg.norm(b_i)
+        if scale > 0 and not res <= 1e-10 * scale:
+            raise NumericalError(
+                f"DirichletFactor.solve: residual {res / scale:.3e} > "
+                "1e-10")
+
+        u = gvals
+        u[op.interior] = u_i
+        return u
+
+
+def solve_dirichlet_helmholtz(mesh: Mesh, region, lam, source=None,
+                              g=1.0, boundary_tag: int = 0) -> Field:
+    """Solve (-Delta - lam) u = source in the region, u = g on its tagged
+    boundary (see `DirichletFactor.solve` for the data).  Errors out if lam
+    is numerically a Dirichlet eigenvalue of the region.  One factorization,
+    dropped on return; callers solving repeatedly at one shift use
+    `dirichlet_operator(...).factor(lam)` instead.
+    """
+    op = dirichlet_operator(mesh, region, boundary_tag)
+    return Field(mesh, op.factor(lam).solve(source, g), op.tags)
+
+
+def _source_values(n_nodes: int, source, dtype):
     if source is None:
-        return np.zeros(mesh.n_nodes, dtype=dtype)
+        return np.zeros(n_nodes, dtype=dtype)
     if isinstance(source, Field):
         return source.values
     if np.ndim(source) == 0:
-        return np.full(mesh.n_nodes, source)
+        return np.full(n_nodes, source)
     vals = np.asarray(source)
-    if vals.shape != (mesh.n_nodes,):
+    if vals.shape != (n_nodes,):
         raise InputError("source: expected scalar, Field, or per-node array")
     return vals
 
@@ -351,14 +423,11 @@ def weak_normal_flux(u: Field, lam, source=None,
     if 0 not in u.support:
         raise InputError("weak_normal_flux: field must be supported on the "
                          "core (region 0)")
-    tags = {0}
-    K = assemble_stiffness(u.mesh, {t: 1.0 for t in tags})
-    M = assemble_mass(u.mesh, {t: 1.0 for t in tags})
-    svals = _source_values(u.mesh, source, u.values.dtype)
-    residual = K @ u.values - M @ (lam * u.values + svals)
+    op = dirichlet_operator(u.mesh, 0, boundary_tag)
+    svals = _source_values(u.mesh.n_nodes, source, u.values.dtype)
+    residual = op.K @ u.values - op.M @ (lam * u.values + svals)
     weights = np.zeros_like(residual)
-    bnodes = u.mesh.boundary_nodes(boundary_tag)
-    weights[bnodes] = residual[bnodes]
+    weights[op.boundary] = residual[op.boundary]
     return BoundaryFunctional(mesh=u.mesh, tag=boundary_tag, weights=weights)
 
 
@@ -386,7 +455,7 @@ def solve_neumann_mean_zero(mesh: Mesh, region, source,
 
     dtype = complex if (np.iscomplexobj(boundary_flux.weights)
                         or np.iscomplexobj(np.asarray(source))) else float
-    svals = _source_values(mesh, source, dtype)
+    svals = _source_values(mesh.n_nodes, source, dtype)
     b = M @ svals - boundary_flux.weights
     defect = m @ svals - boundary_flux.total()
 
@@ -405,21 +474,15 @@ def dirichlet_modes(mesh: Mesh, region, count: int,
     """
     if count < 1:
         raise InputError("dirichlet_modes: count must be >= 1")
-    tags = _as_tagset(region)
-    nodes = mesh.region_nodes(tags)
-    bnodes = mesh.boundary_nodes(boundary_tag)
-    interior = np.setdiff1d(nodes, bnodes, assume_unique=True)
+    op = dirichlet_operator(mesh, region, boundary_tag)
+    interior = op.interior
     if count >= interior.size:
         raise InputError(f"dirichlet_modes: count = {count} exceeds interior "
                          f"node count {interior.size}")
-    K = assemble_stiffness(mesh, {t: 1.0 for t in tags})
-    M = assemble_mass(mesh, {t: 1.0 for t in tags})
-    K_ii = K[interior][:, interior].tocsc()
-    M_ii = M[interior][:, interior].tocsc()
-    vals, vecs = spla.eigsh(K_ii, k=count, M=M_ii, sigma=0.0, which="LM")
+    vals, vecs = spla.eigsh(op.K_ii, k=count, M=op.M_ii, sigma=0.0,
+                            which="LM")
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
-    m = mass_vector(mesh, tags)
     out = []
     for j in range(count):
         chi = np.zeros(mesh.n_nodes)
@@ -429,6 +492,6 @@ def dirichlet_modes(mesh: Mesh, region, count: int,
             v = -v
         chi[interior] = v
         out.append((float(vals[j]),
-                    Field(mesh=mesh, values=chi, support=frozenset(tags)),
-                    float(m @ chi)))
+                    Field(mesh=mesh, values=chi, support=op.tags),
+                    float(op.m @ chi)))
     return out

@@ -19,6 +19,10 @@ from enzres.errors import InputError
 __all__ = ["Mesh", "build_concentric_mesh", "load_mesh", "save_mesh",
            "mesh_metrics", "scale_mesh"]
 
+#: most nodes `build_concentric_mesh` builds (the r_b = 2 disk has about
+#: 63.5k nodes at h = 0.02 and 1.02M at h = 0.005)
+MAX_NODES = 2_000_000
+
 
 @dataclass
 class Mesh:
@@ -61,6 +65,12 @@ class Mesh:
             d2 = p[:, 2] - p[:, 0]
             self._cache["areas"] = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         return self._cache["areas"]
+
+    def area_by_region(self) -> dict:
+        """Total area of each region tag present, {tag: area}."""
+        areas = self.areas()
+        return {int(t): float(areas[self.regions == t].sum())
+                for t in np.unique(self.regions)}
 
     def region_triangles(self, tags) -> np.ndarray:
         """Indices of triangles whose region tag is in `tags`."""
@@ -114,19 +124,28 @@ def build_concentric_mesh(r_d: float, r_0: float, h: float,
             raise InputError(
                 f"build_concentric_mesh: radii not increasing ({radii_breaks[1:]})")
     r_out = radii_breaks[-1]
-    n_theta = math.ceil(2.0 * math.pi * r_out / h)
+    bands = list(zip(radii_breaks, radii_breaks[1:]))
+    try:
+        n_theta = math.ceil(2.0 * math.pi * r_out / h)
+        # each band subdivided so the radial step is <= h
+        n_sub = [max(1, math.ceil((b - a) / h)) for a, b in bands]
+    except OverflowError:  # a ratio overflowed to inf
+        n_theta, n_sub = math.inf, [math.inf]
+    n_nodes = 1 + n_theta * sum(n_sub)
+    if n_nodes > MAX_NODES:
+        raise InputError(
+            f"build_concentric_mesh: h = {h} would need {n_nodes:.3g} nodes, "
+            f"more than MAX_NODES = {MAX_NODES}")
     if n_theta < 8:
         raise InputError(
             f"build_concentric_mesh: h = {h} too coarse "
             f"(only {n_theta} angular segments, need >= 8)")
 
-    # ring radii: each band subdivided so the radial step is <= h
     ring_r = [0.0]
     band_of_ring = []  # band index of the annulus ending at this ring
-    for band, (a, b) in enumerate(zip(radii_breaks, radii_breaks[1:])):
-        n_sub = max(1, math.ceil((b - a) / h))
-        for j in range(1, n_sub + 1):
-            ring_r.append(a + (b - a) * j / n_sub)
+    for band, ((a, b), n) in enumerate(zip(bands, n_sub)):
+        for j in range(1, n + 1):
+            ring_r.append(a + (b - a) * j / n)
             band_of_ring.append(band)
     n_rings = len(ring_r) - 1  # rings of nodes beyond the center
 
@@ -419,14 +438,10 @@ def load_mesh(text) -> Mesh:
 
 def mesh_metrics(mesh: Mesh) -> dict:
     """Areas by region, longest edge, and entity counts."""
-    areas = mesh.areas()
-    by_region = {}
-    for tag in np.unique(mesh.regions):
-        by_region[int(tag)] = float(areas[mesh.regions == tag].sum())
     p = mesh.nodes[mesh.triangles]
     edge_len = np.stack([np.linalg.norm(p[:, a] - p[:, b], axis=1)
                          for a, b in ((0, 1), (1, 2), (2, 0))])
-    return {"area_by_region": by_region,
+    return {"area_by_region": mesh.area_by_region(),
             "h_max": float(edge_len.max()),
             "n_nodes": mesh.n_nodes,
             "n_triangles": mesh.n_triangles}

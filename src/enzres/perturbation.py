@@ -5,26 +5,27 @@ lambda_delta = lambda0 + delta*lambda1 + ... with the eigenfunction equal
 to 1 + delta*phi1 + ... on the shell and psi_d + delta*psi1 + ... on the
 core.  The leading eigenvalue lambda0 is fixed by the consistency condition
 |shell| + int_D psi_d = 0, whose residual is strictly increasing in lambda0
-between its poles (the nonzero-mean Dirichlet eigenvalues of the core).
-Higher orders follow from an alternating Neumann(shell)/Dirichlet(core)
-recursion; all stored fields are mean-zero with the additive constants e_n
-kept separately.
+between its poles (the nonzero-mean Dirichlet eigenvalues of the core); it
+is found by safeguarded Newton-bisection, the slope coming from one extra
+back-solve on the same core factorization.  Higher orders follow from an
+alternating Neumann(shell)/Dirichlet(core) recursion that factors the core
+operator once; all stored fields are mean-zero with the additive constants
+e_n kept separately.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (Field, assemble_mass, assemble_stiffness,
-                        dirichlet_modes, mass_vector,
-                        solve_dirichlet_helmholtz, solve_neumann_mean_zero,
+from enzres.fem import (DirichletFactor, Field, dirichlet_modes,
+                        dirichlet_operator, solve_neumann_mean_zero,
                         weak_normal_flux)
-from enzres.mesh import Mesh, mesh_metrics
+from enzres.mesh import Mesh
 
 __all__ = ["PerturbationSeries", "compute_psi_d", "consistency_residual",
            "find_lambda0", "expand_series", "eval_lambda", "eval_field",
@@ -38,6 +39,14 @@ CONSISTENCY_TOL = 1e-6
 DEFECT_TOL = 1e-8
 #: most core Dirichlet modes the pole scan of `find_lambda0` computes
 MAX_POLE_SCAN = 64
+#: most Newton-bisection iterates of `find_lambda0`; bisection alone would
+#: need about 46, since roots lie above the lowest core mode and the pole
+#: scan keeps t_hi below the 64th, about 60 times higher
+MAX_NEWTON_STEPS = 100
+#: relative step at which the `find_lambda0` iteration has converged; near
+#: the root the residual's rounding noise moves a Newton step by about
+#: 1e-13 relative (measured on the disk at h = 0.08 and 0.02)
+LAMBDA0_RTOL = 1e-12
 
 
 @dataclass
@@ -68,21 +77,35 @@ class PerturbationSeries:
         return np.array([self.lambda0, *self.lambda_coeffs])
 
 
-def compute_psi_d(mesh: Mesh, lambda0: float, operators=None) -> Field:
-    """Core profile: (-Delta - lambda0) psi_d = 0 in D, psi_d = 1 on the
-    interface."""
+def _core_factor(mesh: Mesh, lambda0) -> DirichletFactor:
     if not lambda0 > 0:
         raise InputError(f"compute_psi_d: lambda0 must be > 0, got {lambda0}")
-    return solve_dirichlet_helmholtz(mesh, CORE, lambda0, source=None, g=1.0,
-                                     operators=operators)
+    return dirichlet_operator(mesh, CORE).factor(lambda0)
 
 
-def consistency_residual(mesh: Mesh, lambda0: float, operators=None) -> float:
+def compute_psi_d(mesh: Mesh, lambda0: float) -> Field:
+    """Core profile: (-Delta - lambda0) psi_d = 0 in D, psi_d = 1 on the
+    interface."""
+    return Field(mesh, _core_factor(mesh, lambda0).solve(g=1.0),
+                 frozenset({CORE}))
+
+
+def consistency_residual(mesh: Mesh, lambda0: float) -> float:
     """Signed consistency residual |shell| + int_D psi_d."""
-    psi = compute_psi_d(mesh, lambda0, operators=operators)
-    m_core = mass_vector(mesh, CORE)
-    shell_area = mesh_metrics(mesh)["area_by_region"][SHELL]
-    return float(shell_area + m_core @ psi.values)
+    op = dirichlet_operator(mesh, CORE)
+    psi = compute_psi_d(mesh, lambda0)
+    return float(op.area_by_region[SHELL] + op.m @ psi.values)
+
+
+def _residual_and_slope(mesh: Mesh, lam: float):
+    """Consistency residual at lam and its derivative m_core . psi', where
+    (-Delta - lam) psi' = psi_d with zero Dirichlet data, from one
+    factorization that is dropped on return."""
+    fac = _core_factor(mesh, lam)
+    psi = fac.solve(g=1.0)
+    m = fac.op.m
+    slope = m @ fac.solve(source=psi, g=0.0)
+    return float(fac.op.area_by_region[SHELL] + m @ psi), float(slope)
 
 
 def find_lambda0(mesh: Mesh, search_interval) -> float:
@@ -94,6 +117,15 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     poles so the root is unique.  Intervals reaching above the
     `MAX_POLE_SCAN`-th core mode are refused, since their poles cannot all
     be checked.
+
+    The root is found by safeguarded Newton-bisection (Numerical Recipes
+    section 9.4, `rtsafe`) started at the midpoint: a Newton step is
+    replaced by bisection of the current bracket when it leaves the
+    bracket, when the slope is not positive, or when it is not at least
+    twice as short as the step before.  Each iterate costs one core
+    factorization and two solves; the iteration stops once a step is below
+    `LAMBDA0_RTOL` relative and returns the last evaluated point, whose
+    residual must be within 1e-10*|Omega|.
     """
     t_lo, t_hi = (float(t) for t in search_interval)
     if not (0 < t_lo < t_hi):
@@ -101,7 +133,7 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
                          f"({t_lo}, {t_hi})")
 
     # pole scan: Dirichlet modes of the core up to t_hi with nonzero mean
-    area = sum(mesh_metrics(mesh)["area_by_region"].values())
+    area = sum(dirichlet_operator(mesh, CORE).area_by_region.values())
     count = 8
     while True:
         modes = dirichlet_modes(mesh, CORE, count)
@@ -120,25 +152,40 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
             f"eigenvalues of the core lie below t_hi = {t_hi}, so poles "
             f"above mu = {modes[-1][0]:.6g} go unchecked; narrow the interval")
 
-    K = assemble_stiffness(mesh, {CORE: 1.0})
-    M = assemble_mass(mesh, {CORE: 1.0})
-
-    def resid(lam):
-        return consistency_residual(mesh, lam, operators=(K, M))
-
-    r_lo, r_hi = resid(t_lo), resid(t_hi)
-    if not r_lo * r_hi < 0:
+    r_lo = consistency_residual(mesh, t_lo)
+    r_hi = consistency_residual(mesh, t_hi)
+    # the residual increases between poles, so a root has r(t_lo) < 0;
+    # a fall from + to - would be a pole the scan did not flag
+    if not r_lo < 0 < r_hi:
         raise InputError(
             f"find_lambda0: no permissible lambda0 in interval ({t_lo}, "
-            f"{t_hi}): residual does not change sign "
+            f"{t_hi}): residual does not change sign from - to + "
             f"({r_lo:.6g} -> {r_hi:.6g})")
-    root = brentq(resid, t_lo, t_hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    final = resid(root)
-    if abs(final) > 1e-10 * area:
+    lo, hi = t_lo, t_hi
+    x = 0.5 * (lo + hi)
+    prev_step = hi - lo
+    for _ in range(MAX_NEWTON_STEPS):
+        r, slope = _residual_and_slope(mesh, x)
+        if r < 0:
+            lo = x
+        else:
+            hi = x
+        new = x - r / slope if slope > 0 else math.nan
+        if not (lo < new < hi and abs(new - x) <= 0.5 * prev_step):
+            new = 0.5 * (lo + hi)
+        if r == 0 or abs(new - x) <= LAMBDA0_RTOL * abs(x):
+            break
+        prev_step = abs(new - x)
+        x = new
+    else:
         raise NumericalError(
-            f"find_lambda0: residual {final:.3e} at root exceeds "
+            f"find_lambda0: no convergence in {MAX_NEWTON_STEPS} "
+            f"Newton-bisection steps (bracket [{lo!r}, {hi!r}])")
+    if abs(r) > 1e-10 * area:
+        raise NumericalError(
+            f"find_lambda0: residual {r:.3e} at root exceeds "
             f"1e-10*|Omega| = {1e-10 * area:.3e}")
-    return float(root)
+    return float(x)
 
 
 def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSeries:
@@ -153,15 +200,14 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     """
     if order < 1:
         raise InputError(f"expand_series: order must be >= 1, got {order}")
-    area = sum(mesh_metrics(mesh)["area_by_region"].values())
-    shell_area = mesh_metrics(mesh)["area_by_region"][SHELL]
+    # one core factorization serves psi_d and every core corrector
+    fac = _core_factor(mesh, lambda0)
+    op = fac.op
+    area = sum(op.area_by_region.values())
+    shell_area = op.area_by_region[SHELL]
+    m_core = op.m
 
-    K_core = assemble_stiffness(mesh, {CORE: 1.0})
-    M_core = assemble_mass(mesh, {CORE: 1.0})
-    m_core = mass_vector(mesh, CORE)
-    m_shell = mass_vector(mesh, SHELL)
-
-    psi_d = compute_psi_d(mesh, lambda0, operators=(K_core, M_core))
+    psi_d = Field(mesh, fac.solve(g=1.0), frozenset({CORE}))
     consist = shell_area + m_core @ psi_d.values
     if abs(consist) > CONSISTENCY_TOL * area:
         raise InputError(
@@ -169,7 +215,8 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
             f"{CONSISTENCY_TOL:g}*|Omega|; run find_lambda0 first "
             "(lambda0 drift or mesh too coarse)")
     # consistent-mass products keep the recursion identities exact discretely
-    norm_const = float(shell_area + psi_d.values @ (M_core @ psi_d.values))
+    M_psi_d = op.M @ psi_d.values
+    norm_const = float(shell_area + psi_d.values @ M_psi_d)
 
     # flux of psi_d across the interface, reused for every lambda_{n+1}
     flux_psi_d = weak_normal_flux(psi_d, lambda0, source=None)
@@ -209,15 +256,13 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         core_source = np.zeros(mesh.n_nodes)
         for k in range(1, n + 2):
             core_source += lambdas[k] * full_psi(n + 1 - k)
-        psi_ring = solve_dirichlet_helmholtz(
-            mesh, CORE, lambda0, source=core_source, g=phi_next.values,
-            operators=(K_core, M_core))
+        psi_ring = fac.solve(source=core_source, g=phi_next.values)
         core_sources.append(core_source)
 
-        e_next = float(-(psi_ring.values @ (M_core @ psi_d.values)) / norm_const)
+        e_next = float(-(psi_ring @ M_psi_d) / norm_const)
         e.append(e_next)
         phis.append(phi_next.values)
-        psis.append(psi_ring.values)
+        psis.append(psi_ring)
 
     shell_tags, core_tags = frozenset({SHELL}), frozenset({CORE})
     return PerturbationSeries(

@@ -1,17 +1,25 @@
 """Command-line interface: JSON output, file artifacts, and exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from enzres import cli
 
 R0 = "1.3671899114809272"
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, timeout=None):
     cmd = [sys.executable, "-m", "enzres.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +69,14 @@ class TestMesh:
         assert res.returncode == 2
         assert "must be finite" in res.stderr
         assert "internal error" not in res.stderr
+
+    def test_node_budget_exit_2(self):
+        # 1e-9 would need about 1e19 nodes; the budget refuses it before
+        # anything is allocated.
+        res = run_cli("mesh", "--kind", "concentric", "--rd", "1",
+                      "--r0", "1.3", "--h", "1e-9", timeout=30)
+        assert res.returncode == 2
+        assert "MAX_NODES" in res.stderr
 
     def test_missing_file_exit_2(self):
         res = run_cli("mesh", "--kind", "file", "--in", "no-such.mesh")
@@ -146,18 +162,73 @@ class TestValidateDisk:
                 assert line.startswith("PASS")
 
 
-class TestThreadsEnv:
-    def test_garbage_value_exit_2(self, mesh_file):
-        import os
-        env = dict(os.environ, ENZRES_THREADS="zebra")
-        res = run_cli("lambda0", "--mesh", str(mesh_file),
-                      "--lo", "6", "--hi", "14", env=env)
-        assert res.returncode == 2
+def run_main(argv):
+    """Run the CLI in-process; returns (exit code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
 
-    def test_valid_value_recorded(self, mesh_file):
-        import os
-        env = dict(os.environ, ENZRES_THREADS="2")
-        res = run_cli("lambda0", "--mesh", str(mesh_file),
-                      "--lo", "6", "--hi", "14", env=env)
-        assert res.returncode == 0
-        assert json.loads(res.stdout)["threads"] == 2
+
+#: number arguments argparse must refuse (1e400 parses as inf)
+BAD_NUMBERS = ["nan", "inf", "-inf", "1e400", "abc", ""]
+
+
+def numbers(lo, hi):
+    """Argument text: a finite float in [lo, hi] or a refused number."""
+    return st.one_of(
+        st.floats(min_value=lo, max_value=hi).map(repr),
+        st.sampled_from(BAD_NUMBERS))
+
+
+def as_float(text):
+    """The value argparse accepts, or None for a refused number."""
+    try:
+        val = float(text)
+    except ValueError:
+        return None
+    return val if math.isfinite(val) else None
+
+
+class TestFuzzArguments:
+    """Argument vectors for `mesh` and `lambda0`: the exit code is 0, 1 or
+    2, a refused number or an invalid value gives 2, and no failure is
+    reported as internal.  Valid mesh sizes stay at h >= 0.08; smaller
+    ones are only tried where the node budget must refuse them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rd=numbers(-0.5, 2.0), r0=numbers(-0.5, 2.5),
+           rb=st.none() | numbers(-0.5, 3.0),
+           h=numbers(0.08, 1.5) | st.sampled_from(["0", "-0.1", "1e-9"]))
+    def test_mesh(self, rd, r0, rb, h):
+        argv = ["mesh", "--kind", "concentric", "--rd", rd, "--r0", r0,
+                "--h", h] + ([] if rb is None else ["--rb", rb])
+        code, err = run_main(argv)
+        assert "internal error" not in err
+        assert code in (0, 1, 2)
+        values = [as_float(t) for t in (rd, r0, h, rb) if t is not None]
+        if None in values:
+            assert code == 2
+            return
+        radii = [0.0] + values[:2] + values[3:]
+        h = values[2]
+        bands = [b - a for a, b in zip(radii, radii[1:])]
+        if min(bands) <= 0 or h < 0.08:
+            assert code == 2
+        elif min(bands) > 1e-6:  # thinner bands may fail mesh validation
+            coarse = math.ceil(2 * math.pi * radii[-1] / h) < 8
+            assert code == (2 if coarse else 0), err
+
+    @settings(max_examples=30, deadline=None)
+    @given(lo=numbers(-2.0, 40.0), hi=numbers(-2.0, 40.0))
+    def test_lambda0(self, mesh_file, lo, hi):
+        code, err = run_main(["lambda0", "--mesh", str(mesh_file),
+                              "--lo", lo, "--hi", hi])
+        assert "internal error" not in err
+        assert code in (0, 1, 2)
+        t_lo, t_hi = as_float(lo), as_float(hi)
+        if t_lo is None or t_hi is None or not 0 < t_lo < t_hi:
+            assert code == 2

@@ -67,6 +67,24 @@ class TestBuildConcentric:
         with pytest.raises(InputError):
             build_concentric_mesh(1.0, 1.4, 5.0)
 
+    @pytest.mark.parametrize("h, r_b", [(0.3, 2.0), (0.17, None)])
+    def test_node_budget_counts_exactly(self, monkeypatch, h, r_b):
+        # The budget is checked on the arithmetic node count, which must
+        # equal the built mesh's: a budget one below it refuses the mesh.
+        import enzres.mesh as mesh_mod
+        n = build_concentric_mesh(1.0, 1.4, h, r_b=r_b).n_nodes
+        monkeypatch.setattr(mesh_mod, "MAX_NODES", n)
+        build_concentric_mesh(1.0, 1.4, h, r_b=r_b)
+        monkeypatch.setattr(mesh_mod, "MAX_NODES", n - 1)
+        with pytest.raises(InputError, match="MAX_NODES"):
+            build_concentric_mesh(1.0, 1.4, h, r_b=r_b)
+
+    @pytest.mark.parametrize("h", [1e-9, 5e-324])
+    def test_node_budget_refuses_before_allocating(self, h):
+        # 5e-324 makes (b - a) / h overflow to inf.
+        with pytest.raises(InputError, match="MAX_NODES"):
+            build_concentric_mesh(1.0, 1.3, h, r_b=2.0)
+
     def test_h_max_tracks_request(self):
         for h in (0.2, 0.1, 0.05):
             m = build_concentric_mesh(1.0, 1.4, h, r_b=2.0)

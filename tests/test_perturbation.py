@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from scipy.optimize import brentq
 
 from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
+from enzres import perturbation
 from enzres.errors import InputError, NumericalError
 from enzres.fem import assemble_mass, mass_vector
 from enzres.perturbation import (compute_psi_d, consistency_residual,
@@ -45,7 +48,48 @@ class TestFindLambda0:
             find_lambda0(mesh_coarse, (250.0, 400.0))
 
 
+def count_splu(monkeypatch):
+    """Patch scipy's splu to record the dimension of every matrix it
+    factors; returns the list of dimensions."""
+    dims = []
+    real_splu = spla.splu
+
+    def counting(A, *args, **kwargs):
+        dims.append(A.shape[0])
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return dims
+
+
+class TestNewtonBisection:
+    def test_few_factorizations_and_brentq_agreement(self, mesh_coarse,
+                                                     monkeypatch):
+        ref = brentq(lambda lam: consistency_residual(mesh_coarse, lam),
+                     6.0, 14.0, xtol=1e-13, rtol=8.9e-16)
+        dims = count_splu(monkeypatch)
+        root = find_lambda0(mesh_coarse, (6.0, 14.0))
+        assert 0 < len(dims) <= 12
+        assert root == pytest.approx(ref, rel=1e-11)
+
+    def test_step_cap_raises(self, mesh_coarse, monkeypatch):
+        monkeypatch.setattr(perturbation, "MAX_NEWTON_STEPS", 1)
+        with pytest.raises(NumericalError, match="no convergence"):
+            find_lambda0(mesh_coarse, (6.0, 14.0))
+
+
 class TestRecursionInvariants:
+    def test_core_factored_once(self, mesh_coarse, lambda0_coarse,
+                                monkeypatch):
+        # psi_d and all four core correctors share one factorization of
+        # the core interior block; the shell solves factor other matrices.
+        m = mesh_coarse
+        core_dim = np.setdiff1d(m.region_nodes(0), m.boundary_nodes(0)).size
+        dims = count_splu(monkeypatch)
+        expand_series(m, lambda0_coarse, order=4)
+        assert dims.count(core_dim) == 1
+
+
     def test_mean_zero_correctors(self, series_fine):
         # Every shell and core corrector splits off its constant part, so
         # the remaining fields integrate to zero over their regions.
