@@ -20,8 +20,9 @@ from enzres import dispersion as disp
 from enzres import perturbation as pert
 from enzres.bessel_oracle import annulus_lambda1, disk_case, disk_psi_d
 from enzres.errors import EnzresError, InputError
-from enzres.fem import mass_vector, weak_normal_flux
-from enzres.mesh import build_concentric_mesh, load_mesh, mesh_metrics, save_mesh
+from enzres.fem import region_operator, weak_normal_flux
+from enzres.mesh import (CORE, build_concentric_mesh, load_mesh, mesh_metrics,
+                         save_mesh)
 
 SCHEMA_VERSION = 1
 
@@ -50,7 +51,7 @@ def _read_mesh(path: str):
     try:
         with open(path) as fh:
             return load_mesh(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read mesh file {path}: {exc}")
 
 
@@ -180,7 +181,7 @@ def cmd_validate_disk(args) -> int:
     checks.append(("lambda1 within 1% of oracle", lam1_rel, lam1_rel <= 1e-2))
 
     r = np.linalg.norm(mesh.nodes, axis=1)
-    core_nodes = mesh.region_nodes(0)
+    core_nodes = mesh.region_nodes(CORE)
     psi_err = max(abs(series.psi_d.values[i]
                       - disk_psi_d(case, min(r[i], 1.0)))
                   for i in core_nodes)
@@ -188,7 +189,7 @@ def cmd_validate_disk(args) -> int:
                    psi_err <= 50 * h * h))
 
     flux = weak_normal_flux(series.psi_d, lam_h[h])
-    m_core = mass_vector(mesh, 0)
+    m_core = region_operator(mesh, CORE).m
     ident = abs(flux.total() + lam_h[h] * (m_core @ series.psi_d.values))
     checks.append(("flux mass identity <= 1e-10 relative",
                    ident / abs(flux.total()),

@@ -21,10 +21,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (BoundaryFunctional, Field, dirichlet_operator,
-                        element_geometry, factor_spd, solve_mean_zero,
-                        weak_normal_flux)
-from enzres.mesh import Mesh
+from enzres.fem import (BoundaryFunctional, Field, _gradient_blocks, _scatter,
+                        _scatter_vector, element_geometry, factor_spd,
+                        region_operator, solve_mean_zero, weak_normal_flux)
+from enzres.mesh import CORE, DESIGN_TAGS, Mesh
 from enzres.perturbation import compute_psi_d
 
 __all__ = ["DesignProblem", "DesignState", "DualSolution", "StageRecord",
@@ -33,9 +33,6 @@ __all__ = ["DesignProblem", "DesignState", "DualSolution", "StageRecord",
            "minimize_dual", "recover_design", "saddle_solve",
            "evaluate_design", "lambda1_of_design", "design_to_json",
            "design_from_json", "design_to_csv"]
-
-CORE = 0
-DESIGN_TAGS = (1, 2)
 
 
 @dataclass
@@ -71,10 +68,9 @@ class DesignProblem:
                              "(tags 1 or 2)")
         self.tags = tags
         self.elements = self.mesh.region_triangles(tags)
-        self.nodes = np.unique(self.mesh.triangles[self.elements])
-        renum = np.full(self.mesh.n_nodes, -1, dtype=np.int64)
-        renum[self.nodes] = np.arange(self.nodes.size)
-        self.conn = renum[self.mesh.triangles[self.elements]]
+        self.nodes, conn = np.unique(self.mesh.triangles[self.elements],
+                                     return_inverse=True)
+        self.conn = conn.reshape(-1, 3)
         self.areas, self.gx, self.gy = element_geometry(self.mesh,
                                                         self.elements)
         self.f_r = self.f.weights[self.nodes]
@@ -125,7 +121,7 @@ def make_disk_problem(mesh: Mesh, lambda0: float) -> DesignProblem:
     the same core solve."""
     psi_d = compute_psi_d(mesh, lambda0)
     f = weak_normal_flux(psi_d, lambda0, source=None)
-    M_core = dirichlet_operator(mesh, CORE).M
+    M_core = region_operator(mesh, CORE).M
     a0 = f.total() / lambda0
     norm_const = float(a0 + psi_d.values @ (M_core @ psi_d.values))
     return DesignProblem(mesh=mesh, lambda0=lambda0, f=f,
@@ -135,13 +131,20 @@ def make_disk_problem(mesh: Mesh, lambda0: float) -> DesignProblem:
 # ---------------------------------------------------------------------------
 # densities and objectives
 
-def energy_density(w: Field, lambda0: float, prob: DesignProblem) -> np.ndarray:
-    """Per design element: |grad w|^2 / 2 - lambda0 * mean(w) (P1 gradients
-    are constant per element)."""
-    wl = w.values[prob.mesh.triangles[prob.elements]]
+def _density(prob: DesignProblem, x: np.ndarray):
+    """Per design element, for nodal values x on the design nodes: the
+    constant P1 gradient (wx, wy) and the energy density
+    |grad w|^2 / 2 - lambda0 * mean(w)."""
+    wl = x[prob.conn]
     wx = (prob.gx * wl).sum(axis=1)
     wy = (prob.gy * wl).sum(axis=1)
-    return 0.5 * (wx * wx + wy * wy) - lambda0 * wl.mean(axis=1)
+    return wx, wy, 0.5 * (wx * wx + wy * wy) - prob.lambda0 * wl.mean(axis=1)
+
+
+def energy_density(w: Field, prob: DesignProblem) -> np.ndarray:
+    """Per design element: |grad w|^2 / 2 - lambda0 * mean(w) (P1 gradients
+    are constant per element)."""
+    return _density(prob, prob.reduce(w))[2]
 
 
 def _p_beta(x: np.ndarray, beta: float):
@@ -154,7 +157,7 @@ def dual_objective(w: Field, prob: DesignProblem, beta: float = 0.0) -> float:
     """J_beta(w) = sum_e area_e * p_beta(density_e) + <f, w>."""
     if beta < 0:
         raise InputError("dual_objective: beta must be >= 0")
-    d = energy_density(w, prob.lambda0, prob)
+    d = energy_density(w, prob)
     return float(prob.areas @ _p_beta(d, beta) + prob.f.pair(w.values))
 
 
@@ -194,15 +197,13 @@ def bathtub_projection(density: np.ndarray, areas: np.ndarray, A0: float):
 # dual route (primary)
 
 def _dual_parts(prob: DesignProblem, x: np.ndarray, beta: float):
-    wl = x[prob.conn]
-    wx = (prob.gx * wl).sum(axis=1)
-    wy = (prob.gy * wl).sum(axis=1)
-    d = 0.5 * (wx * wx + wy * wy) - prob.lambda0 * wl.mean(axis=1)
+    """(wx, wy, p, p', p''): element gradients and p_beta(density)."""
+    wx, wy, d = _density(prob, x)
     r = np.sqrt(d * d + beta * beta)
     p = 0.5 * (d + r)
     p1 = 0.5 * (1.0 + d / r)
     p2 = 0.5 * beta * beta / (r * r * r)
-    return wl, wx, wy, d, p, p1, p2
+    return wx, wy, p, p1, p2
 
 
 def _density_grad(prob: DesignProblem, wx, wy):
@@ -216,37 +217,25 @@ def _make_objective(prob: DesignProblem, beta: float):
     n = prob.nodes.size
 
     def fun(x):
-        _, _, _, _, p, _, _ = _dual_parts(prob, x, beta)
+        _, _, p, _, _ = _dual_parts(prob, x, beta)
         return float(areas @ p + prob.f_r @ x)
 
     def jac(x):
-        _, wx, wy, _, _, p1, _ = _dual_parts(prob, x, beta)
+        wx, wy, _, p1, _ = _dual_parts(prob, x, beta)
         g_el = _density_grad(prob, wx, wy) * (areas * p1)[:, None]
-        g = np.zeros(n)
-        np.add.at(g, prob.conn.ravel(), g_el.ravel())
-        return g + prob.f_r
+        return _scatter_vector(prob.conn, g_el, n) + prob.f_r
 
     return fun, jac
 
 
-def _scatter_local(prob: DesignProblem, blocks: np.ndarray) -> sp.csr_matrix:
-    """Accumulate per-element 3x3 blocks over the design nodes."""
-    rows = np.repeat(prob.conn, 3, axis=1).ravel()
-    cols = np.tile(prob.conn, (1, 3)).ravel()
-    n = prob.nodes.size
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
 def _hessian(prob: DesignProblem, x: np.ndarray, beta: float) -> sp.csr_matrix:
     """Assembled sparse Hessian of the smoothed dual at x."""
-    _, wx, wy, _, _, p1, p2 = _dual_parts(prob, x, beta)
+    wx, wy, _, p1, p2 = _dual_parts(prob, x, beta)
     dgrad = _density_grad(prob, wx, wy)
     areas = prob.areas
     blocks = (dgrad[:, :, None] * dgrad[:, None, :] * (areas * p2)[:, None, None]
-              + (prob.gx[:, :, None] * prob.gx[:, None, :]
-                 + prob.gy[:, :, None] * prob.gy[:, None, :])
-              * (areas * p1)[:, None, None])
-    return _scatter_local(prob, blocks)
+              + _gradient_blocks(prob.gx, prob.gy) * (areas * p1)[:, None, None])
+    return _scatter(prob.conn, blocks, prob.nodes.size)
 
 
 def _newton_step(prob: DesignProblem, x: np.ndarray, beta: float,
@@ -395,10 +384,10 @@ def recover_design(prob: DesignProblem, w: Field) -> DesignState:
 
     The state is flagged converged only when w is a `DualSolution` whose
     every beta stage converged."""
-    d = energy_density(w, prob.lambda0, prob)
+    d = energy_density(w, prob)
     theta, z0 = bathtub_projection(d, prob.areas, prob.A0)
     w1 = prob.expand(prob.reduce(w) + z0 / prob.lambda0)
-    d1 = energy_density(w1, prob.lambda0, prob)
+    d1 = energy_density(w1, prob)
     theta1, _z1 = bathtub_projection(d1, prob.areas, prob.A0)
     value = _primal_value(prob, w1, theta1)
     dual = dual_objective(w1, prob, beta=0.0)
@@ -410,7 +399,7 @@ def recover_design(prob: DesignProblem, w: Field) -> DesignState:
 
 
 def _primal_value(prob: DesignProblem, w: Field, theta: np.ndarray) -> float:
-    d = energy_density(w, prob.lambda0, prob)
+    d = energy_density(w, prob)
     return float((theta * prob.areas) @ d + prob.f.pair(w.values))
 
 
@@ -430,17 +419,14 @@ def evaluate_design(prob: DesignProblem, theta: np.ndarray,
     if theta.shape != prob.elements.shape:
         raise InputError("evaluate_design: theta must be per design element")
     a = theta + eps * (1.0 - theta)
-    local = (prob.gx[:, :, None] * prob.gx[:, None, :]
-             + prob.gy[:, :, None] * prob.gy[:, None, :])
-    K = _scatter_local(prob, local * (a * prob.areas)[:, None, None])
+    n = prob.nodes.size
+    K = _scatter(prob.conn, _gradient_blocks(prob.gx, prob.gy)
+                 * (a * prob.areas)[:, None, None], n)
     # load: lambda0 * theta against hat functions (element-lumped), minus f
-    nloc = prob.nodes.size
-    b = np.zeros(nloc)
-    np.add.at(b, prob.conn.ravel(),
-              np.repeat(prob.lambda0 * theta * prob.areas / 3.0, 3))
-    b -= prob.f_r
-    m = np.zeros(nloc)
-    np.add.at(m, prob.conn.ravel(), np.repeat(prob.areas / 3.0, 3))
+    b = _scatter_vector(prob.conn,
+                        (prob.lambda0 * theta * prob.areas / 3.0)[:, None],
+                        n) - prob.f_r
+    m = _scatter_vector(prob.conn, (prob.areas / 3.0)[:, None], n)
     u, _ = solve_mean_zero(K, m, b)
     w = prob.expand(u)
     return w, _primal_value(prob, w, theta)
@@ -465,7 +451,7 @@ def saddle_solve(prob: DesignProblem, eps_schedule=None, iters: int = 60,
     for k in range(iters):
         eps = float(eps_schedule[min(k, len(eps_schedule) - 1)])
         w, primal = evaluate_design(prob, theta, eps=eps)
-        d = energy_density(w, prob.lambda0, prob)
+        d = energy_density(w, prob)
         theta, z0 = bathtub_projection(d, prob.areas, prob.A0)
         # gauge: shift w so the bathtub level sits at zero
         w = prob.expand(prob.reduce(w) + z0 / prob.lambda0)
@@ -531,7 +517,7 @@ def design_from_json(text: str) -> dict:
 def design_to_csv(state: DesignState, prob: DesignProblem) -> str:
     """Per-element (centroid_x, centroid_y, theta, density) for plotting."""
     cent = prob.mesh.nodes[prob.mesh.triangles[prob.elements]].mean(axis=1)
-    d = energy_density(state.w, prob.lambda0, prob)
+    d = energy_density(state.w, prob)
     out = io.StringIO()
     out.write("centroid_x,centroid_y,theta,density\n")
     for (cx, cy), th, de in zip(cent, state.theta, d):

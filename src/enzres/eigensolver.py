@@ -1,8 +1,9 @@
 """Direct eigensolve of the core-shell problem at finite complex delta.
 
-Assembles the complex-symmetric pencil (K(delta), M) with shell stiffness
-weight 1/delta and finds the eigenvalue continuing lambda0 by shift-invert
-inverse iteration with Rayleigh-quotient refinement.  All inner products
+Builds the complex-symmetric pencil (K(delta), M) with shell stiffness
+weight 1/delta from the cached core and shell operators, and finds the
+eigenvalue continuing lambda0 by shift-invert inverse iteration with
+Rayleigh-quotient refinement.  All inner products
 are unconjugated (complex-symmetric, not Hermitian): the problem is an
 analytic continuation in delta, and the normalization int u_delta * u0
 uses the bilinear pairing.  Time convention e^{-i omega t}.
@@ -13,18 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import Field, assemble_mass, assemble_stiffness
-from enzres.mesh import Mesh
+from enzres.fem import Field, region_operator
+from enzres.mesh import CORE, SHELL, Mesh
 
 __all__ = ["ResonancePair", "assemble_operator", "resonance_near",
            "ritz_values_near"]
-
-CORE = 0
-SHELL = 1
 
 MAX_ITERATIONS = 200
 RESIDUAL_TOL = 1e-9
@@ -53,13 +50,16 @@ def assemble_operator(mesh: Mesh, delta):
     if delta == 0:
         raise InputError("assemble_operator: delta = 0 (use the perturbation "
                          "module for the delta -> 0 limit)")
-    K = assemble_stiffness(mesh, {CORE: 1.0 + 0j, SHELL: 1.0 / delta})
-    M = assemble_mass(mesh, {CORE: 1.0, SHELL: 1.0})
-    return K, M
+    core, shell = region_operator(mesh, CORE), region_operator(mesh, SHELL)
+    return core.K + shell.K / delta, core.M + shell.M
 
 
-def _restricted(mesh: Mesh):
-    return mesh.region_nodes({CORE, SHELL})
+def _restricted_pencil(mesh: Mesh, delta):
+    """(nodes, K, M): `assemble_operator` on the core and shell nodes."""
+    K, M = assemble_operator(mesh, delta)
+    nodes = np.union1d(region_operator(mesh, CORE).nodes,
+                       region_operator(mesh, SHELL).nodes)
+    return nodes, K[nodes][:, nodes].tocsc(), M[nodes][:, nodes].tocsc()
 
 
 def resonance_near(mesh: Mesh, delta, lam_guess, psi_d: Field) -> ResonancePair:
@@ -70,10 +70,7 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d: Field) -> ResonancePair:
     one refactorization at the Rayleigh quotient to polish to the final
     tolerance.
     """
-    K, M = assemble_operator(mesh, delta)
-    nodes = _restricted(mesh)
-    Kr = K[nodes][:, nodes].tocsc()
-    Mr = M[nodes][:, nodes].tocsc()
+    nodes, Kr, Mr = _restricted_pencil(mesh, delta)
 
     u0 = np.zeros(mesh.n_nodes, dtype=complex)
     u0[mesh.region_nodes(SHELL)] = 1.0
@@ -152,10 +149,7 @@ def ritz_values_near(mesh: Mesh, delta, lam_guess, k: int = 2) -> np.ndarray:
     shift-invert); used as the simplicity probe: a simple eigenvalue is
     separated from the next Ritz value by orders of magnitude more than the
     convergence tolerance."""
-    K, M = assemble_operator(mesh, delta)
-    nodes = _restricted(mesh)
-    Kr = K[nodes][:, nodes].tocsc()
-    Mr = M[nodes][:, nodes].tocsc().astype(complex)
-    vals = spla.eigs(Kr, k=k, M=Mr, sigma=complex(lam_guess),
+    _, Kr, Mr = _restricted_pencil(mesh, delta)
+    vals = spla.eigs(Kr, k=k, M=Mr.astype(complex), sigma=complex(lam_guess),
                      return_eigenvectors=False)
     return vals[np.argsort(np.abs(vals - lam_guess))]

@@ -2,18 +2,18 @@
 
 Conventions used throughout the package:
 
-* Stiffness and mass matrices are assembled over a chosen set of regions at
-  full node dimension; unsolved nodes simply carry zero rows/columns and the
-  solvers restrict to the nodes touching the included elements.
-* Every Dirichlet problem goes through one ``DirichletOperator`` per mesh,
-  region and boundary tag (cached on ``Mesh._cache``): it holds the
-  region's K and M, their interior blocks, the region's mass vector and
-  the region areas.  ``factor(lam)`` makes one sparse LU of K_ii - lam*M_ii
-  (minimum-degree ordering of A + A^T, partial pivoting, one condition
-  check) that any number of right-hand sides reuse, each with its own
-  residual check.  Factors are never cached: they are dropped when the
-  call that made them returns.  Dirichlet solves, the weak flux and the
-  Dirichlet eigenmodes all build on this operator.
+* One scatter kernel (``_scatter``, ``_scatter_vector``), shared with the
+  design module, accumulates every matrix and vector from element data;
+  region matrices have full node dimension (zero rows off the region).
+* The unweighted K, M and mass vector of a region come from one
+  ``RegionOperator`` per mesh and region (cached on ``Mesh._cache``), which
+  also holds the region's nodes and the region areas; the Dirichlet and
+  Neumann solves, the weak flux, the eigenmodes and the eigensolver's
+  pencil use it.
+  ``factor(lam)`` makes one sparse LU of K_ii - lam*M_ii over the nodes off
+  the core interface (minimum-degree ordering of A + A^T, partial
+  pivoting, one condition check) that any number of right-hand sides
+  reuse, each with its own residual check.  Factors are never cached.
 * Normal fluxes across the core interface are extracted variationally
   (``weak_normal_flux``), never by pointwise differentiation; the resulting
   weights are oriented along the *outward normal of the core region* and
@@ -29,17 +29,18 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from enzres.errors import InputError, NumericalError
-from enzres.mesh import Mesh, _as_tagset
+from enzres.mesh import CORE, INTERFACE, Mesh, _as_tagset
 
 __all__ = ["Field", "BoundaryFunctional", "assemble_stiffness",
-           "assemble_mass", "mass_vector", "DirichletOperator",
-           "DirichletFactor", "dirichlet_operator",
+           "assemble_mass", "mass_vector", "RegionOperator",
+           "DirichletFactor", "region_operator",
            "solve_dirichlet_helmholtz", "weak_normal_flux",
            "solve_neumann_mean_zero", "dirichlet_modes", "linear_solve",
            "factor_spd", "solve_mean_zero", "element_geometry"]
@@ -136,14 +137,24 @@ def _element_weights(mesh: Mesh, weight_by_region: dict):
     return tris, w
 
 
-def _scatter(mesh: Mesh, tris: np.ndarray, local: np.ndarray) -> sp.csr_matrix:
-    """Accumulate per-element 3x3 blocks into a full n x n CSR matrix."""
-    n = mesh.n_nodes
-    conn = mesh.triangles[tris]
+def _scatter(conn: np.ndarray, blocks: np.ndarray, n: int) -> sp.csr_matrix:
+    """Accumulate per-element 3x3 blocks into an n x n CSR matrix; row e of
+    `conn` holds element e's three node indices."""
     rows = np.repeat(conn, 3, axis=1).ravel()
     cols = np.tile(conn, (1, 3)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n))
-    return mat.tocsr()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _scatter_vector(conn: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Accumulate real per-element nodal values (broadcast to conn's shape)
+    into a length-n vector."""
+    return np.bincount(conn.ravel(), minlength=n,
+                       weights=np.broadcast_to(values, conn.shape).ravel())
+
+
+def _gradient_blocks(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Per-element P1 blocks grad(phi_i).grad(phi_j) = gx gx^T + gy gy^T."""
+    return gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
 
 
 def assemble_stiffness(mesh: Mesh, weight_by_region: dict) -> sp.csr_matrix:
@@ -151,9 +162,8 @@ def assemble_stiffness(mesh: Mesh, weight_by_region: dict) -> sp.csr_matrix:
     regions.  Symmetric with constants in the kernel."""
     tris, w = _element_weights(mesh, weight_by_region)
     area, gx, gy = element_geometry(mesh, tris)
-    local = (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
-    local = local * (w * area)[:, None, None]
-    return _scatter(mesh, tris, local)
+    local = _gradient_blocks(gx, gy) * (w * area)[:, None, None]
+    return _scatter(mesh.triangles[tris], local, mesh.n_nodes)
 
 
 _MASS_REF = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0  # [[2,1,1],...]/12
@@ -164,17 +174,14 @@ def assemble_mass(mesh: Mesh, weight_by_region: dict) -> sp.csr_matrix:
     tris, w = _element_weights(mesh, weight_by_region)
     area = mesh.areas()[tris]
     local = _MASS_REF[None, :, :] * (w * area)[:, None, None]
-    return _scatter(mesh, tris, local)
+    return _scatter(mesh.triangles[tris], local, mesh.n_nodes)
 
 
 def mass_vector(mesh: Mesh, tags) -> np.ndarray:
     """Nodal integration weights m with m @ v = int_region v (P1 exact)."""
-    tris = mesh.region_triangles(_as_tagset(tags))
-    area = mesh.areas()[tris]
-    m = np.zeros(mesh.n_nodes)
-    np.add.at(m, mesh.triangles[tris].ravel(),
-              np.repeat(area / 3.0, 3))
-    return m
+    tris = mesh.region_triangles(tags)
+    return _scatter_vector(mesh.triangles[tris],
+                           (mesh.areas()[tris] / 3.0)[:, None], mesh.n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -276,47 +283,53 @@ def _condition_estimate(A: sp.csc_matrix, lu, iters: int = 6) -> float:
 # ---------------------------------------------------------------------------
 # boundary-value solves
 
-class DirichletOperator:
-    """Helmholtz operator -Delta - lam of a region with Dirichlet data on
-    one tagged boundary.
+class RegionOperator:
+    """Unit-weight P1 operators of a region (one tag or a set of tags).
 
-    Holds the region's stiffness and mass matrices at full node dimension
-    (their boundary rows give the weak flux, their boundary columns couple
-    the Dirichlet data into the interior equations), the interior blocks
-    `K_ii` and `M_ii`, the region's mass vector `m` and the area of every
-    mesh region.  None of this depends on the shift, so one operator per
-    mesh and region is kept on `Mesh._cache` (see `dirichlet_operator`).
-    A shift is factored by `factor`; factors are never cached, and live
-    only as long as the caller holds them.  The operator keeps no reference
-    to the mesh: a mesh -> cache -> operator -> mesh cycle would keep every
-    dropped mesh alive until the cyclic garbage collector runs.
+    Holds the region's stiffness and mass matrices at full node dimension,
+    its mass vector `m`, its sorted `nodes`, the area of every mesh region
+    and, for Dirichlet data on the core interface, the interface nodes
+    `boundary`, the region's other nodes `interior` and (built on first
+    use) the interior blocks `K_ii` and `M_ii`.  None of this depends on a
+    shift, so one operator per mesh and region is kept on `Mesh._cache`
+    (see `region_operator`); factors are never cached.  The operator keeps
+    no reference to the mesh: a mesh -> cache -> operator -> mesh cycle
+    would keep every dropped mesh alive until the cyclic garbage collector
+    runs.
     """
 
-    def __init__(self, mesh: Mesh, region, boundary_tag: int = 0):
+    def __init__(self, mesh: Mesh, region):
         tags = _as_tagset(region)
         self.n_nodes = mesh.n_nodes
         self.tags = frozenset(tags)
-        self.K = assemble_stiffness(mesh, {t: 1.0 for t in tags})
-        self.M = assemble_mass(mesh, {t: 1.0 for t in tags})
+        self.K = assemble_stiffness(mesh, dict.fromkeys(tags, 1.0))
+        self.M = assemble_mass(mesh, dict.fromkeys(tags, 1.0))
         self.m = mass_vector(mesh, tags)
-        self.boundary = mesh.boundary_nodes(boundary_tag)
-        self.interior = np.setdiff1d(mesh.region_nodes(tags), self.boundary,
+        self.nodes = mesh.region_nodes(tags)
+        self.boundary = mesh.boundary_nodes(INTERFACE)
+        self.interior = np.setdiff1d(self.nodes, self.boundary,
                                      assume_unique=True)
-        self.K_ii = self.K[self.interior][:, self.interior].tocsc()
-        self.M_ii = self.M[self.interior][:, self.interior].tocsc()
         self.area_by_region = mesh.area_by_region()
+
+    @cached_property
+    def K_ii(self):
+        return self.K[self.interior][:, self.interior].tocsc()
+
+    @cached_property
+    def M_ii(self):
+        return self.M[self.interior][:, self.interior].tocsc()
 
     def factor(self, lam) -> "DirichletFactor":
         """Factor K_ii - lam*M_ii (real or complex lam)."""
         return DirichletFactor(self, lam)
 
 
-def dirichlet_operator(mesh: Mesh, region, boundary_tag: int = 0):
-    """The mesh's `DirichletOperator` for a region and boundary tag, built
-    on first use and kept on `Mesh._cache`."""
-    key = ("dirichlet", frozenset(_as_tagset(region)), int(boundary_tag))
+def region_operator(mesh: Mesh, region) -> RegionOperator:
+    """The mesh's `RegionOperator` for a region (a tag or a set of tags),
+    built on first use and kept on `Mesh._cache`."""
+    key = ("region", frozenset(_as_tagset(region)))
     if key not in mesh._cache:
-        mesh._cache[key] = DirichletOperator(mesh, region, boundary_tag)
+        mesh._cache[key] = RegionOperator(mesh, region)
     return mesh._cache[key]
 
 
@@ -330,7 +343,7 @@ class DirichletFactor:
     here; every `solve` checks its own residual.
     """
 
-    def __init__(self, op: DirichletOperator, lam):
+    def __init__(self, op: RegionOperator, lam):
         self.op, self.lam = op, lam
         dtype = complex if np.iscomplexobj(np.asarray(lam)) else float
         self.A_ii = (op.K_ii - lam * op.M_ii).astype(dtype).tocsc()
@@ -338,19 +351,19 @@ class DirichletFactor:
             self.lu = spla.splu(self.A_ii, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise NumericalError(
-                f"DirichletOperator.factor: singular system at lambda = "
+                f"RegionOperator.factor: singular system at lambda = "
                 f"{lam} (lambda is a Dirichlet eigenvalue of the region; "
                 f"{exc})")
         cond = _condition_estimate(self.A_ii, self.lu)
         if cond > 1e10:
             raise NumericalError(
-                f"DirichletOperator.factor: condition estimate {cond:.2e} "
+                f"RegionOperator.factor: condition estimate {cond:.2e} "
                 f"too large; lambda = {lam} is near a Dirichlet eigenvalue "
                 "of the region")
 
     def solve(self, source=None, g=1.0) -> np.ndarray:
         """Nodal values of the solution of (-Delta - lam) u = source in the
-        region, u = g on its tagged boundary (zero off the region).
+        region, u = g on the core interface (zero off the region).
 
         `source` may be None (zero), a scalar, a Field or a per-node array;
         `g` a scalar or an array over all nodes (read on boundary nodes
@@ -386,14 +399,14 @@ class DirichletFactor:
 
 
 def solve_dirichlet_helmholtz(mesh: Mesh, region, lam, source=None,
-                              g=1.0, boundary_tag: int = 0) -> Field:
-    """Solve (-Delta - lam) u = source in the region, u = g on its tagged
-    boundary (see `DirichletFactor.solve` for the data).  Errors out if lam
+                              g=1.0) -> Field:
+    """Solve (-Delta - lam) u = source in the region, u = g on the core
+    interface (see `DirichletFactor.solve` for the data).  Errors out if lam
     is numerically a Dirichlet eigenvalue of the region.  One factorization,
     dropped on return; callers solving repeatedly at one shift use
-    `dirichlet_operator(...).factor(lam)` instead.
+    `region_operator(...).factor(lam)` instead.
     """
-    op = dirichlet_operator(mesh, region, boundary_tag)
+    op = region_operator(mesh, region)
     return Field(mesh, op.factor(lam).solve(source, g), op.tags)
 
 
@@ -410,8 +423,7 @@ def _source_values(n_nodes: int, source, dtype):
     return vals
 
 
-def weak_normal_flux(u: Field, lam, source=None,
-                     boundary_tag: int = 0) -> BoundaryFunctional:
+def weak_normal_flux(u: Field, lam, source=None) -> BoundaryFunctional:
     """Variational normal-derivative functional of u on the core interface.
 
     For u solving (-Delta - lam) u = source on the core, the weights are
@@ -420,15 +432,15 @@ def weak_normal_flux(u: Field, lam, source=None,
     v, and <flux, 1> = -int(lam u + source) identically.  Orientation:
     outward normal of the core region.
     """
-    if 0 not in u.support:
+    if CORE not in u.support:
         raise InputError("weak_normal_flux: field must be supported on the "
                          "core (region 0)")
-    op = dirichlet_operator(u.mesh, 0, boundary_tag)
+    op = region_operator(u.mesh, CORE)
     svals = _source_values(u.mesh.n_nodes, source, u.values.dtype)
     residual = op.K @ u.values - op.M @ (lam * u.values + svals)
     weights = np.zeros_like(residual)
     weights[op.boundary] = residual[op.boundary]
-    return BoundaryFunctional(mesh=u.mesh, tag=boundary_tag, weights=weights)
+    return BoundaryFunctional(mesh=u.mesh, tag=INTERFACE, weights=weights)
 
 
 def solve_neumann_mean_zero(mesh: Mesh, region, source,
@@ -445,27 +457,24 @@ def solve_neumann_mean_zero(mesh: Mesh, region, source,
 
     Returns (Field, consistency_defect).
     """
-    tags = _as_tagset(region)
-    nodes = mesh.region_nodes(tags)
+    op = region_operator(mesh, region)
+    nodes = op.nodes
     if nodes.size == 0:
         raise InputError("solve_neumann_mean_zero: region is empty")
-    K = assemble_stiffness(mesh, {t: 1.0 for t in tags})
-    M = assemble_mass(mesh, {t: 1.0 for t in tags})
-    m = mass_vector(mesh, tags)
 
     dtype = complex if (np.iscomplexobj(boundary_flux.weights)
                         or np.iscomplexobj(np.asarray(source))) else float
     svals = _source_values(mesh.n_nodes, source, dtype)
-    b = M @ svals - boundary_flux.weights
-    defect = m @ svals - boundary_flux.total()
+    b = op.M @ svals - boundary_flux.weights
+    defect = op.m @ svals - boundary_flux.total()
 
     u = np.zeros(mesh.n_nodes, dtype=dtype)
-    u[nodes], _ = solve_mean_zero(K[nodes][:, nodes], m[nodes], b[nodes])
-    return Field(mesh=mesh, values=u, support=frozenset(tags)), defect
+    u[nodes], _ = solve_mean_zero(op.K[nodes][:, nodes], op.m[nodes],
+                                  b[nodes])
+    return Field(mesh=mesh, values=u, support=op.tags), defect
 
 
-def dirichlet_modes(mesh: Mesh, region, count: int,
-                    boundary_tag: int = 0):
+def dirichlet_modes(mesh: Mesh, region, count: int):
     """First `count` Dirichlet eigenpairs of -Delta on the region.
 
     Returns a list of (mu_n, Field, mean) with eigenvalues nondecreasing,
@@ -474,7 +483,7 @@ def dirichlet_modes(mesh: Mesh, region, count: int,
     """
     if count < 1:
         raise InputError("dirichlet_modes: count must be >= 1")
-    op = dirichlet_operator(mesh, region, boundary_tag)
+    op = region_operator(mesh, region)
     interior = op.interior
     if count >= interior.size:
         raise InputError(f"dirichlet_modes: count = {count} exceeds interior "

@@ -1,7 +1,8 @@
 """Triangulated core-shell geometry: build, load/save, and measure.
 
-Region tags: 0 = core D, 1 = shell, 2 = design slack (present only for
-design runs).  Boundary tags: 0 = core interface, 1 = outer boundary.
+Region tags: `CORE` = 0 (core D), `SHELL` = 1, `SLACK` = 2 (design slack,
+present only for design runs).  Boundary tags: `INTERFACE` = 0 (core
+interface), 1 = outer boundary.
 All geometry is nondimensional; eigenvalues carry units 1/length**2 and
 obey the scaling rule lambda0(t*D) = lambda0(D)/t**2 (see `scale_mesh`).
 """
@@ -17,11 +18,17 @@ import numpy as np
 from enzres.errors import InputError
 
 __all__ = ["Mesh", "build_concentric_mesh", "load_mesh", "save_mesh",
-           "mesh_metrics", "scale_mesh"]
+           "mesh_metrics", "scale_mesh", "CORE", "SHELL", "SLACK",
+           "INTERFACE", "DESIGN_TAGS"]
 
 #: most nodes `build_concentric_mesh` builds (the r_b = 2 disk has about
 #: 63.5k nodes at h = 0.02 and 1.02M at h = 0.005)
 MAX_NODES = 2_000_000
+
+#: region tags and the boundary tag of the core interface
+CORE, SHELL, SLACK, INTERFACE = 0, 1, 2, 0
+#: regions a shell design may fill
+DESIGN_TAGS = (SHELL, SLACK)
 
 
 @dataclass
@@ -258,14 +265,14 @@ def _validate(mesh: Mesh, line_of_tri=None) -> None:
     reg_a = mesh.regions[tri_a]
     reg_b = np.where(tri_b >= 0, mesh.regions[np.maximum(tri_b, 0)], -1)
     is_interface = ((counts == 2)
-                    & (np.minimum(reg_a, reg_b) == 0)
-                    & (np.maximum(reg_a, reg_b) == 1))
-    if np.any(is_interface & (edge_tag != 0)):
-        k = uniq_keys[np.argmax(is_interface & (edge_tag != 0))]
+                    & (np.minimum(reg_a, reg_b) == CORE)
+                    & (np.maximum(reg_a, reg_b) == SHELL))
+    if np.any(is_interface & (edge_tag != INTERFACE)):
+        k = uniq_keys[np.argmax(is_interface & (edge_tag != INTERFACE))]
         raise InputError(f"mesh: core/shell interface edge ({k // n}, {k % n}) "
                          "lacks tag 0")
-    if np.any((edge_tag == 0) & ~is_interface):
-        k = uniq_keys[np.argmax((edge_tag == 0) & ~is_interface)]
+    if np.any((edge_tag == INTERFACE) & ~is_interface):
+        k = uniq_keys[np.argmax((edge_tag == INTERFACE) & ~is_interface)]
         raise InputError(f"mesh: tag-0 edge ({k // n}, {k % n}) does not "
                          "separate region 0 from 1")
     if np.any((edge_tag == 1) & (counts != 1)):
@@ -282,7 +289,7 @@ def _check_connectivity(mesh: Mesh, tri_a, tri_b, counts) -> None:
 
     # connectedness of region 0 (plus simple-connectedness via Euler) and 1
     m = mesh.n_triangles
-    for tag, simply in ((0, True), (1, False)):
+    for tag, simply in ((CORE, True), (SHELL, False)):
         in_region = mesh.regions == tag
         n_tris = int(in_region.sum())
         if n_tris == 0:
@@ -330,12 +337,13 @@ def load_mesh(text) -> Mesh:
     offending 1-based line number.  The returned mesh satisfies all Mesh
     invariants.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
-    elif hasattr(text, "read"):
-        text = text.read()
+    try:
+        if hasattr(text, "read"):
+            text = text.read()
         if isinstance(text, bytes):
             text = text.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"enzmesh parse: cannot decode text ({exc})")
 
     lines = []  # (line_number, tokens)
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -369,7 +377,29 @@ def load_mesh(text) -> Mesh:
             raise InputError(f"enzmesh parse: line {ln}: bad count {tok[1]!r}")
         if count < 0:
             raise InputError(f"enzmesh parse: line {ln}: negative count")
+        if count > len(lines) - pos:  # before any array is sized from it
+            raise InputError(f"enzmesh parse: line {ln}: {name} count "
+                             f"{count} exceeds the {len(lines) - pos} lines "
+                             "that remain")
         return count
+
+    def index_line(what, form, size):
+        """Parse a `what` of `size` tokens: node indices, then one tag."""
+        ln, tok = take(what)
+        if len(tok) != size:
+            raise InputError(f"enzmesh parse: line {ln}: {what} needs "
+                             f"'{form}', got {len(tok)} tokens")
+        try:
+            vals = [int(t) for t in tok]
+        except ValueError:
+            raise InputError(f"enzmesh parse: line {ln}: bad integer")
+        if any(v < 0 or v >= n for v in vals[:-1]):
+            raise InputError(f"enzmesh parse: line {ln}: node index out of "
+                             f"range (have {n} nodes)")
+        if not -2 ** 63 <= vals[-1] < 2 ** 63:
+            raise InputError(f"enzmesh parse: line {ln}: tag {vals[-1]} out "
+                             "of the 64-bit range")
+        return ln, vals
 
     n = section("nodes")
     nodes = np.empty((n, 2), dtype=float)
@@ -392,34 +422,14 @@ def load_mesh(text) -> Mesh:
     regions = np.empty(m, dtype=np.int64)
     tri_lines = np.empty(m, dtype=np.int64)
     for i in range(m):
-        ln, tok = take("triangle line")
-        if len(tok) != 4:
-            raise InputError(f"enzmesh parse: line {ln}: triangle line needs "
-                             f"'v0 v1 v2 region', got {len(tok)} tokens")
-        try:
-            vals = [int(t) for t in tok]
-        except ValueError:
-            raise InputError(f"enzmesh parse: line {ln}: bad integer")
-        if any(v < 0 or v >= n for v in vals[:3]):
-            raise InputError(f"enzmesh parse: line {ln}: node index out of "
-                             f"range (have {n} nodes)")
+        ln, vals = index_line("triangle line", "v0 v1 v2 region", 4)
         triangles[i], regions[i], tri_lines[i] = vals[:3], vals[3], ln
 
     k = section("boundary_edges")
     edges = np.empty((k, 2), dtype=np.int64)
     tags = np.empty(k, dtype=np.int64)
     for i in range(k):
-        ln, tok = take("boundary edge line")
-        if len(tok) != 3:
-            raise InputError(f"enzmesh parse: line {ln}: edge line needs "
-                             f"'v0 v1 tag', got {len(tok)} tokens")
-        try:
-            vals = [int(t) for t in tok]
-        except ValueError:
-            raise InputError(f"enzmesh parse: line {ln}: bad integer")
-        if any(v < 0 or v >= n for v in vals[:2]):
-            raise InputError(f"enzmesh parse: line {ln}: node index out of "
-                             f"range (have {n} nodes)")
+        _, vals = index_line("boundary edge line", "v0 v1 tag", 3)
         edges[i], tags[i] = vals[:2], vals[2]
 
     if pos != len(lines):

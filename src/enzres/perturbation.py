@@ -23,16 +23,13 @@ import numpy as np
 
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (DirichletFactor, Field, dirichlet_modes,
-                        dirichlet_operator, solve_neumann_mean_zero,
+                        region_operator, solve_neumann_mean_zero,
                         weak_normal_flux)
-from enzres.mesh import Mesh
+from enzres.mesh import CORE, SHELL, Mesh
 
 __all__ = ["PerturbationSeries", "compute_psi_d", "consistency_residual",
            "find_lambda0", "expand_series", "eval_lambda", "eval_field",
            "series_to_json", "series_from_json"]
-
-CORE = 0
-SHELL = 1
 
 #: tolerance factors (relative to |Omega|) for entering / running the recursion
 CONSISTENCY_TOL = 1e-6
@@ -80,7 +77,7 @@ class PerturbationSeries:
 def _core_factor(mesh: Mesh, lambda0) -> DirichletFactor:
     if not lambda0 > 0:
         raise InputError(f"compute_psi_d: lambda0 must be > 0, got {lambda0}")
-    return dirichlet_operator(mesh, CORE).factor(lambda0)
+    return region_operator(mesh, CORE).factor(lambda0)
 
 
 def compute_psi_d(mesh: Mesh, lambda0: float) -> Field:
@@ -92,7 +89,7 @@ def compute_psi_d(mesh: Mesh, lambda0: float) -> Field:
 
 def consistency_residual(mesh: Mesh, lambda0: float) -> float:
     """Signed consistency residual |shell| + int_D psi_d."""
-    op = dirichlet_operator(mesh, CORE)
+    op = region_operator(mesh, CORE)
     psi = compute_psi_d(mesh, lambda0)
     return float(op.area_by_region[SHELL] + op.m @ psi.values)
 
@@ -133,7 +130,7 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
                          f"({t_lo}, {t_hi})")
 
     # pole scan: Dirichlet modes of the core up to t_hi with nonzero mean
-    area = sum(dirichlet_operator(mesh, CORE).area_by_region.values())
+    area = sum(region_operator(mesh, CORE).area_by_region.values())
     count = 8
     while True:
         modes = dirichlet_modes(mesh, CORE, count)

@@ -60,8 +60,8 @@ def test_criterion_2_series_vs_direct_remainder(series_fine):
     ok = all(2.0 ** n <= ratios[n] <= 2.0 ** (n + 2) for n in (1, 2))
     record_criterion(
         "criterion-2 series-vs-direct remainder", ok,
-        f"E_1 ratio {ratios[1]:.3f} in [2, 8], "
-        f"E_2 ratio {ratios[2]:.3f} in [4, 16]")
+        f"E_1 ratio {ratios[1]:.1f} in [2, 8], "
+        f"E_2 ratio {ratios[2]:.1f} in [4, 16]")
     for n in (1, 2):
         assert 2.0 ** n <= ratios[n] <= 2.0 ** (n + 2)
 

@@ -82,6 +82,16 @@ class TestMesh:
         res = run_cli("mesh", "--kind", "file", "--in", "no-such.mesh")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("data", [b"enzmesh v1\nnodes 99999999999999\n",
+                                      b"enzmesh v1\n# \xff\n"])
+    def test_bad_mesh_file_exit_2(self, tmp_path, data):
+        # a count far beyond the file, and a byte that is not text
+        path = tmp_path / "bad.mesh"
+        path.write_bytes(data)
+        code, err = run_main(["mesh", "--kind", "file", "--in", str(path)])
+        assert code == 2
+        assert "internal error" not in err
+
 
 class TestLambda0:
     def test_recovers_nine(self, mesh_file):

@@ -98,7 +98,7 @@ class TestObjective:
         prob = disk_problem
         from enzres.fem import Field
         w = Field(prob.mesh, prob.mesh.nodes[:, 0].copy(), frozenset((1, 2)))
-        dens = energy_density(w, prob.lambda0, prob)
+        dens = energy_density(w, prob)
         cx = element_centroids(prob.mesh, prob.elements)[:, 0]
         assert dens == pytest.approx(0.5 - prob.lambda0 * cx, rel=1e-12)
 

@@ -92,8 +92,7 @@ class TestDirichletCore:
     def test_psi_d_matches_oracle(self, disk_meshes, case9):
         errs = {}
         for h, m in disk_meshes.items():
-            u = solve_dirichlet_helmholtz(m, 0, case9.lambda0,
-                                          g=1.0, boundary_tag=0)
+            u = solve_dirichlet_helmholtz(m, 0, case9.lambda0, g=1.0)
             core = sorted(m.region_nodes(0))
             r = np.linalg.norm(m.nodes[core], axis=1)
             exact = np.array([disk_psi_d(case9, min(ri, 1.0)) for ri in r])

@@ -1,10 +1,13 @@
 """Concentric mesh generator, validation invariants, scaling, and the
 text round trip."""
 
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from enzres.errors import InputError
 from enzres.mesh import (Mesh, build_concentric_mesh, load_mesh, mesh_metrics,
@@ -182,3 +185,102 @@ class TestValidation:
                                    "boundary_edges 4\n")
         with pytest.raises(InputError, match="interface"):
             load_mesh(text)
+
+
+class TestLoadBoundary:
+    """Faults at the edge of the text format: counts larger than the file
+    and bytes that are not text are refused as input errors before any
+    array is sized from them."""
+
+    @pytest.mark.parametrize("section", ["nodes", "triangles",
+                                         "boundary_edges"])
+    @pytest.mark.parametrize("count", ["99999999999999", "one past"])
+    def test_count_beyond_file_refused(self, section, count):
+        head, _, rest = SQUARE_TEXT.partition(f"{section} ")
+        _, _, tail = rest.partition("\n")
+        if count == "one past":  # the file's last count is exactly its rest
+            count = len(tail.splitlines()) + 1
+        text = f"{head}{section} {count}\n{tail}"
+        with pytest.raises(InputError, match="exceeds"):
+            load_mesh(text)
+
+    def test_undecodable_bytes_refused(self):
+        with pytest.raises(InputError, match="decode"):
+            load_mesh(SQUARE_TEXT.encode("ascii") + b"# \xff\n")
+
+    def test_undecodable_stream_refused(self):
+        with pytest.raises(InputError, match="decode"):
+            load_mesh(io.BytesIO(b"enzmesh v1\n\xff"))
+
+    @pytest.mark.parametrize("value", [str(2 ** 63), str(-2 ** 63 - 1)])
+    def test_tag_beyond_int64_refused(self, value):
+        with pytest.raises(InputError, match="line 8"):
+            load_mesh(SQUARE_TEXT.replace("0 1 2 0", f"0 1 2 {value}"))
+        with pytest.raises(InputError, match="line 13"):
+            load_mesh(SQUARE_TEXT.replace("1 2 1", f"1 2 {value}"))
+
+
+#: a valid mesh of 46 nodes to mutate
+_FUZZ_LINES = save_mesh(build_concentric_mesh(1.0, 1.4, 0.6)).splitlines()
+#: replacement tokens; counts are either small or far beyond any file, so
+#: no mutation can ask for an allocation that would succeed
+_FUZZ_TOKENS = st.sampled_from(
+    ["-1", "0", "1", "2", "3", "7", "45", "46", "0.5", "nan", "-inf", "1e400",
+     "zebra", "#", "", "99999999999999", str(2 ** 63), str(10 ** 30),
+     "é", "１", "1" * 5000])
+
+
+@st.composite
+def _mutated_mesh_text(draw):
+    lines = list(_FUZZ_LINES)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["token", "delete", "duplicate", "swap",
+                                     "truncate", "insert"]))
+        if kind == "token":
+            toks = lines[i].split() or [""]
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(_FUZZ_TOKENS)
+            lines[i] = " ".join(toks)
+        elif kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "truncate":
+            lines = lines[:i]
+        else:
+            lines.insert(i, draw(st.text(max_size=20)))
+        if not lines:
+            lines = [""]
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzzLoadMesh:
+    """`load_mesh` returns a Mesh or raises InputError, never anything
+    else, on mutated valid text and on arbitrary bytes."""
+
+    @staticmethod
+    def check(data):
+        try:
+            mesh = load_mesh(data)
+        except InputError:
+            return
+        assert isinstance(mesh, Mesh)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_mutated_mesh_text())
+    @example(text="\n".join(_FUZZ_LINES).replace(
+        f"nodes {len(_FUZZ_LINES)}", "nodes 1") + "\n")
+    @example(text="enzmesh v1\nnodes 99999999999999\n")
+    @example(text=SQUARE_TEXT.replace("0 1 2 0", f"0 1 2 {10 ** 30}"))
+    def test_mutated_text(self, text):
+        self.check(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=300)
+           | _mutated_mesh_text().map(lambda t: t.encode("utf-8")))
+    @example(data=b"enzmesh v1\n\xff\n")
+    def test_arbitrary_bytes(self, data):
+        self.check(data)
