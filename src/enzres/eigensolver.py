@@ -3,7 +3,9 @@
 Builds the complex-symmetric pencil (K(delta), M) with shell stiffness
 weight 1/delta from the cached core and shell operators, and finds the
 eigenvalue continuing lambda0 by shift-invert inverse iteration with
-Rayleigh-quotient refinement.  All inner products
+Rayleigh-quotient refinement.  The pencil's pattern is symmetric, so every
+shifted matrix is factored by `fem.factor_symmetric` (minimum-degree
+ordering of A + A^T, partial pivoting).  All inner products
 are unconjugated (complex-symmetric, not Hermitian): the problem is an
 analytic continuation in delta, and the normalization int u_delta * u0
 uses the bilinear pairing.  Time convention e^{-i omega t}.
@@ -17,7 +19,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import Field, region_operator
+from enzres.fem import Field, factor_symmetric, region_operator
 from enzres.mesh import CORE, SHELL, Mesh
 
 __all__ = ["ResonancePair", "assemble_operator", "resonance_near",
@@ -81,9 +83,8 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d: Field) -> ResonancePair:
     op_scale = abs(Kr).sum(axis=1).max() + abs(lam_guess) * abs(Mr).sum(axis=1).max()
 
     def factor(sigma):
-        A = (Kr - sigma * Mr).tocsc()
         try:
-            return spla.splu(A)
+            return factor_symmetric(Kr - sigma * Mr)
         except RuntimeError:
             return None
 
@@ -148,8 +149,17 @@ def ritz_values_near(mesh: Mesh, delta, lam_guess, k: int = 2) -> np.ndarray:
     """The k eigenvalues of (K(delta), M) nearest lam_guess (Arnoldi
     shift-invert); used as the simplicity probe: a simple eigenvalue is
     separated from the next Ritz value by orders of magnitude more than the
-    convergence tolerance."""
+    convergence tolerance.  The start vector is fixed, so repeated calls
+    return identical values."""
     _, Kr, Mr = _restricted_pencil(mesh, delta)
-    vals = spla.eigs(Kr, k=k, M=Mr.astype(complex), sigma=complex(lam_guess),
-                     return_eigenvectors=False)
+    sigma = complex(lam_guess)
+    try:
+        lu = factor_symmetric(Kr - sigma * Mr)
+    except RuntimeError as exc:
+        raise NumericalError(f"ritz_values_near: factorization failed at "
+                             f"shift {lam_guess} ({exc})")
+    shift_inv = spla.LinearOperator(Kr.shape, matvec=lu.solve, dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(Kr.shape[0]).astype(complex)
+    vals = spla.eigs(Kr, k=k, M=Mr.astype(complex), sigma=sigma,
+                     OPinv=shift_inv, v0=v0, return_eigenvectors=False)
     return vals[np.argsort(np.abs(vals - lam_guess))]

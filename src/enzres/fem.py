@@ -11,9 +11,17 @@ Conventions used throughout the package:
   Neumann solves, the weak flux, the eigenmodes and the eigensolver's
   pencil use it.
   ``factor(lam)`` makes one sparse LU of K_ii - lam*M_ii over the nodes off
-  the core interface (minimum-degree ordering of A + A^T, partial
-  pivoting, one condition check) that any number of right-hand sides
-  reuse, each with its own residual check.  Factors are never cached.
+  the core interface (one condition check) that any number of right-hand
+  sides reuse, each with its own residual check.  Factors are never cached.
+* Every factorization the solvers make orders its matrix by minimum
+  degree on A + A^T, which suits the symmetric pattern all of their
+  matrices share and about halves the fill of SuperLU's default column
+  ordering (kept only by the general ``linear_solve``): ``factor_spd``
+  (pivots on the diagonal) for the symmetric positive definite systems --
+  the mean-zero solves, the dual Hessian and the shift-invert of the
+  Dirichlet modes at sigma = 0 -- and ``factor_symmetric`` (partial
+  pivoting) for the indefinite or complex ones -- K_ii - lam*M_ii and the
+  eigensolver's complex-symmetric pencil.
 * Normal fluxes across the core interface are extracted variationally
   (``weak_normal_flux``), never by pointwise differentiation; the resulting
   weights are oriented along the *outward normal of the core region* and
@@ -43,7 +51,8 @@ __all__ = ["Field", "BoundaryFunctional", "assemble_stiffness",
            "DirichletFactor", "region_operator",
            "solve_dirichlet_helmholtz", "weak_normal_flux",
            "solve_neumann_mean_zero", "dirichlet_modes", "linear_solve",
-           "factor_spd", "solve_mean_zero", "element_geometry"]
+           "factor_spd", "factor_symmetric", "solve_mean_zero",
+           "element_geometry"]
 
 
 @dataclass
@@ -215,6 +224,14 @@ def factor_spd(A):
                      diag_pivot_thresh=0, options={"SymmetricMode": True})
 
 
+def factor_symmetric(A):
+    """Sparse LU of a square matrix with a symmetric pattern, real or
+    complex, definite or not: minimum-degree ordering of A + A^T with
+    SuperLU's default partial pivoting.  Raises RuntimeError on an exactly
+    singular matrix."""
+    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
+
+
 def solve_mean_zero(K, m: np.ndarray, b: np.ndarray):
     """Solve the bordered mean-zero system
 
@@ -337,10 +354,8 @@ class DirichletFactor:
     """Sparse LU of K_ii - lam*M_ii for one shift lam.
 
     The matrix is indefinite above the lowest Dirichlet eigenvalue, so it is
-    factored with SuperLU's default partial pivoting; the minimum-degree
-    ordering of A + A^T suits its symmetric pattern and roughly halves the
-    fill of the column ordering.  The condition estimate is checked once,
-    here; every `solve` checks its own residual.
+    factored by `factor_symmetric`.  The condition estimate is checked
+    once, here; every `solve` checks its own residual.
     """
 
     def __init__(self, op: RegionOperator, lam):
@@ -348,7 +363,7 @@ class DirichletFactor:
         dtype = complex if np.iscomplexobj(np.asarray(lam)) else float
         self.A_ii = (op.K_ii - lam * op.M_ii).astype(dtype).tocsc()
         try:
-            self.lu = spla.splu(self.A_ii, permc_spec="MMD_AT_PLUS_A")
+            self.lu = factor_symmetric(self.A_ii)
         except RuntimeError as exc:
             raise NumericalError(
                 f"RegionOperator.factor: singular system at lambda = "
@@ -479,7 +494,9 @@ def dirichlet_modes(mesh: Mesh, region, count: int):
 
     Returns a list of (mu_n, Field, mean) with eigenvalues nondecreasing,
     eigenvectors mass-orthonormal, and mean = int chi_n (used to classify
-    poles of the consistency function).
+    poles of the consistency function).  Shift-invert Lanczos at sigma = 0,
+    whose operator K_ii^-1 comes from one `factor_spd` factorization, from
+    a fixed start vector, so repeated calls return identical modes.
     """
     if count < 1:
         raise InputError("dirichlet_modes: count must be >= 1")
@@ -488,8 +505,14 @@ def dirichlet_modes(mesh: Mesh, region, count: int):
     if count >= interior.size:
         raise InputError(f"dirichlet_modes: count = {count} exceeds interior "
                          f"node count {interior.size}")
+    try:
+        lu = factor_spd(op.K_ii)
+    except RuntimeError as exc:
+        raise NumericalError(f"dirichlet_modes: factorization failed ({exc})")
+    K_inv = spla.LinearOperator(op.K_ii.shape, matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(interior.size)
     vals, vecs = spla.eigsh(op.K_ii, k=count, M=op.M_ii, sigma=0.0,
-                            which="LM")
+                            which="LM", OPinv=K_inv, v0=v0)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     out = []

@@ -2,7 +2,7 @@
 
 Region tags: `CORE` = 0 (core D), `SHELL` = 1, `SLACK` = 2 (design slack,
 present only for design runs).  Boundary tags: `INTERFACE` = 0 (core
-interface), 1 = outer boundary.
+interface), `OUTER` = 1 (outer boundary).  No other tag is accepted.
 All geometry is nondimensional; eigenvalues carry units 1/length**2 and
 obey the scaling rule lambda0(t*D) = lambda0(D)/t**2 (see `scale_mesh`).
 """
@@ -19,14 +19,16 @@ from enzres.errors import InputError
 
 __all__ = ["Mesh", "build_concentric_mesh", "load_mesh", "save_mesh",
            "mesh_metrics", "scale_mesh", "CORE", "SHELL", "SLACK",
-           "INTERFACE", "DESIGN_TAGS"]
+           "INTERFACE", "OUTER", "DESIGN_TAGS"]
 
 #: most nodes `build_concentric_mesh` builds (the r_b = 2 disk has about
 #: 63.5k nodes at h = 0.02 and 1.02M at h = 0.005)
 MAX_NODES = 2_000_000
 
-#: region tags and the boundary tag of the core interface
-CORE, SHELL, SLACK, INTERFACE = 0, 1, 2, 0
+#: region tags, and the boundary tags of the core interface and the outer
+#: boundary
+CORE, SHELL, SLACK = 0, 1, 2
+INTERFACE, OUTER = 0, 1
 #: regions a shell design may fill
 DESIGN_TAGS = (SHELL, SLACK)
 
@@ -184,14 +186,14 @@ def build_concentric_mesh(r_d: float, r_0: float, h: float,
     triangles = np.vstack(tris)
     regions = np.concatenate(regs)
 
-    # boundary edges: interface ring at r_d (tag 0) and outermost ring (tag 1)
+    # boundary edges: interface ring at r_d and outermost ring
     i_rd = ring_r.index(float(r_d))
     ids = ring_ids(i_rd)
     edges = [np.column_stack((ids[j], ids[jp]))]
-    tags = [np.zeros(n_theta, dtype=np.int64)]
+    tags = [np.full(n_theta, INTERFACE, dtype=np.int64)]
     ids = ring_ids(n_rings)
     edges.append(np.column_stack((ids[j], ids[jp])))
-    tags.append(np.ones(n_theta, dtype=np.int64))
+    tags.append(np.full(n_theta, OUTER, dtype=np.int64))
 
     mesh = Mesh(nodes=nodes, triangles=triangles, regions=regions,
                 boundary_edges=np.vstack(edges), edge_tags=np.concatenate(tags))
@@ -217,18 +219,37 @@ def scale_mesh(mesh: Mesh, t: float) -> Mesh:
 def _validate(mesh: Mesh, line_of_tri=None) -> None:
     """Check all Mesh invariants; raise InputError on the first violation."""
     n = mesh.n_nodes
+
+    def tri_where(i):
+        return (f"file line {line_of_tri[i]}" if line_of_tri is not None
+                else f"triangle {i}")
+
+    bad = np.flatnonzero(~np.isin(mesh.regions, (CORE, SHELL, SLACK)))
+    if bad.size:
+        raise InputError(f"mesh: region tag {mesh.regions[bad[0]]} "
+                         f"({tri_where(bad[0])}) is not {CORE} (core), "
+                         f"{SHELL} (shell) or {SLACK} (slack)")
+    bad = np.flatnonzero(~np.isin(mesh.edge_tags, (INTERFACE, OUTER)))
+    if bad.size:
+        a, b = mesh.boundary_edges[bad[0]]
+        raise InputError(f"mesh: boundary edge ({a}, {b}) has tag "
+                         f"{mesh.edge_tags[bad[0]]}, not {INTERFACE} "
+                         f"(interface) or {OUTER} (outer boundary)")
     if np.any(mesh.triangles < 0) or np.any(mesh.triangles >= n):
         raise InputError("mesh: triangle node index out of range")
     if mesh.boundary_edges.size and (np.any(mesh.boundary_edges < 0)
                                      or np.any(mesh.boundary_edges >= n)):
         raise InputError("mesh: boundary edge node index out of range")
-    areas = mesh.areas()
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = mesh.areas()
     bad = np.flatnonzero(areas <= 0.0)
     if bad.size:
-        where = (f" (file line {line_of_tri[bad[0]]})"
-                 if line_of_tri is not None else f" (triangle {bad[0]})")
         raise InputError("mesh: non-positive triangle area, CCW orientation "
-                         "required" + where)
+                         f"required ({tri_where(bad[0])})")
+    bad = np.flatnonzero(~np.isfinite(areas))
+    if bad.size:
+        raise InputError(f"mesh: triangle area {areas[bad[0]]} is not finite "
+                         f"({tri_where(bad[0])}); coordinates too large")
 
     # unique-edge table: key = min*n + max, adjacency via sorted half-edges
     m = mesh.n_triangles
@@ -275,10 +296,10 @@ def _validate(mesh: Mesh, line_of_tri=None) -> None:
         k = uniq_keys[np.argmax((edge_tag == INTERFACE) & ~is_interface)]
         raise InputError(f"mesh: tag-0 edge ({k // n}, {k % n}) does not "
                          "separate region 0 from 1")
-    if np.any((edge_tag == 1) & (counts != 1)):
-        k = uniq_keys[np.argmax((edge_tag == 1) & (counts != 1))]
-        raise InputError(f"mesh: tag-1 edge ({k // n}, {k % n}) is not on "
-                         "the outer boundary")
+    if np.any((edge_tag == OUTER) & (counts != 1)):
+        k = uniq_keys[np.argmax((edge_tag == OUTER) & (counts != 1))]
+        raise InputError(f"mesh: tag-{OUTER} edge ({k // n}, {k % n}) is not "
+                         "on the outer boundary")
 
     _check_connectivity(mesh, tri_a, tri_b, counts)
 

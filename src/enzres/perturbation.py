@@ -7,10 +7,11 @@ core.  The leading eigenvalue lambda0 is fixed by the consistency condition
 |shell| + int_D psi_d = 0, whose residual is strictly increasing in lambda0
 between its poles (the nonzero-mean Dirichlet eigenvalues of the core); it
 is found by safeguarded Newton-bisection, the slope coming from one extra
-back-solve on the same core factorization.  Higher orders follow from an
-alternating Neumann(shell)/Dirichlet(core) recursion that factors the core
-operator once; all stored fields are mean-zero with the additive constants
-e_n kept separately.
+back-solve on the same core factorization, started at the root of the
+residual's modal expansion over the core modes of the pole scan.  Higher
+orders follow from an alternating Neumann(shell)/Dirichlet(core) recursion
+that factors the core operator once; all stored fields are mean-zero with
+the additive constants e_n kept separately.
 """
 
 from __future__ import annotations
@@ -105,6 +106,48 @@ def _residual_and_slope(mesh: Mesh, lam: float):
     return float(fac.op.area_by_region[SHELL] + m @ psi), float(slope)
 
 
+def _modal_start(modes, area_by_region, bracket, residuals) -> float:
+    """Root on the bracket (t_lo, t_hi) of the modal model of the
+    consistency residual.
+
+    With psi_d = 1 + lam * sum_n chi_n c_n / (mu_n - lam) over the core's
+    mass-orthonormal Dirichlet modes, c_n = int chi_n, the residual is
+    exactly |core| + |shell| + lam * (sum_n c_n**2 / (mu_n - lam)).  The
+    model keeps the scanned `modes` and replaces the sum over the rest,
+    which the unscanned modes nearest above dominate, by one pole
+    a / (b - lam) that matches the exact `residuals` at both ends of the
+    bracket.  Returns the midpoint if the model does not change sign on the
+    bracket (or the fit degenerates to nan).
+    """
+    mu = np.array([m[0] for m in modes])
+    c2 = np.array([m[2] for m in modes]) ** 2
+    base = area_by_region[CORE] + area_by_region[SHELL]
+
+    def scanned(lam):
+        return base + lam * np.sum(c2 / (mu - lam))
+
+    (t_lo, t_hi), (r_lo, r_hi) = bracket, residuals
+    tail_lo = (r_lo - scanned(t_lo)) / t_lo
+    tail_hi = (r_hi - scanned(t_hi)) / t_hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = (tail_hi * t_hi - tail_lo * t_lo) / (tail_hi - tail_lo)
+        a = tail_lo * (b - t_lo)
+
+        def model(lam):
+            return scanned(lam) + lam * a / (b - lam)
+
+        lo, hi = t_lo, t_hi
+        if not model(lo) < 0 < model(hi):
+            return 0.5 * (lo + hi)
+        while hi - lo > LAMBDA0_RTOL * hi:
+            mid = 0.5 * (lo + hi)
+            if model(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+    return 0.5 * (lo + hi)
+
+
 def find_lambda0(mesh: Mesh, search_interval) -> float:
     """Root of the consistency residual on a bracketing interval.
 
@@ -116,13 +159,14 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     be checked.
 
     The root is found by safeguarded Newton-bisection (Numerical Recipes
-    section 9.4, `rtsafe`) started at the midpoint: a Newton step is
-    replaced by bisection of the current bracket when it leaves the
-    bracket, when the slope is not positive, or when it is not at least
-    twice as short as the step before.  Each iterate costs one core
-    factorization and two solves; the iteration stops once a step is below
-    `LAMBDA0_RTOL` relative and returns the last evaluated point, whose
-    residual must be within 1e-10*|Omega|.
+    section 9.4, `rtsafe`) started at the root of the modal model
+    (`_modal_start`), or at the midpoint if the model has none on the
+    interval: a Newton step is replaced by bisection of the current
+    bracket when it leaves the bracket, when the slope is not positive, or
+    when it is not at least twice as short as the step before.  Each
+    iterate costs one core factorization and two solves; the iteration
+    stops once a step is below `LAMBDA0_RTOL` relative and returns the last
+    evaluated point, whose residual must be within 1e-10*|Omega|.
     """
     t_lo, t_hi = (float(t) for t in search_interval)
     if not (0 < t_lo < t_hi):
@@ -130,7 +174,8 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
                          f"({t_lo}, {t_hi})")
 
     # pole scan: Dirichlet modes of the core up to t_hi with nonzero mean
-    area = sum(region_operator(mesh, CORE).area_by_region.values())
+    area_by_region = region_operator(mesh, CORE).area_by_region
+    area = sum(area_by_region.values())
     count = 8
     while True:
         modes = dirichlet_modes(mesh, CORE, count)
@@ -159,7 +204,7 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
             f"{t_hi}): residual does not change sign from - to + "
             f"({r_lo:.6g} -> {r_hi:.6g})")
     lo, hi = t_lo, t_hi
-    x = 0.5 * (lo + hi)
+    x = _modal_start(modes, area_by_region, (t_lo, t_hi), (r_lo, r_hi))
     prev_step = hi - lo
     for _ in range(MAX_NEWTON_STEPS):
         r, slope = _residual_and_slope(mesh, x)

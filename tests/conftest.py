@@ -6,6 +6,7 @@ building them dominates the suite's runtime.
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from enzres.bessel_oracle import disk_case
 from enzres.mesh import build_concentric_mesh
@@ -57,6 +58,20 @@ def mesh_coarse(disk_meshes):
 @pytest.fixture(scope="session")
 def lambda0_coarse(disk_lambda0s):
     return disk_lambda0s[max(HS)]
+
+
+def record_splu(monkeypatch):
+    """Patch scipy's splu to record (dimension, keyword arguments) of every
+    matrix it factors; returns the list of records."""
+    calls = []
+    real_splu = spla.splu
+
+    def recording(A, *args, **kwargs):
+        calls.append((A.shape[0], kwargs))
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    return calls
 
 
 def element_centroids(mesh, elements):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enzres import cli
+from enzres.mesh import build_concentric_mesh, save_mesh, scale_mesh
 
 R0 = "1.3671899114809272"
 
@@ -82,10 +83,14 @@ class TestMesh:
         res = run_cli("mesh", "--kind", "file", "--in", "no-such.mesh")
         assert res.returncode == 2
 
-    @pytest.mark.parametrize("data", [b"enzmesh v1\nnodes 99999999999999\n",
-                                      b"enzmesh v1\n# \xff\n"])
+    @pytest.mark.parametrize("data", [
+        b"enzmesh v1\nnodes 99999999999999\n", b"enzmesh v1\n# \xff\n",
+        pytest.param(save_mesh(scale_mesh(build_concentric_mesh(1.0, 1.4, 0.6),
+                                          1e160)).encode(),
+                     id="area-overflow")])
     def test_bad_mesh_file_exit_2(self, tmp_path, data):
-        # a count far beyond the file, and a byte that is not text
+        # a count far beyond the file, a byte that is not text, and finite
+        # coordinates whose triangle areas overflow
         path = tmp_path / "bad.mesh"
         path.write_bytes(data)
         code, err = run_main(["mesh", "--kind", "file", "--in", str(path)])

@@ -8,7 +8,11 @@ import pytest
 from enzres.eigensolver import (assemble_operator, resonance_near,
                                 ritz_values_near)
 from enzres.errors import InputError
-from enzres.perturbation import eval_lambda
+from enzres.fem import dirichlet_modes
+from enzres.mesh import CORE
+from enzres.perturbation import eval_lambda, expand_series
+
+from conftest import record_splu
 
 DELTA = 0.01 * cmath.exp(1j * cmath.pi / 4)
 
@@ -74,3 +78,24 @@ class TestRitz:
         dist = np.sort(np.abs(vals - lam))
         assert dist[0] < 1e-3 * abs(lam)
         assert dist[1] > 10 * dist[0] + 1e-6 * abs(lam)
+
+    def test_repeated_calls_identical(self, mesh_coarse, lambda0_coarse):
+        first = ritz_values_near(mesh_coarse, DELTA, lambda0_coarse, k=2)
+        again = ritz_values_near(mesh_coarse, DELTA, lambda0_coarse, k=2)
+        assert np.array_equal(first, again)
+
+
+def test_factorizations_order_by_minimum_degree(mesh_coarse, lambda0_coarse,
+                                                monkeypatch):
+    # The pencil, the Ritz shift-invert and the Dirichlet modes' K_ii all
+    # have a symmetric pattern, so each is ordered on A + A^T.
+    s = expand_series(mesh_coarse, lambda0_coarse, order=1)
+    lam = eval_lambda(s, DELTA)
+    calls = record_splu(monkeypatch)
+    for run in (lambda: resonance_near(mesh_coarse, DELTA, lam, s.psi_d),
+                lambda: ritz_values_near(mesh_coarse, DELTA, lam),
+                lambda: dirichlet_modes(mesh_coarse, CORE, 8)):
+        calls.clear()
+        run()
+        assert calls
+        assert all(kw.get("permc_spec") == "MMD_AT_PLUS_A" for _, kw in calls)

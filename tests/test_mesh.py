@@ -186,6 +186,23 @@ class TestValidation:
         with pytest.raises(InputError, match="interface"):
             load_mesh(text)
 
+    def test_rejects_overflowing_area(self):
+        # finite coordinates whose triangle areas overflow to inf or nan
+        m = scale_mesh(build_concentric_mesh(1.0, 1.4, 0.6), 1e160)
+        with pytest.raises(InputError, match="not finite"):
+            load_mesh(save_mesh(m))
+
+    @pytest.mark.parametrize("tokens, tag", [(4, "7"), (3, "5")])
+    def test_rejects_unknown_tag(self, tokens, tag):
+        # a shell triangle retagged 7 or an outer edge retagged 5: the
+        # mesh stays valid otherwise, and every solver would drop it
+        lines = save_mesh(build_concentric_mesh(1.0, 1.4, 0.6)).splitlines()
+        i = next(k for k, line in enumerate(lines)
+                 if len(line.split()) == tokens and line.split()[-1] == "1")
+        lines[i] = " ".join(lines[i].split()[:-1] + [tag])
+        with pytest.raises(InputError, match=f"tag {tag}"):
+            load_mesh("\n".join(lines) + "\n")
+
 
 class TestLoadBoundary:
     """Faults at the edge of the text format: counts larger than the file

@@ -6,19 +6,19 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
-from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
+from enzres.bessel_oracle import annulus_lambda1, annulus_phi1, disk_case
 from enzres import perturbation
 from enzres.errors import InputError, NumericalError
 from enzres.fem import assemble_mass, mass_vector
+from enzres.mesh import build_concentric_mesh
 from enzres.perturbation import (compute_psi_d, consistency_residual,
                                  eval_field, eval_lambda, expand_series,
                                  find_lambda0, series_from_json,
                                  series_to_json)
 
-from conftest import HS
+from conftest import HS, record_splu
 
 
 class TestFindLambda0:
@@ -48,18 +48,8 @@ class TestFindLambda0:
             find_lambda0(mesh_coarse, (250.0, 400.0))
 
 
-def count_splu(monkeypatch):
-    """Patch scipy's splu to record the dimension of every matrix it
-    factors; returns the list of dimensions."""
-    dims = []
-    real_splu = spla.splu
-
-    def counting(A, *args, **kwargs):
-        dims.append(A.shape[0])
-        return real_splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting)
-    return dims
+def core_dim(mesh):
+    return np.setdiff1d(mesh.region_nodes(0), mesh.boundary_nodes(0)).size
 
 
 class TestNewtonBisection:
@@ -67,10 +57,59 @@ class TestNewtonBisection:
                                                      monkeypatch):
         ref = brentq(lambda lam: consistency_residual(mesh_coarse, lam),
                      6.0, 14.0, xtol=1e-13, rtol=8.9e-16)
-        dims = count_splu(monkeypatch)
+        calls = record_splu(monkeypatch)
         root = find_lambda0(mesh_coarse, (6.0, 14.0))
-        assert 0 < len(dims) <= 12
+        # one symmetric positive definite factor of K_ii for the pole scan;
+        # the shifted core factorizations are the two bracket ends and the
+        # Newton iterates, which start at the modal model's root
+        core = [kw for dim, kw in calls if dim == core_dim(mesh_coarse)]
+        spd = [kw for kw in core if kw.get("diag_pivot_thresh") == 0]
+        assert len(spd) == 1
+        assert 2 < len(core) - len(spd) <= 5
         assert root == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("target", [7.0, 12.0])
+    def test_modal_start_lands_near_the_root(self, target, monkeypatch):
+        # The model is exact at both bracket ends and misses only the
+        # unscanned modes beyond the nearest pole, so its root lies within
+        # 1e-5 relative of the discrete root (measured: 5e-8 at 7, 2.4e-6
+        # at 12).
+        mesh = build_concentric_mesh(1.0, disk_case(target).r0, 0.08,
+                                     r_b=2.0)
+        starts = []
+        real_start = perturbation._modal_start
+
+        def recording(*args):
+            starts.append(real_start(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(perturbation, "_modal_start", recording)
+        root = find_lambda0(mesh, (6.0, 14.0))
+        assert starts[0] == pytest.approx(root, rel=1e-5)
+
+    def test_modal_start_exact_for_one_unscanned_pole(self):
+        # r = |core| + |shell| + lam * (0.25/(5 - lam) + 2/(20 - lam)):
+        # the mode at 5 is scanned, the one at 20 is the fitted pole.
+        areas = {0: 0.1, 1: 0.2}
+
+        def r(lam):
+            return 0.3 + lam * (0.25 / (5 - lam) + 2 / (20 - lam))
+
+        lo, hi = 6.0, 14.0
+        for _ in range(100):
+            lo, hi = ((lo + hi) / 2, hi) if r((lo + hi) / 2) < 0 else (
+                lo, (lo + hi) / 2)
+        start = perturbation._modal_start([(5.0, None, 0.5)], areas,
+                                          (6.0, 14.0), (r(6.0), r(14.0)))
+        assert start == pytest.approx(lo, rel=1e-10)
+
+    @pytest.mark.parametrize("residuals", [(-1.0, -0.5), (-1.0, 2.0)])
+    def test_modal_start_falls_back_to_midpoint(self, residuals):
+        # a model without a sign change, and a fit whose pole lands on
+        # t_lo with zero weight (0/0 there)
+        start = perturbation._modal_start([], {0: 1.0, 1: 1.0}, (1.0, 3.0),
+                                          residuals)
+        assert start == 2.0
 
     def test_step_cap_raises(self, mesh_coarse, monkeypatch):
         monkeypatch.setattr(perturbation, "MAX_NEWTON_STEPS", 1)
@@ -83,11 +122,9 @@ class TestRecursionInvariants:
                                 monkeypatch):
         # psi_d and all four core correctors share one factorization of
         # the core interior block; the shell solves factor other matrices.
-        m = mesh_coarse
-        core_dim = np.setdiff1d(m.region_nodes(0), m.boundary_nodes(0)).size
-        dims = count_splu(monkeypatch)
-        expand_series(m, lambda0_coarse, order=4)
-        assert dims.count(core_dim) == 1
+        calls = record_splu(monkeypatch)
+        expand_series(mesh_coarse, lambda0_coarse, order=4)
+        assert [dim for dim, _ in calls].count(core_dim(mesh_coarse)) == 1
 
 
     def test_mean_zero_correctors(self, series_fine):
