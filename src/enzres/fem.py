@@ -20,8 +20,9 @@ Conventions used throughout the package:
   (pivots on the diagonal) for the symmetric positive definite systems --
   the mean-zero solves, the dual Hessian and the shift-invert of the
   Dirichlet modes at sigma = 0 -- and ``factor_symmetric`` (partial
-  pivoting) for the indefinite or complex ones -- K_ii - lam*M_ii and the
-  eigensolver's complex-symmetric pencil.
+  pivoting) for the indefinite or complex ones -- K_ii - lam*M_ii, the
+  collapsed-shell pencil of ``find_lambda0`` and the eigensolver's
+  complex-symmetric pencil.
 * Normal fluxes across the core interface are extracted variationally
   (``weak_normal_flux``), never by pointwise differentiation; the resulting
   weights are oriented along the *outward normal of the core region* and

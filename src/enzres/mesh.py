@@ -202,15 +202,19 @@ def build_concentric_mesh(r_d: float, r_0: float, h: float,
 
 
 def scale_mesh(mesh: Mesh, t: float) -> Mesh:
-    """Uniformly scale all node coordinates by t > 0.
+    """Uniformly scale all node coordinates by a finite t > 0; the result is
+    validated like any loaded mesh, so a factor whose areas overflow is
+    refused.
 
     Laplace/Helmholtz eigenvalues transform as lambda(t*D) = lambda(D)/t**2.
     """
-    if not t > 0.0:
-        raise InputError(f"scale_mesh: t must be > 0, got {t}")
-    return Mesh(nodes=mesh.nodes * float(t), triangles=mesh.triangles,
-                regions=mesh.regions, boundary_edges=mesh.boundary_edges,
-                edge_tags=mesh.edge_tags)
+    if not 0.0 < t < math.inf:
+        raise InputError(f"scale_mesh: t must be finite and > 0, got {t}")
+    scaled = Mesh(nodes=mesh.nodes * float(t), triangles=mesh.triangles,
+                  regions=mesh.regions, boundary_edges=mesh.boundary_edges,
+                  edge_tags=mesh.edge_tags)
+    _validate(scaled)
+    return scaled
 
 
 # ---------------------------------------------------------------------------

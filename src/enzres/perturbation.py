@@ -6,9 +6,8 @@ to 1 + delta*phi1 + ... on the shell and psi_d + delta*psi1 + ... on the
 core.  The leading eigenvalue lambda0 is fixed by the consistency condition
 |shell| + int_D psi_d = 0, whose residual is strictly increasing in lambda0
 between its poles (the nonzero-mean Dirichlet eigenvalues of the core); it
-is found by safeguarded Newton-bisection, the slope coming from one extra
-back-solve on the same core factorization, started at the root of the
-residual's modal expansion over the core modes of the pole scan.  Higher
+is the one eigenvalue in the search interval of the collapsed-shell pencil,
+the delta -> 0 problem with the whole shell merged into one unknown.  Higher
 orders follow from an alternating Neumann(shell)/Dirichlet(core) recursion
 that factors the core operator once; all stored fields are mean-zero with
 the additive constants e_n kept separately.
@@ -17,15 +16,16 @@ the additive constants e_n kept separately.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (DirichletFactor, Field, dirichlet_modes,
-                        region_operator, solve_neumann_mean_zero,
-                        weak_normal_flux)
+                        factor_symmetric, region_operator,
+                        solve_neumann_mean_zero, weak_normal_flux)
 from enzres.mesh import CORE, SHELL, Mesh
 
 __all__ = ["PerturbationSeries", "compute_psi_d", "consistency_residual",
@@ -35,16 +35,9 @@ __all__ = ["PerturbationSeries", "compute_psi_d", "consistency_residual",
 #: tolerance factors (relative to |Omega|) for entering / running the recursion
 CONSISTENCY_TOL = 1e-6
 DEFECT_TOL = 1e-8
-#: most core Dirichlet modes the pole scan of `find_lambda0` computes
+#: most core Dirichlet modes the pole scan of `find_lambda0` computes, and
+#: most eigenvalues its collapsed-pencil solve asks for
 MAX_POLE_SCAN = 64
-#: most Newton-bisection iterates of `find_lambda0`; bisection alone would
-#: need about 46, since roots lie above the lowest core mode and the pole
-#: scan keeps t_hi below the 64th, about 60 times higher
-MAX_NEWTON_STEPS = 100
-#: relative step at which the `find_lambda0` iteration has converged; near
-#: the root the residual's rounding noise moves a Newton step by about
-#: 1e-13 relative (measured on the disk at h = 0.08 and 0.02)
-LAMBDA0_RTOL = 1e-12
 
 
 @dataclass
@@ -95,57 +88,20 @@ def consistency_residual(mesh: Mesh, lambda0: float) -> float:
     return float(op.area_by_region[SHELL] + op.m @ psi.values)
 
 
-def _residual_and_slope(mesh: Mesh, lam: float):
-    """Consistency residual at lam and its derivative m_core . psi', where
-    (-Delta - lam) psi' = psi_d with zero Dirichlet data, from one
-    factorization that is dropped on return."""
-    fac = _core_factor(mesh, lam)
-    psi = fac.solve(g=1.0)
-    m = fac.op.m
-    slope = m @ fac.solve(source=psi, g=0.0)
-    return float(fac.op.area_by_region[SHELL] + m @ psi), float(slope)
-
-
-def _modal_start(modes, area_by_region, bracket, residuals) -> float:
-    """Root on the bracket (t_lo, t_hi) of the modal model of the
-    consistency residual.
-
-    With psi_d = 1 + lam * sum_n chi_n c_n / (mu_n - lam) over the core's
-    mass-orthonormal Dirichlet modes, c_n = int chi_n, the residual is
-    exactly |core| + |shell| + lam * (sum_n c_n**2 / (mu_n - lam)).  The
-    model keeps the scanned `modes` and replaces the sum over the rest,
-    which the unscanned modes nearest above dominate, by one pole
-    a / (b - lam) that matches the exact `residuals` at both ends of the
-    bracket.  Returns the midpoint if the model does not change sign on the
-    bracket (or the fit degenerates to nan).
-    """
-    mu = np.array([m[0] for m in modes])
-    c2 = np.array([m[2] for m in modes]) ** 2
-    base = area_by_region[CORE] + area_by_region[SHELL]
-
-    def scanned(lam):
-        return base + lam * np.sum(c2 / (mu - lam))
-
-    (t_lo, t_hi), (r_lo, r_hi) = bracket, residuals
-    tail_lo = (r_lo - scanned(t_lo)) / t_lo
-    tail_hi = (r_hi - scanned(t_hi)) / t_hi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = (tail_hi * t_hi - tail_lo * t_lo) / (tail_hi - tail_lo)
-        a = tail_lo * (b - t_lo)
-
-        def model(lam):
-            return scanned(lam) + lam * a / (b - lam)
-
-        lo, hi = t_lo, t_hi
-        if not model(lo) < 0 < model(hi):
-            return 0.5 * (lo + hi)
-        while hi - lo > LAMBDA0_RTOL * hi:
-            mid = 0.5 * (lo + hi)
-            if model(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-    return 0.5 * (lo + hi)
+def _collapsed_pencil(op):
+    """Core pencil (K_c, M_c) of the delta -> 0 limit, in which the shell is
+    one unknown c: K_c = P^T K P and M_c = P^T M P + |shell| e_c e_c^T,
+    where P maps [core interior, c] onto the core nodes (c on every
+    interface node)."""
+    n = op.interior.size
+    P = sp.csc_matrix(
+        (np.ones(n + op.boundary.size),
+         (np.concatenate([op.interior, op.boundary]),
+          np.concatenate([np.arange(n), np.full(op.boundary.size, n)]))),
+        shape=(op.n_nodes, n + 1))
+    shell = sp.csc_matrix(([op.area_by_region[SHELL]], ([n], [n])),
+                          shape=(n + 1, n + 1))
+    return (P.T @ op.K @ P).tocsc(), (P.T @ op.M @ P + shell).tocsc()
 
 
 def find_lambda0(mesh: Mesh, search_interval) -> float:
@@ -158,15 +114,19 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     `MAX_POLE_SCAN`-th core mode are refused, since their poles cannot all
     be checked.
 
-    The root is found by safeguarded Newton-bisection (Numerical Recipes
-    section 9.4, `rtsafe`) started at the root of the modal model
-    (`_modal_start`), or at the midpoint if the model has none on the
-    interval: a Newton step is replaced by bisection of the current
-    bracket when it leaves the bracket, when the slope is not positive, or
-    when it is not at least twice as short as the step before.  Each
-    iterate costs one core factorization and two solves; the iteration
-    stops once a step is below `LAMBDA0_RTOL` relative and returns the last
-    evaluated point, whose residual must be within 1e-10*|Omega|.
+    The root is an eigenvalue of the collapsed-shell pencil
+    (`_collapsed_pencil`): as delta -> 0 the eigenfunction is constant on
+    the shell, and the pencil's row for that constant c reads
+    -lam * (|shell| + int_D psi_d) * c, so its eigenvalues with c != 0 are
+    exactly the roots of the discrete residual (the secular equation of a
+    bordered pencil; Golub, SIAM Rev. 15, 1973).  They are found by
+    shift-invert Lanczos at the interval midpoint from one factorization
+    and a fixed start vector (Ericsson & Ruhe, Math. Comp. 35, 1980), with
+    k doubled from 3 until the returned eigenvalues reach past both
+    interval ends; an interval that needs more than `MAX_POLE_SCAN` of
+    them is refused.  Eigenvalues with |c| * sqrt|Omega| <= 1e-6 are the
+    core's zero-mean Dirichlet modes; exactly one other must lie in the
+    interval, and its residual must be within 1e-10*|Omega|.
     """
     t_lo, t_hi = (float(t) for t in search_interval)
     if not (0 < t_lo < t_hi):
@@ -174,8 +134,8 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
                          f"({t_lo}, {t_hi})")
 
     # pole scan: Dirichlet modes of the core up to t_hi with nonzero mean
-    area_by_region = region_operator(mesh, CORE).area_by_region
-    area = sum(area_by_region.values())
+    op = region_operator(mesh, CORE)
+    area = sum(op.area_by_region.values())
     count = 8
     while True:
         modes = dirichlet_modes(mesh, CORE, count)
@@ -203,31 +163,44 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
             f"find_lambda0: no permissible lambda0 in interval ({t_lo}, "
             f"{t_hi}): residual does not change sign from - to + "
             f"({r_lo:.6g} -> {r_hi:.6g})")
-    lo, hi = t_lo, t_hi
-    x = _modal_start(modes, area_by_region, (t_lo, t_hi), (r_lo, r_hi))
-    prev_step = hi - lo
-    for _ in range(MAX_NEWTON_STEPS):
-        r, slope = _residual_and_slope(mesh, x)
-        if r < 0:
-            lo = x
-        else:
-            hi = x
-        new = x - r / slope if slope > 0 else math.nan
-        if not (lo < new < hi and abs(new - x) <= 0.5 * prev_step):
-            new = 0.5 * (lo + hi)
-        if r == 0 or abs(new - x) <= LAMBDA0_RTOL * abs(x):
+
+    K_c, M_c = _collapsed_pencil(op)
+    sigma, half = 0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo)
+    try:
+        lu = factor_symmetric(K_c - sigma * M_c)
+    except RuntimeError as exc:
+        raise NumericalError(f"find_lambda0: collapsed pencil singular at "
+                             f"sigma = {sigma} ({exc})")
+    OPinv = spla.LinearOperator(K_c.shape, matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(K_c.shape[0])
+    k = 3
+    while True:
+        vals, vecs = spla.eigsh(K_c, k=k, M=M_c, sigma=sigma, which="LM",
+                                OPinv=OPinv, v0=v0)
+        if np.abs(vals - sigma).max() >= half:
             break
-        prev_step = abs(new - x)
-        x = new
-    else:
+        if 2 * k > MAX_POLE_SCAN:
+            raise InputError(
+                f"find_lambda0: the {k} eigenvalues of the collapsed pencil "
+                f"nearest sigma = {sigma} all lie in ({t_lo}, {t_hi}), so "
+                "roots beyond them go unchecked; narrow the interval")
+        k *= 2
+    # the c component is the shell value; zero-mean core modes have c = 0
+    is_root = ((t_lo < vals) & (vals < t_hi)
+               & (np.abs(vecs[-1]) * np.sqrt(area) > 1e-6))
+    roots = np.sort(vals[is_root])
+    if roots.size != 1:
         raise NumericalError(
-            f"find_lambda0: no convergence in {MAX_NEWTON_STEPS} "
-            f"Newton-bisection steps (bracket [{lo!r}, {hi!r}])")
+            f"find_lambda0: {roots.size} eigenvalues of the collapsed pencil "
+            f"with nonzero shell value in ({t_lo}, {t_hi}), expected one: "
+            f"{roots.tolist()}")
+    lam0 = float(roots[0])
+    r = consistency_residual(mesh, lam0)
     if abs(r) > 1e-10 * area:
         raise NumericalError(
             f"find_lambda0: residual {r:.3e} at root exceeds "
             f"1e-10*|Omega| = {1e-10 * area:.3e}")
-    return float(x)
+    return lam0
 
 
 def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSeries:

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from enzres.bessel_oracle import disk_case
-from enzres.mesh import build_concentric_mesh
+from enzres.mesh import Mesh, build_concentric_mesh
 from enzres.perturbation import expand_series, find_lambda0
 
 HS = (0.08, 0.04, 0.02)
@@ -72,6 +72,16 @@ def record_splu(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", recording)
     return calls
+
+
+def overflowing_mesh():
+    """A coarse disk mesh with its coordinates times 1e160: finite nodes
+    whose triangle areas overflow.  Built directly, since `scale_mesh`
+    refuses it."""
+    m = build_concentric_mesh(1.0, 1.4, 0.6)
+    return Mesh(nodes=m.nodes * 1e160, triangles=m.triangles,
+                regions=m.regions, boundary_edges=m.boundary_edges,
+                edge_tags=m.edge_tags)
 
 
 def element_centroids(mesh, elements):

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enzres import cli
-from enzres.mesh import build_concentric_mesh, save_mesh, scale_mesh
+from enzres.mesh import save_mesh
+
+from conftest import overflowing_mesh
 
 R0 = "1.3671899114809272"
 
@@ -85,8 +87,7 @@ class TestMesh:
 
     @pytest.mark.parametrize("data", [
         b"enzmesh v1\nnodes 99999999999999\n", b"enzmesh v1\n# \xff\n",
-        pytest.param(save_mesh(scale_mesh(build_concentric_mesh(1.0, 1.4, 0.6),
-                                          1e160)).encode(),
+        pytest.param(save_mesh(overflowing_mesh()).encode(),
                      id="area-overflow")])
     def test_bad_mesh_file_exit_2(self, tmp_path, data):
         # a count far beyond the file, a byte that is not text, and finite

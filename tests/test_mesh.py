@@ -13,6 +13,8 @@ from enzres.errors import InputError
 from enzres.mesh import (Mesh, build_concentric_mesh, load_mesh, mesh_metrics,
                          save_mesh, scale_mesh)
 
+from conftest import overflowing_mesh
+
 
 class TestBuildConcentric:
     @pytest.mark.parametrize("r_0,h", [(1.4, math.nan), (1.4, math.inf),
@@ -108,6 +110,14 @@ class TestScale:
         with pytest.raises(InputError):
             scale_mesh(m, 0.0)
 
+    @pytest.mark.parametrize("t", [math.inf, 1e160])
+    def test_rejects_factor_with_non_finite_areas(self, t):
+        # inf is refused before it multiplies anything; at 1e160 the
+        # coordinates stay finite but the triangle areas overflow
+        m = build_concentric_mesh(1.0, 1.4, 0.6)
+        with pytest.raises(InputError, match="finite"):
+            scale_mesh(m, t)
+
 
 class TestRoundTrip:
     def test_save_load_bit_identical(self):
@@ -188,9 +198,8 @@ class TestValidation:
 
     def test_rejects_overflowing_area(self):
         # finite coordinates whose triangle areas overflow to inf or nan
-        m = scale_mesh(build_concentric_mesh(1.0, 1.4, 0.6), 1e160)
         with pytest.raises(InputError, match="not finite"):
-            load_mesh(save_mesh(m))
+            load_mesh(save_mesh(overflowing_mesh()))
 
     @pytest.mark.parametrize("tokens, tag", [(4, "7"), (3, "5")])
     def test_rejects_unknown_tag(self, tokens, tag):

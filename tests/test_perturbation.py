@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from enzres.bessel_oracle import annulus_lambda1, annulus_phi1, disk_case
+from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
 from enzres import perturbation
-from enzres.errors import InputError, NumericalError
+from enzres.errors import InputError
 from enzres.fem import assemble_mass, mass_vector
-from enzres.mesh import build_concentric_mesh
 from enzres.perturbation import (compute_psi_d, consistency_residual,
                                  eval_field, eval_lambda, expand_series,
                                  find_lambda0, series_from_json,
@@ -59,62 +58,37 @@ class TestNewtonBisection:
                      6.0, 14.0, xtol=1e-13, rtol=8.9e-16)
         calls = record_splu(monkeypatch)
         root = find_lambda0(mesh_coarse, (6.0, 14.0))
-        # one symmetric positive definite factor of K_ii for the pole scan;
-        # the shifted core factorizations are the two bracket ends and the
-        # Newton iterates, which start at the modal model's root
-        core = [kw for dim, kw in calls if dim == core_dim(mesh_coarse)]
+        # one symmetric positive definite factor of K_ii for the pole scan,
+        # one factor of the collapsed pencil (the core interior plus the
+        # shell value), and three shifted core factorizations: the two
+        # bracket ends and the final residual check
+        n = core_dim(mesh_coarse)
+        core = [kw for dim, kw in calls if dim == n]
         spd = [kw for kw in core if kw.get("diag_pivot_thresh") == 0]
         assert len(spd) == 1
-        assert 2 < len(core) - len(spd) <= 5
+        assert [dim for dim, _ in calls].count(n + 1) == 1
+        assert len(core) - len(spd) == 3
+        assert len(calls) == 5
         assert root == pytest.approx(ref, rel=1e-11)
 
-    @pytest.mark.parametrize("target", [7.0, 12.0])
-    def test_modal_start_lands_near_the_root(self, target, monkeypatch):
-        # The model is exact at both bracket ends and misses only the
-        # unscanned modes beyond the nearest pole, so its root lies within
-        # 1e-5 relative of the discrete root (measured: 5e-8 at 7, 2.4e-6
-        # at 12).
-        mesh = build_concentric_mesh(1.0, disk_case(target).r0, 0.08,
-                                     r_b=2.0)
-        starts = []
-        real_start = perturbation._modal_start
+    @pytest.mark.parametrize("bracket", [(6.0, 14.0), (6.0, 16.0),
+                                         (6.0, 28.0)])
+    def test_brentq_agreement_and_repeatable(self, mesh_coarse, bracket):
+        # (6, 16) holds the zero-mean Dirichlet pair near 14.69, which is
+        # an eigenvalue of the collapsed pencil but no root; (6, 28) needs
+        # more than the first three eigenvalues about the midpoint
+        ref = brentq(lambda lam: consistency_residual(mesh_coarse, lam),
+                     6.0, 14.0, xtol=1e-13, rtol=8.9e-16)
+        root = find_lambda0(mesh_coarse, bracket)
+        assert root == pytest.approx(ref, rel=1e-11)
+        assert find_lambda0(mesh_coarse, bracket) == root
 
-        def recording(*args):
-            starts.append(real_start(*args))
-            return starts[-1]
-
-        monkeypatch.setattr(perturbation, "_modal_start", recording)
-        root = find_lambda0(mesh, (6.0, 14.0))
-        assert starts[0] == pytest.approx(root, rel=1e-5)
-
-    def test_modal_start_exact_for_one_unscanned_pole(self):
-        # r = |core| + |shell| + lam * (0.25/(5 - lam) + 2/(20 - lam)):
-        # the mode at 5 is scanned, the one at 20 is the fitted pole.
-        areas = {0: 0.1, 1: 0.2}
-
-        def r(lam):
-            return 0.3 + lam * (0.25 / (5 - lam) + 2 / (20 - lam))
-
-        lo, hi = 6.0, 14.0
-        for _ in range(100):
-            lo, hi = ((lo + hi) / 2, hi) if r((lo + hi) / 2) < 0 else (
-                lo, (lo + hi) / 2)
-        start = perturbation._modal_start([(5.0, None, 0.5)], areas,
-                                          (6.0, 14.0), (r(6.0), r(14.0)))
-        assert start == pytest.approx(lo, rel=1e-10)
-
-    @pytest.mark.parametrize("residuals", [(-1.0, -0.5), (-1.0, 2.0)])
-    def test_modal_start_falls_back_to_midpoint(self, residuals):
-        # a model without a sign change, and a fit whose pole lands on
-        # t_lo with zero weight (0/0 there)
-        start = perturbation._modal_start([], {0: 1.0, 1: 1.0}, (1.0, 3.0),
-                                          residuals)
-        assert start == 2.0
-
-    def test_step_cap_raises(self, mesh_coarse, monkeypatch):
-        monkeypatch.setattr(perturbation, "MAX_NEWTON_STEPS", 1)
-        with pytest.raises(NumericalError, match="no convergence"):
-            find_lambda0(mesh_coarse, (6.0, 14.0))
+    def test_eigenvalue_cap_raises(self, mesh_coarse, monkeypatch):
+        # the pole scan still reaches past 28 with its first 8 modes, but
+        # the 3 pencil eigenvalues nearest 17 all lie in the interval
+        monkeypatch.setattr(perturbation, "MAX_POLE_SCAN", 4)
+        with pytest.raises(InputError, match="collapsed pencil.*narrow"):
+            find_lambda0(mesh_coarse, (6.0, 28.0))
 
 
 class TestRecursionInvariants:
