@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * The unweighted K, M and mass vector of a region come from one
   ``RegionOperator`` per mesh and region (cached on ``Mesh._cache``), which
   also holds the region's nodes and the region areas; the Dirichlet and
-  Neumann solves, the weak flux, the eigenmodes and the eigensolver's
-  pencil use it.
+  Neumann solves, the weak flux, the collapsed-shell pencil and the
+  eigensolver's pencil use it.
   ``factor(lam)`` makes one sparse LU of K_ii - lam*M_ii over the nodes off
   the core interface (one condition check) that any number of right-hand
   sides reuse, each with its own residual check.  Factors are never cached.
@@ -18,9 +18,8 @@ Conventions used throughout the package:
   matrices share and about halves the fill of SuperLU's default column
   ordering (kept only by the general ``linear_solve``): ``factor_spd``
   (pivots on the diagonal) for the symmetric positive definite systems --
-  the mean-zero solves, the dual Hessian and the shift-invert of the
-  Dirichlet modes at sigma = 0 -- and ``factor_symmetric`` (partial
-  pivoting) for the indefinite or complex ones -- K_ii - lam*M_ii, the
+  the mean-zero solves and the dual Hessian -- and ``factor_symmetric``
+  (partial pivoting) for the indefinite or complex ones -- K_ii - lam*M_ii, the
   collapsed-shell pencil of ``find_lambda0`` and the eigensolver's
   complex-symmetric pencil.
 * Normal fluxes across the core interface are extracted variationally
@@ -51,7 +50,7 @@ __all__ = ["Field", "BoundaryFunctional", "assemble_stiffness",
            "assemble_mass", "mass_vector", "RegionOperator",
            "DirichletFactor", "region_operator",
            "solve_dirichlet_helmholtz", "weak_normal_flux",
-           "solve_neumann_mean_zero", "dirichlet_modes", "linear_solve",
+           "solve_neumann_mean_zero", "linear_solve",
            "factor_spd", "factor_symmetric", "solve_mean_zero",
            "element_geometry"]
 
@@ -308,9 +307,11 @@ class RegionOperator:
     its mass vector `m`, its sorted `nodes`, the area of every mesh region
     and, for Dirichlet data on the core interface, the interface nodes
     `boundary`, the region's other nodes `interior` and (built on first
-    use) the interior blocks `K_ii` and `M_ii`.  None of this depends on a
-    shift, so one operator per mesh and region is kept on `Mesh._cache`
-    (see `region_operator`); factors are never cached.  The operator keeps
+    use) the interior blocks `K_ii` and `M_ii` that `factor` shifts; the
+    collapsed-shell pencil of `find_lambda0` is built from `K`, `M`,
+    `interior` and `boundary`.  None of this depends on a shift, so one
+    operator per mesh and region is kept on `Mesh._cache` (see
+    `region_operator`); factors are never cached.  The operator keeps
     no reference to the mesh: a mesh -> cache -> operator -> mesh cycle
     would keep every dropped mesh alive until the cyclic garbage collector
     runs.
@@ -488,43 +489,3 @@ def solve_neumann_mean_zero(mesh: Mesh, region, source,
     u[nodes], _ = solve_mean_zero(op.K[nodes][:, nodes], op.m[nodes],
                                   b[nodes])
     return Field(mesh=mesh, values=u, support=op.tags), defect
-
-
-def dirichlet_modes(mesh: Mesh, region, count: int):
-    """First `count` Dirichlet eigenpairs of -Delta on the region.
-
-    Returns a list of (mu_n, Field, mean) with eigenvalues nondecreasing,
-    eigenvectors mass-orthonormal, and mean = int chi_n (used to classify
-    poles of the consistency function).  Shift-invert Lanczos at sigma = 0,
-    whose operator K_ii^-1 comes from one `factor_spd` factorization, from
-    a fixed start vector, so repeated calls return identical modes.
-    """
-    if count < 1:
-        raise InputError("dirichlet_modes: count must be >= 1")
-    op = region_operator(mesh, region)
-    interior = op.interior
-    if count >= interior.size:
-        raise InputError(f"dirichlet_modes: count = {count} exceeds interior "
-                         f"node count {interior.size}")
-    try:
-        lu = factor_spd(op.K_ii)
-    except RuntimeError as exc:
-        raise NumericalError(f"dirichlet_modes: factorization failed ({exc})")
-    K_inv = spla.LinearOperator(op.K_ii.shape, matvec=lu.solve, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(interior.size)
-    vals, vecs = spla.eigsh(op.K_ii, k=count, M=op.M_ii, sigma=0.0,
-                            which="LM", OPinv=K_inv, v0=v0)
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    out = []
-    for j in range(count):
-        chi = np.zeros(mesh.n_nodes)
-        v = vecs[:, j]
-        # deterministic sign: largest-magnitude entry positive
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        chi[interior] = v
-        out.append((float(vals[j]),
-                    Field(mesh=mesh, values=chi, support=op.tags),
-                    float(op.m @ chi)))
-    return out

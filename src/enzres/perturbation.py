@@ -4,13 +4,13 @@ In the vanishing-shell-permittivity limit the eigenpair expands as
 lambda_delta = lambda0 + delta*lambda1 + ... with the eigenfunction equal
 to 1 + delta*phi1 + ... on the shell and psi_d + delta*psi1 + ... on the
 core.  The leading eigenvalue lambda0 is fixed by the consistency condition
-|shell| + int_D psi_d = 0, whose residual is strictly increasing in lambda0
-between its poles (the nonzero-mean Dirichlet eigenvalues of the core); it
-is the one eigenvalue in the search interval of the collapsed-shell pencil,
-the delta -> 0 problem with the whole shell merged into one unknown.  Higher
-orders follow from an alternating Neumann(shell)/Dirichlet(core) recursion
-that factors the core operator once; all stored fields are mean-zero with
-the additive constants e_n kept separately.
+|shell| + int_D psi_d = 0.  Its roots are the eigenvalues of the
+collapsed-shell pencil, the delta -> 0 problem with the whole shell merged
+into one unknown, whose eigenvectors have a nonzero shell value and zero
+mean over Omega; lambda0 is the one such eigenvalue in the search interval.
+Higher orders follow from an alternating Neumann(shell)/Dirichlet(core)
+recursion that factors the core operator once; all stored fields are
+mean-zero with the additive constants e_n kept separately.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (DirichletFactor, Field, dirichlet_modes,
-                        factor_symmetric, region_operator,
-                        solve_neumann_mean_zero, weak_normal_flux)
+from enzres.fem import (DirichletFactor, Field, factor_symmetric,
+                        region_operator, solve_neumann_mean_zero,
+                        weak_normal_flux)
 from enzres.mesh import CORE, SHELL, Mesh
 
 __all__ = ["PerturbationSeries", "compute_psi_d", "consistency_residual",
@@ -35,9 +35,8 @@ __all__ = ["PerturbationSeries", "compute_psi_d", "consistency_residual",
 #: tolerance factors (relative to |Omega|) for entering / running the recursion
 CONSISTENCY_TOL = 1e-6
 DEFECT_TOL = 1e-8
-#: most core Dirichlet modes the pole scan of `find_lambda0` computes, and
-#: most eigenvalues its collapsed-pencil solve asks for
-MAX_POLE_SCAN = 64
+#: most eigenvalues of the collapsed pencil `find_lambda0` asks for
+MAX_PENCIL_EIGS = 64
 
 
 @dataclass
@@ -105,65 +104,36 @@ def _collapsed_pencil(op):
 
 
 def find_lambda0(mesh: Mesh, search_interval) -> float:
-    """Root of the consistency residual on a bracketing interval.
+    """The one root of the consistency residual in an open interval.
 
-    The interval may not straddle a pole of the residual (a Dirichlet
-    eigenvalue of the core with nonzero-mean eigenfunction) and the residual
-    must change sign across it; the residual is strictly increasing between
-    poles so the root is unique.  Intervals reaching above the
-    `MAX_POLE_SCAN`-th core mode are refused, since their poles cannot all
-    be checked.
+    lambda0 is the one eigenvalue of the collapsed-shell pencil
+    (`_collapsed_pencil`) in (t_lo, t_hi) that is a root.  As delta -> 0
+    the eigenfunction is constant on the shell, and the pencil's row for
+    that constant c reads -lam * (|shell| + int_D psi_d) * c, so its
+    eigenvalues lam != 0 with c != 0 are exactly the roots of the discrete
+    residual (the secular equation of a bordered pencil; Golub, SIAM Rev.
+    15, 1973).  An eigenpair (lam, v) is taken as a root when
+    |c| * sqrt|Omega| > 1e-6, which skips the core's zero-mean Dirichlet
+    modes (c = 0), and its Omega-mean 1^T M_c v, the consistency condition
+    itself, is at most 1e-6 * sqrt|Omega|, which skips the pencil's exact
+    eigenvalue 0 (constant eigenvector, returned near +-1e-13).  Poles of
+    the residual in the interval do no harm; an interval with no root or
+    with two or more is refused, and the root's residual must be within
+    1e-10*|Omega|.
 
-    The root is an eigenvalue of the collapsed-shell pencil
-    (`_collapsed_pencil`): as delta -> 0 the eigenfunction is constant on
-    the shell, and the pencil's row for that constant c reads
-    -lam * (|shell| + int_D psi_d) * c, so its eigenvalues with c != 0 are
-    exactly the roots of the discrete residual (the secular equation of a
-    bordered pencil; Golub, SIAM Rev. 15, 1973).  They are found by
-    shift-invert Lanczos at the interval midpoint from one factorization
-    and a fixed start vector (Ericsson & Ruhe, Math. Comp. 35, 1980), with
-    k doubled from 3 until the returned eigenvalues reach past both
-    interval ends; an interval that needs more than `MAX_POLE_SCAN` of
-    them is refused.  Eigenvalues with |c| * sqrt|Omega| <= 1e-6 are the
-    core's zero-mean Dirichlet modes; exactly one other must lie in the
-    interval, and its residual must be within 1e-10*|Omega|.
+    The eigenvalues come from shift-invert Lanczos at the interval
+    midpoint, with one factorization and a fixed start vector (Ericsson &
+    Ruhe, Math. Comp. 35, 1980); k doubles from 3 until they reach past
+    both interval ends, and an interval that needs more than
+    `MAX_PENCIL_EIGS` of them is refused.
     """
     t_lo, t_hi = (float(t) for t in search_interval)
     if not (0 < t_lo < t_hi):
         raise InputError(f"find_lambda0: need 0 < t_lo < t_hi, got "
                          f"({t_lo}, {t_hi})")
 
-    # pole scan: Dirichlet modes of the core up to t_hi with nonzero mean
     op = region_operator(mesh, CORE)
     area = sum(op.area_by_region.values())
-    count = 8
-    while True:
-        modes = dirichlet_modes(mesh, CORE, count)
-        if modes[-1][0] > t_hi or count >= MAX_POLE_SCAN:
-            break
-        count *= 2
-    for mu, _chi, mean in modes:
-        if t_lo < mu < t_hi and abs(mean) > 1e-6 * np.sqrt(area):
-            raise InputError(
-                f"find_lambda0: interval ({t_lo}, {t_hi}) straddles Dirichlet "
-                f"eigenvalue mu = {mu:.6g} of the core (pole of the "
-                "consistency residual)")
-    if modes[-1][0] <= t_hi:
-        raise InputError(
-            f"find_lambda0: pole scan truncated: the {count} lowest Dirichlet "
-            f"eigenvalues of the core lie below t_hi = {t_hi}, so poles "
-            f"above mu = {modes[-1][0]:.6g} go unchecked; narrow the interval")
-
-    r_lo = consistency_residual(mesh, t_lo)
-    r_hi = consistency_residual(mesh, t_hi)
-    # the residual increases between poles, so a root has r(t_lo) < 0;
-    # a fall from + to - would be a pole the scan did not flag
-    if not r_lo < 0 < r_hi:
-        raise InputError(
-            f"find_lambda0: no permissible lambda0 in interval ({t_lo}, "
-            f"{t_hi}): residual does not change sign from - to + "
-            f"({r_lo:.6g} -> {r_hi:.6g})")
-
     K_c, M_c = _collapsed_pencil(op)
     sigma, half = 0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo)
     try:
@@ -179,21 +149,27 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
                                 OPinv=OPinv, v0=v0)
         if np.abs(vals - sigma).max() >= half:
             break
-        if 2 * k > MAX_POLE_SCAN:
+        if 2 * k > MAX_PENCIL_EIGS:
             raise InputError(
                 f"find_lambda0: the {k} eigenvalues of the collapsed pencil "
                 f"nearest sigma = {sigma} all lie in ({t_lo}, {t_hi}), so "
                 "roots beyond them go unchecked; narrow the interval")
         k *= 2
-    # the c component is the shell value; zero-mean core modes have c = 0
+    # the last component is the shell value c; 1^T M_c v integrates over
+    # Omega (M_c is symmetric)
+    mean = (M_c @ np.ones(K_c.shape[0])) @ vecs
     is_root = ((t_lo < vals) & (vals < t_hi)
-               & (np.abs(vecs[-1]) * np.sqrt(area) > 1e-6))
+               & (np.abs(vecs[-1]) * np.sqrt(area) > 1e-6)
+               & (np.abs(mean) <= 1e-6 * np.sqrt(area)))
     roots = np.sort(vals[is_root])
-    if roots.size != 1:
-        raise NumericalError(
-            f"find_lambda0: {roots.size} eigenvalues of the collapsed pencil "
-            f"with nonzero shell value in ({t_lo}, {t_hi}), expected one: "
-            f"{roots.tolist()}")
+    if roots.size == 0:
+        raise InputError(
+            f"find_lambda0: no permissible lambda0 in interval ({t_lo}, "
+            f"{t_hi}): the residual has no sign change from - to + there")
+    if roots.size > 1:
+        raise InputError(
+            f"find_lambda0: {roots.size} roots of the consistency residual "
+            f"in ({t_lo}, {t_hi}): {roots.tolist()}; narrow the interval")
     lam0 = float(roots[0])
     r = consistency_residual(mesh, lam0)
     if abs(r) > 1e-10 * area:

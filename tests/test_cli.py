@@ -211,9 +211,10 @@ def as_float(text):
 
 class TestFuzzArguments:
     """Argument vectors for `mesh` and `lambda0`: the exit code is 0, 1 or
-    2, a refused number or an invalid value gives 2, and no failure is
-    reported as internal.  Valid mesh sizes stay at h >= 0.08; smaller
-    ones are only tried where the node budget must refuse them."""
+    2 (never 1 for a valid `lambda0` bracket), a refused number or an
+    invalid value gives 2, and no failure is reported as internal.  Valid
+    mesh sizes stay at h >= 0.08; smaller ones are only tried where the
+    node budget must refuse them."""
 
     @settings(max_examples=40, deadline=None)
     @given(rd=numbers(-0.5, 2.0), r0=numbers(-0.5, 2.5),
@@ -248,3 +249,8 @@ class TestFuzzArguments:
         t_lo, t_hi = as_float(lo), as_float(hi)
         if t_lo is None or t_hi is None or not 0 < t_lo < t_hi:
             assert code == 2
+        else:
+            # a valid bracket gives its one root or a refusal; a numerical
+            # failure (say, a spurious root failing the final residual
+            # check) would exit with 1
+            assert code in (0, 2), err

@@ -8,9 +8,7 @@ import pytest
 from enzres.eigensolver import (assemble_operator, resonance_near,
                                 ritz_values_near)
 from enzres.errors import InputError
-from enzres.fem import dirichlet_modes
-from enzres.mesh import CORE
-from enzres.perturbation import eval_lambda, expand_series
+from enzres.perturbation import eval_lambda, expand_series, find_lambda0
 
 from conftest import record_splu
 
@@ -87,14 +85,15 @@ class TestRitz:
 
 def test_factorizations_order_by_minimum_degree(mesh_coarse, lambda0_coarse,
                                                 monkeypatch):
-    # The pencil, the Ritz shift-invert and the Dirichlet modes' K_ii all
-    # have a symmetric pattern, so each is ordered on A + A^T.
+    # The pencil, the Ritz shift-invert and the collapsed-shell pencil of
+    # find_lambda0 all have a symmetric pattern, so each is ordered on
+    # A + A^T.
     s = expand_series(mesh_coarse, lambda0_coarse, order=1)
     lam = eval_lambda(s, DELTA)
     calls = record_splu(monkeypatch)
     for run in (lambda: resonance_near(mesh_coarse, DELTA, lam, s.psi_d),
                 lambda: ritz_values_near(mesh_coarse, DELTA, lam),
-                lambda: dirichlet_modes(mesh_coarse, CORE, 8)):
+                lambda: find_lambda0(mesh_coarse, (6.0, 14.0))):
         calls.clear()
         run()
         assert calls

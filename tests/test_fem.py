@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from enzres.bessel_oracle import disk_case, disk_psi_d
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (BoundaryFunctional, Field, assemble_mass,
-                        assemble_stiffness, dirichlet_modes, linear_solve,
+                        assemble_stiffness, linear_solve,
                         mass_vector, region_operator,
                         solve_dirichlet_helmholtz, solve_mean_zero,
                         solve_neumann_mean_zero, weak_normal_flux)
@@ -109,40 +109,11 @@ class TestDirichletCore:
     def test_near_eigenvalue_raises(self, mesh_coarse):
         # The discrete Dirichlet eigenvalue makes the shifted operator
         # numerically singular.
-        (mu, _, _), = dirichlet_modes(mesh_coarse, 0, 1)
+        op = region_operator(mesh_coarse, CORE)
+        mu, = spla.eigsh(op.K_ii, k=1, M=op.M_ii, sigma=0.0,
+                         return_eigenvectors=False)
         with pytest.raises(NumericalError, match="eigenvalue"):
             solve_dirichlet_helmholtz(mesh_coarse, 0, mu)
-
-    def test_first_mode_matches_disk(self, disk_meshes):
-        # Smallest Dirichlet eigenvalue of the unit disk: j_{0,1}^2.
-        (mu, phi, mean), = dirichlet_modes(disk_meshes[0.04], 0, 1)
-        assert mu == pytest.approx(5.783185962946785, rel=2e-3)
-        assert mean != 0.0
-        core = sorted(disk_meshes[0.04].region_nodes(0))
-        assert np.abs(phi.values[core]).max() > 0.0
-
-    def test_modes_match_plain_shift_invert(self, mesh_coarse):
-        # Reference: eigsh factoring K_ii - 0*M_ii itself.  Means are
-        # compared in magnitude, since eigenvector signs are arbitrary
-        # there; the disk's angular modes come in degenerate pairs whose
-        # means are both at rounding level.
-        op = region_operator(mesh_coarse, CORE)
-        vals, vecs = spla.eigsh(op.K_ii, k=8, M=op.M_ii, sigma=0.0)
-        order = np.argsort(vals)
-        modes = dirichlet_modes(mesh_coarse, CORE, 8)
-        assert [mu for mu, _, _ in modes] == pytest.approx(vals[order],
-                                                           rel=1e-10)
-        means = np.abs(op.m[op.interior] @ vecs[:, order])
-        assert np.abs([mean for _, _, mean in modes]) == pytest.approx(
-            means, abs=1e-8)
-
-    def test_modes_repeat_exactly(self, mesh_coarse):
-        # the modes feed the start of the lambda0 root-find, so a repeated
-        # run must see the same ones
-        first, again = (dirichlet_modes(mesh_coarse, CORE, 8)
-                        for _ in range(2))
-        assert [(mu, mean) for mu, _, mean in first] == [
-            (mu, mean) for mu, _, mean in again]
 
 
 class TestWeakFlux:

@@ -39,12 +39,22 @@ class TestFindLambda0:
         with pytest.raises(InputError):
             find_lambda0(mesh_coarse, (14.0, 6.0))
 
-    def test_truncated_pole_scan_raises(self, mesh_coarse):
-        # At h = 0.08 the 64th core mode sits near 321; no nonzero-mean
-        # mode among the first 64 lies in (250, 400), but one near 375
-        # (mode 76) does, beyond what the scan computes.
-        with pytest.raises(InputError, match="pole scan truncated"):
-            find_lambda0(mesh_coarse, (250.0, 400.0))
+    @pytest.mark.parametrize("bracket", [(5e-324, 0.3), (1e-16, 1e-13),
+                                         (1e-16, 1e-15)])
+    def test_pencil_zero_mode_is_no_root(self, mesh_coarse, bracket):
+        # the collapsed pencil's exact eigenvalue 0 has a constant
+        # eigenvector: nonzero shell value, but nonzero mean over Omega.
+        # It comes back at 7.7e-14 and 3.1e-14, inside the first two
+        # brackets; the third shifts K_c, which is singular, by a
+        # rounding-level sigma (the eigenvalue returns at 7.8e-15)
+        with pytest.raises(InputError, match="sign"):
+            find_lambda0(mesh_coarse, bracket)
+
+    def test_two_roots_raise(self, mesh_coarse):
+        # (6, 40) holds the roots near 9.01 and 34.97
+        with pytest.raises(InputError, match="narrow") as err:
+            find_lambda0(mesh_coarse, (6.0, 40.0))
+        assert "9.01" in str(err.value) and "34.9" in str(err.value)
 
 
 def core_dim(mesh):
@@ -58,25 +68,21 @@ class TestNewtonBisection:
                      6.0, 14.0, xtol=1e-13, rtol=8.9e-16)
         calls = record_splu(monkeypatch)
         root = find_lambda0(mesh_coarse, (6.0, 14.0))
-        # one symmetric positive definite factor of K_ii for the pole scan,
         # one factor of the collapsed pencil (the core interior plus the
-        # shell value), and three shifted core factorizations: the two
-        # bracket ends and the final residual check
+        # shell value) and one shifted core factorization for the final
+        # residual check; no symmetric positive definite factor
         n = core_dim(mesh_coarse)
-        core = [kw for dim, kw in calls if dim == n]
-        spd = [kw for kw in core if kw.get("diag_pivot_thresh") == 0]
-        assert len(spd) == 1
-        assert [dim for dim, _ in calls].count(n + 1) == 1
-        assert len(core) - len(spd) == 3
-        assert len(calls) == 5
+        assert sorted(dim for dim, _ in calls) == [n, n + 1]
+        assert all(kw.get("diag_pivot_thresh") != 0 for _, kw in calls)
         assert root == pytest.approx(ref, rel=1e-11)
 
     @pytest.mark.parametrize("bracket", [(6.0, 14.0), (6.0, 16.0),
-                                         (6.0, 28.0)])
+                                         (6.0, 28.0), (5.0, 14.0)])
     def test_brentq_agreement_and_repeatable(self, mesh_coarse, bracket):
         # (6, 16) holds the zero-mean Dirichlet pair near 14.69, which is
         # an eigenvalue of the collapsed pencil but no root; (6, 28) needs
-        # more than the first three eigenvalues about the midpoint
+        # more than the first three eigenvalues about the midpoint; (5, 14)
+        # holds the pole near 5.78 (the first core Dirichlet eigenvalue)
         ref = brentq(lambda lam: consistency_residual(mesh_coarse, lam),
                      6.0, 14.0, xtol=1e-13, rtol=8.9e-16)
         root = find_lambda0(mesh_coarse, bracket)
@@ -84,9 +90,9 @@ class TestNewtonBisection:
         assert find_lambda0(mesh_coarse, bracket) == root
 
     def test_eigenvalue_cap_raises(self, mesh_coarse, monkeypatch):
-        # the pole scan still reaches past 28 with its first 8 modes, but
-        # the 3 pencil eigenvalues nearest 17 all lie in the interval
-        monkeypatch.setattr(perturbation, "MAX_POLE_SCAN", 4)
+        # the 3 pencil eigenvalues nearest 17 all lie in the interval, and
+        # a cap of 4 forbids doubling k to 6
+        monkeypatch.setattr(perturbation, "MAX_PENCIL_EIGS", 4)
         with pytest.raises(InputError, match="collapsed pencil.*narrow"):
             find_lambda0(mesh_coarse, (6.0, 28.0))
 
