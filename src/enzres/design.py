@@ -275,6 +275,8 @@ class StageRecord:
 CONVERGED_EXITS = ("gtol", "rounding floor")
 #: Newton steps allowed per beta stage
 MAX_NEWTON_STEPS = 60
+#: beta continuation in units of lambda0 * diam^2: first, last, factor
+BETA_START, BETA_END, BETA_FACTOR = 0.1, 1e-8, 0.25
 #: relative size of a Newton decrement lost in rounding of J
 ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
 
@@ -341,38 +343,31 @@ class DualSolution(Field):
                                          for s in self.stages)
 
 
-def minimize_dual(prob: DesignProblem, beta_schedule=None,
-                  tol: float = 1e-8) -> DualSolution:
+def minimize_dual(prob: DesignProblem) -> DualSolution:
     """Minimize the smoothed dual with beta continuation (damped Newton).
 
-    `beta_schedule` defaults to quartering from 0.1*lambda0*diam^2 down to
-    tol*lambda0*diam^2.  Returns the minimizer at the final beta with the
-    record of every stage; the additive gauge is fixed by the plus function
+    Beta is quartered from 0.1*lambda0*diam^2 down to 1e-8*lambda0*diam^2
+    (13 stages).  Returns the minimizer at the final beta with the record
+    of every stage; the additive gauge is fixed by the plus function
     itself (stationarity in the constant direction pins the smoothed
     superlevel measure to A0).  Raises NumericalError if the final gradient
     is far from stationary.
     """
     pts = prob.mesh.nodes[prob.nodes]
     diam2 = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
-    if beta_schedule is None:
-        beta = 0.1 * prob.lambda0 * diam2
-        beta_min = tol * prob.lambda0 * diam2
-        beta_schedule = []
-        while beta > beta_min:
-            beta_schedule.append(beta)
-            beta *= 0.25
-        beta_schedule.append(beta_min)
-
+    beta = BETA_START * prob.lambda0 * diam2
+    beta_min = BETA_END * prob.lambda0 * diam2
     x = np.zeros(prob.nodes.size)
     load = max(1.0, float(np.linalg.norm(prob.f_r)))
     stages = []
-    for beta in beta_schedule:
-        x, rec = _newton_stage(prob, x, float(beta), 1e-8 * load)
+    while not stages or stages[-1].beta > beta_min:
+        x, rec = _newton_stage(prob, x, max(beta, beta_min), 1e-8 * load)
         stages.append(rec)
+        beta *= BETA_FACTOR
     if stages[-1].gnorm > 1e-5 * load:
         raise NumericalError(
             f"minimize_dual: stationarity not reached (|grad| = "
-            f"{stages[-1].gnorm:.3e} at final beta = {beta_schedule[-1]:.3e})")
+            f"{stages[-1].gnorm:.3e} at final beta = {beta_min:.3e})")
     w = prob.expand(x)
     return DualSolution(w.mesh, w.values, w.support, stages=tuple(stages))
 
@@ -406,8 +401,12 @@ def _primal_value(prob: DesignProblem, w: Field, theta: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # epsilon-regularized saddle iteration (cross-check)
 
+#: smallest ersatz conductivity of the void
+EPS_FLOOR = 1e-6
+
+
 def evaluate_design(prob: DesignProblem, theta: np.ndarray,
-                    eps: float = 1e-6):
+                    eps: float = EPS_FLOOR):
     """Primal minimization for a fixed density: solve the conductivity
     problem with a = theta + eps*(1 - theta) and load (lambda0*theta in the
     bulk, -f on the interface), mean pinned to zero.
@@ -432,24 +431,22 @@ def evaluate_design(prob: DesignProblem, theta: np.ndarray,
     return w, _primal_value(prob, w, theta)
 
 
-def saddle_solve(prob: DesignProblem, eps_schedule=None, iters: int = 60,
+def saddle_solve(prob: DesignProblem, iters: int = 60,
                  tol: float = 1e-3) -> DesignState:
     """Alternating saddle iteration: regularized primal solve in w, bathtub
-    update of theta, with epsilon decreased geometrically 1e-1 -> 1e-6.
-
-    History rows are (primal, dual) = (L(w_k, theta_{k-1}), max_theta
-    L(w_k, theta)); weak duality primal <= dual holds at every iteration.
-    Returns the best state, flagged non-converged if the relative gap never
-    fell below tol.
+    update of theta.  Iteration k uses eps = max(10^-(k+1), EPS_FLOOR), so
+    1e-1, 1e-2, ..., 1e-6, then the floor; it stops at the first iteration
+    at the floor whose relative gap |primal - dual| / |dual| is <= tol, or
+    after `iters` iterations.  History rows are (primal, dual) =
+    (L(w_k, theta_{k-1}), max_theta L(w_k, theta)); weak duality primal <=
+    dual holds at every iteration.  Returns the state of smallest gap,
+    flagged non-converged if that gap exceeds tol.
     """
-    if eps_schedule is None:
-        n_ramp = max(2, min(iters, 40))
-        eps_schedule = list(np.geomspace(1e-1, 1e-6, n_ramp))
     theta = np.full(prob.elements.size, prob.A0 / prob.total_area)
     history = []
     best = None
     for k in range(iters):
-        eps = float(eps_schedule[min(k, len(eps_schedule) - 1)])
+        eps = max(10.0 ** -(k + 1), EPS_FLOOR)
         w, primal = evaluate_design(prob, theta, eps=eps)
         d = energy_density(w, prob)
         theta, z0 = bathtub_projection(d, prob.areas, prob.A0)
@@ -465,7 +462,7 @@ def saddle_solve(prob: DesignProblem, eps_schedule=None, iters: int = 60,
                                      value=primal, history=history,
                                      converged=gap <= tol,
                                      fractional_mass=frac))
-        if gap <= tol and k >= len(eps_schedule) - 1:
+        if gap <= tol and eps == EPS_FLOOR:
             break
     state = best[1]
     state.history = history

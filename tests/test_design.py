@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 
 from enzres import design
 from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
-from enzres.design import (CONVERGED_EXITS, bathtub_projection, design_from_json,
-                           design_to_csv, design_to_json, dual_objective,
-                           energy_density, evaluate_design,
+from enzres.design import (CONVERGED_EXITS, DesignProblem, bathtub_projection,
+                           design_from_json, design_to_csv, design_to_json,
+                           dual_objective, energy_density, evaluate_design,
                            lambda1_of_design, make_disk_problem,
                            minimize_dual, recover_design, saddle_solve)
-from enzres.errors import InputError
-from enzres.fem import assemble_stiffness, mass_vector
+from enzres.errors import InputError, NumericalError
+from enzres.fem import BoundaryFunctional, assemble_stiffness, mass_vector
 
-from conftest import annulus_symdiff, element_centroids
+from conftest import annulus_symdiff, element_centroids, record_splu
 
 
 @pytest.fixture(scope="module")
@@ -207,13 +207,36 @@ class TestOptimum:
         assert v_opt == pytest.approx(dual_state.value, rel=1e-9)
         assert v_p < v_opt - 0.01 * abs(v_opt)
 
-    def test_saddle_agrees_with_dual(self, disk_problem, dual_state):
+    def test_saddle_agrees_with_dual(self, disk_problem, dual_state,
+                                     monkeypatch):
+        calls = record_splu(monkeypatch)
         ss = saddle_solve(disk_problem)
         assert ss.converged
         assert ss.value == pytest.approx(dual_state.value, rel=1e-6)
+        # The gap closes at once, so the ramp 1e-1 ... 1e-6 ends at its
+        # first iteration at the floor: one SPD factorization per iteration.
+        assert len(ss.history) == 6
+        assert len(calls) == 6
         # Weak duality holds along the whole iteration history.
         for primal, dual in ss.history:
             assert primal <= dual + 1e-9 * abs(dual)
+
+    def test_saddle_off_the_disk_is_right_or_refused(self, mesh_coarse,
+                                                     lambda0_coarse):
+        # Interface weights times (1 + 0.6x): the dual still converges, and
+        # the saddle cross-check may refuse but must not converge elsewhere.
+        disk = make_disk_problem(mesh_coarse, lambda0_coarse)
+        f = BoundaryFunctional(mesh_coarse, disk.f.tag, disk.f.weights
+                               * (1.0 + 0.6 * mesh_coarse.nodes[:, 0]))
+        prob = DesignProblem(mesh_coarse, lambda0_coarse, f, disk.norm_const)
+        dual = recover_design(prob, minimize_dual(prob))
+        assert dual.converged
+        try:
+            ss = saddle_solve(prob)
+        except NumericalError:
+            return
+        assert (not ss.converged
+                or ss.value == pytest.approx(dual.value, rel=1e-6))
 
     def test_slack_region_invariance(self, disk_meshes, disk_lambda0s,
                                      case9):
