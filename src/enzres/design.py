@@ -403,6 +403,8 @@ def _primal_value(prob: DesignProblem, w: Field, theta: np.ndarray) -> float:
 
 #: smallest ersatz conductivity of the void
 EPS_FLOOR = 1e-6
+#: saddle iterations allowed, and the relative duality gap that ends them
+SADDLE_ITERS, SADDLE_TOL = 60, 1e-3
 
 
 def evaluate_design(prob: DesignProblem, theta: np.ndarray,
@@ -431,21 +433,20 @@ def evaluate_design(prob: DesignProblem, theta: np.ndarray,
     return w, _primal_value(prob, w, theta)
 
 
-def saddle_solve(prob: DesignProblem, iters: int = 60,
-                 tol: float = 1e-3) -> DesignState:
+def saddle_solve(prob: DesignProblem) -> DesignState:
     """Alternating saddle iteration: regularized primal solve in w, bathtub
     update of theta.  Iteration k uses eps = max(10^-(k+1), EPS_FLOOR), so
     1e-1, 1e-2, ..., 1e-6, then the floor; it stops at the first iteration
-    at the floor whose relative gap |primal - dual| / |dual| is <= tol, or
-    after `iters` iterations.  History rows are (primal, dual) =
-    (L(w_k, theta_{k-1}), max_theta L(w_k, theta)); weak duality primal <=
-    dual holds at every iteration.  Returns the state of smallest gap,
-    flagged non-converged if that gap exceeds tol.
+    at the floor whose relative gap |primal - dual| / |dual| is <=
+    `SADDLE_TOL`, or after `SADDLE_ITERS` iterations.  History rows are
+    (primal, dual) = (L(w_k, theta_{k-1}), max_theta L(w_k, theta)); weak
+    duality primal <= dual holds at every iteration.  Returns the state of
+    smallest gap, flagged non-converged if that gap exceeds `SADDLE_TOL`.
     """
     theta = np.full(prob.elements.size, prob.A0 / prob.total_area)
     history = []
     best = None
-    for k in range(iters):
+    for k in range(SADDLE_ITERS):
         eps = max(10.0 ** -(k + 1), EPS_FLOOR)
         w, primal = evaluate_design(prob, theta, eps=eps)
         d = energy_density(w, prob)
@@ -460,9 +461,9 @@ def saddle_solve(prob: DesignProblem, iters: int = 60,
                                     & (theta < 1 - 1e-12)].sum())
             best = (gap, DesignState(theta=theta.copy(), w=w, z0=z0,
                                      value=primal, history=history,
-                                     converged=gap <= tol,
+                                     converged=gap <= SADDLE_TOL,
                                      fractional_mass=frac))
-        if gap <= tol and eps == EPS_FLOOR:
+        if gap <= SADDLE_TOL and eps == EPS_FLOOR:
             break
     state = best[1]
     state.history = history

@@ -28,6 +28,10 @@ __all__ = ["LorentzParams", "CoreDielectric", "ResonanceTrace", "eps_enz",
            "omega_prime0", "trace_resonance", "trace_to_csv"]
 
 TRACE_CSV_HEADER = "gamma,re_omega,im_omega,re_delta,im_delta,newton_iters"
+#: finite-difference step and relative tolerance of `sensitivities`' check
+FD_STEP, FD_CHECK_TOL = 1e-6, 1e-6
+#: Newton tolerance (relative to max(1, lambda*)) and steps per gamma
+NEWTON_TOL, MAX_NEWTON = 1e-12, 50
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,10 @@ def calibrate_scale(lambda0_geom: float, lam_star: float) -> float:
     return math.sqrt(lambda0_geom / lam_star)
 
 
-def sensitivities(p: LorentzParams, d: CoreDielectric,
-                  fd_step: float = 1e-6, check_tol: float = 1e-6):
+def sensitivities(p: LorentzParams, d: CoreDielectric):
     """Closed-form sensitivities at (omega*, gamma=0), cross-checked against
-    central finite differences of eps_enz.
+    central finite differences of eps_enz (step `FD_STEP`; a relative
+    disagreement above `FD_CHECK_TOL` raises NumericalError).
 
     a1 = d(eps_enz)/d(omega), a2 = (1/i) d(eps_enz)/d(gamma),
     a3 = d(omega**2 eps_D)/d(omega); all positive, and a2 = a1/2.
@@ -128,13 +132,13 @@ def sensitivities(p: LorentzParams, d: CoreDielectric,
         denom = p.omega_0 ** 2 - omega * omega - 1j * omega * gamma
         return p.eps_inf * (1.0 + p.omega_p ** 2 / denom)
 
-    h = fd_step
+    h = FD_STEP
     a1_fd = (eps_raw(ws + h, 0.0) - eps_raw(ws - h, 0.0)) / (2 * h)
     a2_fd = (eps_raw(ws, h) - eps_raw(ws, -h)) / (2j * h)
     a3_fd = ((ws + h) ** 2 - (ws - h) ** 2) * d.eps_d / (2 * h)
     for name, exact, fd in (("a1", a1, a1_fd), ("a2", a2, a2_fd),
                             ("a3", a3, a3_fd)):
-        if abs(exact - fd) > check_tol * abs(exact):
+        if abs(exact - fd) > FD_CHECK_TOL * abs(exact):
             raise NumericalError(
                 f"sensitivities: {name} closed form {exact!r} disagrees with "
                 f"finite difference {fd!r}")
@@ -151,10 +155,11 @@ def omega_prime0(a1: float, a2: float, a3: float, eps_d: float,
 
 
 def trace_resonance(series, p: LorentzParams, d: CoreDielectric,
-                    gamma_max: float, steps: int,
-                    newton_tol: float = 1e-12,
-                    max_newton: int = 50) -> ResonanceTrace:
+                    gamma_max: float, steps: int) -> ResonanceTrace:
     """Trace omega(gamma) on a uniform gamma grid by warm-started Newton.
+
+    Each gamma > 0 gets at most `MAX_NEWTON` steps to reach |G| <=
+    `NEWTON_TOL` * max(1, lambda*), else NumericalError.
 
     `series` needs attributes lambda0 and lambda_coeffs of order >= 2.  The
     coefficients are rescaled exactly by lambda*/lambda0 (a uniform geometric
@@ -199,10 +204,10 @@ def trace_resonance(series, p: LorentzParams, d: CoreDielectric,
             omega = complex(ws)  # delta = 0, lambda = lambda* exactly
         else:
             # warm start from the previous gamma
-            for it in range(1, max_newton + 1):
+            for it in range(1, MAX_NEWTON + 1):
                 delta = eps_enz(p, omega, gamma) / eps_d
                 g_val = lam_of(delta) - omega * omega * eps_d
-                if abs(g_val) <= newton_tol * max(1.0, abs(coeffs[0])):
+                if abs(g_val) <= NEWTON_TOL * max(1.0, abs(coeffs[0])):
                     break
                 g_der = (dlam_of(delta) * _d_eps_enz_domega(p, omega, gamma)
                          / eps_d - 2.0 * omega * eps_d)

@@ -9,7 +9,6 @@ obey the scaling rule lambda0(t*D) = lambda0(D)/t**2 (see `scale_mesh`).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -220,40 +219,50 @@ def scale_mesh(mesh: Mesh, t: float) -> Mesh:
 # ---------------------------------------------------------------------------
 # validation
 
-def _validate(mesh: Mesh, line_of_tri=None) -> None:
-    """Check all Mesh invariants; raise InputError on the first violation."""
+def _validate(mesh: Mesh, lines=None) -> None:
+    """Check all Mesh invariants, the one place any is checked; raise
+    InputError on the first violation.  `lines` ({"node": seq, "triangle":
+    seq, "boundary edge": seq}, from `load_mesh`) gives each entity's file
+    line, which errors then name in place of its index."""
     n = mesh.n_nodes
 
-    def tri_where(i):
-        return (f"file line {line_of_tri[i]}" if line_of_tri is not None
-                else f"triangle {i}")
+    def where(kind, i):
+        return (f"file line {lines[kind][i]}" if lines is not None
+                else f"{kind} {i}")
 
+    bad = np.flatnonzero(~np.isfinite(mesh.nodes).all(axis=1))
+    if bad.size:
+        raise InputError(f"mesh: {where('node', bad[0])}: non-finite "
+                         "coordinate")
+    for kind, idx in (("triangle", mesh.triangles),
+                      ("boundary edge", mesh.boundary_edges)):
+        bad = np.flatnonzero(((idx < 0) | (idx >= n)).any(axis=1))
+        if bad.size:
+            raise InputError(f"mesh: {where(kind, bad[0])}: {kind} node "
+                             f"index out of range (have {n} nodes)")
     bad = np.flatnonzero(~np.isin(mesh.regions, (CORE, SHELL, SLACK)))
     if bad.size:
         raise InputError(f"mesh: region tag {mesh.regions[bad[0]]} "
-                         f"({tri_where(bad[0])}) is not {CORE} (core), "
-                         f"{SHELL} (shell) or {SLACK} (slack)")
+                         f"({where('triangle', bad[0])}) is not {CORE} "
+                         f"(core), {SHELL} (shell) or {SLACK} (slack)")
     bad = np.flatnonzero(~np.isin(mesh.edge_tags, (INTERFACE, OUTER)))
     if bad.size:
         a, b = mesh.boundary_edges[bad[0]]
-        raise InputError(f"mesh: boundary edge ({a}, {b}) has tag "
+        raise InputError(f"mesh: boundary edge ({a}, {b}) "
+                         f"({where('boundary edge', bad[0])}) has tag "
                          f"{mesh.edge_tags[bad[0]]}, not {INTERFACE} "
                          f"(interface) or {OUTER} (outer boundary)")
-    if np.any(mesh.triangles < 0) or np.any(mesh.triangles >= n):
-        raise InputError("mesh: triangle node index out of range")
-    if mesh.boundary_edges.size and (np.any(mesh.boundary_edges < 0)
-                                     or np.any(mesh.boundary_edges >= n)):
-        raise InputError("mesh: boundary edge node index out of range")
     with np.errstate(over="ignore", invalid="ignore"):
         areas = mesh.areas()
     bad = np.flatnonzero(areas <= 0.0)
     if bad.size:
         raise InputError("mesh: non-positive triangle area, CCW orientation "
-                         f"required ({tri_where(bad[0])})")
+                         f"required ({where('triangle', bad[0])})")
     bad = np.flatnonzero(~np.isfinite(areas))
     if bad.size:
         raise InputError(f"mesh: triangle area {areas[bad[0]]} is not finite "
-                         f"({tri_where(bad[0])}); coordinates too large")
+                         f"({where('triangle', bad[0])}); coordinates too "
+                         "large")
 
     # unique-edge table: key = min*n + max, adjacency via sorted half-edges
     m = mesh.n_triangles
@@ -340,27 +349,26 @@ def _check_connectivity(mesh: Mesh, tri_a, tri_b, counts) -> None:
 def save_mesh(mesh: Mesh) -> str:
     """Serialize to the `enzmesh v1` text format (coordinates round-trip
     bit-identically)."""
-    out = io.StringIO()
-    out.write("enzmesh v1\n")
-    out.write(f"nodes {mesh.n_nodes}\n")
-    for x, y in mesh.nodes:
-        out.write(f"{float(x)!r} {float(y)!r}\n")
-    out.write(f"triangles {mesh.n_triangles}\n")
-    for tri, reg in zip(mesh.triangles, mesh.regions):
-        out.write(f"{tri[0]} {tri[1]} {tri[2]} {reg}\n")
-    out.write(f"boundary_edges {mesh.boundary_edges.shape[0]}\n")
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.edge_tags):
-        out.write(f"{a} {b} {tag}\n")
-    return out.getvalue()
+    out = ["enzmesh v1", f"nodes {mesh.n_nodes}"]
+    out += [f"{x!r} {y!r}" for x, y in mesh.nodes.tolist()]
+    out.append(f"triangles {mesh.n_triangles}")
+    out += [f"{a} {b} {c} {reg}" for (a, b, c), reg
+            in zip(mesh.triangles.tolist(), mesh.regions.tolist())]
+    out.append(f"boundary_edges {mesh.boundary_edges.shape[0]}")
+    out += [f"{a} {b} {tag}" for (a, b), tag
+            in zip(mesh.boundary_edges.tolist(), mesh.edge_tags.tolist())]
+    return "\n".join(out) + "\n"
 
 
 def load_mesh(text) -> Mesh:
     """Parse the `enzmesh v1` text format (strict).
 
     Accepts str, bytes, or a readable stream.  '#' starts a comment; blank
-    lines are ignored; sections must appear in order.  Errors name the
-    offending 1-based line number.  The returned mesh satisfies all Mesh
-    invariants.
+    lines are ignored; sections must appear in order.  Each section's rows
+    are converted by one NumPy call, and only if it fails are they walked to
+    name the bad line; every mesh rule is then checked once, by `_validate`.
+    Errors name the offending 1-based line number.  The returned mesh
+    satisfies all Mesh invariants.
     """
     try:
         if hasattr(text, "read"):
@@ -370,28 +378,31 @@ def load_mesh(text) -> Mesh:
     except UnicodeDecodeError as exc:
         raise InputError(f"enzmesh parse: cannot decode text ({exc})")
 
-    lines = []  # (line_number, tokens)
+    line_nos, rows = [], []  # 1-based line number and tokens of each line
     for i, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((i, body.split()))
+        tok = raw.split("#", 1)[0].split()
+        if tok:
+            line_nos.append(i)
+            rows.append(tok)
     pos = 0
 
     def take(what):
         nonlocal pos
-        if pos >= len(lines):
+        if pos >= len(rows):
             raise InputError(f"enzmesh parse: unexpected end of file, "
                              f"expected {what}")
-        item = lines[pos]
         pos += 1
-        return item
+        return line_nos[pos - 1], rows[pos - 1]
 
     ln, tok = take("header 'enzmesh v1'")
     if tok != ["enzmesh", "v1"]:
         raise InputError(f"enzmesh parse: line {ln}: bad header "
                          f"{' '.join(tok)!r}, expected 'enzmesh v1'")
 
-    def section(name):
+    def section(name, form, dtype):
+        """Rows of section `name` as one (count, len(form)) array, and the
+        file line of each row."""
+        nonlocal pos
         ln, tok = take(f"section '{name} <count>'")
         if len(tok) != 2 or tok[0] != name:
             raise InputError(f"enzmesh parse: line {ln}: expected "
@@ -402,69 +413,43 @@ def load_mesh(text) -> Mesh:
             raise InputError(f"enzmesh parse: line {ln}: bad count {tok[1]!r}")
         if count < 0:
             raise InputError(f"enzmesh parse: line {ln}: negative count")
-        if count > len(lines) - pos:  # before any array is sized from it
+        if count > len(rows) - pos:  # before any array is sized from it
             raise InputError(f"enzmesh parse: line {ln}: {name} count "
-                             f"{count} exceeds the {len(lines) - pos} lines "
+                             f"{count} exceeds the {len(rows) - pos} lines "
                              "that remain")
-        return count
-
-    def index_line(what, form, size):
-        """Parse a `what` of `size` tokens: node indices, then one tag."""
-        ln, tok = take(what)
-        if len(tok) != size:
-            raise InputError(f"enzmesh parse: line {ln}: {what} needs "
-                             f"'{form}', got {len(tok)} tokens")
+        block, lines = rows[pos:pos + count], line_nos[pos:pos + count]
+        pos += count
         try:
-            vals = [int(t) for t in tok]
-        except ValueError:
-            raise InputError(f"enzmesh parse: line {ln}: bad integer")
-        if any(v < 0 or v >= n for v in vals[:-1]):
-            raise InputError(f"enzmesh parse: line {ln}: node index out of "
-                             f"range (have {n} nodes)")
-        if not -2 ** 63 <= vals[-1] < 2 ** 63:
-            raise InputError(f"enzmesh parse: line {ln}: tag {vals[-1]} out "
-                             "of the 64-bit range")
-        return ln, vals
+            values = np.array(block, dtype=dtype).reshape(count, len(form))
+        except (ValueError, OverflowError):
+            for ln, tok in zip(lines, block):
+                if len(tok) != len(form):
+                    raise InputError(f"enzmesh parse: line {ln}: {name} row "
+                                     f"needs '{' '.join(form)}', got "
+                                     f"{len(tok)} tokens")
+                try:
+                    np.array(tok, dtype=dtype)
+                except (ValueError, OverflowError):
+                    raise InputError(f"enzmesh parse: line {ln}: bad number "
+                                     f"in {' '.join(tok)!r}, expected "
+                                     f"{np.dtype(dtype)} values")
+            raise  # unreachable: some row fails on its own
+        return values, lines
 
-    n = section("nodes")
-    nodes = np.empty((n, 2), dtype=float)
-    for i in range(n):
-        ln, tok = take("node line")
-        if len(tok) != 2:
-            raise InputError(f"enzmesh parse: line {ln}: node line needs "
-                             f"2 floats, got {len(tok)} tokens")
-        try:
-            x, y = float(tok[0]), float(tok[1])
-        except ValueError:
-            raise InputError(f"enzmesh parse: line {ln}: bad coordinate")
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise InputError(f"enzmesh parse: line {ln}: non-finite "
-                             "coordinate")
-        nodes[i] = x, y
+    nodes, node_lines = section("nodes", ("x", "y"), float)
+    tri, tri_lines = section("triangles", ("v0", "v1", "v2", "region"),
+                             np.int64)
+    edges, edge_lines = section("boundary_edges", ("v0", "v1", "tag"),
+                                np.int64)
+    if pos != len(rows):
+        raise InputError(f"enzmesh parse: line {line_nos[pos]}: unexpected "
+                         f"content {' '.join(rows[pos])!r} after "
+                         "boundary_edges section")
 
-    m = section("triangles")
-    triangles = np.empty((m, 3), dtype=np.int64)
-    regions = np.empty(m, dtype=np.int64)
-    tri_lines = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        ln, vals = index_line("triangle line", "v0 v1 v2 region", 4)
-        triangles[i], regions[i], tri_lines[i] = vals[:3], vals[3], ln
-
-    k = section("boundary_edges")
-    edges = np.empty((k, 2), dtype=np.int64)
-    tags = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        _, vals = index_line("boundary edge line", "v0 v1 tag", 3)
-        edges[i], tags[i] = vals[:2], vals[2]
-
-    if pos != len(lines):
-        ln, tok = lines[pos]
-        raise InputError(f"enzmesh parse: line {ln}: unexpected content "
-                         f"{' '.join(tok)!r} after boundary_edges section")
-
-    mesh = Mesh(nodes=nodes, triangles=triangles, regions=regions,
-                boundary_edges=edges, edge_tags=tags)
-    _validate(mesh, line_of_tri=tri_lines)
+    mesh = Mesh(nodes=nodes, triangles=tri[:, :3], regions=tri[:, 3],
+                boundary_edges=edges[:, :2], edge_tags=edges[:, 2])
+    _validate(mesh, lines={"node": node_lines, "triangle": tri_lines,
+                           "boundary edge": edge_lines})
     return mesh
 
 

@@ -50,7 +50,7 @@ class TestSensitivities:
     def test_finite_difference_check_passes_at_tight_tol(self):
         # The closed forms are verified internally against central
         # differences; a failing comparison raises.
-        sensitivities(SIC, VACUUM_CORE, check_tol=1e-6)
+        sensitivities(SIC, VACUUM_CORE)
 
     def test_a2_is_half_a1(self):
         a1, a2, _ = sensitivities(SIC, VACUUM_CORE)

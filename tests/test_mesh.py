@@ -119,6 +119,12 @@ class TestScale:
             scale_mesh(m, t)
 
 
+SQUARE_TEXT = ("enzmesh v1\n"
+               "nodes 4\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
+               "triangles 2\n0 1 2 0\n0 2 3 1\n"
+               "boundary_edges 5\n0 2 0\n0 1 1\n1 2 1\n2 3 1\n3 0 1\n")
+
+
 class TestRoundTrip:
     def test_save_load_bit_identical(self):
         m = build_concentric_mesh(1.0, 1.4, 0.15, r_b=2.0)
@@ -138,11 +144,15 @@ class TestRoundTrip:
         m2 = load_mesh(noisy)
         assert np.array_equal(m2.nodes, m.nodes)
 
-
-SQUARE_TEXT = ("enzmesh v1\n"
-               "nodes 4\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
-               "triangles 2\n0 1 2 0\n0 2 3 1\n"
-               "boundary_edges 5\n0 2 0\n0 1 1\n1 2 1\n2 3 1\n3 0 1\n")
+    @pytest.mark.parametrize("text", [
+        pytest.param(SQUARE_TEXT, id="plain"),
+        pytest.param(SQUARE_TEXT.replace("triangles 2\n",
+                                         "\ntriangles 2  # core, shell\n"),
+                     id="comment-and-blank-line")])
+    def test_save_writes_the_exact_format(self, text):
+        # a writer that round-trips but formats differently (say %.17g)
+        # would change the bytes of every file
+        assert save_mesh(load_mesh(text)) == SQUARE_TEXT
 
 
 class TestLoadErrors:
@@ -154,10 +164,12 @@ class TestLoadErrors:
         with pytest.raises(InputError, match="line 3"):
             load_mesh("enzmesh v1\nnodes 1\n0.0 zebra\n")
 
-    def test_out_of_range_triangle_index(self):
-        text = SQUARE_TEXT.replace("0 1 2 0", "0 1 7 0")
-        with pytest.raises(InputError, match="node index"):
-            load_mesh(text)
+    @pytest.mark.parametrize("old, new, line", [
+        pytest.param("0 1 2 0", "0 1 7 0", 8, id="triangle"),
+        pytest.param("1 2 1", "1 9 1", 13, id="boundary-edge")])
+    def test_out_of_range_node_index_reports_line(self, old, new, line):
+        with pytest.raises(InputError, match=f"line {line}: .*node index"):
+            load_mesh(SQUARE_TEXT.replace(old, new))
 
     def test_truncated_file(self):
         with pytest.raises(InputError):
