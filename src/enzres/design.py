@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (BoundaryFunctional, Field, _gradient_blocks, _scatter,
-                        _scatter_vector, element_geometry, factor_spd,
-                        region_operator, solve_mean_zero, weak_normal_flux)
+from enzres.fem import (BoundaryFunctional, Field, _gradient_blocks,
+                        _scatter_pattern, _scatter_vector, element_geometry,
+                        factor_spd, region_operator, solve_mean_zero,
+                        weak_normal_flux)
 from enzres.mesh import CORE, DESIGN_TAGS, Mesh
 from enzres.perturbation import compute_psi_d
 
@@ -44,6 +45,11 @@ class DesignProblem:
     <f, 1> > 0; the enclosing region must satisfy |design| > A0 with
     A0 = <f, 1> / lambda0.  `norm_const` = A0 + int_D psi_d**2 is needed
     only for `lambda1_of_design`.
+
+    Everything that does not depend on the field is computed once here:
+    element geometry and P1 gradient blocks, the lumped mass vector `m`,
+    and the fixed sparse pattern every design matrix is filled into
+    (`assemble`).
     """
 
     mesh: Mesh
@@ -57,6 +63,9 @@ class DesignProblem:
     areas: np.ndarray = field(init=False, repr=False)
     gx: np.ndarray = field(init=False, repr=False)
     gy: np.ndarray = field(init=False, repr=False)
+    blocks: np.ndarray = field(init=False, repr=False)
+    m: np.ndarray = field(init=False, repr=False)
+    diag: np.ndarray = field(init=False, repr=False)
     f_r: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -73,6 +82,13 @@ class DesignProblem:
         self.conn = conn.reshape(-1, 3)
         self.areas, self.gx, self.gy = element_geometry(self.mesh,
                                                         self.elements)
+        self.blocks = _gradient_blocks(self.gx, self.gy)
+        n = self.nodes.size
+        self.m = _scatter_vector(self.conn, (self.areas / 3.0)[:, None], n)
+        self._indptr, self._indices, self._slot = _scatter_pattern(self.conn,
+                                                                   n)
+        cols = np.repeat(np.arange(n), np.diff(self._indptr))
+        self.diag = np.flatnonzero(self._indices == cols)
         self.f_r = self.f.weights[self.nodes]
         total = self.f.total()
         if not total > 0:
@@ -90,6 +106,15 @@ class DesignProblem:
     @property
     def total_area(self) -> float:
         return float(self.areas.sum())
+
+    def assemble(self, blocks: np.ndarray) -> sp.csc_matrix:
+        """Sum per-element 3x3 blocks on the design nodes into a CSC
+        matrix on the fixed pattern; `data[diag]` is its diagonal."""
+        n = self.nodes.size
+        data = np.bincount(self._slot, weights=blocks.ravel(),
+                           minlength=self._indices.size)
+        return sp.csc_matrix((data, self._indices, self._indptr),
+                             shape=(n, n))
 
     def reduce(self, w: Field) -> np.ndarray:
         return w.values[self.nodes]
@@ -228,32 +253,46 @@ def _make_objective(prob: DesignProblem, beta: float):
     return fun, jac
 
 
-def _hessian(prob: DesignProblem, x: np.ndarray, beta: float) -> sp.csr_matrix:
-    """Assembled sparse Hessian of the smoothed dual at x."""
+def _hessian(prob: DesignProblem, x: np.ndarray, beta: float) -> sp.csc_matrix:
+    """Sparse Hessian of the smoothed dual at x, on the problem's fixed
+    pattern."""
     wx, wy, _, p1, p2 = _dual_parts(prob, x, beta)
     dgrad = _density_grad(prob, wx, wy)
     areas = prob.areas
-    blocks = (dgrad[:, :, None] * dgrad[:, None, :] * (areas * p2)[:, None, None]
-              + _gradient_blocks(prob.gx, prob.gy) * (areas * p1)[:, None, None])
-    return _scatter(prob.conn, blocks, prob.nodes.size)
+    return prob.assemble(
+        dgrad[:, :, None] * dgrad[:, None, :] * (areas * p2)[:, None, None]
+        + prob.blocks * (areas * p1)[:, None, None])
+
+
+def _shifted(prob: DesignProblem, hess: sp.csc_matrix,
+             shift: float) -> sp.csc_matrix:
+    """hess + shift * I on the same pattern (hess itself for shift 0)."""
+    if shift == 0.0:
+        return hess
+    data = hess.data.copy()
+    data[prob.diag] += shift
+    return sp.csc_matrix((data, hess.indices, hess.indptr), shape=hess.shape)
 
 
 def _newton_step(prob: DesignProblem, x: np.ndarray, beta: float,
-                 g: np.ndarray) -> np.ndarray:
-    """Newton direction -H^{-1} g; the Hessian is shifted until its factor
-    gives a descent direction, with steepest descent as the last resort."""
+                 g: np.ndarray):
+    """Newton direction -H^{-1} g and the factor that gave it.  The
+    Hessian's diagonal is shifted until its factor gives a descent
+    direction, with steepest descent (and no factor) as the last resort."""
     hess = _hessian(prob, x, beta)
     shift = 0.0
     while True:
         try:
-            step = factor_spd(hess + shift * sp.eye(hess.shape[0])).solve(-g)
+            lu = factor_spd(_shifted(prob, hess, shift))
         except RuntimeError:
-            step = None
+            lu = None
+        step = None if lu is None else lu.solve(-g)
         if step is not None and np.all(np.isfinite(step)) and g @ step < 0:
-            return step
+            return step, lu
+        lu = None  # released before the next factorization
         shift = max(2.0 * shift, 1e-12 * prob.lambda0)
         if shift > 1e6 * prob.lambda0:
-            return -g
+            return -g, None
 
 
 @dataclass(frozen=True)
@@ -262,21 +301,24 @@ class StageRecord:
     computed (each costs one Hessian factorization, or more when the
     Hessian needs a shift), objective evaluations, final gradient norm, and
     why it stopped ("gtol", "rounding floor", "max_iter" or "line-search
-    failure")."""
+    failure"); `predicted` tells whether it started from the tangent
+    predictor's point rather than from the previous stage's minimizer."""
 
     beta: float
     steps: int
     evaluations: int
     gnorm: float
     exit: str
+    predicted: bool = False
 
 
 #: stage exits that count as converged
 CONVERGED_EXITS = ("gtol", "rounding floor")
 #: Newton steps allowed per beta stage
 MAX_NEWTON_STEPS = 60
-#: beta continuation in units of lambda0 * diam^2: first, last, factor
-BETA_START, BETA_END, BETA_FACTOR = 0.1, 1e-8, 0.25
+#: beta continuation in units of lambda0 * diam^2: first beta, factor per
+#: stage, number of stages (the last beta is 1e-8)
+BETA_START, BETA_FACTOR, BETA_STAGES = 0.1, 0.1, 8
 #: relative size of a Newton decrement lost in rounding of J
 ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
 
@@ -290,7 +332,9 @@ def _newton_stage(prob: DesignProblem, x: np.ndarray, beta: float,
     values compares noise; there the full step is taken only if it lowers
     |g| (the gradient-based acceptance of approximate Wolfe line searches,
     Hager & Zhang 2005), and otherwise the stage ends at the rounding
-    floor.  Returns (x, StageRecord).
+    floor.  Returns (x, StageRecord, lu), where lu is the factor of the
+    last Newton direction, or None when the stage computed none or its
+    last direction was steepest descent.
     """
     fun, jac = _make_objective(prob, beta)
     fx, g = fun(x), jac(x)
@@ -301,16 +345,18 @@ def _newton_stage(prob: DesignProblem, x: np.ndarray, beta: float,
         return StageRecord(beta=beta, steps=steps, evaluations=evals,
                            gnorm=gnorm, exit=exit)
 
+    lu = None
     for steps in range(MAX_NEWTON_STEPS):
         if gnorm <= gtol:
-            return x, record(steps, "gtol")
-        step = _newton_step(prob, x, beta, g)
+            return x, record(steps, "gtol"), lu
+        lu = None  # released before the next factorization
+        step, lu = _newton_step(prob, x, beta, g)
         slope = float(g @ step)
         if -slope <= ROUNDING_FLOOR * max(1.0, abs(fx)):
             x_new = x + step
             g_new = jac(x_new)
             if not np.linalg.norm(g_new) < gnorm:
-                return x, record(steps + 1, "rounding floor")
+                return x, record(steps + 1, "rounding floor"), lu
             f_new = fun(x_new)
             evals += 1
         else:
@@ -323,12 +369,33 @@ def _newton_stage(prob: DesignProblem, x: np.ndarray, beta: float,
                     break
                 t *= 0.5
                 if t < 1e-14:
-                    return x, record(steps + 1, "line-search failure")
+                    return x, record(steps + 1, "line-search failure"), lu
             g_new = jac(x_new)
         x, fx, g = x_new, f_new, g_new
         gnorm = float(np.linalg.norm(g))
     return x, record(MAX_NEWTON_STEPS,
-                     "gtol" if gnorm <= gtol else "max_iter")
+                     "gtol" if gnorm <= gtol else "max_iter"), lu
+
+
+def _predict(prob: DesignProblem, x: np.ndarray, beta: float,
+             beta_next: float, lu):
+    """Tangent predictor from the minimizer x at beta to beta_next
+    (Allgower & Georg 1990, ch. 2).  Differentiating grad J_beta(x) = 0
+    along the path gives dx/dbeta = -H^{-1} d(grad J_beta)/dbeta, where
+    d p'_beta(d)/dbeta = -d beta / (2 r^3) with r = sqrt(d^2 + beta^2);
+    H^{-1} is one back-solve on lu, the stage's last Hessian factor.  The
+    predicted point is kept only if it lowers J at beta_next.  Returns
+    (x, kept)."""
+    wx, wy, d = _density(prob, x)
+    r = np.sqrt(d * d + beta * beta)
+    dp1 = -0.5 * d * beta / (r * r * r)
+    v = _scatter_vector(prob.conn, _density_grad(prob, wx, wy)
+                        * (prob.areas * dp1)[:, None], prob.nodes.size)
+    x_pred = x - (beta_next - beta) * lu.solve(v)
+    fun, _ = _make_objective(prob, beta_next)
+    if fun(x_pred) < fun(x):
+        return x_pred, True
+    return x, False
 
 
 @dataclass
@@ -346,28 +413,36 @@ class DualSolution(Field):
 def minimize_dual(prob: DesignProblem) -> DualSolution:
     """Minimize the smoothed dual with beta continuation (damped Newton).
 
-    Beta is quartered from 0.1*lambda0*diam^2 down to 1e-8*lambda0*diam^2
-    (13 stages).  Returns the minimizer at the final beta with the record
-    of every stage; the additive gauge is fixed by the plus function
-    itself (stationarity in the constant direction pins the smoothed
-    superlevel measure to A0).  Raises NumericalError if the final gradient
-    is far from stationary.
+    Beta falls tenfold per stage from 0.1*lambda0*diam^2 to
+    1e-8*lambda0*diam^2 (8 stages).  Between stages a tangent predictor
+    moves x toward the next stage's minimizer with one back-solve on the
+    last Hessian factor, and its point is kept only if it lowers the next
+    stage's objective; after a stage that made no factor x is not moved.
+    Returns the minimizer at the final beta with the record of every
+    stage; the additive gauge is fixed by the plus function itself
+    (stationarity in the constant direction pins the smoothed superlevel
+    measure to A0).  Raises NumericalError if the final gradient is far
+    from stationary.
     """
     pts = prob.mesh.nodes[prob.nodes]
     diam2 = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
     beta = BETA_START * prob.lambda0 * diam2
-    beta_min = BETA_END * prob.lambda0 * diam2
     x = np.zeros(prob.nodes.size)
     load = max(1.0, float(np.linalg.norm(prob.f_r)))
-    stages = []
-    while not stages or stages[-1].beta > beta_min:
-        x, rec = _newton_stage(prob, x, max(beta, beta_min), 1e-8 * load)
-        stages.append(rec)
-        beta *= BETA_FACTOR
+    stages, lu = [], None
+    for k in range(BETA_STAGES):
+        predicted = False
+        if k:
+            if lu is not None:
+                x, predicted = _predict(prob, x, beta, beta * BETA_FACTOR, lu)
+            lu = None  # released before the next stage factors
+            beta *= BETA_FACTOR
+        x, rec, lu = _newton_stage(prob, x, beta, 1e-8 * load)
+        stages.append(replace(rec, predicted=predicted))
     if stages[-1].gnorm > 1e-5 * load:
         raise NumericalError(
             f"minimize_dual: stationarity not reached (|grad| = "
-            f"{stages[-1].gnorm:.3e} at final beta = {beta_min:.3e})")
+            f"{stages[-1].gnorm:.3e} at final beta = {beta:.3e})")
     w = prob.expand(x)
     return DualSolution(w.mesh, w.values, w.support, stages=tuple(stages))
 
@@ -420,15 +495,12 @@ def evaluate_design(prob: DesignProblem, theta: np.ndarray,
     if theta.shape != prob.elements.shape:
         raise InputError("evaluate_design: theta must be per design element")
     a = theta + eps * (1.0 - theta)
-    n = prob.nodes.size
-    K = _scatter(prob.conn, _gradient_blocks(prob.gx, prob.gy)
-                 * (a * prob.areas)[:, None, None], n)
+    K = prob.assemble(prob.blocks * (a * prob.areas)[:, None, None])
     # load: lambda0 * theta against hat functions (element-lumped), minus f
     b = _scatter_vector(prob.conn,
                         (prob.lambda0 * theta * prob.areas / 3.0)[:, None],
-                        n) - prob.f_r
-    m = _scatter_vector(prob.conn, (prob.areas / 3.0)[:, None], n)
-    u, _ = solve_mean_zero(K, m, b)
+                        prob.nodes.size) - prob.f_r
+    u, _ = solve_mean_zero(K, prob.m, b)
     w = prob.expand(u)
     return w, _primal_value(prob, w, theta)
 

@@ -5,6 +5,8 @@ Conventions used throughout the package:
 * One scatter kernel (``_scatter``, ``_scatter_vector``), shared with the
   design module, accumulates every matrix and vector from element data;
   region matrices have full node dimension (zero rows off the region).
+  The design module, which fills matrices on one element set many times,
+  computes their pattern once with ``_scatter_pattern``.
 * The unweighted K, M and mass vector of a region come from one
   ``RegionOperator`` per mesh and region (cached on ``Mesh._cache``), which
   also holds the region's nodes and the region areas; the Dirichlet and
@@ -152,6 +154,22 @@ def _scatter(conn: np.ndarray, blocks: np.ndarray, n: int) -> sp.csr_matrix:
     rows = np.repeat(conn, 3, axis=1).ravel()
     cols = np.tile(conn, (1, 3)).ravel()
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _scatter_pattern(conn: np.ndarray, n: int):
+    """The fixed pattern of `_scatter`'s output for connectivity `conn`:
+    (indptr, indices, slot), where the int32 `slot` gives, for each of the
+    9 entries per element in `blocks.ravel()` order, its place in the
+    sorted CSR `data` array.  Filling a matrix on the pattern is then
+    ``np.bincount(slot, weights=blocks.ravel(), minlength=indices.size)``.
+    The pattern of element blocks is symmetric, so the same arrays are
+    also its CSC layout."""
+    rows = np.repeat(conn, 3, axis=1).ravel().astype(np.int64)
+    cols = np.tile(conn, (1, 3)).ravel()
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, (keys % n).astype(np.int32), slot.astype(np.int32)
 
 
 def _scatter_vector(conn: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:

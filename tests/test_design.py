@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,8 @@ from enzres.design import (CONVERGED_EXITS, DesignProblem, bathtub_projection,
                            lambda1_of_design, make_disk_problem,
                            minimize_dual, recover_design, saddle_solve)
 from enzres.errors import InputError, NumericalError
-from enzres.fem import BoundaryFunctional, assemble_stiffness, mass_vector
+from enzres.fem import (BoundaryFunctional, _gradient_blocks, _scatter,
+                        assemble_stiffness, factor_spd, mass_vector)
 
 from conftest import annulus_symdiff, element_centroids, record_splu
 
@@ -31,6 +33,16 @@ def disk_problem(disk_meshes, disk_lambda0s):
 def dual_state(disk_problem):
     w = minimize_dual(disk_problem)
     return recover_design(disk_problem, w)
+
+
+@pytest.fixture(scope="module")
+def off_disk_problem(mesh_coarse, lambda0_coarse):
+    """The coarse disk with interface weights times (1 + 0.6x): a load
+    whose optimal shell is not an annulus."""
+    disk = make_disk_problem(mesh_coarse, lambda0_coarse)
+    f = BoundaryFunctional(mesh_coarse, disk.f.tag, disk.f.weights
+                           * (1.0 + 0.6 * mesh_coarse.nodes[:, 0]))
+    return DesignProblem(mesh_coarse, lambda0_coarse, f, disk.norm_const)
 
 
 class TestBathtub:
@@ -118,7 +130,8 @@ class TestConvergence:
     def test_no_stage_capped_and_few_factorizations(self, disk_problem,
                                                     monkeypatch):
         # Two beta stages used to stall at the 60-step cap here, with 189
-        # Hessian factorizations in all.
+        # Hessian factorizations in all; quartering beta without a
+        # predictor took 39.
         calls = []
         splu = spla.splu
 
@@ -129,8 +142,17 @@ class TestConvergence:
         monkeypatch.setattr(spla, "splu", counting)
         w = minimize_dual(disk_problem)
         assert w.stages and all(s.exit != "max_iter" for s in w.stages)
-        assert len(calls) <= 60
+        assert len(calls) <= 32
         assert w.converged
+
+    def test_off_disk_load_converges_in_few_steps(self, off_disk_problem):
+        # Quartering beta without a predictor took 81 Newton steps here;
+        # the dual value is the one that run reached.
+        w = minimize_dual(off_disk_problem)
+        assert w.converged
+        assert sum(s.steps for s in w.stages) <= 55
+        assert dual_objective(w, off_disk_problem) == pytest.approx(
+            -8.365880207660453, rel=1e-12)
 
     def test_stage_records(self, disk_problem, dual_state):
         w = minimize_dual(disk_problem)
@@ -140,6 +162,10 @@ class TestConvergence:
             assert np.isfinite(rec.gnorm) and rec.gnorm >= 0
         betas = [rec.beta for rec in w.stages]
         assert betas == sorted(betas, reverse=True)
+        # The predictor is taken where the path moves far; on the last
+        # stages J changes at its rounding level and either start may win.
+        assert not w.stages[0].predicted
+        assert all(rec.predicted for rec in w.stages[1:4])
         assert dual_state.converged
 
     def test_capped_stage_is_not_converged(self, mesh_coarse, lambda0_coarse,
@@ -158,6 +184,53 @@ class TestConvergence:
 
     def test_plain_field_is_not_evidence(self, disk_problem, dual_state):
         assert recover_design(disk_problem, dual_state.w).converged is False
+
+
+class TestNewtonPieces:
+    @pytest.mark.parametrize("seed, beta", [(0, 1.0), (1, 1e-3), (2, 1e-8)])
+    def test_hessian_on_fixed_pattern(self, off_disk_problem, seed, beta):
+        # Reference: the element blocks of the Hessian summed by the
+        # one-shot COO kernel.
+        prob = off_disk_problem
+        x = np.random.default_rng(seed).standard_normal(prob.nodes.size)
+        hess = design._hessian(prob, x, beta)
+        wx, wy, _, p1, p2 = design._dual_parts(prob, x, beta)
+        dg = design._density_grad(prob, wx, wy)
+        blocks = (dg[:, :, None] * dg[:, None, :]
+                  * (prob.areas * p2)[:, None, None]
+                  + _gradient_blocks(prob.gx, prob.gy)
+                  * (prob.areas * p1)[:, None, None])
+        ref = _scatter(prob.conn, blocks, prob.nodes.size)
+        assert np.array_equal(hess.indptr, ref.indptr)
+        assert np.array_equal(hess.indices, ref.indices)
+        # The pattern is symmetric, so CSC and CSR share their arrays.
+        assert (np.abs(hess.data - ref.data).max()
+                <= 1e-13 * np.abs(ref.data).max())
+
+    def test_shifted_hessian_is_h_plus_shift_identity(self, off_disk_problem):
+        prob = off_disk_problem
+        x = np.random.default_rng(3).standard_normal(prob.nodes.size)
+        hess = design._hessian(prob, x, 0.1)
+        data = hess.data.copy()
+        shifted = design._shifted(prob, hess, 0.25)
+        diff = shifted - (hess + 0.25 * sp.eye(prob.nodes.size))
+        assert abs(diff).max() == 0.0
+        assert np.array_equal(hess.data, data)
+        assert design._shifted(prob, hess, 0.0) is hess
+
+    def test_predictor_kept_only_if_it_lowers_the_objective(
+            self, off_disk_problem):
+        # A factor of a tiny multiple of the identity sends the predicted
+        # point far uphill, so x must come back unchanged.
+        prob = off_disk_problem
+        beta = 1e-2
+        x, _, lu = design._newton_stage(prob, np.zeros(prob.nodes.size),
+                                        beta, 1e-8)
+        x_good, kept = design._predict(prob, x, beta, 0.1 * beta, lu)
+        assert kept and not np.array_equal(x_good, x)
+        tiny = factor_spd(sp.identity(prob.nodes.size, format="csc") * 1e-12)
+        x_bad, kept = design._predict(prob, x, beta, 0.1 * beta, tiny)
+        assert not kept and x_bad is x
 
 
 class TestOptimum:
@@ -221,14 +294,10 @@ class TestOptimum:
         for primal, dual in ss.history:
             assert primal <= dual + 1e-9 * abs(dual)
 
-    def test_saddle_off_the_disk_is_right_or_refused(self, mesh_coarse,
-                                                     lambda0_coarse):
-        # Interface weights times (1 + 0.6x): the dual still converges, and
-        # the saddle cross-check may refuse but must not converge elsewhere.
-        disk = make_disk_problem(mesh_coarse, lambda0_coarse)
-        f = BoundaryFunctional(mesh_coarse, disk.f.tag, disk.f.weights
-                               * (1.0 + 0.6 * mesh_coarse.nodes[:, 0]))
-        prob = DesignProblem(mesh_coarse, lambda0_coarse, f, disk.norm_const)
+    def test_saddle_off_the_disk_is_right_or_refused(self, off_disk_problem):
+        # The dual still converges, and the saddle cross-check may refuse
+        # but must not converge elsewhere.
+        prob = off_disk_problem
         dual = recover_design(prob, minimize_dual(prob))
         assert dual.converged
         try:
