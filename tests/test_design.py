@@ -147,7 +147,7 @@ class TestConvergence:
 
     def test_off_disk_load_converges_in_few_steps(self, off_disk_problem):
         # Quartering beta without a predictor took 81 Newton steps here;
-        # the dual value is the one that run reached.
+        # the dual value is pinned from that run.
         w = minimize_dual(off_disk_problem)
         assert w.converged
         assert sum(s.steps for s in w.stages) <= 55
