@@ -21,9 +21,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (BoundaryFunctional, Field, _gradient_blocks,
-                        _scatter_pattern, _scatter_vector, element_geometry,
-                        factor_spd, region_operator, solve_mean_zero,
+from enzres.fem import (BoundaryFunctional, Field, MeanZeroFactor,
+                        _gradient_blocks, _scatter_pattern, _scatter_vector,
+                        element_geometry, factor_spd, region_operator,
                         weak_normal_flux)
 from enzres.mesh import CORE, DESIGN_TAGS, Mesh
 from enzres.perturbation import compute_psi_d
@@ -384,8 +384,10 @@ def _predict(prob: DesignProblem, x: np.ndarray, beta: float,
     along the path gives dx/dbeta = -H^{-1} d(grad J_beta)/dbeta, where
     d p'_beta(d)/dbeta = -d beta / (2 r^3) with r = sqrt(d^2 + beta^2);
     H^{-1} is one back-solve on lu, the stage's last Hessian factor.  The
-    predicted point is kept only if it lowers J at beta_next.  Returns
-    (x, kept)."""
+    predicted point is kept only if it lowers J at beta_next by more than
+    J's rounding level (`ROUNDING_FLOOR` relative), so that rounding noise,
+    which moves with the BLAS thread count, never makes the choice.
+    Returns (x, kept)."""
     wx, wy, d = _density(prob, x)
     r = np.sqrt(d * d + beta * beta)
     dp1 = -0.5 * d * beta / (r * r * r)
@@ -393,7 +395,8 @@ def _predict(prob: DesignProblem, x: np.ndarray, beta: float,
                         * (prob.areas * dp1)[:, None], prob.nodes.size)
     x_pred = x - (beta_next - beta) * lu.solve(v)
     fun, _ = _make_objective(prob, beta_next)
-    if fun(x_pred) < fun(x):
+    fx = fun(x)
+    if fun(x_pred) < fx - ROUNDING_FLOOR * max(1.0, abs(fx)):
         return x_pred, True
     return x, False
 
@@ -417,7 +420,8 @@ def minimize_dual(prob: DesignProblem) -> DualSolution:
     1e-8*lambda0*diam^2 (8 stages).  Between stages a tangent predictor
     moves x toward the next stage's minimizer with one back-solve on the
     last Hessian factor, and its point is kept only if it lowers the next
-    stage's objective; after a stage that made no factor x is not moved.
+    stage's objective beyond rounding; after a stage that made no factor x
+    is not moved.
     Returns the minimizer at the final beta with the record of every
     stage; the additive gauge is fixed by the plus function itself
     (stationarity in the constant direction pins the smoothed superlevel
@@ -500,7 +504,7 @@ def evaluate_design(prob: DesignProblem, theta: np.ndarray,
     b = _scatter_vector(prob.conn,
                         (prob.lambda0 * theta * prob.areas / 3.0)[:, None],
                         prob.nodes.size) - prob.f_r
-    u, _ = solve_mean_zero(K, prob.m, b)
+    u, _ = MeanZeroFactor(K, prob.m).solve(b)
     w = prob.expand(u)
     return w, _primal_value(prob, w, theta)
 

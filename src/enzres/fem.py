@@ -13,8 +13,10 @@ Conventions used throughout the package:
   Neumann solves, the weak flux, the collapsed-shell pencil and the
   eigensolver's pencil use it.
   ``factor(lam)`` makes one sparse LU of K_ii - lam*M_ii over the nodes off
-  the core interface (one condition check) that any number of right-hand
-  sides reuse, each with its own residual check.  Factors are never cached.
+  the core interface (one condition check), and ``neumann()`` one
+  mean-zero factor of the region's stiffness block; any number of
+  right-hand sides reuse either, each with its own residual check.
+  Factors are never cached.
 * Every factorization the solvers make orders its matrix by minimum
   degree on A + A^T, which suits the symmetric pattern all of their
   matrices share and about halves the fill of SuperLU's default column
@@ -29,11 +31,11 @@ Conventions used throughout the package:
   weights are oriented along the *outward normal of the core region* and
   satisfy the mass identity <flux, 1> = -int(lambda*u + source) as an
   algebraic identity of the discrete system.
-* Every mean-zero Neumann problem goes through ``solve_mean_zero``: the
-  bordered (Lagrange multiplier) system is solved exactly through its
-  multiplier and one symmetric positive definite factorization, so
-  inconsistent data never diverges and the multiplier reports the
-  consistency defect.
+* Every mean-zero Neumann problem goes through a ``MeanZeroFactor``: it
+  refuses a disconnected region, makes one symmetric positive definite
+  factorization with one node pinned, and solves the bordered (Lagrange
+  multiplier) system exactly through its multiplier, so inconsistent data
+  never diverges and the multiplier reports the consistency defect.
 """
 
 from __future__ import annotations
@@ -44,16 +46,17 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from enzres.errors import InputError, NumericalError
 from enzres.mesh import CORE, INTERFACE, Mesh, _as_tagset
 
 __all__ = ["Field", "BoundaryFunctional", "assemble_stiffness",
            "assemble_mass", "mass_vector", "RegionOperator",
-           "DirichletFactor", "region_operator",
+           "DirichletFactor", "NeumannFactor", "region_operator",
            "solve_dirichlet_helmholtz", "weak_normal_flux",
            "solve_neumann_mean_zero", "linear_solve",
-           "factor_spd", "factor_symmetric", "solve_mean_zero",
+           "factor_spd", "factor_symmetric", "MeanZeroFactor",
            "element_geometry"]
 
 
@@ -250,52 +253,73 @@ def factor_symmetric(A):
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
 
 
-def solve_mean_zero(K, m: np.ndarray, b: np.ndarray):
-    """Solve the bordered mean-zero system
+class MeanZeroFactor:
+    """One factorization for the bordered mean-zero system
 
         [K    m] [u ]   [b]
         [m^T  0] [mu] = [0]
 
-    for a real symmetric positive semidefinite K whose kernel is the
+    with a real symmetric positive semidefinite K whose kernel is the
     constants (the stiffness matrix of a connected region) and positive
-    weights m.  Summing the first block row gives mu = sum(b) / sum(m);
-    K u = b - mu*m is then consistent and is solved as an SPD system with
-    one node pinned, and u is shifted by a constant so that m @ u = 0.  The
-    solution is checked against the bordered equations (relative residual
-    1e-10).  `b` may be real or complex.
-
-    Returns (u, mu).
+    weights m.  A K whose graph falls apart into several components has a
+    larger kernel and is refused here, before anything is factored.  One
+    node, the one with the largest diagonal entry, is pinned, and K without
+    it is factored once by `factor_spd`; any number of right-hand sides
+    then reuse the factor through `solve`.
     """
-    K = sp.csc_matrix(K)
-    m = np.asarray(m, dtype=float)
-    b = np.asarray(b)
-    n = K.shape[0]
-    if K.shape != (n, n) or m.shape != (n,) or b.shape != (n,):
-        raise InputError("solve_mean_zero: dimension mismatch")
-    if np.iscomplexobj(K):
-        raise InputError("solve_mean_zero: K must be real")
-    mu = b.sum() / m.sum()
-    r = b - mu * m
-    pin = int(np.argmax(K.diagonal()))
-    keep = np.delete(np.arange(n), pin)
-    try:
-        lu = factor_spd(K[keep][:, keep])
-    except RuntimeError as exc:
-        raise NumericalError(f"solve_mean_zero: factorization failed ({exc})")
-    u = np.zeros(n, dtype=r.dtype)
-    if np.iscomplexobj(r):
-        sol = lu.solve(np.column_stack([r.real[keep], r.imag[keep]]))
-        u[keep] = sol[:, 0] + 1j * sol[:, 1]
-    else:
-        u[keep] = lu.solve(r[keep])
-    u -= (m @ u) / m.sum()
-    res = np.hypot(np.linalg.norm(K @ u + mu * m - b), abs(m @ u))
-    nb = np.linalg.norm(b)
-    if nb > 0 and not res <= 1e-10 * nb:
-        raise NumericalError(
-            f"solve_mean_zero: relative residual {res / nb:.3e} exceeds 1e-10 "
-            "(region disconnected or matrix singular to working precision?)")
-    return u, mu
+
+    def __init__(self, K, m: np.ndarray):
+        K = sp.csc_matrix(K)
+        m = np.asarray(m, dtype=float)
+        n = K.shape[0]
+        if K.shape != (n, n) or m.shape != (n,):
+            raise InputError("MeanZeroFactor: dimension mismatch")
+        if np.iscomplexobj(K):
+            raise InputError("MeanZeroFactor: K must be real")
+        n_parts, _ = connected_components(K, directed=False)
+        if n_parts > 1:
+            raise NumericalError(
+                f"MeanZeroFactor: the region falls apart into {n_parts} "
+                "disconnected components, so the mean-zero problem has no "
+                "unique solution")
+        self.K, self.m = K, m
+        pin = int(np.argmax(K.diagonal()))
+        self.keep = np.delete(np.arange(n), pin)
+        try:
+            self.lu = factor_spd(K[self.keep][:, self.keep])
+        except RuntimeError as exc:
+            raise NumericalError(
+                f"MeanZeroFactor: factorization failed ({exc})")
+
+    def solve(self, b: np.ndarray):
+        """Solve for one real or complex right-hand side b.  Summing the
+        first block row gives mu = sum(b) / sum(m); K u = b - mu*m is then
+        consistent and is solved with the pinned node's value 0, and u is
+        shifted by a constant so that m @ u = 0.  The solution is checked
+        against the bordered equations (relative residual 1e-10).
+
+        Returns (u, mu).
+        """
+        K, m, keep = self.K, self.m, self.keep
+        b = np.asarray(b)
+        if b.shape != m.shape:
+            raise InputError("MeanZeroFactor.solve: dimension mismatch")
+        mu = b.sum() / m.sum()
+        r = b - mu * m
+        u = np.zeros(m.size, dtype=r.dtype)
+        if np.iscomplexobj(r):
+            sol = self.lu.solve(np.column_stack([r.real[keep], r.imag[keep]]))
+            u[keep] = sol[:, 0] + 1j * sol[:, 1]
+        else:
+            u[keep] = self.lu.solve(r[keep])
+        u -= (m @ u) / m.sum()
+        res = np.hypot(np.linalg.norm(K @ u + mu * m - b), abs(m @ u))
+        nb = np.linalg.norm(b)
+        if nb > 0 and not res <= 1e-10 * nb:
+            raise NumericalError(
+                f"MeanZeroFactor.solve: relative residual {res / nb:.3e} "
+                "exceeds 1e-10 (matrix singular to working precision?)")
+        return u, mu
 
 
 def _condition_estimate(A: sp.csc_matrix, lu, iters: int = 6) -> float:
@@ -359,6 +383,10 @@ class RegionOperator:
     def factor(self, lam) -> "DirichletFactor":
         """Factor K_ii - lam*M_ii (real or complex lam)."""
         return DirichletFactor(self, lam)
+
+    def neumann(self) -> "NeumannFactor":
+        """Factor the region's mean-zero Neumann problem."""
+        return NeumannFactor(self)
 
 
 def region_operator(mesh: Mesh, region) -> RegionOperator:
@@ -478,32 +506,51 @@ def weak_normal_flux(u: Field, lam, source=None) -> BoundaryFunctional:
     return BoundaryFunctional(mesh=u.mesh, tag=INTERFACE, weights=weights)
 
 
+class NeumannFactor:
+    """One `MeanZeroFactor` of the region's stiffness block on its nodes,
+    for -Delta u = source in the region with prescribed interface flux and
+    natural (zero) Neumann data elsewhere, normalized to int u = 0."""
+
+    def __init__(self, op: RegionOperator):
+        if op.nodes.size == 0:
+            raise InputError("RegionOperator.neumann: region is empty")
+        self.op = op
+        self.mean_zero = MeanZeroFactor(op.K[op.nodes][:, op.nodes],
+                                        op.m[op.nodes])
+
+    def solve(self, source, boundary_flux: BoundaryFunctional):
+        """Nodal values (zero off the region) and consistency defect.
+
+        `source` is as for `DirichletFactor.solve`.  `boundary_flux` is
+        taken in the orientation `weak_normal_flux` produces (outward normal
+        of the core), so it enters the right-hand side with a minus sign.
+        The mean constraint's multiplier is the consistency defect
+        int(source) - <boundary_flux, 1> divided by the region area;
+        inconsistent data is solved against the constant-orthogonal part
+        and the defect returned to the caller.
+
+        Returns (values, consistency_defect).
+        """
+        op = self.op
+        dtype = complex if (np.iscomplexobj(boundary_flux.weights)
+                            or np.iscomplexobj(np.asarray(source))) else float
+        svals = _source_values(op.n_nodes, source, dtype)
+        b = op.M @ svals - boundary_flux.weights
+        defect = op.m @ svals - boundary_flux.total()
+        u = np.zeros(op.n_nodes, dtype=dtype)
+        u[op.nodes], _ = self.mean_zero.solve(b[op.nodes])
+        return u, defect
+
+
 def solve_neumann_mean_zero(mesh: Mesh, region, source,
                             boundary_flux: BoundaryFunctional):
-    """Solve -Delta u = source in the region with prescribed interface flux
-    and natural (zero) Neumann data elsewhere, normalized to int u = 0.
-
-    `boundary_flux` is taken in the orientation `weak_normal_flux` produces
-    (outward normal of the core), so it enters the right-hand side with a
-    minus sign.  The mean constraint is imposed by `solve_mean_zero`, whose
-    multiplier is the consistency defect int(source) - <boundary_flux, 1>
-    divided by the region area; inconsistent data is solved against the
-    constant-orthogonal part and the defect returned to the caller.
+    """Solve -Delta u = source in the region with prescribed interface flux,
+    mean zero (see `NeumannFactor.solve`).  One factorization, dropped on
+    return; callers solving repeatedly on one region use
+    `region_operator(...).neumann()` instead.
 
     Returns (Field, consistency_defect).
     """
     op = region_operator(mesh, region)
-    nodes = op.nodes
-    if nodes.size == 0:
-        raise InputError("solve_neumann_mean_zero: region is empty")
-
-    dtype = complex if (np.iscomplexobj(boundary_flux.weights)
-                        or np.iscomplexobj(np.asarray(source))) else float
-    svals = _source_values(mesh.n_nodes, source, dtype)
-    b = op.M @ svals - boundary_flux.weights
-    defect = op.m @ svals - boundary_flux.total()
-
-    u = np.zeros(mesh.n_nodes, dtype=dtype)
-    u[nodes], _ = solve_mean_zero(op.K[nodes][:, nodes], op.m[nodes],
-                                  b[nodes])
-    return Field(mesh=mesh, values=u, support=op.tags), defect
+    u, defect = op.neumann().solve(source, boundary_flux)
+    return Field(mesh, u, op.tags), defect

@@ -9,8 +9,9 @@ collapsed-shell pencil, the delta -> 0 problem with the whole shell merged
 into one unknown, whose eigenvectors have a nonzero shell value and zero
 mean over Omega; lambda0 is the one such eigenvalue in the search interval.
 Higher orders follow from an alternating Neumann(shell)/Dirichlet(core)
-recursion that factors the core operator once; all stored fields are
-mean-zero with the additive constants e_n kept separately.
+recursion that factors the core and the shell operator once each; all
+stored fields are mean-zero with the additive constants e_n kept
+separately.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import scipy.sparse.linalg as spla
 
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (DirichletFactor, Field, factor_symmetric,
-                        region_operator, solve_neumann_mean_zero,
-                        weak_normal_flux)
+                        region_operator, weak_normal_flux)
 from enzres.mesh import CORE, SHELL, Mesh
 
 __all__ = ["PerturbationSeries", "compute_psi_d", "consistency_residual",
@@ -211,6 +211,8 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
 
     # flux of psi_d across the interface, reused for every lambda_{n+1}
     flux_psi_d = weak_normal_flux(psi_d, lambda0, source=None)
+    # one shell factorization serves every shell corrector
+    shell_fac = region_operator(mesh, SHELL).neumann()
 
     lambdas = [float(lambda0)]           # lambda_0..lambda_N
     e = [1.0]                            # e_0..e_N
@@ -230,15 +232,14 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         flux_n = weak_normal_flux(
             Field(mesh, full_psi(n) if n > 0 else psi_d.values, frozenset({CORE})),
             lambda0, source=core_sources[n])
-        phi_next, defect = solve_neumann_mean_zero(mesh, SHELL, shell_source,
-                                                   flux_n)
+        phi_next, defect = shell_fac.solve(shell_source, flux_n)
         if abs(defect) > DEFECT_TOL * area * max(1.0, *(abs(l) for l in lambdas)):
             raise NumericalError(
                 f"expand_series: Neumann consistency defect {defect:.3e} at "
                 f"order {n + 1} exceeds tolerance (lambda0 drift or mesh too "
                 "coarse)")
 
-        lam_next = float(flux_psi_d.pair(phi_next.values) / norm_const)
+        lam_next = float(flux_psi_d.pair(phi_next) / norm_const)
         lambdas.append(lam_next)
 
         # Dirichlet problem for the order-(n+1) core corrector:
@@ -247,12 +248,12 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         core_source = np.zeros(mesh.n_nodes)
         for k in range(1, n + 2):
             core_source += lambdas[k] * full_psi(n + 1 - k)
-        psi_ring = fac.solve(source=core_source, g=phi_next.values)
+        psi_ring = fac.solve(source=core_source, g=phi_next)
         core_sources.append(core_source)
 
         e_next = float(-(psi_ring @ M_psi_d) / norm_const)
         e.append(e_next)
-        phis.append(phi_next.values)
+        phis.append(phi_next)
         psis.append(psi_ring)
 
     shell_tags, core_tags = frozenset({SHELL}), frozenset({CORE})

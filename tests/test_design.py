@@ -2,6 +2,9 @@
 saddle cross-check, and serialization."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import enzres
 from enzres import design
 from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
 from enzres.design import (CONVERGED_EXITS, DesignProblem, bathtub_projection,
@@ -163,10 +167,39 @@ class TestConvergence:
         betas = [rec.beta for rec in w.stages]
         assert betas == sorted(betas, reverse=True)
         # The predictor is taken where the path moves far; on the last
-        # stages J changes at its rounding level and either start may win.
+        # stage it lowers J only at its rounding level and is not kept.
         assert not w.stages[0].predicted
         assert all(rec.predicted for rec in w.stages[1:4])
+        assert not w.stages[-1].predicted
         assert dual_state.converged
+
+    def test_stage_records_do_not_depend_on_blas_threads(self):
+        # BLAS reads its thread count when it loads, so each count gets a
+        # fresh interpreter; rounding noise differs between them.
+        script = (
+            "import json\n"
+            "from enzres.bessel_oracle import disk_case\n"
+            "from enzres.design import make_disk_problem, minimize_dual\n"
+            "from enzres.mesh import build_concentric_mesh\n"
+            "from enzres.perturbation import find_lambda0\n"
+            "m = build_concentric_mesh(1.0, disk_case(9.0).r0, 0.04, "
+            "r_b=2.0)\n"
+            "w = minimize_dual(make_disk_problem(m, find_lambda0(m, "
+            "(6.0, 14.0))))\n"
+            "print(json.dumps([[r.steps, r.exit, r.predicted] "
+            "for r in w.stages]))\n")
+        src = os.path.dirname(os.path.dirname(enzres.__file__))
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            runs.append(json.loads(out.stdout))
+        assert len(runs[0]) == design.BETA_STAGES
+        assert runs[0] == runs[1]
 
     def test_capped_stage_is_not_converged(self, mesh_coarse, lambda0_coarse,
                                            monkeypatch):

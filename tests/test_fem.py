@@ -10,14 +10,14 @@ import scipy.sparse.linalg as spla
 
 from enzres.bessel_oracle import disk_case, disk_psi_d
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (BoundaryFunctional, Field, assemble_mass,
-                        assemble_stiffness, linear_solve,
+from enzres.fem import (BoundaryFunctional, Field, MeanZeroFactor,
+                        assemble_mass, assemble_stiffness, linear_solve,
                         mass_vector, region_operator,
-                        solve_dirichlet_helmholtz, solve_mean_zero,
-                        solve_neumann_mean_zero, weak_normal_flux)
+                        solve_dirichlet_helmholtz, solve_neumann_mean_zero,
+                        weak_normal_flux)
 from enzres.mesh import CORE, load_mesh
 
-from conftest import HS
+from conftest import HS, record_splu
 
 UNIT_TRIANGLE = ("enzmesh v1\n"
                  "nodes 4\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
@@ -173,8 +173,8 @@ class TestNeumann:
 
 
 class TestMeanZeroSolve:
-    """The shared mean-zero solve against an explicitly built bordered
-    system [[K, m], [m^T, 0]] [u; mu] = [b; 0] on the coarse shell."""
+    """The mean-zero factor against an explicitly built bordered system
+    [[K, m], [m^T, 0]] [u; mu] = [b; 0] on the coarse shell."""
 
     @pytest.fixture(scope="class")
     def shell_system(self, mesh_coarse):
@@ -183,35 +183,57 @@ class TestMeanZeroSolve:
         m = mass_vector(mesh_coarse, 1)[nodes]
         return K, m
 
-    @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("consistent", [True, False])
-    def test_matches_bordered_reference(self, shell_system, dtype,
-                                        consistent):
-        K, m = shell_system
-        rng = np.random.default_rng(3)
-        b = rng.standard_normal(m.size)
-        if dtype is complex:
-            b = b + 1j * rng.standard_normal(m.size)
-        if consistent:
-            b -= b.sum() / m.sum() * m
+    @staticmethod
+    def check_bordered(K, m, b, u, mu):
         bordered = sp.bmat([[K, m[:, None]], [m[None, :], None]],
-                           format="csc").astype(dtype)
+                           format="csc").astype(b.dtype)
         ref = spla.spsolve(bordered, np.concatenate([b, [0.0]]))
-        u, mu = solve_mean_zero(K, m, b)
-        assert u.dtype == np.dtype(dtype)
+        assert u.dtype == b.dtype
         assert np.linalg.norm(u - ref[:-1]) <= 1e-10 * np.linalg.norm(ref[:-1])
         assert mu == pytest.approx(b.sum() / m.sum(), rel=1e-12, abs=1e-14)
         assert mu == pytest.approx(ref[-1], rel=1e-8, abs=1e-12)
         assert abs(m @ u) <= 1e-13 * m.sum() * np.abs(u).max()
 
-    def test_rejects_disconnected_region(self, mesh_coarse):
+    @staticmethod
+    def load(m, rng, dtype, consistent):
+        b = rng.standard_normal(m.size)
+        if dtype is complex:
+            b = b + 1j * rng.standard_normal(m.size)
+        if consistent:
+            b -= b.sum() / m.sum() * m
+        return b
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_matches_bordered_reference(self, shell_system, dtype,
+                                        consistent):
+        K, m = shell_system
+        b = self.load(m, np.random.default_rng(3), dtype, consistent)
+        u, mu = MeanZeroFactor(K, m).solve(b)
+        self.check_bordered(K, m, b, u, mu)
+
+    @pytest.mark.parametrize("dtypes", [(float, complex, float),
+                                        (complex, complex, float, complex)])
+    def test_one_factor_many_right_hand_sides(self, shell_system, dtypes,
+                                              monkeypatch):
+        K, m = shell_system
+        calls = record_splu(monkeypatch)
+        fac = MeanZeroFactor(K, m)
+        rng = np.random.default_rng(len(dtypes))
+        for k, dtype in enumerate(dtypes):
+            b = self.load(m, rng, dtype, consistent=k % 2 == 0)
+            u, mu = fac.solve(b)
+            self.check_bordered(K, m, b, u, mu)
+        # the bordered references are factored by spsolve, not splu
+        assert [dim for dim, _ in calls] == [m.size - 1]
+
+    def test_rejects_disconnected_region(self, mesh_coarse, monkeypatch):
         # Core and outer shell share no node, so K has a two-dimensional
-        # kernel; a load balanced only overall has no solution.
+        # kernel; it is refused before any factorization.
         nodes = mesh_coarse.region_nodes({0, 2})
         K = assemble_stiffness(mesh_coarse, {0: 1.0, 2: 1.0})[nodes][:, nodes]
         m = mass_vector(mesh_coarse, {0, 2})[nodes]
-        in_core = np.isin(nodes, mesh_coarse.region_nodes(0))
-        b = np.where(in_core, 1.0 / m[in_core].sum(),
-                     -1.0 / m[~in_core].sum()) * m
-        with pytest.raises(NumericalError):
-            solve_mean_zero(K, m, b)
+        calls = record_splu(monkeypatch)
+        with pytest.raises(NumericalError, match="2 disconnected"):
+            MeanZeroFactor(K, m)
+        assert calls == []
