@@ -113,6 +113,7 @@ def cmd_resonate(args) -> int:
     d = disp.CoreDielectric(eps_d=args.eps_d)
     # calibrate: a uniform geometric rescale maps lambda0 -> lambda* exactly
     lam_star = disp.lambda_star(p, d)
+    t = disp.calibrate_scale(series.lambda0, lam_star)
     scale = lam_star / series.lambda0
     series.lambda_coeffs = [c * scale for c in series.lambda_coeffs]
     series.lambda0 = lam_star
@@ -126,8 +127,7 @@ def cmd_resonate(args) -> int:
         sys.stdout.write(csv_text)
     _emit({"omega_star": trace.omega_star,
            "omega_prime0": [trace.omega_prime0.real, trace.omega_prime0.imag],
-           "calibration_scale_t": disp.calibrate_scale(series.lambda0 / scale,
-                                                       lam_star),
+           "calibration_scale_t": t,
            "rows": len(trace.gammas), "output": args.out})
     return 0
 

@@ -54,10 +54,8 @@ from enzres.mesh import CORE, INTERFACE, Mesh, _as_tagset
 __all__ = ["Field", "BoundaryFunctional", "assemble_stiffness",
            "assemble_mass", "mass_vector", "RegionOperator",
            "DirichletFactor", "NeumannFactor", "region_operator",
-           "solve_dirichlet_helmholtz", "weak_normal_flux",
-           "solve_neumann_mean_zero", "linear_solve",
-           "factor_spd", "factor_symmetric", "MeanZeroFactor",
-           "element_geometry"]
+           "weak_normal_flux", "linear_solve", "factor_spd",
+           "factor_symmetric", "MeanZeroFactor", "element_geometry"]
 
 
 @dataclass
@@ -322,7 +320,11 @@ class MeanZeroFactor:
         return u, mu
 
 
-def _condition_estimate(A: sp.csc_matrix, lu, iters: int = 6) -> float:
+#: inverse power iterations of `_condition_estimate`
+CONDITION_ITERS = 6
+
+
+def _condition_estimate(A: sp.csc_matrix, lu) -> float:
     """Cheap estimate of norm(A) * norm(inv(A)) via inverse power iteration
     on an already computed factorization."""
     rng = np.random.default_rng(12345)
@@ -331,7 +333,7 @@ def _condition_estimate(A: sp.csc_matrix, lu, iters: int = 6) -> float:
         v = v.astype(complex)
     inv_norm = 0.0
     v /= np.linalg.norm(v)
-    for _ in range(iters):
+    for _ in range(CONDITION_ITERS):
         v = lu.solve(v)
         inv_norm = np.linalg.norm(v)
         v /= inv_norm
@@ -461,18 +463,6 @@ class DirichletFactor:
         return u
 
 
-def solve_dirichlet_helmholtz(mesh: Mesh, region, lam, source=None,
-                              g=1.0) -> Field:
-    """Solve (-Delta - lam) u = source in the region, u = g on the core
-    interface (see `DirichletFactor.solve` for the data).  Errors out if lam
-    is numerically a Dirichlet eigenvalue of the region.  One factorization,
-    dropped on return; callers solving repeatedly at one shift use
-    `region_operator(...).factor(lam)` instead.
-    """
-    op = region_operator(mesh, region)
-    return Field(mesh, op.factor(lam).solve(source, g), op.tags)
-
-
 def _source_values(n_nodes: int, source, dtype):
     if source is None:
         return np.zeros(n_nodes, dtype=dtype)
@@ -540,17 +530,3 @@ class NeumannFactor:
         u = np.zeros(op.n_nodes, dtype=dtype)
         u[op.nodes], _ = self.mean_zero.solve(b[op.nodes])
         return u, defect
-
-
-def solve_neumann_mean_zero(mesh: Mesh, region, source,
-                            boundary_flux: BoundaryFunctional):
-    """Solve -Delta u = source in the region with prescribed interface flux,
-    mean zero (see `NeumannFactor.solve`).  One factorization, dropped on
-    return; callers solving repeatedly on one region use
-    `region_operator(...).neumann()` instead.
-
-    Returns (Field, consistency_defect).
-    """
-    op = region_operator(mesh, region)
-    u, defect = op.neumann().solve(source, boundary_flux)
-    return Field(mesh, u, op.tags), defect

@@ -37,6 +37,8 @@ CONSISTENCY_TOL = 1e-6
 DEFECT_TOL = 1e-8
 #: most eigenvalues of the collapsed pencil `find_lambda0` asks for
 MAX_PENCIL_EIGS = 64
+#: relative error bound on lambda0 that `find_lambda0` accepts
+ROOT_TOL = 1e-10
 
 
 @dataclass
@@ -91,7 +93,9 @@ def _collapsed_pencil(op):
     """Core pencil (K_c, M_c) of the delta -> 0 limit, in which the shell is
     one unknown c: K_c = P^T K P and M_c = P^T M P + |shell| e_c e_c^T,
     where P maps [core interior, c] onto the core nodes (c on every
-    interface node)."""
+    interface node).  Also returns a diagonal d with M_c >= diag(d): each
+    element's consistent mass A_e/12 (I + 1 1^T) is at least A_e/12 I, so
+    M >= diag(m/4), and P^T diag(m/4) P is diagonal."""
     n = op.interior.size
     P = sp.csc_matrix(
         (np.ones(n + op.boundary.size),
@@ -100,7 +104,9 @@ def _collapsed_pencil(op):
         shape=(op.n_nodes, n + 1))
     shell = sp.csc_matrix(([op.area_by_region[SHELL]], ([n], [n])),
                           shape=(n + 1, n + 1))
-    return (P.T @ op.K @ P).tocsc(), (P.T @ op.M @ P + shell).tocsc()
+    d = P.T @ (op.m / 4)
+    d[n] += op.area_by_region[SHELL]
+    return (P.T @ op.K @ P).tocsc(), (P.T @ op.M @ P + shell).tocsc(), d
 
 
 def find_lambda0(mesh: Mesh, search_interval) -> float:
@@ -118,14 +124,21 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     itself, is at most 1e-6 * sqrt|Omega|, which skips the pencil's exact
     eigenvalue 0 (constant eigenvector, returned near +-1e-13).  Poles of
     the residual in the interval do no harm; an interval with no root or
-    with two or more is refused, and the root's residual must be within
-    1e-10*|Omega|.
+    with two or more is refused.
 
     The eigenvalues come from shift-invert Lanczos at the interval
     midpoint, with one factorization and a fixed start vector (Ericsson &
     Ruhe, Math. Comp. 35, 1980); k doubles from 3 until they reach past
     both interval ends, and an interval that needs more than
-    `MAX_PENCIL_EIGS` of them is refused.
+    `MAX_PENCIL_EIGS` of them is refused.  No further factorization
+    certifies the root's Ritz pair (theta_i, v_i) (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 10-11): with rho_j the Rayleigh quotient of v_j,
+    eps_j = ||K_c v_j - rho_j M_c v_j||_{diag(d)^-1} / ||v_j||_{M_c} bounds
+    the distance from rho_j to the spectrum (Kahan; M_c >= diag(d)), every
+    other eigenvalue lies at least delta from rho_i (the computed ones
+    within eps_j of their rho_j, the rest beyond max |theta_j - sigma| from
+    sigma), and lambda0 is refused unless delta > eps_i and the Kato-Temple
+    bound |theta_i - rho_i| + eps_i^2 / delta is at most `ROOT_TOL`*theta_i.
     """
     t_lo, t_hi = (float(t) for t in search_interval)
     if not (0 < t_lo < t_hi):
@@ -134,7 +147,7 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
 
     op = region_operator(mesh, CORE)
     area = sum(op.area_by_region.values())
-    K_c, M_c = _collapsed_pencil(op)
+    K_c, M_c, d = _collapsed_pencil(op)
     sigma, half = 0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo)
     try:
         lu = factor_symmetric(K_c - sigma * M_c)
@@ -155,13 +168,12 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
                 f"nearest sigma = {sigma} all lie in ({t_lo}, {t_hi}), so "
                 "roots beyond them go unchecked; narrow the interval")
         k *= 2
-    # the last component is the shell value c; 1^T M_c v integrates over
-    # Omega (M_c is symmetric)
-    mean = (M_c @ np.ones(K_c.shape[0])) @ vecs
+    # c is the last component; 1^T M_c v integrates v over Omega
+    K_vecs, M_vecs = K_c @ vecs, M_c @ vecs
     is_root = ((t_lo < vals) & (vals < t_hi)
                & (np.abs(vecs[-1]) * np.sqrt(area) > 1e-6)
-               & (np.abs(mean) <= 1e-6 * np.sqrt(area)))
-    roots = np.sort(vals[is_root])
+               & (np.abs(M_vecs.sum(axis=0)) <= 1e-6 * np.sqrt(area)))
+    roots = np.flatnonzero(is_root)
     if roots.size == 0:
         raise InputError(
             f"find_lambda0: no permissible lambda0 in interval ({t_lo}, "
@@ -169,13 +181,21 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     if roots.size > 1:
         raise InputError(
             f"find_lambda0: {roots.size} roots of the consistency residual "
-            f"in ({t_lo}, {t_hi}): {roots.tolist()}; narrow the interval")
-    lam0 = float(roots[0])
-    r = consistency_residual(mesh, lam0)
-    if abs(r) > 1e-10 * area:
+            f"in ({t_lo}, {t_hi}): {np.sort(vals[roots]).tolist()}; narrow "
+            "the interval")
+    i = roots[0]
+    vMv = (vecs * M_vecs).sum(axis=0)
+    rq = (vecs * K_vecs).sum(axis=0) / vMv
+    eps = np.sqrt(((K_vecs - M_vecs * rq)**2 / d[:, None]).sum(axis=0) / vMv)
+    delta = min(np.delete(np.abs(rq - rq[i]) - eps, i).min(),
+                np.abs(vals - sigma).max() - abs(rq[i] - sigma))
+    lam0 = float(vals[i])
+    bound = abs(lam0 - rq[i]) + eps[i]**2 / delta
+    if not (delta > eps[i] and bound <= ROOT_TOL * lam0):
         raise NumericalError(
-            f"find_lambda0: residual {r:.3e} at root exceeds "
-            f"1e-10*|Omega| = {1e-10 * area:.3e}")
+            f"find_lambda0: Ritz value {lam0!r} not certified: error bound "
+            f"{bound:.3e} (limit {ROOT_TOL:g}*lambda0), residual bound "
+            f"{eps[i]:.3e}, gap {delta:.3e}")
     return lam0
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enzres import cli
+from enzres import dispersion as disp
 from enzres.mesh import save_mesh
 
 from conftest import overflowing_mesh
@@ -138,6 +139,12 @@ class TestResonate:
         assert res.returncode == 0, res.stderr
         payload = json.loads(res.stdout)
         assert payload["omega_prime0"][1] < 0.0
+        # t = sqrt(lambda0 / lambda*) from the stored lambda0, with
+        # lambda* = omega*^2 * eps_D = (0.7^2 + 1.0^2) * 1.0
+        lam0 = json.loads(series_file.read_text())["lambda0"]
+        assert payload["calibration_scale_t"] == math.sqrt(
+            lam0 / disp.lambda_star(disp.LorentzParams(6.7, 0.7, 1.0),
+                                    disp.CoreDielectric(1.0)))
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("gamma,")
         assert len(lines) == 6

@@ -12,10 +12,8 @@ from enzres.bessel_oracle import disk_case, disk_psi_d
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (BoundaryFunctional, Field, MeanZeroFactor,
                         assemble_mass, assemble_stiffness, linear_solve,
-                        mass_vector, region_operator,
-                        solve_dirichlet_helmholtz, solve_neumann_mean_zero,
-                        weak_normal_flux)
-from enzres.mesh import CORE, load_mesh
+                        mass_vector, region_operator, weak_normal_flux)
+from enzres.mesh import CORE, SHELL, load_mesh
 
 from conftest import HS, record_splu
 
@@ -28,6 +26,13 @@ UNIT_TRIANGLE = ("enzmesh v1\n"
 @pytest.fixture(scope="module")
 def square():
     return load_mesh(UNIT_TRIANGLE)
+
+
+def core_dirichlet(mesh, lam, g=1.0):
+    """(-Delta - lam) u = 0 in the core, u = g on the interface, through one
+    factor of the core operator at shift lam."""
+    return Field(mesh, region_operator(mesh, CORE).factor(lam).solve(g=g),
+                 frozenset({CORE}))
 
 
 class TestAssembly:
@@ -92,7 +97,7 @@ class TestDirichletCore:
     def test_psi_d_matches_oracle(self, disk_meshes, case9):
         errs = {}
         for h, m in disk_meshes.items():
-            u = solve_dirichlet_helmholtz(m, 0, case9.lambda0, g=1.0)
+            u = core_dirichlet(m, case9.lambda0)
             core = sorted(m.region_nodes(0))
             r = np.linalg.norm(m.nodes[core], axis=1)
             exact = np.array([disk_psi_d(case9, min(ri, 1.0)) for ri in r])
@@ -103,7 +108,7 @@ class TestDirichletCore:
         assert order > 1.7
 
     def test_zero_data_gives_zero(self, mesh_coarse):
-        u = solve_dirichlet_helmholtz(mesh_coarse, 0, 1.0, g=0.0)
+        u = core_dirichlet(mesh_coarse, 1.0, g=0.0)
         assert np.abs(u.values).max() == 0.0
 
     def test_near_eigenvalue_raises(self, mesh_coarse):
@@ -113,7 +118,7 @@ class TestDirichletCore:
         mu, = spla.eigsh(op.K_ii, k=1, M=op.M_ii, sigma=0.0,
                          return_eigenvectors=False)
         with pytest.raises(NumericalError, match="eigenvalue"):
-            solve_dirichlet_helmholtz(mesh_coarse, 0, mu)
+            core_dirichlet(mesh_coarse, mu)
 
 
 class TestWeakFlux:
@@ -121,7 +126,7 @@ class TestWeakFlux:
         # <flux, 1> = -int_D lambda0 psi_d = lambda0 A0 exactly in the
         # discrete sense; compare against the continuum value.
         m = disk_meshes[0.02]
-        u = solve_dirichlet_helmholtz(m, 0, case9.lambda0, g=1.0)
+        u = core_dirichlet(m, case9.lambda0)
         flux = weak_normal_flux(u, case9.lambda0)
         M = assemble_mass(m, {0: 1.0})
         discrete = -case9.lambda0 * float(np.ones(m.n_nodes) @ (M @ u.values))
@@ -138,7 +143,7 @@ class TestWeakFlux:
         assert abs(flux.total()) < 1e-10
 
     def test_weights_supported_on_interface(self, mesh_coarse, case9):
-        u = solve_dirichlet_helmholtz(mesh_coarse, 0, case9.lambda0, g=1.0)
+        u = core_dirichlet(mesh_coarse, case9.lambda0)
         flux = weak_normal_flux(u, case9.lambda0)
         interface = np.unique(
             mesh_coarse.boundary_edges[mesh_coarse.edge_tags == 0])
@@ -153,19 +158,20 @@ class TestNeumann:
         m = mesh_coarse
         shell_area = m.areas()[m.regions == 1].sum()
         zero_flux = BoundaryFunctional(m, 0, np.zeros(m.n_nodes))
-        w, defect = solve_neumann_mean_zero(m, 1, 1.0, zero_flux)
+        w, defect = region_operator(m, SHELL).neumann().solve(1.0, zero_flux)
         assert defect == pytest.approx(shell_area, rel=1e-12)
         shell = sorted(m.region_nodes(1))
         lumped = mass_vector(m, (1,))
-        assert abs(lumped @ w.values) < 1e-10
+        assert abs(lumped @ w) < 1e-10
 
     def test_mean_zero_and_residual(self, mesh_coarse, lambda0_coarse, case9):
         m = mesh_coarse
-        u = solve_dirichlet_helmholtz(m, 0, lambda0_coarse, g=1.0)
+        u = core_dirichlet(m, lambda0_coarse)
         flux = weak_normal_flux(u, lambda0_coarse)
-        w, defect = solve_neumann_mean_zero(m, 1, lambda0_coarse, flux)
+        shell = region_operator(m, SHELL).neumann()
+        w, defect = shell.solve(lambda0_coarse, flux)
         lumped = mass_vector(m, (1,))
-        assert abs(lumped @ w.values) < 1e-9
+        assert abs(lumped @ w) < 1e-9
         # At the recovered lambda0 the constant source lambda0 balances the
         # core flux, so the compatibility defect is the (tiny) residual of
         # the consistency condition times lambda0.

@@ -6,11 +6,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
 from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
 from enzres import perturbation
-from enzres.errors import InputError
+from enzres.errors import InputError, NumericalError
 from enzres.fem import assemble_mass, mass_vector
 from enzres.perturbation import (compute_psi_d, consistency_residual,
                                  eval_field, eval_lambda, expand_series,
@@ -61,20 +62,36 @@ def core_dim(mesh):
     return np.setdiff1d(mesh.region_nodes(0), mesh.boundary_nodes(0)).size
 
 
-class TestNewtonBisection:
-    def test_few_factorizations_and_brentq_agreement(self, mesh_coarse,
-                                                     monkeypatch):
+class TestPencilRoot:
+    def test_one_factorization_and_brentq_agreement(self, mesh_coarse,
+                                                    monkeypatch):
         ref = brentq(lambda lam: consistency_residual(mesh_coarse, lam),
                      6.0, 14.0, xtol=1e-13, rtol=8.9e-16)
         calls = record_splu(monkeypatch)
         root = find_lambda0(mesh_coarse, (6.0, 14.0))
         # one factor of the collapsed pencil (the core interior plus the
-        # shell value) and one shifted core factorization for the final
-        # residual check; no symmetric positive definite factor
+        # shell value); the root is certified from its Ritz pair, with no
+        # core factorization and no symmetric positive definite factor
         n = core_dim(mesh_coarse)
-        assert sorted(dim for dim, _ in calls) == [n, n + 1]
+        assert [dim for dim, _ in calls] == [n + 1]
         assert all(kw.get("diag_pivot_thresh") != 0 for _, kw in calls)
         assert root == pytest.approx(ref, rel=1e-11)
+
+    def test_inaccurate_ritz_value_raises(self, mesh_coarse, monkeypatch):
+        # the root's Ritz value moved by 1e-6 relative no longer matches
+        # its vector's Rayleigh quotient, so its error bound exceeds
+        # ROOT_TOL
+        real_eigsh = spla.eigsh
+
+        def shifted(*args, **kwargs):
+            vals, vecs = real_eigsh(*args, **kwargs)
+            vals = vals.copy()
+            vals[np.argmin(np.abs(vals - 9.0))] *= 1 + 1e-6
+            return vals, vecs
+
+        monkeypatch.setattr(spla, "eigsh", shifted)
+        with pytest.raises(NumericalError, match="not certified"):
+            find_lambda0(mesh_coarse, (6.0, 14.0))
 
     @pytest.mark.parametrize("bracket", [(6.0, 14.0), (6.0, 16.0),
                                          (6.0, 28.0), (5.0, 14.0)])
