@@ -161,9 +161,12 @@ def _density(prob: DesignProblem, x: np.ndarray):
     constant P1 gradient (wx, wy) and the energy density
     |grad w|^2 / 2 - lambda0 * mean(w)."""
     wl = x[prob.conn]
-    wx = (prob.gx * wl).sum(axis=1)
-    wy = (prob.gy * wl).sum(axis=1)
-    return wx, wy, 0.5 * (wx * wx + wy * wy) - prob.lambda0 * wl.mean(axis=1)
+    w0, w1, w2 = wl[:, 0], wl[:, 1], wl[:, 2]
+    gx, gy = prob.gx, prob.gy
+    wx = gx[:, 0] * w0 + gx[:, 1] * w1 + gx[:, 2] * w2
+    wy = gy[:, 0] * w0 + gy[:, 1] * w1 + gy[:, 2] * w2
+    return (wx, wy,
+            0.5 * (wx * wx + wy * wy) - prob.lambda0 * ((w0 + w1 + w2) / 3.0))
 
 
 def energy_density(w: Field, prob: DesignProblem) -> np.ndarray:
@@ -297,14 +300,16 @@ def _newton_step(prob: DesignProblem, x: np.ndarray, beta: float,
 
 @dataclass(frozen=True)
 class StageRecord:
-    """What one beta stage of `minimize_dual` did: Newton directions
-    computed (each costs one Hessian factorization, or more when the
-    Hessian needs a shift), objective evaluations, final gradient norm, and
-    why it stopped ("gtol", "rounding floor", "max_iter" or "line-search
-    failure"); `predicted` tells whether it started from the tangent
-    predictor's point rather than from the previous stage's minimizer."""
+    """What one beta stage of `minimize_dual` did: the gradient-norm
+    tolerance it ran to, Newton directions computed (each costs one Hessian
+    factorization, or more when the Hessian needs a shift), objective
+    evaluations, final gradient norm, and why it stopped ("gtol", "rounding
+    floor", "max_iter" or "line-search failure"); `predicted` tells whether
+    it started from the tangent predictor's point rather than from the
+    previous stage's minimizer."""
 
     beta: float
+    gtol: float
     steps: int
     evaluations: int
     gnorm: float
@@ -342,8 +347,8 @@ def _newton_stage(prob: DesignProblem, x: np.ndarray, beta: float,
     evals = 1
 
     def record(steps, exit):
-        return StageRecord(beta=beta, steps=steps, evaluations=evals,
-                           gnorm=gnorm, exit=exit)
+        return StageRecord(beta=beta, gtol=gtol, steps=steps,
+                           evaluations=evals, gnorm=gnorm, exit=exit)
 
     lu = None
     for steps in range(MAX_NEWTON_STEPS):
@@ -417,7 +422,12 @@ def minimize_dual(prob: DesignProblem) -> DualSolution:
     """Minimize the smoothed dual with beta continuation (damped Newton).
 
     Beta falls tenfold per stage from 0.1*lambda0*diam^2 to
-    1e-8*lambda0*diam^2 (8 stages).  Between stages a tangent predictor
+    1e-8*lambda0*diam^2 (8 stages).  Each stage's minimizer is only a warm
+    start for the next, so a stage stops once |grad| <= (beta /
+    (lambda0*diam^2)) * load, with load = max(1, |f|): its relative gradient
+    tolerance equals its relative smoothing, 0.1, 1e-2, ..., 1e-8, and only
+    the last stage runs to 1e-8 * load (the path-following rule of SUMT,
+    Fiacco & McCormick 1968).  Between stages a tangent predictor
     moves x toward the next stage's minimizer with one back-solve on the
     last Hessian factor, and its point is kept only if it lowers the next
     stage's objective beyond rounding; after a stage that made no factor x
@@ -441,7 +451,8 @@ def minimize_dual(prob: DesignProblem) -> DualSolution:
                 x, predicted = _predict(prob, x, beta, beta * BETA_FACTOR, lu)
             lu = None  # released before the next stage factors
             beta *= BETA_FACTOR
-        x, rec, lu = _newton_stage(prob, x, beta, 1e-8 * load)
+        x, rec, lu = _newton_stage(prob, x, beta,
+                                   beta / (prob.lambda0 * diam2) * load)
         stages.append(replace(rec, predicted=predicted))
     if stages[-1].gnorm > 1e-5 * load:
         raise NumericalError(

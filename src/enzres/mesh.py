@@ -153,7 +153,8 @@ def build_concentric_mesh(r_d: float, r_0: float, h: float,
     band_of_ring = []  # band index of the annulus ending at this ring
     for band, ((a, b), n) in enumerate(zip(bands, n_sub)):
         for j in range(1, n + 1):
-            ring_r.append(a + (b - a) * j / n)
+            # the band's last ring exactly at b: a + (b - a) can round off it
+            ring_r.append(b if j == n else a + (b - a) * j / n)
             band_of_ring.append(band)
     n_rings = len(ring_r) - 1  # rings of nodes beyond the center
 

@@ -49,6 +49,15 @@ class TestBuildConcentric:
         for ring in (1.0, 1.4, 2.0):
             assert (np.abs(r - ring) < 1e-12).any()
 
+    def test_interface_radius_that_rounds_off_its_ring(self):
+        # 0.4897619179193249 * 7 / 7 != 0.4897619179193249, so a ring
+        # computed as a + (b - a) * n / n misses r_d.
+        r_d = 0.4897619179193249
+        m = build_concentric_mesh(r_d, 1.0, 0.080078125)
+        r = np.linalg.norm(m.nodes[m.boundary_edges[m.edge_tags == 0]],
+                           axis=-1)
+        assert np.allclose(r, r_d, rtol=1e-15, atol=0.0)
+
     def test_two_region_mesh_without_slack(self):
         m = build_concentric_mesh(1.0, 1.4, 0.1)
         assert set(np.unique(m.regions)) == {0, 1}
