@@ -3,7 +3,8 @@ validate-disk.
 
 All commands emit machine-readable output (JSON to stdout, files via -o),
 are deterministic given their flags, and use exit codes 0 (success),
-1 (numerical/internal failure), 2 (invalid input).
+1 (numerical/internal failure, or a stdout closed early by its reader),
+2 (invalid input).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -271,7 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout's reader left early (``enzres ... | head``), which is not
+        # a fault; the null device takes what is left unflushed, so the
+        # interpreter's final flush cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,10 @@ Conventions used throughout the package:
   ``factor(lam)`` makes one sparse LU of K_ii - lam*M_ii over the nodes off
   the core interface (one condition check), and ``neumann()`` one
   mean-zero factor of the region's stiffness block; any number of
-  right-hand sides reuse either, each with its own residual check.
+  right-hand sides reuse either, each with its own residual check, and
+  ``lu_solve`` solves a complex right-hand side of a real factor as its
+  real and imaginary parts.  The series recursion and the eigensolver's
+  Dirichlet-Neumann preconditioner are built from these two factors.
   Factors are never cached.
 * Every factorization the solvers make orders its matrix by minimum
   degree on A + A^T, which suits the symmetric pattern all of their
@@ -24,8 +27,8 @@ Conventions used throughout the package:
   (pivots on the diagonal) for the symmetric positive definite systems --
   the mean-zero solves and the dual Hessian -- and ``factor_symmetric``
   (partial pivoting) for the indefinite or complex ones -- K_ii - lam*M_ii, the
-  collapsed-shell pencil of ``find_lambda0`` and the eigensolver's
-  complex-symmetric pencil.
+  collapsed-shell pencil of ``find_lambda0`` and the complex-symmetric
+  pencil of ``eigensolver.ritz_values_near``.
 * Normal fluxes across the core interface are extracted variationally
   (``weak_normal_flux``), never by pointwise differentiation; the resulting
   weights are oriented along the *outward normal of the core region* and
@@ -55,7 +58,8 @@ __all__ = ["Field", "BoundaryFunctional", "assemble_stiffness",
            "assemble_mass", "mass_vector", "RegionOperator",
            "DirichletFactor", "NeumannFactor", "region_operator",
            "weak_normal_flux", "linear_solve", "factor_spd",
-           "factor_symmetric", "MeanZeroFactor", "element_geometry"]
+           "factor_symmetric", "lu_solve", "MeanZeroFactor",
+           "element_geometry"]
 
 
 @dataclass
@@ -251,6 +255,17 @@ def factor_symmetric(A):
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
 
 
+def lu_solve(lu, b: np.ndarray, dtype=float) -> np.ndarray:
+    """Solve with `lu`, the factor of a matrix of type `dtype`, for a real or
+    complex right-hand side b (one vector).  SuperLU solves a real factor
+    for real data only, so a complex b with a real factor is solved as its
+    real and imaginary parts, two columns of one call."""
+    if np.iscomplexobj(b) and not np.issubdtype(dtype, np.complexfloating):
+        sol = lu.solve(np.column_stack([b.real, b.imag]))
+        return sol[:, 0] + 1j * sol[:, 1]
+    return lu.solve(b.astype(dtype, copy=False))
+
+
 class MeanZeroFactor:
     """One factorization for the bordered mean-zero system
 
@@ -305,11 +320,7 @@ class MeanZeroFactor:
         mu = b.sum() / m.sum()
         r = b - mu * m
         u = np.zeros(m.size, dtype=r.dtype)
-        if np.iscomplexobj(r):
-            sol = self.lu.solve(np.column_stack([r.real[keep], r.imag[keep]]))
-            u[keep] = sol[:, 0] + 1j * sol[:, 1]
-        else:
-            u[keep] = self.lu.solve(r[keep])
+        u[keep] = lu_solve(self.lu, r[keep])
         u -= (m @ u) / m.sum()
         res = np.hypot(np.linalg.norm(K @ u + mu * m - b), abs(m @ u))
         nb = np.linalg.norm(b)
@@ -446,11 +457,7 @@ class DirichletFactor:
         gvals[op.boundary] = np.asarray(g)[op.boundary] if np.ndim(g) else g
         rhs = op.M @ svals - (op.K @ gvals - self.lam * (op.M @ gvals))
         b_i = rhs[op.interior]
-        if np.iscomplexobj(b_i) and not np.iscomplexobj(self.A_ii):
-            sol = self.lu.solve(np.column_stack([b_i.real, b_i.imag]))
-            u_i = sol[:, 0] + 1j * sol[:, 1]
-        else:
-            u_i = self.lu.solve(b_i.astype(self.A_ii.dtype, copy=False))
+        u_i = lu_solve(self.lu, b_i, self.A_ii.dtype)
         res = np.linalg.norm(self.A_ii @ u_i - b_i)
         scale = np.linalg.norm(b_i)
         if scale > 0 and not res <= 1e-10 * scale:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -183,6 +184,33 @@ class TestValidateDisk:
         for line in res.stdout.splitlines():
             if line.startswith(("PASS", "FAIL")):
                 assert line.startswith("PASS")
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has left: every write raises BrokenPipeError.
+    It reports the file descriptor it is given."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_is_not_an_internal_error(tmp_path, monkeypatch,
+                                                capsys):
+    # `enzres ... | head`: the reader may close the pipe before the JSON is
+    # written; main returns 1 quietly and points stdout at the null device
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        code = cli.main(["mesh", "--kind", "concentric", "--rd", "1",
+                         "--r0", R0, "--h", "0.3"])
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert code == 1
+    assert "internal error" not in capsys.readouterr().err
 
 
 def run_main(argv):

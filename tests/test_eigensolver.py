@@ -4,21 +4,33 @@ import cmath
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from enzres.eigensolver import (assemble_operator, resonance_near,
                                 ritz_values_near)
-from enzres.errors import InputError
+from enzres.errors import InputError, NumericalError
 from enzres.perturbation import eval_lambda, expand_series, find_lambda0
 
 from conftest import record_splu
 
 DELTA = 0.01 * cmath.exp(1j * cmath.pi / 4)
+ARGS = (0.0, cmath.pi / 4, 1.5)
 
 
 @pytest.fixture(scope="module")
 def pair_fine(series_fine):
     s = series_fine
     return resonance_near(s.mesh, DELTA, eval_lambda(s, DELTA), s.psi_d)
+
+
+@pytest.fixture(scope="module")
+def series_coarse(mesh_coarse, lambda0_coarse):
+    return expand_series(mesh_coarse, lambda0_coarse, order=4)
+
+
+def resonance_at(series, delta):
+    return resonance_near(series.mesh, delta, eval_lambda(series, delta),
+                          series.psi_d)
 
 
 class TestResonanceNear:
@@ -50,6 +62,44 @@ class TestResonanceNear:
         s = series_fine
         with pytest.raises(InputError):
             resonance_near(s.mesh, 0.0, s.lambda0, s.psi_d)
+
+
+class TestPreconditionedIteration:
+    """The Dirichlet-Neumann preconditioned iteration on the h = 0.08 disk:
+    real factors only, the Arnoldi eigenvalue wherever it converges, and a
+    refusal where it does not."""
+
+    def test_factors_only_real_matrices(self, series_coarse, monkeypatch):
+        dtypes = []
+        real_splu = spla.splu
+
+        def recording(A, *args, **kwargs):
+            dtypes.append(A.dtype)
+            return real_splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording)
+        resonance_at(series_coarse, DELTA)
+        assert len(dtypes) == 2
+        assert not any(np.issubdtype(t, np.complexfloating) for t in dtypes)
+
+    @pytest.mark.parametrize("arg", ARGS)
+    @pytest.mark.parametrize("size", [0.01, 0.2])
+    def test_matches_arnoldi(self, series_coarse, size, arg):
+        # ritz_values_near factors the complex pencil, so it is an
+        # independent check of the iteration's eigenvalue
+        delta = size * cmath.exp(1j * arg)
+        pair = resonance_at(series_coarse, delta)
+        vals = ritz_values_near(series_coarse.mesh, delta, pair.lam, k=2)
+        nearest = vals[np.argmin(np.abs(vals - pair.lam))]
+        assert pair.residual <= 1e-9
+        assert abs(pair.lam - nearest) <= 1e-9 * abs(nearest)
+
+    @pytest.mark.parametrize("arg", ARGS)
+    def test_refuses_where_it_stalls(self, series_coarse, arg):
+        # at |delta| = 0.4 the sweep no longer halves the residual every
+        # two sweeps, and it stops above RESIDUAL_TOL
+        with pytest.raises(NumericalError, match="exceeds"):
+            resonance_at(series_coarse, 0.4 * cmath.exp(1j * arg))
 
 
 class TestOperator:
@@ -85,9 +135,9 @@ class TestRitz:
 
 def test_factorizations_order_by_minimum_degree(mesh_coarse, lambda0_coarse,
                                                 monkeypatch):
-    # The pencil, the Ritz shift-invert and the collapsed-shell pencil of
-    # find_lambda0 all have a symmetric pattern, so each is ordered on
-    # A + A^T.
+    # The core and shell factors of resonance_near, the Ritz shift-invert
+    # and the collapsed-shell pencil of find_lambda0 all have a symmetric
+    # pattern, so each is ordered on A + A^T.
     s = expand_series(mesh_coarse, lambda0_coarse, order=1)
     lam = eval_lambda(s, DELTA)
     calls = record_splu(monkeypatch)
