@@ -10,6 +10,7 @@ are deterministic given their flags, and use exit codes 0 (success),
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from enzres import design as design_mod
 from enzres import dispersion as disp
 from enzres import perturbation as pert
 from enzres.bessel_oracle import annulus_lambda1, disk_case, disk_psi_d
+from enzres.eigensolver import resonance_near
 from enzres.errors import EnzresError, InputError
 from enzres.fem import region_operator, weak_normal_flux
 from enzres.mesh import (CORE, build_concentric_mesh, load_mesh, mesh_metrics,
@@ -182,6 +184,20 @@ def cmd_validate_disk(args) -> int:
         / abs(annulus_lambda1(case))
     checks.append(("lambda1 within 1% of oracle", lam1_rel, lam1_rel <= 1e-2))
 
+    # criterion 2: the direct finite-delta eigenvalue at delta and delta/2
+    # (on the series' own factors) leaves remainders E_n = O(delta^(n+1))
+    delta = 0.01 * cmath.exp(1j * math.pi / 4)
+    pairs = [resonance_near(mesh, d, pert.eval_lambda(series, d),
+                            series.psi_d) for d in (delta, delta / 2)]
+    ratios = []
+    for n in (1, 2):
+        rem = [abs(p.lam - series.lambda0 - sum(
+            c * p.delta ** (k + 1)
+            for k, c in enumerate(series.lambda_coeffs[:n]))) for p in pairs]
+        ratios.append(rem[0] / rem[1])
+        checks.append((f"E_{n} remainder ratio in [{2 ** n}, {2 ** (n + 2)}]",
+                       ratios[-1], 2 ** n <= ratios[-1] <= 2 ** (n + 2)))
+
     r = np.linalg.norm(mesh.nodes, axis=1)
     core_nodes = mesh.region_nodes(CORE)
     psi_err = max(abs(series.psi_d.values[i]
@@ -201,7 +217,8 @@ def cmd_validate_disk(args) -> int:
     for name, value, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {value:.6g}")
     _emit({"h": h, "lambda0": lam_h[h], "order": order,
-           "lambda1": series.lambda_coeffs[0], "all_passed": ok})
+           "lambda1": series.lambda_coeffs[0], "remainder_ratios": ratios,
+           "all_passed": ok})
     return 0 if ok else 1
 
 

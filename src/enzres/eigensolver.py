@@ -10,16 +10,20 @@ products alone.  Its preconditioner is one Dirichlet-Neumann sweep
 Equations, 1999), the shell/core splitting of the series recursion: at
 small delta the shell stiffness K_s/delta dominates the pencil, so a
 mean-zero shell solve of K_s x_S = delta*r_S is followed by a Dirichlet
-core solve at the real shift sigma = Re(lam_guess) with x_S as interface
-data.  A pair is accepted only when its true pencil residual is at most
-RESIDUAL_TOL; an iteration that stops above it (it no longer halves its
-residual every two sweeps, or reaches MAX_ITERATIONS) is refused with
-NumericalError, never retried another way.
-Measured on the disk at h = 0.08 (target 9, arg delta in {0, pi/4, 1.5}):
-it converges for |delta| <= 0.3 (in at most 10 sweeps) and is refused at
-|delta| = 0.4.  `ritz_values_near`, the simplicity probe, factors the
-complex pencil itself (`fem.factor_symmetric`: minimum-degree ordering of
-A + A^T, partial pivoting) and so checks the iteration independently.
+core solve at the real shift sigma = lambda0 of psi_d with x_S as
+interface data.  Those are the two factors the series recursion made, and
+while the series is alive they are reused, not made again (see
+`fem.RegionOperator`); the shift does not depend on whether they are, so
+neither does the answer.  A pair is accepted only when its true pencil
+residual, relative to ||K|| + |lambda|*||M||, is at most RESIDUAL_TOL; an
+iteration that stops above it (it no longer halves its residual every two
+sweeps, or reaches MAX_ITERATIONS) is refused with NumericalError, never
+retried another way.
+Measured on the disk at h = 0.08 and 0.04 (target 9, arg delta in
+{0, pi/4, 1.5}): it converges for |delta| <= 0.5 and is refused at
+|delta| = 0.6 and 0.8.  `ritz_values_near`, the simplicity probe, factors
+the complex pencil itself (`fem.factor_symmetric`: minimum-degree ordering
+of A + A^T, partial pivoting) and so checks the iteration independently.
 All inner products are unconjugated (complex-symmetric, not Hermitian):
 the problem is an analytic continuation in delta, and the normalization
 int u_delta * u0 uses the bilinear pairing.  Time convention
@@ -28,6 +32,7 @@ e^{-i omega t}.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +41,7 @@ import scipy.sparse.linalg as spla
 from enzres.errors import InputError, NumericalError
 from enzres.fem import Field, factor_symmetric, lu_solve, region_operator
 from enzres.mesh import CORE, SHELL, Mesh
+from enzres.perturbation import CoreProfile
 
 __all__ = ["ResonancePair", "assemble_operator", "resonance_near",
            "ritz_values_near"]
@@ -48,9 +54,12 @@ RESIDUAL_TOL = 1e-9
 class ResonancePair:
     """Converged eigenpair of the finite-delta problem.
 
-    `residual` is ||(K - lambda*M) u|| / ||u|| relative to the operator
-    scale; `u` is normalized so int u * u0 = norm_const (unconjugated);
-    `iterations` counts the preconditioned sweeps.
+    `residual` is ||(K - lambda*M) u|| / ||u|| relative to
+    ||K|| + |lambda|*||M|| (infinity norms); `u` is normalized so
+    int u * u0 = norm_const (unconjugated); `iterations` counts the
+    preconditioned sweeps; `factorizations` counts the factors the call
+    made: 0 when it reused a live series' core and shell factors, 2 when it
+    made both.
     """
 
     delta: complex
@@ -58,6 +67,7 @@ class ResonancePair:
     u: Field
     iterations: int
     residual: float
+    factorizations: int
 
 
 def assemble_operator(mesh: Mesh, delta):
@@ -72,32 +82,49 @@ def assemble_operator(mesh: Mesh, delta):
     return core.K + shell.K / delta, core.M + shell.M
 
 
-def resonance_near(mesh: Mesh, delta, lam_guess, psi_d: Field) -> ResonancePair:
-    """Eigenvalue of (K(delta), M) continuing lambda0, found from lam_guess
-    and u0 (1 on the shell, psi_d on the core), with the eigenvector
-    normalized against u0.
+def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
+    """Eigenvalue of (K(delta), M) continuing lambda0, found from u0 (1 on
+    the shell, psi_d on the core), with the eigenvector normalized against
+    u0.
+
+    psi_d is a `perturbation.CoreProfile`: the core profile with the
+    lambda0 it was solved at.  lam_guess (the series' prediction) is the
+    eigenvalue estimate of the first residual only; every later residual
+    takes the unconjugated Rayleigh quotient of its iterate.
 
     Preconditioned inverse iteration from u0: u <- u - P r, where
-    r = (K(delta) - lam*M) u and lam is the unconjugated Rayleigh quotient
-    of u.  P is one Dirichlet-Neumann sweep over two real factors made
-    here: the shell's mean-zero factor gives x_S from K_s x_S = delta*r_S
-    on the shell nodes, interface included, and the core's Dirichlet factor
-    at sigma = Re(lam_guess) gives x_I = (K_ii - sigma*M_ii)^-1 (r_I -
-    A_IG x_G) with A = K_core - sigma*M_core.  The iteration stops once the
-    residual is at most RESIDUAL_TOL * 1e-2, or when it is not below half
-    its value two sweeps before, or after MAX_ITERATIONS sweeps; a
-    residual above RESIDUAL_TOL at that point raises NumericalError.
-    Measured on the disk (target 9): at h = 0.02, 4 sweeps at
-    delta = 0.01 e^{i pi/4} and 3 at delta/2; at h = 0.08 it converges for
-    |delta| <= 0.3 and is refused at |delta| = 0.4.
+    r = (K(delta) - lam*M) u.  P is one Dirichlet-Neumann sweep over two
+    real factors: the shell's mean-zero factor gives x_S from
+    K_s x_S = delta*r_S on the shell nodes, interface included, and the
+    core's Dirichlet factor at sigma = psi_d.lambda0 gives
+    x_I = (K_ii - sigma*M_ii)^-1 (r_I - A_IG x_G) with
+    A = K_core - sigma*M_core.  Both are the factors of the series that
+    made psi_d while that series is alive, and are made here otherwise.
+    The iteration stops once the residual is at most RESIDUAL_TOL * 1e-2,
+    or when it is not below half its value two sweeps before, or after
+    MAX_ITERATIONS sweeps; a residual not at most RESIDUAL_TOL at that
+    point raises NumericalError.  A non-finite delta or lam_guess raises
+    InputError before any work.
+    Measured on the disk (target 9): at h = 0.02, 3 sweeps at
+    delta = 0.01 e^{i pi/4} and 2 at delta/2; at h = 0.08 and 0.04 it
+    converges for |delta| <= 0.5 and is refused at |delta| = 0.6.
     """
+    for name, value in (("delta", delta), ("lam_guess", lam_guess)):
+        if not cmath.isfinite(complex(value)):
+            raise InputError(f"resonance_near: {name} must be finite, got "
+                             f"{value}")
+    if not isinstance(psi_d, CoreProfile):
+        raise InputError("resonance_near: psi_d must be a CoreProfile, "
+                         "which carries the lambda0 it was solved at")
+    lambda0 = psi_d.lambda0
     K, M = assemble_operator(mesh, delta)
     delta = complex(delta)
     core, shell = region_operator(mesh, CORE), region_operator(mesh, SHELL)
-    sigma = float(np.real(lam_guess))
-    core_factor = core.factor(sigma)
+    factorizations = ((core.live_factor(lambda0) is None)
+                      + (shell.live_neumann() is None))
+    core_factor = core.factor(lambda0)
     shell_factor = shell.neumann().mean_zero
-    A_I = (core.K - sigma * core.M)[core.interior]
+    A_I = (core.K - lambda0 * core.M)[core.interior]
 
     def sweep(r):
         x = np.zeros_like(r)
@@ -110,9 +137,10 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d: Field) -> ResonancePair:
     u0[shell.nodes] = 1.0
     u0[core.nodes] = psi_d.values[core.nodes]
 
-    op_scale = abs(K).sum(axis=1).max() + abs(lam_guess) * abs(M).sum(axis=1).max()
+    K_norm, M_norm = abs(K).sum(axis=1).max(), abs(M).sum(axis=1).max()
 
     v = u0.copy()
+    lam = complex(lam_guess)
     history = []
     for it in range(MAX_ITERATIONS + 1):
         v /= np.linalg.norm(v)
@@ -122,15 +150,16 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d: Field) -> ResonancePair:
             raise NumericalError("resonance_near: degenerate bilinear norm "
                                  "(complex-symmetric breakdown)")
         Kv = K @ v
-        lam = (v @ Kv) / vMv
+        if it > 0:
+            lam = (v @ Kv) / vMv
         r = Kv - lam * Mv
-        res = np.linalg.norm(r) / op_scale
+        res = np.linalg.norm(r) / (K_norm + abs(lam) * M_norm)
         if (res <= RESIDUAL_TOL * 1e-2 or it == MAX_ITERATIONS
                 or (it >= 2 and not res < 0.5 * history[-2])):
             break
         history.append(res)
         v -= sweep(r)
-    if res > RESIDUAL_TOL:
+    if not res <= RESIDUAL_TOL:
         raise NumericalError(
             f"resonance_near: residual {res:.3e} exceeds {RESIDUAL_TOL:g} "
             f"after {it} iterations")
@@ -145,7 +174,8 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d: Field) -> ResonancePair:
     v = v * (norm_const / pairing)
     return ResonancePair(delta=delta, lam=complex(lam),
                          u=Field(mesh, v, frozenset({CORE, SHELL})),
-                         iterations=it, residual=float(res))
+                         iterations=it, residual=float(res),
+                         factorizations=int(factorizations))
 
 
 def ritz_values_near(mesh: Mesh, delta, lam_guess, k: int = 2) -> np.ndarray:

@@ -11,25 +11,28 @@ mean over Omega; lambda0 is the one such eigenvalue in the search interval.
 Higher orders follow from an alternating Neumann(shell)/Dirichlet(core)
 recursion that factors the core and the shell operator once each; all
 stored fields are mean-zero with the additive constants e_n kept
-separately.
+separately.  A series holds the core and shell factors its recursion
+made, so that `eigensolver.resonance_near` on its psi_d (a `CoreProfile`,
+which carries the lambda0 it was solved at) reuses them; the factors go
+with the series.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (DirichletFactor, Field, factor_symmetric,
-                        region_operator, weak_normal_flux)
+from enzres.fem import (DirichletFactor, Field, NeumannFactor,
+                        factor_symmetric, region_operator, weak_normal_flux)
 from enzres.mesh import CORE, SHELL, Mesh
 
-__all__ = ["PerturbationSeries", "compute_psi_d", "consistency_residual",
-           "find_lambda0", "expand_series", "eval_lambda", "eval_field",
+__all__ = ["PerturbationSeries", "CoreProfile", "compute_psi_d",
+           "consistency_residual", "find_lambda0", "expand_series", "eval_lambda", "eval_field",
            "series_to_json", "series_from_json"]
 
 #: tolerance factors (relative to |Omega|) for entering / running the recursion
@@ -42,6 +45,14 @@ ROOT_TOL = 1e-10
 
 
 @dataclass
+class CoreProfile(Field):
+    """psi_d: (-Delta - lambda0) psi_d = 0 in the core, psi_d = 1 on the
+    interface, with the exact float `lambda0` it was solved at."""
+
+    lambda0: float
+
+
+@dataclass
 class PerturbationSeries:
     """Taylor coefficients of (lambda_delta, u_delta) about delta = 0.
 
@@ -49,7 +60,10 @@ class PerturbationSeries:
     `core_fields[n-1]` the mean-zero core corrector, `constants[n-1]` the
     additive constant e_n; the full correctors are
     phi_n = shell_fields[n-1] + e_n and psi_n = core_fields[n-1] + e_n*psi_d.
-    `norm_const` is |shell| + int_D psi_d**2.
+    `norm_const` is |shell| + int_D psi_d**2.  `core_factor` (the core at
+    lambda0) and `shell_factor` (the shell's mean-zero factor) are the
+    factors `expand_series` made; a series read back from JSON has none.
+    They are not serialized, shown or compared.
     """
 
     mesh: Mesh
@@ -59,7 +73,11 @@ class PerturbationSeries:
     core_fields: list    # mean-zero Fields on the core
     constants: list      # [e_1..e_N]
     norm_const: float
-    psi_d: Field
+    psi_d: CoreProfile | np.ndarray
+    core_factor: DirichletFactor | None = field(
+        default=None, repr=False, compare=False)
+    shell_factor: NeumannFactor | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -69,17 +87,20 @@ class PerturbationSeries:
         return np.array([self.lambda0, *self.lambda_coeffs])
 
 
-def _core_factor(mesh: Mesh, lambda0) -> DirichletFactor:
+def _core_profile(mesh: Mesh, lambda0):
+    """(psi_d, the core factor at lambda0 that solved it)."""
     if not lambda0 > 0:
         raise InputError(f"compute_psi_d: lambda0 must be > 0, got {lambda0}")
-    return region_operator(mesh, CORE).factor(lambda0)
+    lambda0 = float(lambda0)
+    fac = region_operator(mesh, CORE).factor(lambda0)
+    return CoreProfile(mesh, fac.solve(g=1.0), frozenset({CORE}),
+                       lambda0), fac
 
 
-def compute_psi_d(mesh: Mesh, lambda0: float) -> Field:
+def compute_psi_d(mesh: Mesh, lambda0: float) -> CoreProfile:
     """Core profile: (-Delta - lambda0) psi_d = 0 in D, psi_d = 1 on the
     interface."""
-    return Field(mesh, _core_factor(mesh, lambda0).solve(g=1.0),
-                 frozenset({CORE}))
+    return _core_profile(mesh, lambda0)[0]
 
 
 def consistency_residual(mesh: Mesh, lambda0: float) -> float:
@@ -212,13 +233,12 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     if order < 1:
         raise InputError(f"expand_series: order must be >= 1, got {order}")
     # one core factorization serves psi_d and every core corrector
-    fac = _core_factor(mesh, lambda0)
+    psi_d, fac = _core_profile(mesh, lambda0)
     op = fac.op
     area = sum(op.area_by_region.values())
     shell_area = op.area_by_region[SHELL]
     m_core = op.m
 
-    psi_d = Field(mesh, fac.solve(g=1.0), frozenset({CORE}))
     consist = shell_area + m_core @ psi_d.values
     if abs(consist) > CONSISTENCY_TOL * area:
         raise InputError(
@@ -281,7 +301,8 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         mesh=mesh, lambda0=float(lambda0), lambda_coeffs=lambdas[1:],
         shell_fields=[Field(mesh, v, shell_tags) for v in phis[1:]],
         core_fields=[Field(mesh, v, core_tags) for v in psis[1:]],
-        constants=e[1:], norm_const=norm_const, psi_d=psi_d)
+        constants=e[1:], norm_const=norm_const, psi_d=psi_d,
+        core_factor=fac, shell_factor=shell_fac)
 
 
 def eval_lambda(series, delta):
@@ -336,8 +357,9 @@ def series_to_json(series: PerturbationSeries) -> str:
 
 
 def series_from_json(text: str, mesh: Mesh | None = None) -> PerturbationSeries:
-    """Rebuild a series from JSON.  Without a mesh, field evaluation is
-    unavailable but eval_lambda and dispersion tracing work."""
+    """Rebuild a series from JSON, without factors.  Without a mesh, field
+    evaluation is unavailable but eval_lambda and dispersion tracing work;
+    with one, psi_d is a `CoreProfile` at the stored lambda0."""
     doc = json.loads(text)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise InputError("series_from_json: unsupported schema_version "
@@ -345,12 +367,13 @@ def series_from_json(text: str, mesh: Mesh | None = None) -> PerturbationSeries:
     psi_d = np.array(doc["psi_d"])
     shell = [np.array(v) for v in doc["shell_fields"]]
     core = [np.array(v) for v in doc["core_fields"]]
+    lambda0 = float(doc["lambda0"])
     if mesh is not None:
-        psi_d = Field(mesh, psi_d, frozenset({CORE}))
+        psi_d = CoreProfile(mesh, psi_d, frozenset({CORE}), lambda0)
         shell = [Field(mesh, v, frozenset({SHELL})) for v in shell]
         core = [Field(mesh, v, frozenset({CORE})) for v in core]
     return PerturbationSeries(
-        mesh=mesh, lambda0=float(doc["lambda0"]),
+        mesh=mesh, lambda0=lambda0,
         lambda_coeffs=[float(c) for c in doc["lambda"]],
         shell_fields=shell, core_fields=core,
         constants=[float(c) for c in doc["e"]],

@@ -184,6 +184,12 @@ class TestValidateDisk:
         for line in res.stdout.splitlines():
             if line.startswith(("PASS", "FAIL")):
                 assert line.startswith("PASS")
+        # criterion 2 runs on the series' factors; the JSON follows the
+        # PASS/FAIL lines
+        doc = json.loads(res.stdout[res.stdout.index("{"):])
+        assert doc["schema_version"] == 1
+        r1, r2 = doc["remainder_ratios"]
+        assert 2 <= r1 <= 8 and 4 <= r2 <= 16
 
 
 class ClosedPipe(io.TextIOBase):

@@ -1,15 +1,21 @@
 """Direct complex-symmetric eigensolve near the perturbative prediction."""
 
 import cmath
+import gc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from enzres.eigensolver import (assemble_operator, resonance_near,
-                                ritz_values_near)
+from enzres.eigensolver import (RESIDUAL_TOL, assemble_operator,
+                                resonance_near, ritz_values_near)
 from enzres.errors import InputError, NumericalError
-from enzres.perturbation import eval_lambda, expand_series, find_lambda0
+from enzres.fem import Field, region_operator
+from enzres.mesh import CORE
+from enzres.perturbation import (compute_psi_d, eval_lambda, expand_series,
+                                 find_lambda0, series_from_json,
+                                 series_to_json)
 
 from conftest import record_splu
 
@@ -63,13 +69,62 @@ class TestResonanceNear:
         with pytest.raises(InputError):
             resonance_near(s.mesh, 0.0, s.lambda0, s.psi_d)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     complex(0.0, float("-inf"))])
+    @pytest.mark.parametrize("which", ["delta", "lam_guess"])
+    def test_rejects_non_finite_input(self, series_coarse, which, bad,
+                                      monkeypatch):
+        s = series_coarse
+        args = {"delta": DELTA, "lam_guess": eval_lambda(s, DELTA)}
+        args[which] = bad
+        calls = record_splu(monkeypatch)
+        with pytest.raises(InputError, match=f"{which} must be finite"):
+            resonance_near(s.mesh, args["delta"], args["lam_guess"], s.psi_d)
+        assert calls == []
+
+    def test_rejects_psi_d_without_lambda0(self, series_coarse):
+        s = series_coarse
+        plain = Field(s.mesh, s.psi_d.values, s.psi_d.support)
+        with pytest.raises(InputError, match="CoreProfile"):
+            resonance_near(s.mesh, DELTA, eval_lambda(s, DELTA), plain)
+
+    @pytest.mark.parametrize("guess", [1e8, 1e12])
+    def test_gate_does_not_depend_on_the_guess(self, series_coarse, guess):
+        # the residual is scaled by the iterate's own lambda, so a wild
+        # guess can neither loosen the gate nor pass a wrong eigenvalue:
+        # the pair is right or refused (it is refused here, since the
+        # first sweep loses the shell's constant)
+        s = series_coarse
+        good = resonance_at(s, 0.01)
+        try:
+            pair = resonance_near(s.mesh, 0.01, guess, s.psi_d)
+        except NumericalError:
+            return
+        assert abs(pair.lam - good.lam) <= 1e-9 * abs(good.lam)
+
 
 class TestPreconditionedIteration:
     """The Dirichlet-Neumann preconditioned iteration on the h = 0.08 disk:
-    real factors only, the Arnoldi eigenvalue wherever it converges, and a
-    refusal where it does not."""
+    the series' own real factors, the Arnoldi eigenvalue wherever it
+    converges, and a refusal where it does not."""
 
-    def test_factors_only_real_matrices(self, series_coarse, monkeypatch):
+    def test_live_series_factors_are_reused(self, series_coarse,
+                                            monkeypatch):
+        calls = record_splu(monkeypatch)
+        pair = resonance_at(series_coarse, DELTA)
+        assert calls == []
+        assert pair.factorizations == 0
+
+    def test_factors_only_real_matrices(self, fresh_mesh_coarse,
+                                        lambda0_coarse, monkeypatch):
+        # a series read back from JSON holds no factors, so the call makes
+        # the core and shell factors itself, both real, at the shift the
+        # series used: the pair is bit-identical to the shared one
+        series = expand_series(fresh_mesh_coarse, lambda0_coarse, order=4)
+        shared = resonance_at(series, DELTA)
+        text = series_to_json(series)
+        del series
+        rebuilt = series_from_json(text, fresh_mesh_coarse)
         dtypes = []
         real_splu = spla.splu
 
@@ -78,28 +133,60 @@ class TestPreconditionedIteration:
             return real_splu(A, *args, **kwargs)
 
         monkeypatch.setattr(spla, "splu", recording)
-        resonance_at(series_coarse, DELTA)
+        pair = resonance_at(rebuilt, DELTA)
         assert len(dtypes) == 2
         assert not any(np.issubdtype(t, np.complexfloating) for t in dtypes)
+        assert (shared.factorizations, pair.factorizations) == (0, 2)
+        assert np.array_equal(pair.lam, shared.lam)
+        assert np.array_equal(pair.u.values, shared.u.values)
+        assert pair.iterations == shared.iterations
+
+    def test_nothing_but_the_series_keeps_its_factors(self, fresh_mesh_coarse,
+                                                      lambda0_coarse):
+        # reference counting alone frees them once the series goes: no
+        # operator, mesh or module holds them, and no cycle does
+        m = fresh_mesh_coarse
+        gc.disable()
+        try:
+            series = expand_series(m, lambda0_coarse, order=1)
+            core_ref = weakref.ref(series.core_factor)
+            shell_ref = weakref.ref(series.shell_factor)
+            resonance_at(series, DELTA)
+            del series
+            assert core_ref() is None and shell_ref() is None
+            compute_psi_d(m, lambda0_coarse)
+            assert region_operator(m, CORE).live_factor(
+                lambda0_coarse) is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("arg", ARGS)
-    @pytest.mark.parametrize("size", [0.01, 0.2])
+    @pytest.mark.parametrize("size", [0.01, 0.2, 0.4])
     def test_matches_arnoldi(self, series_coarse, size, arg):
         # ritz_values_near factors the complex pencil, so it is an
-        # independent check of the iteration's eigenvalue
+        # independent check of the iteration's eigenvalue; the residual is
+        # recomputed here relative to ||K|| + |lambda|*||M||
         delta = size * cmath.exp(1j * arg)
         pair = resonance_at(series_coarse, delta)
         vals = ritz_values_near(series_coarse.mesh, delta, pair.lam, k=2)
         nearest = vals[np.argmin(np.abs(vals - pair.lam))]
-        assert pair.residual <= 1e-9
+        K, M = assemble_operator(series_coarse.mesh, delta)
+        u = pair.u.values
+        scale = (abs(K).sum(axis=1).max()
+                 + abs(pair.lam) * abs(M).sum(axis=1).max())
+        res = np.linalg.norm(K @ u - pair.lam * (M @ u)) / (
+            np.linalg.norm(u) * scale)
+        assert pair.residual <= RESIDUAL_TOL
+        assert res <= RESIDUAL_TOL
         assert abs(pair.lam - nearest) <= 1e-9 * abs(nearest)
 
     @pytest.mark.parametrize("arg", ARGS)
     def test_refuses_where_it_stalls(self, series_coarse, arg):
-        # at |delta| = 0.4 the sweep no longer halves the residual every
-        # two sweeps, and it stops above RESIDUAL_TOL
+        # at |delta| = 0.8 the sweep no longer halves the residual every
+        # two sweeps, and it stops above RESIDUAL_TOL (at 1.0e-8 to 3.1e-8;
+        # |delta| = 0.5 still converges, 0.6 is refused)
         with pytest.raises(NumericalError, match="exceeds"):
-            resonance_at(series_coarse, 0.4 * cmath.exp(1j * arg))
+            resonance_at(series_coarse, 0.8 * cmath.exp(1j * arg))
 
 
 class TestOperator:
@@ -133,17 +220,20 @@ class TestRitz:
         assert np.array_equal(first, again)
 
 
-def test_factorizations_order_by_minimum_degree(mesh_coarse, lambda0_coarse,
-                                                monkeypatch):
+def test_factorizations_order_by_minimum_degree(fresh_mesh_coarse,
+                                                lambda0_coarse, monkeypatch):
     # The core and shell factors of resonance_near, the Ritz shift-invert
     # and the collapsed-shell pencil of find_lambda0 all have a symmetric
-    # pattern, so each is ordered on A + A^T.
-    s = expand_series(mesh_coarse, lambda0_coarse, order=1)
-    lam = eval_lambda(s, DELTA)
+    # pattern, so each is ordered on A + A^T.  The series is dropped first,
+    # so that resonance_near makes its own factors.
+    m = fresh_mesh_coarse
+    s = expand_series(m, lambda0_coarse, order=1)
+    lam, psi_d = eval_lambda(s, DELTA), s.psi_d
+    del s
     calls = record_splu(monkeypatch)
-    for run in (lambda: resonance_near(mesh_coarse, DELTA, lam, s.psi_d),
-                lambda: ritz_values_near(mesh_coarse, DELTA, lam),
-                lambda: find_lambda0(mesh_coarse, (6.0, 14.0))):
+    for run in (lambda: resonance_near(m, DELTA, lam, psi_d),
+                lambda: ritz_values_near(m, DELTA, lam),
+                lambda: find_lambda0(m, (6.0, 14.0))):
         calls.clear()
         run()
         assert calls

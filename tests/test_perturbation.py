@@ -13,7 +13,8 @@ from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
 from enzres import perturbation
 from enzres.errors import InputError, NumericalError
 from enzres.fem import assemble_mass, mass_vector
-from enzres.perturbation import (compute_psi_d, consistency_residual,
+from enzres.perturbation import (CoreProfile, compute_psi_d,
+                                 consistency_residual,
                                  eval_field, eval_lambda, expand_series,
                                  find_lambda0, series_from_json,
                                  series_to_json)
@@ -115,16 +116,23 @@ class TestPencilRoot:
 
 
 class TestRecursionInvariants:
-    def test_core_factored_once(self, mesh_coarse, lambda0_coarse,
+    def test_core_factored_once(self, fresh_mesh_coarse, lambda0_coarse,
                                 monkeypatch):
         # psi_d and all four core correctors share one factorization of
         # the core interior block, and all four shell correctors one of the
         # shell block without its pinned node.
+        m = fresh_mesh_coarse
         calls = record_splu(monkeypatch)
-        expand_series(mesh_coarse, lambda0_coarse, order=4)
-        shell_dim = mesh_coarse.region_nodes(1).size
+        s = expand_series(m, lambda0_coarse, order=4)
+        shell_dim = m.region_nodes(1).size
         assert sorted(dim for dim, _ in calls) == sorted(
-            [core_dim(mesh_coarse), shell_dim - 1])
+            [core_dim(m), shell_dim - 1])
+        # the series holds both factors, so a second series at the same
+        # lambda0 makes none while the first is alive
+        calls.clear()
+        expand_series(m, lambda0_coarse, order=4)
+        assert calls == []
+        assert s.core_factor.lam == s.psi_d.lambda0 == lambda0_coarse
 
 
     def test_mean_zero_correctors(self, series_fine):
@@ -222,6 +230,7 @@ class TestEvaluation:
         interface = np.unique(
             mesh_coarse.boundary_edges[mesh_coarse.edge_tags == 0])
         assert np.allclose(pd.values[interface], 1.0, atol=1e-12)
+        assert isinstance(pd, CoreProfile) and pd.lambda0 == lambda0_coarse
 
 
 class TestSerialization:
@@ -235,6 +244,11 @@ class TestSerialization:
         assert s2.norm_const == s.norm_const
         for a, b in zip(s2.shell_fields, s.shell_fields):
             assert np.array_equal(a.values, b.values)
+        # psi_d keeps the lambda0 it was solved at; factors are not stored
+        assert isinstance(s2.psi_d, CoreProfile)
+        assert s2.psi_d.lambda0 == s.psi_d.lambda0 == s.lambda0
+        assert s2.core_factor is None and s2.shell_factor is None
+        assert "factor" not in repr(s)
 
     def test_schema_version_present(self, series_fine):
         payload = json.loads(series_to_json(series_fine))
