@@ -26,7 +26,7 @@ from enzres.fem import (BoundaryFunctional, Field, MeanZeroFactor,
                         element_geometry, factor_spd, region_operator,
                         weak_normal_flux)
 from enzres.mesh import CORE, DESIGN_TAGS, Mesh
-from enzres.perturbation import compute_psi_d
+from enzres.perturbation import _check_lambda0, compute_psi_d
 
 __all__ = ["DesignProblem", "DesignState", "DualSolution", "StageRecord",
            "make_disk_problem",
@@ -144,6 +144,7 @@ class DesignState:
 def make_disk_problem(mesh: Mesh, lambda0: float) -> DesignProblem:
     """Standard problem: f = weak interface flux of psi_d, norm_const from
     the same core solve."""
+    _check_lambda0("make_disk_problem", lambda0)
     psi_d = compute_psi_d(mesh, lambda0)
     f = weak_normal_flux(psi_d, lambda0, source=None)
     M_core = region_operator(mesh, CORE).M

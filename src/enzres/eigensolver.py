@@ -11,14 +11,14 @@ Equations, 1999), the shell/core splitting of the series recursion: at
 small delta the shell stiffness K_s/delta dominates the pencil, so a
 mean-zero shell solve of K_s x_S = delta*r_S is followed by a Dirichlet
 core solve at the real shift sigma = lambda0 of psi_d with x_S as
-interface data.  Those are the two factors the series recursion made, and
-while the series is alive they are reused, not made again (see
-`fem.RegionOperator`); the shift does not depend on whether they are, so
-neither does the answer.  A pair is accepted only when its true pencil
-residual, relative to ||K|| + |lambda|*||M||, is at most RESIDUAL_TOL; an
-iteration that stops above it (it no longer halves its residual every two
-sweeps, or reaches MAX_ITERATIONS) is refused with NumericalError, never
-retried another way.
+interface data.  Those are the two factors the series recursion made; the
+psi_d of `perturbation.expand_series` carries them, and they are made here
+for any other psi_d.  The shift is the same either way, and so is the
+answer.  A pair is accepted only when its true pencil residual, relative
+to ||K|| + |lambda|*||M||, is at most RESIDUAL_TOL; an iteration that
+stops above it (it no longer halves its residual every two sweeps, or
+reaches MAX_ITERATIONS) is refused with NumericalError, never retried
+another way.
 Measured on the disk at h = 0.08 and 0.04 (target 9, arg delta in
 {0, pi/4, 1.5}): it converges for |delta| <= 0.5 and is refused at
 |delta| = 0.6 and 0.8.  `ritz_values_near`, the simplicity probe, factors
@@ -58,8 +58,7 @@ class ResonancePair:
     ||K|| + |lambda|*||M|| (infinity norms); `u` is normalized so
     int u * u0 = norm_const (unconjugated); `iterations` counts the
     preconditioned sweeps; `factorizations` counts the factors the call
-    made: 0 when it reused a live series' core and shell factors, 2 when it
-    made both.
+    made: 0 when psi_d carried both factors, 2 when it carried none.
     """
 
     delta: complex
@@ -87,8 +86,8 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
     the shell, psi_d on the core), with the eigenvector normalized against
     u0.
 
-    psi_d is a `perturbation.CoreProfile`: the core profile with the
-    lambda0 it was solved at.  lam_guess (the series' prediction) is the
+    psi_d is a `perturbation.CoreProfile` on `mesh`: the core profile with
+    the lambda0 it was solved at.  lam_guess (the series' prediction) is the
     eigenvalue estimate of the first residual only; every later residual
     takes the unconjugated Rayleigh quotient of its iterate.
 
@@ -98,13 +97,13 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
     K_s x_S = delta*r_S on the shell nodes, interface included, and the
     core's Dirichlet factor at sigma = psi_d.lambda0 gives
     x_I = (K_ii - sigma*M_ii)^-1 (r_I - A_IG x_G) with
-    A = K_core - sigma*M_core.  Both are the factors of the series that
-    made psi_d while that series is alive, and are made here otherwise.
+    A = K_core - sigma*M_core.  Both are taken from psi_d when it carries
+    them (`perturbation.expand_series`), and made here otherwise.
     The iteration stops once the residual is at most RESIDUAL_TOL * 1e-2,
     or when it is not below half its value two sweeps before, or after
     MAX_ITERATIONS sweeps; a residual not at most RESIDUAL_TOL at that
-    point raises NumericalError.  A non-finite delta or lam_guess raises
-    InputError before any work.
+    point raises NumericalError.  A non-finite delta or lam_guess, or a
+    psi_d on another mesh, raises InputError before any work.
     Measured on the disk (target 9): at h = 0.02, 3 sweeps at
     delta = 0.01 e^{i pi/4} and 2 at delta/2; at h = 0.08 and 0.04 it
     converges for |delta| <= 0.5 and is refused at |delta| = 0.6.
@@ -116,14 +115,15 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
     if not isinstance(psi_d, CoreProfile):
         raise InputError("resonance_near: psi_d must be a CoreProfile, "
                          "which carries the lambda0 it was solved at")
+    if psi_d.mesh is not mesh:
+        raise InputError("resonance_near: psi_d belongs to another mesh")
     lambda0 = psi_d.lambda0
     K, M = assemble_operator(mesh, delta)
     delta = complex(delta)
     core, shell = region_operator(mesh, CORE), region_operator(mesh, SHELL)
-    factorizations = ((core.live_factor(lambda0) is None)
-                      + (shell.live_neumann() is None))
-    core_factor = core.factor(lambda0)
-    shell_factor = shell.neumann().mean_zero
+    factorizations = (psi_d.core_factor is None) + (psi_d.shell_factor is None)
+    core_factor = psi_d.core_factor or core.factor(lambda0)
+    shell_factor = (psi_d.shell_factor or shell.neumann()).mean_zero
     A_I = (core.K - lambda0 * core.M)[core.interior]
 
     def sweep(r):

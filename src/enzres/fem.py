@@ -19,12 +19,9 @@ Conventions used throughout the package:
   ``lu_solve`` solves a complex right-hand side of a real factor as its
   real and imaginary parts.  The series recursion and the eigensolver's
   Dirichlet-Neumann preconditioner are built from these two factors.
-  A factor lives as long as its callers hold it, and no longer: the
-  operator keeps only a weak reference to the last factor of each kind it
-  made, and hands that factor out again while someone still holds it (for
-  ``factor``, at exactly the same shift), so a series and the finite-delta
-  check on its psi_d share one core and one shell factor.  No operator,
-  mesh or module keeps a factor alive.
+  The operator keeps no factor: each call makes a new one, which lives as
+  long as its caller holds it.  The series hands its two to the psi_d it
+  returns, so the finite-delta check on that psi_d makes none.
 * Every factorization the solvers make orders its matrix by minimum
   degree on A + A^T, which suits the symmetric pattern all of their
   matrices share and about halves the fill of SuperLU's default column
@@ -48,7 +45,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -376,17 +372,9 @@ class RegionOperator:
     mesh -> cache -> operator -> mesh cycle would keep every dropped mesh
     alive until the cyclic garbage collector runs.
 
-    Factors are not kept.  `factor` and `neumann` each hold a weak
-    reference to the last factor they made and return it again while a
-    caller still holds it (`factor` only at exactly the same shift);
-    otherwise they make a new one, from the same matrix with the same
-    options, so a found factor and a new one give bit-identical solves.
-    A factor refers to its operator strongly and the operator to it
-    weakly, so no reference cycle forms and a factor is freed as soon as
-    its last holder drops it.  (A strong reference here would form an
-    operator -> factor -> operator cycle that only the cyclic collector
-    frees; on the design-h04 benchmark that raised peak memory from 92 MB
-    to 168-203 MB.)
+    Factors are not kept either: `factor` and `neumann` make a new one on
+    every call.  A factor refers to its operator, and nothing here refers
+    back to it, so it is freed as soon as its last holder drops it.
     """
 
     def __init__(self, mesh: Mesh, region):
@@ -401,7 +389,6 @@ class RegionOperator:
         self.interior = np.setdiff1d(self.nodes, self.boundary,
                                      assume_unique=True)
         self.area_by_region = mesh.area_by_region()
-        self._factor = self._neumann = _dead_ref
 
     @cached_property
     def K_ii(self):
@@ -411,45 +398,13 @@ class RegionOperator:
     def M_ii(self):
         return self.M[self.interior][:, self.interior].tocsc()
 
-    def live_factor(self, lam) -> "DirichletFactor | None":
-        """The last factor `factor` made, if a caller still holds it and its
-        shift is lam exactly: the same value, and complex only if lam is."""
-        fac = self._factor()
-        if (fac is not None and fac.lam == lam
-                and fac.A_ii.dtype == _shift_dtype(lam)):
-            return fac
-        return None
-
-    def live_neumann(self) -> "NeumannFactor | None":
-        """The last factor `neumann` made, if a caller still holds it."""
-        return self._neumann()
-
     def factor(self, lam) -> "DirichletFactor":
-        """Factor K_ii - lam*M_ii (real or complex lam), or return the live
-        factor at exactly this shift."""
-        fac = self.live_factor(lam)
-        if fac is None:
-            fac = DirichletFactor(self, lam)
-            self._factor = weakref.ref(fac)
-        return fac
+        """Factor K_ii - lam*M_ii (real or complex lam)."""
+        return DirichletFactor(self, lam)
 
     def neumann(self) -> "NeumannFactor":
-        """Factor the region's mean-zero Neumann problem, or return the live
-        factor."""
-        fac = self.live_neumann()
-        if fac is None:
-            fac = NeumannFactor(self)
-            self._neumann = weakref.ref(fac)
-        return fac
-
-
-def _dead_ref():
-    """Stands in for a weak reference before any factor is made."""
-    return None
-
-
-def _shift_dtype(lam):
-    return complex if np.iscomplexobj(np.asarray(lam)) else float
+        """Factor the region's mean-zero Neumann problem."""
+        return NeumannFactor(self)
 
 
 def region_operator(mesh: Mesh, region) -> RegionOperator:
@@ -471,7 +426,8 @@ class DirichletFactor:
 
     def __init__(self, op: RegionOperator, lam):
         self.op, self.lam = op, lam
-        self.A_ii = (op.K_ii - lam * op.M_ii).astype(_shift_dtype(lam)).tocsc()
+        dtype = complex if np.iscomplexobj(np.asarray(lam)) else float
+        self.A_ii = (op.K_ii - lam * op.M_ii).astype(dtype).tocsc()
         try:
             self.lu = factor_symmetric(self.A_ii)
         except RuntimeError as exc:

@@ -361,13 +361,26 @@ def save_mesh(mesh: Mesh) -> str:
     return "\n".join(out) + "\n"
 
 
+def _numbers(rows, dtype, width) -> np.ndarray:
+    """Whitespace-separated numbers of `dtype`, `width` per row, as one
+    (len(rows), width) array; ValueError if any row is not that.  np.loadtxt
+    parses the rows; it warns on no input, so none is given to it."""
+    if not rows:
+        return np.empty((0, width), dtype=dtype)
+    values = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+    if values.shape[1] != width:
+        raise ValueError(f"{values.shape[1]} numbers per row, not {width}")
+    return values
+
+
 def load_mesh(text) -> Mesh:
     """Parse the `enzmesh v1` text format (strict).
 
     Accepts str, bytes, or a readable stream.  '#' starts a comment; blank
     lines are ignored; sections must appear in order.  Each section's rows
-    are converted by one NumPy call, and only if it fails are they walked to
-    name the bad line; every mesh rule is then checked once, by `_validate`.
+    are converted by one `np.loadtxt` call, and only if it fails are they
+    walked, each row through the same call, to name the bad line; every
+    mesh rule is then checked once, by `_validate`.
     Errors name the offending 1-based line number.  The returned mesh
     satisfies all Mesh invariants.
     """
@@ -379,12 +392,12 @@ def load_mesh(text) -> Mesh:
     except UnicodeDecodeError as exc:
         raise InputError(f"enzmesh parse: cannot decode text ({exc})")
 
-    line_nos, rows = [], []  # 1-based line number and tokens of each line
+    line_nos, rows = [], []  # 1-based line number and text of each line
     for i, raw in enumerate(text.splitlines(), start=1):
-        tok = raw.split("#", 1)[0].split()
-        if tok:
+        row = raw.partition("#")[0]
+        if row and not row.isspace():
             line_nos.append(i)
-            rows.append(tok)
+            rows.append(row)
     pos = 0
 
     def take(what):
@@ -393,7 +406,7 @@ def load_mesh(text) -> Mesh:
             raise InputError(f"enzmesh parse: unexpected end of file, "
                              f"expected {what}")
         pos += 1
-        return line_nos[pos - 1], rows[pos - 1]
+        return line_nos[pos - 1], rows[pos - 1].split()
 
     ln, tok = take("header 'enzmesh v1'")
     if tok != ["enzmesh", "v1"]:
@@ -421,21 +434,21 @@ def load_mesh(text) -> Mesh:
         block, lines = rows[pos:pos + count], line_nos[pos:pos + count]
         pos += count
         try:
-            values = np.array(block, dtype=dtype).reshape(count, len(form))
-        except (ValueError, OverflowError):
-            for ln, tok in zip(lines, block):
+            return _numbers(block, dtype, len(form)), lines
+        except ValueError:
+            for ln, row in zip(lines, block):
+                tok = row.split()
                 if len(tok) != len(form):
                     raise InputError(f"enzmesh parse: line {ln}: {name} row "
                                      f"needs '{' '.join(form)}', got "
                                      f"{len(tok)} tokens")
                 try:
-                    np.array(tok, dtype=dtype)
-                except (ValueError, OverflowError):
+                    _numbers([row], dtype, len(form))
+                except ValueError:
                     raise InputError(f"enzmesh parse: line {ln}: bad number "
                                      f"in {' '.join(tok)!r}, expected "
                                      f"{np.dtype(dtype)} values")
             raise  # unreachable: some row fails on its own
-        return values, lines
 
     nodes, node_lines = section("nodes", ("x", "y"), float)
     tri, tri_lines = section("triangles", ("v0", "v1", "v2", "region"),

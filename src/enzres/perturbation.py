@@ -11,15 +11,15 @@ mean over Omega; lambda0 is the one such eigenvalue in the search interval.
 Higher orders follow from an alternating Neumann(shell)/Dirichlet(core)
 recursion that factors the core and the shell operator once each; all
 stored fields are mean-zero with the additive constants e_n kept
-separately.  A series holds the core and shell factors its recursion
-made, so that `eigensolver.resonance_near` on its psi_d (a `CoreProfile`,
-which carries the lambda0 it was solved at) reuses them; the factors go
-with the series.
+separately.  The series' psi_d is a `CoreProfile`: it carries the lambda0
+it was solved at and the two factors the recursion made, which
+`eigensolver.resonance_near` on it reuses.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,9 +47,19 @@ ROOT_TOL = 1e-10
 @dataclass
 class CoreProfile(Field):
     """psi_d: (-Delta - lambda0) psi_d = 0 in the core, psi_d = 1 on the
-    interface, with the exact float `lambda0` it was solved at."""
+    interface, with the exact float `lambda0` it was solved at.
+
+    `core_factor` (the core at lambda0) and `shell_factor` (the shell's
+    mean-zero factor) are the factors `expand_series` made; a psi_d from
+    `compute_psi_d` or `series_from_json` has none.  They are not
+    serialized, shown or compared.
+    """
 
     lambda0: float
+    core_factor: DirichletFactor | None = field(
+        default=None, repr=False, compare=False)
+    shell_factor: NeumannFactor | None = field(
+        default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -60,10 +70,7 @@ class PerturbationSeries:
     `core_fields[n-1]` the mean-zero core corrector, `constants[n-1]` the
     additive constant e_n; the full correctors are
     phi_n = shell_fields[n-1] + e_n and psi_n = core_fields[n-1] + e_n*psi_d.
-    `norm_const` is |shell| + int_D psi_d**2.  `core_factor` (the core at
-    lambda0) and `shell_factor` (the shell's mean-zero factor) are the
-    factors `expand_series` made; a series read back from JSON has none.
-    They are not serialized, shown or compared.
+    `norm_const` is |shell| + int_D psi_d**2.
     """
 
     mesh: Mesh
@@ -74,10 +81,6 @@ class PerturbationSeries:
     constants: list      # [e_1..e_N]
     norm_const: float
     psi_d: CoreProfile | np.ndarray
-    core_factor: DirichletFactor | None = field(
-        default=None, repr=False, compare=False)
-    shell_factor: NeumannFactor | None = field(
-        default=None, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -87,10 +90,16 @@ class PerturbationSeries:
         return np.array([self.lambda0, *self.lambda_coeffs])
 
 
+def _check_lambda0(caller: str, lambda0) -> None:
+    """Refuse a lambda0 that is not finite and > 0, naming `caller`."""
+    if not (math.isfinite(lambda0) and lambda0 > 0):
+        raise InputError(f"{caller}: lambda0 must be finite and > 0, got "
+                         f"{lambda0}")
+
+
 def _core_profile(mesh: Mesh, lambda0):
-    """(psi_d, the core factor at lambda0 that solved it)."""
-    if not lambda0 > 0:
-        raise InputError(f"compute_psi_d: lambda0 must be > 0, got {lambda0}")
+    """(psi_d, the core factor at lambda0 that solved it), for a checked
+    lambda0."""
     lambda0 = float(lambda0)
     fac = region_operator(mesh, CORE).factor(lambda0)
     return CoreProfile(mesh, fac.solve(g=1.0), frozenset({CORE}),
@@ -100,13 +109,15 @@ def _core_profile(mesh: Mesh, lambda0):
 def compute_psi_d(mesh: Mesh, lambda0: float) -> CoreProfile:
     """Core profile: (-Delta - lambda0) psi_d = 0 in D, psi_d = 1 on the
     interface."""
+    _check_lambda0("compute_psi_d", lambda0)
     return _core_profile(mesh, lambda0)[0]
 
 
 def consistency_residual(mesh: Mesh, lambda0: float) -> float:
     """Signed consistency residual |shell| + int_D psi_d."""
+    _check_lambda0("consistency_residual", lambda0)
     op = region_operator(mesh, CORE)
-    psi = compute_psi_d(mesh, lambda0)
+    psi = _core_profile(mesh, lambda0)[0]
     return float(op.area_by_region[SHELL] + op.m @ psi.values)
 
 
@@ -162,8 +173,8 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     bound |theta_i - rho_i| + eps_i^2 / delta is at most `ROOT_TOL`*theta_i.
     """
     t_lo, t_hi = (float(t) for t in search_interval)
-    if not (0 < t_lo < t_hi):
-        raise InputError(f"find_lambda0: need 0 < t_lo < t_hi, got "
+    if not (0 < t_lo < t_hi < math.inf):
+        raise InputError(f"find_lambda0: need 0 < t_lo < t_hi < inf, got "
                          f"({t_lo}, {t_hi})")
 
     op = region_operator(mesh, CORE)
@@ -228,10 +239,12 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     previous core corrector; each eigenvalue coefficient pairs the flux of
     psi_d against the new shell corrector; each core corrector solves a
     Dirichlet problem matching the shell trace; each constant e_n restores
-    the series normalization.
+    the series normalization.  The psi_d it returns holds the core and
+    shell factors, for `eigensolver.resonance_near`.
     """
     if order < 1:
         raise InputError(f"expand_series: order must be >= 1, got {order}")
+    _check_lambda0("expand_series", lambda0)
     # one core factorization serves psi_d and every core corrector
     psi_d, fac = _core_profile(mesh, lambda0)
     op = fac.op
@@ -296,13 +309,13 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         phis.append(phi_next)
         psis.append(psi_ring)
 
+    psi_d.core_factor, psi_d.shell_factor = fac, shell_fac
     shell_tags, core_tags = frozenset({SHELL}), frozenset({CORE})
     return PerturbationSeries(
         mesh=mesh, lambda0=float(lambda0), lambda_coeffs=lambdas[1:],
         shell_fields=[Field(mesh, v, shell_tags) for v in phis[1:]],
         core_fields=[Field(mesh, v, core_tags) for v in psis[1:]],
-        constants=e[1:], norm_const=norm_const, psi_d=psi_d,
-        core_factor=fac, shell_factor=shell_fac)
+        constants=e[1:], norm_const=norm_const, psi_d=psi_d)
 
 
 def eval_lambda(series, delta):

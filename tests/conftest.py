@@ -1,10 +1,9 @@
 """Shared fixtures: meshes on the disk benchmark geometry at three
 resolutions, the recovered base eigenvalue per mesh, and a fourth-order
 perturbation series on the finest mesh.  All are session-scoped because
-building them dominates the suite's runtime.  A series holds its core and
-shell factors, and a region operator hands out a factor that someone still
-holds, so a test that counts factorizations runs on `fresh_mesh_coarse`,
-which no other fixture's series can share.
+building them dominates the suite's runtime.  A mesh keeps its region
+operators but no factor, so a test that counts factorizations may use any
+of them.
 """
 
 import numpy as np
@@ -61,13 +60,6 @@ def mesh_coarse(disk_meshes):
 @pytest.fixture(scope="session")
 def lambda0_coarse(disk_lambda0s):
     return disk_lambda0s[max(HS)]
-
-
-@pytest.fixture
-def fresh_mesh_coarse(case9):
-    """A new copy of the coarse disk mesh, with operators of its own; its
-    lambda0 is `lambda0_coarse`."""
-    return build_concentric_mesh(1.0, case9.r0, max(HS), r_b=2.0)
 
 
 def record_splu(monkeypatch):

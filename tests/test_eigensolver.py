@@ -11,11 +11,10 @@ import scipy.sparse.linalg as spla
 from enzres.eigensolver import (RESIDUAL_TOL, assemble_operator,
                                 resonance_near, ritz_values_near)
 from enzres.errors import InputError, NumericalError
-from enzres.fem import Field, region_operator
-from enzres.mesh import CORE
-from enzres.perturbation import (compute_psi_d, eval_lambda, expand_series,
-                                 find_lambda0, series_from_json,
-                                 series_to_json)
+from enzres.fem import Field
+from enzres.mesh import load_mesh, save_mesh
+from enzres.perturbation import (eval_lambda, expand_series, find_lambda0,
+                                 series_from_json, series_to_json)
 
 from conftest import record_splu
 
@@ -88,6 +87,16 @@ class TestResonanceNear:
         with pytest.raises(InputError, match="CoreProfile"):
             resonance_near(s.mesh, DELTA, eval_lambda(s, DELTA), plain)
 
+    def test_rejects_psi_d_of_another_mesh(self, series_coarse, monkeypatch):
+        # psi_d brings its factors, which fit only the mesh it lives on;
+        # an equal copy of that mesh is another mesh
+        s = series_coarse
+        copy = load_mesh(save_mesh(s.mesh))
+        calls = record_splu(monkeypatch)
+        with pytest.raises(InputError, match="another mesh"):
+            resonance_near(copy, DELTA, eval_lambda(s, DELTA), s.psi_d)
+        assert calls == []
+
     @pytest.mark.parametrize("guess", [1e8, 1e12])
     def test_gate_does_not_depend_on_the_guess(self, series_coarse, guess):
         # the residual is scaled by the iterate's own lambda, so a wild
@@ -115,16 +124,14 @@ class TestPreconditionedIteration:
         assert calls == []
         assert pair.factorizations == 0
 
-    def test_factors_only_real_matrices(self, fresh_mesh_coarse,
-                                        lambda0_coarse, monkeypatch):
+    def test_factors_only_real_matrices(self, mesh_coarse, lambda0_coarse,
+                                        monkeypatch):
         # a series read back from JSON holds no factors, so the call makes
         # the core and shell factors itself, both real, at the shift the
         # series used: the pair is bit-identical to the shared one
-        series = expand_series(fresh_mesh_coarse, lambda0_coarse, order=4)
+        series = expand_series(mesh_coarse, lambda0_coarse, order=4)
         shared = resonance_at(series, DELTA)
-        text = series_to_json(series)
-        del series
-        rebuilt = series_from_json(text, fresh_mesh_coarse)
+        rebuilt = series_from_json(series_to_json(series), mesh_coarse)
         dtypes = []
         real_splu = spla.splu
 
@@ -141,22 +148,22 @@ class TestPreconditionedIteration:
         assert np.array_equal(pair.u.values, shared.u.values)
         assert pair.iterations == shared.iterations
 
-    def test_nothing_but_the_series_keeps_its_factors(self, fresh_mesh_coarse,
+    def test_nothing_but_the_series_keeps_its_factors(self, mesh_coarse,
                                                       lambda0_coarse):
-        # reference counting alone frees them once the series goes: no
-        # operator, mesh or module holds them, and no cycle does
-        m = fresh_mesh_coarse
+        # the series' psi_d holds them, and reference counting alone frees
+        # them once psi_d goes: no operator, mesh or module holds them, and
+        # no cycle does
         gc.disable()
         try:
-            series = expand_series(m, lambda0_coarse, order=1)
-            core_ref = weakref.ref(series.core_factor)
-            shell_ref = weakref.ref(series.shell_factor)
+            series = expand_series(mesh_coarse, lambda0_coarse, order=1)
             resonance_at(series, DELTA)
+            psi_d = series.psi_d
+            core_ref = weakref.ref(psi_d.core_factor)
+            shell_ref = weakref.ref(psi_d.shell_factor)
             del series
+            assert core_ref() is not None and shell_ref() is not None
+            del psi_d
             assert core_ref() is None and shell_ref() is None
-            compute_psi_d(m, lambda0_coarse)
-            assert region_operator(m, CORE).live_factor(
-                lambda0_coarse) is None
         finally:
             gc.enable()
 
@@ -220,16 +227,16 @@ class TestRitz:
         assert np.array_equal(first, again)
 
 
-def test_factorizations_order_by_minimum_degree(fresh_mesh_coarse,
+def test_factorizations_order_by_minimum_degree(mesh_coarse,
                                                 lambda0_coarse, monkeypatch):
     # The core and shell factors of resonance_near, the Ritz shift-invert
     # and the collapsed-shell pencil of find_lambda0 all have a symmetric
-    # pattern, so each is ordered on A + A^T.  The series is dropped first,
-    # so that resonance_near makes its own factors.
-    m = fresh_mesh_coarse
+    # pattern, so each is ordered on A + A^T.  psi_d is read back from
+    # JSON, so that resonance_near makes its own factors.
+    m = mesh_coarse
     s = expand_series(m, lambda0_coarse, order=1)
-    lam, psi_d = eval_lambda(s, DELTA), s.psi_d
-    del s
+    lam = eval_lambda(s, DELTA)
+    psi_d = series_from_json(series_to_json(s), m).psi_d
     calls = record_splu(monkeypatch)
     for run in (lambda: resonance_near(m, DELTA, lam, psi_d),
                 lambda: ritz_values_near(m, DELTA, lam),

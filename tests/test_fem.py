@@ -121,26 +121,6 @@ class TestDirichletCore:
             core_dirichlet(mesh_coarse, mu)
 
 
-    def test_live_factor_found_at_exactly_its_shift(self, fresh_mesh_coarse,
-                                                    lambda0_coarse,
-                                                    monkeypatch):
-        # a factor someone holds is handed out again, but only at exactly
-        # its shift and dtype; a dropped one is made again
-        core = region_operator(fresh_mesh_coarse, CORE)
-        shell = region_operator(fresh_mesh_coarse, SHELL)
-        calls = record_splu(monkeypatch)
-        fac, neu = core.factor(lambda0_coarse), shell.neumann()
-        assert core.factor(lambda0_coarse) is fac and shell.neumann() is neu
-        assert len(calls) == 2
-        near = core.factor(np.nextafter(lambda0_coarse, 0.0))
-        cplx = core.factor(complex(lambda0_coarse))
-        assert near is not fac and cplx is not fac
-        assert np.iscomplexobj(cplx.A_ii) and len(calls) == 4
-        del neu
-        shell.neumann()
-        assert len(calls) == 5
-
-
 class TestWeakFlux:
     def test_total_flux_identity(self, disk_meshes, case9):
         # <flux, 1> = -int_D lambda0 psi_d = lambda0 A0 exactly in the

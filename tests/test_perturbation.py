@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 
 from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
 from enzres import perturbation
+from enzres.design import make_disk_problem
 from enzres.errors import InputError, NumericalError
 from enzres.fem import assemble_mass, mass_vector
 from enzres.perturbation import (CoreProfile, compute_psi_d,
@@ -57,6 +58,28 @@ class TestFindLambda0:
         with pytest.raises(InputError, match="narrow") as err:
             find_lambda0(mesh_coarse, (6.0, 40.0))
         assert "9.01" in str(err.value) and "34.9" in str(err.value)
+
+
+#: public entry points that take lambda0, or an interval for it
+TAKES_LAMBDA0 = {
+    "compute_psi_d": compute_psi_d,
+    "expand_series": expand_series,
+    "make_disk_problem": make_disk_problem,
+    "find_lambda0": lambda mesh, value: find_lambda0(mesh, (6.0, value)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("name", sorted(TAKES_LAMBDA0))
+def test_bad_lambda0_refused_by_its_caller(mesh_coarse, name, value,
+                                           monkeypatch):
+    # a non-finite or non-positive lambda0 (an interval end for
+    # find_lambda0) is an input error named after the function called,
+    # refused before anything is factored
+    calls = record_splu(monkeypatch)
+    with pytest.raises(InputError, match=f"^{name}: "):
+        TAKES_LAMBDA0[name](mesh_coarse, value)
+    assert calls == []
 
 
 def core_dim(mesh):
@@ -116,23 +139,19 @@ class TestPencilRoot:
 
 
 class TestRecursionInvariants:
-    def test_core_factored_once(self, fresh_mesh_coarse, lambda0_coarse,
+    def test_core_factored_once(self, mesh_coarse, lambda0_coarse,
                                 monkeypatch):
         # psi_d and all four core correctors share one factorization of
         # the core interior block, and all four shell correctors one of the
-        # shell block without its pinned node.
-        m = fresh_mesh_coarse
+        # shell block without its pinned node; psi_d keeps both.
+        m = mesh_coarse
         calls = record_splu(monkeypatch)
         s = expand_series(m, lambda0_coarse, order=4)
         shell_dim = m.region_nodes(1).size
         assert sorted(dim for dim, _ in calls) == sorted(
             [core_dim(m), shell_dim - 1])
-        # the series holds both factors, so a second series at the same
-        # lambda0 makes none while the first is alive
-        calls.clear()
-        expand_series(m, lambda0_coarse, order=4)
-        assert calls == []
-        assert s.core_factor.lam == s.psi_d.lambda0 == lambda0_coarse
+        assert s.psi_d.core_factor.lam == s.psi_d.lambda0 == lambda0_coarse
+        assert s.psi_d.shell_factor is not None
 
 
     def test_mean_zero_correctors(self, series_fine):
@@ -247,7 +266,8 @@ class TestSerialization:
         # psi_d keeps the lambda0 it was solved at; factors are not stored
         assert isinstance(s2.psi_d, CoreProfile)
         assert s2.psi_d.lambda0 == s.psi_d.lambda0 == s.lambda0
-        assert s2.core_factor is None and s2.shell_factor is None
+        assert s2.psi_d.core_factor is None
+        assert s2.psi_d.shell_factor is None
         assert "factor" not in repr(s)
 
     def test_schema_version_present(self, series_fine):
