@@ -69,8 +69,7 @@ class DesignProblem:
     f_r: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.lambda0 > 0:
-            raise InputError("DesignProblem: lambda0 must be > 0")
+        _check_lambda0("DesignProblem", self.lambda0)
         tags = set(DESIGN_TAGS) & {int(t) for t in np.unique(self.mesh.regions)}
         if not tags:
             raise InputError("DesignProblem: mesh has no design region "

@@ -32,6 +32,12 @@ TRACE_CSV_HEADER = "gamma,re_omega,im_omega,re_delta,im_delta,newton_iters"
 FD_STEP, FD_CHECK_TOL = 1e-6, 1e-6
 #: Newton tolerance (relative to max(1, lambda*)) and steps per gamma
 NEWTON_TOL, MAX_NEWTON = 1e-12, 50
+#: most gamma steps `trace_resonance` takes.  A step costs a few scalar
+#: Newton iterations and one CSV row of about 100 bytes: 100,000 steps take
+#: about 5 s on one Xeon core and write 10 MB (order-3 disk series), 500
+#: times the longest trace the benchmark runs; far more steps only
+#: exhaust memory
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -159,7 +165,8 @@ def trace_resonance(series, p: LorentzParams, d: CoreDielectric,
     """Trace omega(gamma) on a uniform gamma grid by warm-started Newton.
 
     Each gamma > 0 gets at most `MAX_NEWTON` steps to reach |G| <=
-    `NEWTON_TOL` * max(1, lambda*), else NumericalError.
+    `NEWTON_TOL` * max(1, lambda*), else NumericalError.  More than
+    `MAX_STEPS` steps are refused with InputError before any work.
 
     `series` needs attributes lambda0 and lambda_coeffs of order >= 2.  The
     coefficients are rescaled exactly by lambda*/lambda0 (a uniform geometric
@@ -168,8 +175,9 @@ def trace_resonance(series, p: LorentzParams, d: CoreDielectric,
     """
     if len(series.lambda_coeffs) < 2:
         raise InputError("trace_resonance: series order must be >= 2")
-    if gamma_max < 0 or steps < 1:
-        raise InputError("trace_resonance: need gamma_max >= 0 and steps >= 1")
+    if gamma_max < 0 or not 1 <= steps <= MAX_STEPS:
+        raise InputError(f"trace_resonance: need gamma_max >= 0 and 1 <= "
+                         f"steps <= {MAX_STEPS}, got {gamma_max}, {steps}")
     ws = enz_frequency(p)
     lam_star = lambda_star(p, d)
     scale = lam_star / series.lambda0

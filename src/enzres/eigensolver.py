@@ -11,14 +11,16 @@ Equations, 1999), the shell/core splitting of the series recursion: at
 small delta the shell stiffness K_s/delta dominates the pencil, so a
 mean-zero shell solve of K_s x_S = delta*r_S is followed by a Dirichlet
 core solve at the real shift sigma = lambda0 of psi_d with x_S as
-interface data.  Those are the two factors the series recursion made; the
-psi_d of `perturbation.expand_series` carries them, and they are made here
-for any other psi_d.  The shift is the same either way, and so is the
-answer.  A pair is accepted only when its true pencil residual, relative
-to ||K|| + |lambda|*||M||, is at most RESIDUAL_TOL; an iteration that
-stops above it (it no longer halves its residual every two sweeps, or
-reaches MAX_ITERATIONS) is refused with NumericalError, never retried
-another way.
+interface data.  Those are the two factors the series recursion made, and
+the sweep solves with each through its own `solve`, as the recursion
+does: `MeanZeroFactor.solve` and `DirichletFactor.solve`.  The psi_d of
+`perturbation.expand_series` carries them, and they are made here for any
+other psi_d.  The shift is the same either way, and so is the answer.
+A pair is accepted only when its true pencil residual, relative to
+||K|| + |lambda|*||M||, is at most RESIDUAL_TOL; an iteration that stops
+above it (it no longer halves its residual every two sweeps, or reaches
+MAX_ITERATIONS) is refused with NumericalError, never retried another
+way.
 Measured on the disk at h = 0.08 and 0.04 (target 9, arg delta in
 {0, pi/4, 1.5}): it converges for |delta| <= 0.5 and is refused at
 |delta| = 0.6 and 0.8.  `ritz_values_near`, the simplicity probe, factors
@@ -39,7 +41,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import Field, factor_symmetric, lu_solve, region_operator
+from enzres.fem import (DirichletFactor, Field, factor_symmetric,
+                        region_operator)
 from enzres.mesh import CORE, SHELL, Mesh
 from enzres.perturbation import CoreProfile
 
@@ -93,12 +96,14 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
 
     Preconditioned inverse iteration from u0: u <- u - P r, where
     r = (K(delta) - lam*M) u.  P is one Dirichlet-Neumann sweep over two
-    real factors: the shell's mean-zero factor gives x_S from
+    real factors, each used through its `solve`: the shell's
+    `MeanZeroFactor` (`RegionOperator.neumann`) gives x_S from
     K_s x_S = delta*r_S on the shell nodes, interface included, and the
-    core's Dirichlet factor at sigma = psi_d.lambda0 gives
-    x_I = (K_ii - sigma*M_ii)^-1 (r_I - A_IG x_G) with
-    A = K_core - sigma*M_core.  Both are taken from psi_d when it carries
-    them (`perturbation.expand_series`), and made here otherwise.
+    core's `DirichletFactor` at sigma = psi_d.lambda0 takes r as its load
+    and x_S as its interface data, giving
+    x_I = (K_ii - sigma*M_ii)^-1 (r - (K_core - sigma*M_core) x_G)_I.
+    Both are taken from psi_d when it carries them
+    (`perturbation.expand_series`), and made here otherwise.
     The iteration stops once the residual is at most RESIDUAL_TOL * 1e-2,
     or when it is not below half its value two sweeps before, or after
     MAX_ITERATIONS sweeps; a residual not at most RESIDUAL_TOL at that
@@ -122,15 +127,13 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
     delta = complex(delta)
     core, shell = region_operator(mesh, CORE), region_operator(mesh, SHELL)
     factorizations = (psi_d.core_factor is None) + (psi_d.shell_factor is None)
-    core_factor = psi_d.core_factor or core.factor(lambda0)
-    shell_factor = (psi_d.shell_factor or shell.neumann()).mean_zero
-    A_I = (core.K - lambda0 * core.M)[core.interior]
+    core_factor = psi_d.core_factor or DirichletFactor(core, lambda0)
+    shell_factor = psi_d.shell_factor or shell.neumann()
 
     def sweep(r):
         x = np.zeros_like(r)
         x[shell.nodes], _ = shell_factor.solve(delta * r[shell.nodes])
-        x[core.interior] = lu_solve(core_factor.lu,
-                                    r[core.interior] - A_I @ x)
+        x[core.interior] = core_factor.solve(r, x)[core.interior]
         return x
 
     u0 = np.zeros(mesh.n_nodes, dtype=complex)

@@ -3,25 +3,29 @@
 Conventions used throughout the package:
 
 * One scatter kernel (``_scatter``, ``_scatter_vector``), shared with the
-  design module, accumulates every matrix and vector from element data;
-  region matrices have full node dimension (zero rows off the region).
-  The design module, which fills matrices on one element set many times,
-  computes their pattern once with ``_scatter_pattern``.
+  design module, accumulates every matrix and vector the solvers assemble
+  from element data; region matrices have full node dimension (zero rows
+  off the region).  The design module, which fills matrices on one
+  element set many times, fills them on the pattern that
+  ``_scatter_pattern`` computes once.
 * The unweighted K, M and mass vector of a region come from one
   ``RegionOperator`` per mesh and region (cached on ``Mesh._cache``), which
   also holds the region's nodes and the region areas; the Dirichlet and
-  Neumann solves, the weak flux, the collapsed-shell pencil and the
-  eigensolver's pencil use it.
-  ``factor(lam)`` makes one sparse LU of K_ii - lam*M_ii over the nodes off
-  the core interface (one condition check), and ``neumann()`` one
-  mean-zero factor of the region's stiffness block; any number of
-  right-hand sides reuse either, each with its own residual check, and
-  ``lu_solve`` solves a complex right-hand side of a real factor as its
-  real and imaginary parts.  The series recursion and the eigensolver's
-  Dirichlet-Neumann preconditioner are built from these two factors.
-  The operator keeps no factor: each call makes a new one, which lives as
-  long as its caller holds it.  The series hands its two to the psi_d it
-  returns, so the finite-delta check on that psi_d makes none.
+  mean-zero solves, the weak flux, the collapsed-shell pencil and the
+  eigensolver's pencil use it.  Two factors solve with it, each through
+  its own ``solve``: ``DirichletFactor(op, lam)``, one sparse LU of
+  K_ii - lam*M_ii over the nodes off the core interface at a real shift
+  (one condition check), whose ``solve(b, g)`` takes a load vector b and
+  interface data g; and ``op.neumann()``, the ``MeanZeroFactor`` of the
+  region's stiffness block, whose ``solve(b)`` takes a load vector on the
+  region's nodes.  Any number of right-hand sides, real or complex, reuse
+  either, each with its own residual check; a complex one is solved as
+  its real and imaginary parts.  The series recursion and the
+  eigensolver's Dirichlet-Neumann preconditioner are built from these two
+  factors.  The operator keeps no factor: each call makes a new one,
+  which lives as long as its caller holds it.  The series hands its two
+  to the psi_d it returns, so the finite-delta check on that psi_d makes
+  none.
 * Every factorization the solvers make orders its matrix by minimum
   degree on A + A^T, which suits the symmetric pattern all of their
   matrices share and about halves the fill of SuperLU's default column
@@ -58,9 +62,8 @@ from enzres.mesh import CORE, INTERFACE, Mesh, _as_tagset
 
 __all__ = ["Field", "BoundaryFunctional", "assemble_stiffness",
            "assemble_mass", "mass_vector", "RegionOperator",
-           "DirichletFactor", "NeumannFactor", "region_operator",
-           "weak_normal_flux", "linear_solve", "factor_spd",
-           "factor_symmetric", "lu_solve", "MeanZeroFactor",
+           "DirichletFactor", "region_operator", "weak_normal_flux",
+           "linear_solve", "factor_spd", "factor_symmetric", "MeanZeroFactor",
            "element_geometry"]
 
 
@@ -257,15 +260,15 @@ def factor_symmetric(A):
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
 
 
-def lu_solve(lu, b: np.ndarray, dtype=float) -> np.ndarray:
-    """Solve with `lu`, the factor of a matrix of type `dtype`, for a real or
-    complex right-hand side b (one vector).  SuperLU solves a real factor
-    for real data only, so a complex b with a real factor is solved as its
-    real and imaginary parts, two columns of one call."""
-    if np.iscomplexobj(b) and not np.issubdtype(dtype, np.complexfloating):
+def _solve_real(lu, b: np.ndarray) -> np.ndarray:
+    """Solve with `lu`, the factor of a real matrix, for one real or complex
+    right-hand side b.  SuperLU solves a real factor for real data only, so
+    a complex b is solved as its real and imaginary parts, two columns of
+    one call."""
+    if np.iscomplexobj(b):
         sol = lu.solve(np.column_stack([b.real, b.imag]))
         return sol[:, 0] + 1j * sol[:, 1]
-    return lu.solve(b.astype(dtype, copy=False))
+    return lu.solve(b)
 
 
 class MeanZeroFactor:
@@ -322,7 +325,7 @@ class MeanZeroFactor:
         mu = b.sum() / m.sum()
         r = b - mu * m
         u = np.zeros(m.size, dtype=r.dtype)
-        u[keep] = lu_solve(self.lu, r[keep])
+        u[keep] = _solve_real(self.lu, r[keep])
         u -= (m @ u) / m.sum()
         res = np.hypot(np.linalg.norm(K @ u + mu * m - b), abs(m @ u))
         nb = np.linalg.norm(b)
@@ -364,23 +367,22 @@ class RegionOperator:
     its mass vector `m`, its sorted `nodes`, the area of every mesh region
     and, for Dirichlet data on the core interface, the interface nodes
     `boundary`, the region's other nodes `interior` and (built on first
-    use) the interior blocks `K_ii` and `M_ii` that `factor` shifts; the
-    collapsed-shell pencil of `find_lambda0` is built from `K`, `M`,
-    `interior` and `boundary`.  None of this depends on a shift, so one
-    operator per mesh and region is kept on `Mesh._cache` (see
+    use) the interior blocks `K_ii` and `M_ii` that a `DirichletFactor`
+    shifts; the collapsed-shell pencil of `find_lambda0` is built from `K`,
+    `M`, `interior` and `boundary`.  None of this depends on a shift, so
+    one operator per mesh and region is kept on `Mesh._cache` (see
     `region_operator`).  The operator keeps no reference to the mesh: a
     mesh -> cache -> operator -> mesh cycle would keep every dropped mesh
     alive until the cyclic garbage collector runs.
 
-    Factors are not kept either: `factor` and `neumann` make a new one on
-    every call.  A factor refers to its operator, and nothing here refers
-    back to it, so it is freed as soon as its last holder drops it.
+    Factors are not kept either: `DirichletFactor(op, lam)` and `neumann`
+    make a new one on every call.  Nothing here refers to a factor, so it
+    is freed as soon as its last holder drops it.
     """
 
     def __init__(self, mesh: Mesh, region):
         tags = _as_tagset(region)
         self.n_nodes = mesh.n_nodes
-        self.tags = frozenset(tags)
         self.K = assemble_stiffness(mesh, dict.fromkeys(tags, 1.0))
         self.M = assemble_mass(mesh, dict.fromkeys(tags, 1.0))
         self.m = mass_vector(mesh, tags)
@@ -398,13 +400,15 @@ class RegionOperator:
     def M_ii(self):
         return self.M[self.interior][:, self.interior].tocsc()
 
-    def factor(self, lam) -> "DirichletFactor":
-        """Factor K_ii - lam*M_ii (real or complex lam)."""
-        return DirichletFactor(self, lam)
-
-    def neumann(self) -> "NeumannFactor":
-        """Factor the region's mean-zero Neumann problem."""
-        return NeumannFactor(self)
+    def neumann(self) -> MeanZeroFactor:
+        """The `MeanZeroFactor` of the region's stiffness block on its
+        `nodes` with weights `m[nodes]`: it solves -Delta u = source with
+        natural Neumann data, normalized to int u = 0, for a load vector
+        given on `nodes`."""
+        if self.nodes.size == 0:
+            raise InputError("RegionOperator.neumann: region is empty")
+        return MeanZeroFactor(self.K[self.nodes][:, self.nodes],
+                              self.m[self.nodes])
 
 
 def region_operator(mesh: Mesh, region) -> RegionOperator:
@@ -417,128 +421,72 @@ def region_operator(mesh: Mesh, region) -> RegionOperator:
 
 
 class DirichletFactor:
-    """Sparse LU of K_ii - lam*M_ii for one shift lam.
+    """Sparse LU of K_ii - lam*M_ii, a region's operator over its interior
+    nodes at one real shift lam.
 
     The matrix is indefinite above the lowest Dirichlet eigenvalue, so it is
     factored by `factor_symmetric`.  The condition estimate is checked
     once, here; every `solve` checks its own residual.
     """
 
-    def __init__(self, op: RegionOperator, lam):
+    def __init__(self, op: RegionOperator, lam: float):
         self.op, self.lam = op, lam
-        dtype = complex if np.iscomplexobj(np.asarray(lam)) else float
-        self.A_ii = (op.K_ii - lam * op.M_ii).astype(dtype).tocsc()
+        self.A_ii = (op.K_ii - lam * op.M_ii).tocsc()
         try:
             self.lu = factor_symmetric(self.A_ii)
         except RuntimeError as exc:
             raise NumericalError(
-                f"RegionOperator.factor: singular system at lambda = "
-                f"{lam} (lambda is a Dirichlet eigenvalue of the region; "
-                f"{exc})")
+                f"DirichletFactor: singular system at lambda = {lam} "
+                f"(lambda is a Dirichlet eigenvalue of the region; {exc})")
         cond = _condition_estimate(self.A_ii, self.lu)
         if cond > 1e10:
             raise NumericalError(
-                f"RegionOperator.factor: condition estimate {cond:.2e} "
-                f"too large; lambda = {lam} is near a Dirichlet eigenvalue "
-                "of the region")
+                f"DirichletFactor: condition estimate {cond:.2e} too large; "
+                f"lambda = {lam} is near a Dirichlet eigenvalue of the region")
 
-    def solve(self, source=None, g=1.0) -> np.ndarray:
-        """Nodal values of the solution of (-Delta - lam) u = source in the
-        region, u = g on the core interface (zero off the region).
+    def solve(self, b: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Nodal values of u with (K - lam*M) u = b on the interior nodes
+        and u = g on the core interface (zero off the region).
 
-        `source` may be None (zero), a scalar, a Field or a per-node array;
-        `g` a scalar or an array over all nodes (read on boundary nodes
-        only).  Complex data with a real shift is solved as its real and
-        imaginary parts.
+        `b` is a load vector, M @ source for the nodal source of
+        (-Delta - lam) u = source; `g` holds the interface trace and is read
+        on the interface nodes only.  Both have one entry per node, real or
+        complex; complex data is solved as its real and imaginary parts.
         """
         op = self.op
-        dtype = complex if (np.iscomplexobj(self.A_ii)
-                            or np.iscomplexobj(np.asarray(g))) else float
-        svals = _source_values(op.n_nodes, source, dtype)
-        if np.iscomplexobj(svals):
-            dtype = complex
-
-        gvals = np.zeros(op.n_nodes, dtype=dtype)
-        gvals[op.boundary] = np.asarray(g)[op.boundary] if np.ndim(g) else g
-        rhs = op.M @ svals - (op.K @ gvals - self.lam * (op.M @ gvals))
+        if np.shape(b) != (op.n_nodes,) or np.shape(g) != (op.n_nodes,):
+            raise InputError("DirichletFactor.solve: dimension mismatch")
+        u = np.zeros(op.n_nodes, dtype=np.result_type(b, g))
+        u[op.boundary] = g[op.boundary]
+        rhs = b - (op.K @ u - self.lam * (op.M @ u))
         b_i = rhs[op.interior]
-        u_i = lu_solve(self.lu, b_i, self.A_ii.dtype)
+        u_i = _solve_real(self.lu, b_i)
         res = np.linalg.norm(self.A_ii @ u_i - b_i)
         scale = np.linalg.norm(b_i)
         if scale > 0 and not res <= 1e-10 * scale:
             raise NumericalError(
                 f"DirichletFactor.solve: residual {res / scale:.3e} > "
                 "1e-10")
-
-        u = gvals
         u[op.interior] = u_i
         return u
-
-
-def _source_values(n_nodes: int, source, dtype):
-    if source is None:
-        return np.zeros(n_nodes, dtype=dtype)
-    if isinstance(source, Field):
-        return source.values
-    if np.ndim(source) == 0:
-        return np.full(n_nodes, source)
-    vals = np.asarray(source)
-    if vals.shape != (n_nodes,):
-        raise InputError("source: expected scalar, Field, or per-node array")
-    return vals
 
 
 def weak_normal_flux(u: Field, lam, source=None) -> BoundaryFunctional:
     """Variational normal-derivative functional of u on the core interface.
 
-    For u solving (-Delta - lam) u = source on the core, the weights are
-    the interface rows of K u - M (lam u + source); the pairing <flux, v>
-    equals int(grad u . grad v - (lam u + source) v) for any hat extension
-    v, and <flux, 1> = -int(lam u + source) identically.  Orientation:
-    outward normal of the core region.
+    For u solving (-Delta - lam) u = source on the core (`source` None for
+    zero, or one value per node), the weights are the interface rows of
+    K u - M (lam u + source); the pairing <flux, v> equals
+    int(grad u . grad v - (lam u + source) v) for any hat extension v, and
+    <flux, 1> = -int(lam u + source) identically.  Orientation: outward
+    normal of the core region.
     """
     if CORE not in u.support:
         raise InputError("weak_normal_flux: field must be supported on the "
                          "core (region 0)")
     op = region_operator(u.mesh, CORE)
-    svals = _source_values(u.mesh.n_nodes, source, u.values.dtype)
+    svals = 0.0 if source is None else source
     residual = op.K @ u.values - op.M @ (lam * u.values + svals)
     weights = np.zeros_like(residual)
     weights[op.boundary] = residual[op.boundary]
     return BoundaryFunctional(mesh=u.mesh, tag=INTERFACE, weights=weights)
-
-
-class NeumannFactor:
-    """One `MeanZeroFactor` of the region's stiffness block on its nodes,
-    for -Delta u = source in the region with prescribed interface flux and
-    natural (zero) Neumann data elsewhere, normalized to int u = 0."""
-
-    def __init__(self, op: RegionOperator):
-        if op.nodes.size == 0:
-            raise InputError("RegionOperator.neumann: region is empty")
-        self.op = op
-        self.mean_zero = MeanZeroFactor(op.K[op.nodes][:, op.nodes],
-                                        op.m[op.nodes])
-
-    def solve(self, source, boundary_flux: BoundaryFunctional):
-        """Nodal values (zero off the region) and consistency defect.
-
-        `source` is as for `DirichletFactor.solve`.  `boundary_flux` is
-        taken in the orientation `weak_normal_flux` produces (outward normal
-        of the core), so it enters the right-hand side with a minus sign.
-        The mean constraint's multiplier is the consistency defect
-        int(source) - <boundary_flux, 1> divided by the region area;
-        inconsistent data is solved against the constant-orthogonal part
-        and the defect returned to the caller.
-
-        Returns (values, consistency_defect).
-        """
-        op = self.op
-        dtype = complex if (np.iscomplexobj(boundary_flux.weights)
-                            or np.iscomplexobj(np.asarray(source))) else float
-        svals = _source_values(op.n_nodes, source, dtype)
-        b = op.M @ svals - boundary_flux.weights
-        defect = op.m @ svals - boundary_flux.total()
-        u = np.zeros(op.n_nodes, dtype=dtype)
-        u[op.nodes], _ = self.mean_zero.solve(b[op.nodes])
-        return u, defect

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (DirichletFactor, Field, NeumannFactor,
+from enzres.fem import (DirichletFactor, Field, MeanZeroFactor,
                         factor_symmetric, region_operator, weak_normal_flux)
 from enzres.mesh import CORE, SHELL, Mesh
 
@@ -42,6 +42,12 @@ DEFECT_TOL = 1e-8
 MAX_PENCIL_EIGS = 64
 #: relative error bound on lambda0 that `find_lambda0` accepts
 ROOT_TOL = 1e-10
+#: highest order `expand_series` runs.  Each order adds one core solve, one
+#: shell solve and two stored fields, but on the disk (target 9) |lambda_n|
+#: stops falling after order 13 at h = 0.08 and 0.04, then grows by up to
+#: 80 times per order as rounding takes over, and the defect check refuses
+#: order 18 and 17 respectively
+MAX_ORDER = 16
 
 
 @dataclass
@@ -58,7 +64,7 @@ class CoreProfile(Field):
     lambda0: float
     core_factor: DirichletFactor | None = field(
         default=None, repr=False, compare=False)
-    shell_factor: NeumannFactor | None = field(
+    shell_factor: MeanZeroFactor | None = field(
         default=None, repr=False, compare=False)
 
 
@@ -101,9 +107,9 @@ def _core_profile(mesh: Mesh, lambda0):
     """(psi_d, the core factor at lambda0 that solved it), for a checked
     lambda0."""
     lambda0 = float(lambda0)
-    fac = region_operator(mesh, CORE).factor(lambda0)
-    return CoreProfile(mesh, fac.solve(g=1.0), frozenset({CORE}),
-                       lambda0), fac
+    fac = DirichletFactor(region_operator(mesh, CORE), lambda0)
+    psi_d = fac.solve(np.zeros(mesh.n_nodes), np.ones(mesh.n_nodes))
+    return CoreProfile(mesh, psi_d, frozenset({CORE}), lambda0), fac
 
 
 def compute_psi_d(mesh: Mesh, lambda0: float) -> CoreProfile:
@@ -240,10 +246,12 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     psi_d against the new shell corrector; each core corrector solves a
     Dirichlet problem matching the shell trace; each constant e_n restores
     the series normalization.  The psi_d it returns holds the core and
-    shell factors, for `eigensolver.resonance_near`.
+    shell factors, for `eigensolver.resonance_near`.  An order outside
+    [1, `MAX_ORDER`] is refused with InputError before any work.
     """
-    if order < 1:
-        raise InputError(f"expand_series: order must be >= 1, got {order}")
+    if not 1 <= order <= MAX_ORDER:
+        raise InputError(f"expand_series: order must be in [1, {MAX_ORDER}]"
+                         f", got {order}")
     _check_lambda0("expand_series", lambda0)
     # one core factorization serves psi_d and every core corrector
     psi_d, fac = _core_profile(mesh, lambda0)
@@ -265,7 +273,8 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     # flux of psi_d across the interface, reused for every lambda_{n+1}
     flux_psi_d = weak_normal_flux(psi_d, lambda0, source=None)
     # one shell factorization serves every shell corrector
-    shell_fac = region_operator(mesh, SHELL).neumann()
+    shell = region_operator(mesh, SHELL)
+    shell_fac = shell.neumann()
 
     lambdas = [float(lambda0)]           # lambda_0..lambda_N
     e = [1.0]                            # e_0..e_N
@@ -285,7 +294,12 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         flux_n = weak_normal_flux(
             Field(mesh, full_psi(n) if n > 0 else psi_d.values, frozenset({CORE})),
             lambda0, source=core_sources[n])
-        phi_next, defect = shell_fac.solve(shell_source, flux_n)
+        # the flux is oriented out of the core, so it enters the load with
+        # a minus sign; int(source) - <flux, 1> is the consistency defect
+        b = shell.M @ shell_source - flux_n.weights
+        defect = shell.m @ shell_source - flux_n.total()
+        phi_next = np.zeros(mesh.n_nodes)
+        phi_next[shell.nodes], _ = shell_fac.solve(b[shell.nodes])
         if abs(defect) > DEFECT_TOL * area * max(1.0, *(abs(l) for l in lambdas)):
             raise NumericalError(
                 f"expand_series: Neumann consistency defect {defect:.3e} at "
@@ -301,7 +315,7 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         core_source = np.zeros(mesh.n_nodes)
         for k in range(1, n + 2):
             core_source += lambdas[k] * full_psi(n + 1 - k)
-        psi_ring = fac.solve(source=core_source, g=phi_next)
+        psi_ring = fac.solve(op.M @ core_source, phi_next)
         core_sources.append(core_source)
 
         e_next = float(-(psi_ring @ M_psi_d) / norm_const)
@@ -330,8 +344,11 @@ def eval_lambda(series, delta):
 def eval_field(series: PerturbationSeries, delta) -> Field:
     """Truncated eigenfunction: 1 + sum delta^n phi_n on the shell,
     psi_d + sum delta^n psi_n on the core (continuous across the
-    interface)."""
+    interface).  A series read without a mesh is refused."""
     mesh = series.mesh
+    if mesh is None:
+        raise InputError("eval_field: the series has no mesh; pass one to "
+                         "series_from_json")
     shell_nodes = mesh.region_nodes(SHELL)
     core_nodes = mesh.region_nodes(CORE)
     dtype = complex if np.iscomplexobj(np.asarray(delta)) else float
@@ -355,6 +372,12 @@ def eval_field(series: PerturbationSeries, delta) -> Field:
 SCHEMA_VERSION = 1
 
 
+def _nodal(f) -> list:
+    """Nodal values of a Field, or of the bare array a series read without
+    a mesh holds, as a list."""
+    return (f.values if isinstance(f, Field) else f).tolist()
+
+
 def series_to_json(series: PerturbationSeries) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -362,9 +385,9 @@ def series_to_json(series: PerturbationSeries) -> str:
         "lambda": [float(c) for c in series.lambda_coeffs],
         "e": [float(c) for c in series.constants],
         "norm_const": series.norm_const,
-        "psi_d": series.psi_d.values.tolist(),
-        "shell_fields": [f.values.tolist() for f in series.shell_fields],
-        "core_fields": [f.values.tolist() for f in series.core_fields],
+        "psi_d": _nodal(series.psi_d),
+        "shell_fields": [_nodal(f) for f in series.shell_fields],
+        "core_fields": [_nodal(f) for f in series.core_fields],
     }
     return json.dumps(doc)
 

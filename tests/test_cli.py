@@ -121,6 +121,12 @@ class TestExpand:
         assert payload["schema_version"] == 1
         assert len(payload["lambda"]) == 3
 
+    def test_oversized_order_exit_2(self, mesh_file):
+        res = run_cli("expand", "--mesh", str(mesh_file), "--lambda0", "9",
+                      "--order", "1000000")
+        assert res.returncode == 2
+        assert "order must be in" in res.stderr
+
     def test_stdout_summary(self, mesh_file):
         res = run_cli("expand", "--mesh", str(mesh_file), "--lo", "6",
                       "--hi", "14", "--order", "2")
@@ -149,6 +155,14 @@ class TestResonate:
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("gamma,")
         assert len(lines) == 6
+
+    def test_oversized_steps_exit_2(self, series_file):
+        res = run_cli("resonate", "--series", str(series_file),
+                      "--eps-inf", "6.7", "--omega-p", "0.7",
+                      "--omega-0", "1.0", "--gamma-max", "0.006",
+                      "--steps", "10000000000000")
+        assert res.returncode == 2
+        assert "internal error" not in res.stderr
 
     def test_bad_series_file_exit_2(self):
         res = run_cli("resonate", "--series", "missing.json",

@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from enzres.dispersion import (CoreDielectric, LorentzParams, calibrate_scale,
-                               enz_frequency, eps_enz, lambda_star,
-                               omega_prime0, sensitivities, trace_resonance,
-                               trace_to_csv)
+from enzres.dispersion import (MAX_STEPS, CoreDielectric, LorentzParams,
+                               calibrate_scale, enz_frequency, eps_enz,
+                               lambda_star, omega_prime0, sensitivities,
+                               trace_resonance, trace_to_csv)
 from enzres.errors import InputError
 from enzres.mesh import scale_mesh
 from enzres.perturbation import expand_series, find_lambda0
@@ -123,6 +123,13 @@ class TestTrace:
         with pytest.raises(InputError, match="calibrat"):
             trace_resonance(series_fine, SIC, VACUUM_CORE,
                             gamma_max=0.006, steps=3)
+
+    @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**13])
+    def test_oversized_steps_rejected(self, calibrated_series, steps):
+        # refused before the gamma grid is allocated
+        with pytest.raises(InputError, match=f"steps <= {MAX_STEPS}"):
+            trace_resonance(calibrated_series, SIC, VACUUM_CORE,
+                            gamma_max=0.006, steps=steps)
 
     def test_csv_layout(self, calibrated_series):
         trace = trace_resonance(calibrated_series, SIC, VACUUM_CORE,

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from enzres.bessel_oracle import disk_case, disk_psi_d
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (BoundaryFunctional, Field, MeanZeroFactor,
+from enzres.fem import (DirichletFactor, Field, MeanZeroFactor,
                         assemble_mass, assemble_stiffness, linear_solve,
                         mass_vector, region_operator, weak_normal_flux)
 from enzres.mesh import CORE, SHELL, load_mesh
@@ -30,8 +30,10 @@ def square():
 
 def core_dirichlet(mesh, lam, g=1.0):
     """(-Delta - lam) u = 0 in the core, u = g on the interface, through one
-    factor of the core operator at shift lam."""
-    return Field(mesh, region_operator(mesh, CORE).factor(lam).solve(g=g),
+    `DirichletFactor` of the core operator at shift lam."""
+    fac = DirichletFactor(region_operator(mesh, CORE), lam)
+    n = mesh.n_nodes
+    return Field(mesh, fac.solve(np.zeros(n), np.full(n, g)),
                  frozenset({CORE}))
 
 
@@ -120,6 +122,19 @@ class TestDirichletCore:
         with pytest.raises(NumericalError, match="eigenvalue"):
             core_dirichlet(mesh_coarse, mu)
 
+    def test_complex_data_solves_as_real_and_imaginary_parts(
+            self, mesh_coarse, lambda0_coarse):
+        # the finite-delta sweep's path: a complex load and complex
+        # interface data on a real factor give its two real solves exactly
+        n = mesh_coarse.n_nodes
+        fac = DirichletFactor(region_operator(mesh_coarse, CORE),
+                              lambda0_coarse)
+        b_re, b_im, g_re, g_im = np.random.default_rng(7).standard_normal(
+            (4, n))
+        u = fac.solve(b_re + 1j * b_im, g_re + 1j * g_im)
+        assert np.array_equal(u.real, fac.solve(b_re, g_re))
+        assert np.array_equal(u.imag, fac.solve(b_im, g_im))
+
 
 class TestWeakFlux:
     def test_total_flux_identity(self, disk_meshes, case9):
@@ -153,24 +168,29 @@ class TestWeakFlux:
 
 
 class TestNeumann:
+    """The shell's mean-zero factor from `RegionOperator.neumann`: its
+    multiplier times the shell area is the consistency defect
+    int(source) - <flux, 1>."""
+
     def test_defect_equals_compatibility_mismatch(self, mesh_coarse):
         # Source 1 with zero flux: the compatibility defect is the area.
         m = mesh_coarse
         shell_area = m.areas()[m.regions == 1].sum()
-        zero_flux = BoundaryFunctional(m, 0, np.zeros(m.n_nodes))
-        w, defect = region_operator(m, SHELL).neumann().solve(1.0, zero_flux)
-        assert defect == pytest.approx(shell_area, rel=1e-12)
-        shell = sorted(m.region_nodes(1))
-        lumped = mass_vector(m, (1,))
+        op = region_operator(m, SHELL)
+        w, mu = op.neumann().solve((op.M @ np.ones(m.n_nodes))[op.nodes])
+        assert mu * op.m.sum() == pytest.approx(shell_area, rel=1e-12)
+        lumped = mass_vector(m, (1,))[op.nodes]
         assert abs(lumped @ w) < 1e-10
 
     def test_mean_zero_and_residual(self, mesh_coarse, lambda0_coarse, case9):
         m = mesh_coarse
         u = core_dirichlet(m, lambda0_coarse)
         flux = weak_normal_flux(u, lambda0_coarse)
-        shell = region_operator(m, SHELL).neumann()
-        w, defect = shell.solve(lambda0_coarse, flux)
-        lumped = mass_vector(m, (1,))
+        op = region_operator(m, SHELL)
+        b = lambda0_coarse * (op.M @ np.ones(m.n_nodes)) - flux.weights
+        w, mu = op.neumann().solve(b[op.nodes])
+        defect = mu * op.m.sum()
+        lumped = mass_vector(m, (1,))[op.nodes]
         assert abs(lumped @ w) < 1e-9
         # At the recovered lambda0 the constant source lambda0 balances the
         # core flux, so the compatibility defect is the (tiny) residual of

@@ -11,9 +11,9 @@ from scipy.optimize import brentq
 
 from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
 from enzres import perturbation
-from enzres.design import make_disk_problem
+from enzres.design import DesignProblem, make_disk_problem
 from enzres.errors import InputError, NumericalError
-from enzres.fem import assemble_mass, mass_vector
+from enzres.fem import BoundaryFunctional, assemble_mass, mass_vector
 from enzres.perturbation import (CoreProfile, compute_psi_d,
                                  consistency_residual,
                                  eval_field, eval_lambda, expand_series,
@@ -60,11 +60,20 @@ class TestFindLambda0:
         assert "9.01" in str(err.value) and "34.9" in str(err.value)
 
 
+def interface_load(mesh):
+    """A positive load on the core interface, made without a solve."""
+    weights = np.zeros(mesh.n_nodes)
+    weights[mesh.boundary_nodes(0)] = 1.0
+    return BoundaryFunctional(mesh, 0, weights)
+
+
 #: public entry points that take lambda0, or an interval for it
 TAKES_LAMBDA0 = {
     "compute_psi_d": compute_psi_d,
     "expand_series": expand_series,
     "make_disk_problem": make_disk_problem,
+    "DesignProblem": lambda mesh, value: DesignProblem(
+        mesh, value, interface_load(mesh)),
     "find_lambda0": lambda mesh, value: find_lambda0(mesh, (6.0, value)),
 }
 
@@ -225,6 +234,14 @@ class TestRecursionInvariants:
         with pytest.raises(InputError):
             expand_series(mesh_coarse, lambda0_coarse, order=0)
 
+    def test_rejects_order_past_cap(self, mesh_coarse, lambda0_coarse,
+                                    monkeypatch):
+        calls = record_splu(monkeypatch)
+        cap = perturbation.MAX_ORDER
+        with pytest.raises(InputError, match=f"in \\[1, {cap}\\]"):
+            expand_series(mesh_coarse, lambda0_coarse, order=cap + 1)
+        assert calls == []
+
 
 class TestEvaluation:
     def test_eval_lambda_is_horner_polynomial(self, series_fine):
@@ -269,6 +286,15 @@ class TestSerialization:
         assert s2.psi_d.core_factor is None
         assert s2.psi_d.shell_factor is None
         assert "factor" not in repr(s)
+
+    def test_round_trip_without_mesh(self, series_fine):
+        # a series read without a mesh holds bare arrays; it writes back
+        # the same text, and field evaluation asks for a mesh
+        text = series_to_json(series_fine)
+        s2 = series_from_json(text)
+        assert series_to_json(s2) == text
+        with pytest.raises(InputError, match="mesh"):
+            eval_field(s2, 0.01)
 
     def test_schema_version_present(self, series_fine):
         payload = json.loads(series_to_json(series_fine))
