@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (BoundaryFunctional, Field, MeanZeroFactor,
-                        _gradient_blocks, _scatter_pattern, _scatter_vector,
+                        ScatterPattern, _gradient_blocks, _scatter_vector,
                         element_geometry, factor_spd, region_operator,
                         weak_normal_flux)
 from enzres.mesh import CORE, DESIGN_TAGS, Mesh
@@ -48,8 +48,8 @@ class DesignProblem:
 
     Everything that does not depend on the field is computed once here:
     element geometry and P1 gradient blocks, the lumped mass vector `m`,
-    and the fixed sparse pattern every design matrix is filled into
-    (`assemble`).
+    and the `ScatterPattern` of the design nodes that every design matrix
+    is filled on (`assemble`).
     """
 
     mesh: Mesh
@@ -65,7 +65,7 @@ class DesignProblem:
     gy: np.ndarray = field(init=False, repr=False)
     blocks: np.ndarray = field(init=False, repr=False)
     m: np.ndarray = field(init=False, repr=False)
-    diag: np.ndarray = field(init=False, repr=False)
+    pattern: ScatterPattern = field(init=False, repr=False)
     f_r: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -84,10 +84,7 @@ class DesignProblem:
         self.blocks = _gradient_blocks(self.gx, self.gy)
         n = self.nodes.size
         self.m = _scatter_vector(self.conn, (self.areas / 3.0)[:, None], n)
-        self._indptr, self._indices, self._slot = _scatter_pattern(self.conn,
-                                                                   n)
-        cols = np.repeat(np.arange(n), np.diff(self._indptr))
-        self.diag = np.flatnonzero(self._indices == cols)
+        self.pattern = ScatterPattern(self.conn, n)
         self.f_r = self.f.weights[self.nodes]
         total = self.f.total()
         if not total > 0:
@@ -107,13 +104,10 @@ class DesignProblem:
         return float(self.areas.sum())
 
     def assemble(self, blocks: np.ndarray) -> sp.csc_matrix:
-        """Sum per-element 3x3 blocks on the design nodes into a CSC
-        matrix on the fixed pattern; `data[diag]` is its diagonal."""
-        n = self.nodes.size
-        data = np.bincount(self._slot, weights=blocks.ravel(),
-                           minlength=self._indices.size)
-        return sp.csc_matrix((data, self._indices, self._indptr),
-                             shape=(n, n))
+        """Sum symmetric per-element 3x3 blocks on the design nodes into a
+        CSC matrix on the fixed pattern; `data[pattern.diag]` is its
+        diagonal."""
+        return self.pattern.fill(blocks).T
 
     def reduce(self, w: Field) -> np.ndarray:
         return w.values[self.nodes]
@@ -273,7 +267,7 @@ def _shifted(prob: DesignProblem, hess: sp.csc_matrix,
     if shift == 0.0:
         return hess
     data = hess.data.copy()
-    data[prob.diag] += shift
+    data[prob.pattern.diag] += shift
     return sp.csc_matrix((data, hess.indices, hess.indptr), shape=hess.shape)
 
 

@@ -38,6 +38,14 @@ NEWTON_TOL, MAX_NEWTON = 1e-12, 50
 #: times the longest trace the benchmark runs; far more steps only
 #: exhaust memory
 MAX_STEPS = 100_000
+#: largest eps_inf, omega_p, omega_0 and eps_d (nondimensional, so O(1) in
+#: practice): the trace's largest number, a squared denominator, stays
+#: below 1e205, where 1e308 overflowed omega*^2
+MAX_PARAM = 1e50
+#: largest gamma_max / omega*: past it delta(omega*) is within omega*/gamma
+#: of its gamma -> inf limit eps_inf/eps_D.  On the h = 0.08 disk (orders
+#: 2-4, six materials) Newton diverged below 13 omega* in 12 of 18 traces
+MAX_GAMMA_RATIO = 100.0
 
 
 @dataclass(frozen=True)
@@ -50,9 +58,10 @@ class LorentzParams:
     omega_0: float
 
     def __post_init__(self):
-        if not (self.eps_inf > 0 and self.omega_p > 0 and self.omega_0 >= 0):
-            raise InputError("LorentzParams: need eps_inf > 0, omega_p > 0, "
-                             "omega_0 >= 0")
+        if not (0 < self.eps_inf <= MAX_PARAM and 0 < self.omega_p <= MAX_PARAM
+                and 0 <= self.omega_0 <= MAX_PARAM):
+            raise InputError("LorentzParams: need eps_inf, omega_p in (0, "
+                             f"{MAX_PARAM:g}], omega_0 in [0, {MAX_PARAM:g}]")
 
 
 @dataclass(frozen=True)
@@ -63,8 +72,9 @@ class CoreDielectric:
     eps_d: float = 1.0
 
     def __post_init__(self):
-        if not self.eps_d > 0:
-            raise InputError("CoreDielectric: eps_d must be > 0")
+        if not 0 < self.eps_d <= MAX_PARAM:
+            raise InputError("CoreDielectric: need eps_d in "
+                             f"(0, {MAX_PARAM:g}]")
 
 
 @dataclass
@@ -166,7 +176,8 @@ def trace_resonance(series, p: LorentzParams, d: CoreDielectric,
 
     Each gamma > 0 gets at most `MAX_NEWTON` steps to reach |G| <=
     `NEWTON_TOL` * max(1, lambda*), else NumericalError.  More than
-    `MAX_STEPS` steps are refused with InputError before any work.
+    `MAX_STEPS` steps, or a gamma_max above `MAX_GAMMA_RATIO` * omega*, are
+    refused with InputError before any work.
 
     `series` needs attributes lambda0 and lambda_coeffs of order >= 2.  The
     coefficients are rescaled exactly by lambda*/lambda0 (a uniform geometric
@@ -175,10 +186,13 @@ def trace_resonance(series, p: LorentzParams, d: CoreDielectric,
     """
     if len(series.lambda_coeffs) < 2:
         raise InputError("trace_resonance: series order must be >= 2")
-    if gamma_max < 0 or not 1 <= steps <= MAX_STEPS:
-        raise InputError(f"trace_resonance: need gamma_max >= 0 and 1 <= "
-                         f"steps <= {MAX_STEPS}, got {gamma_max}, {steps}")
     ws = enz_frequency(p)
+    if not (0 <= gamma_max <= MAX_GAMMA_RATIO * ws
+            and 1 <= steps <= MAX_STEPS):
+        raise InputError(f"trace_resonance: need 0 <= gamma_max <= "
+                         f"{MAX_GAMMA_RATIO:g} * omega* = "
+                         f"{MAX_GAMMA_RATIO * ws:.6g} and 1 <= steps <= "
+                         f"{MAX_STEPS}, got {gamma_max}, {steps}")
     lam_star = lambda_star(p, d)
     scale = lam_star / series.lambda0
     if abs(scale - 1.0) > 1e-3:

@@ -2,13 +2,14 @@
 
 Conventions used throughout the package:
 
-* One scatter kernel (``_scatter``, ``_scatter_vector``), shared with the
-  design module, accumulates every matrix and vector the solvers assemble
-  from element data; region matrices have full node dimension (zero rows
-  off the region).  The design module, which fills matrices on one
-  element set many times, fills them on the pattern that
-  ``_scatter_pattern`` computes once.
-* The unweighted K, M and mass vector of a region come from one
+* One matrix kernel, ``ScatterPattern``, sums every matrix the solvers
+  assemble from per-element 3x3 blocks: its pattern is computed once per
+  element set, and each ``fill`` adds the blocks up on it in element
+  order.  A region's K and M share one pattern, at full node dimension
+  (empty rows off the region); the design module fills its stiffness and
+  Hessians on one pattern of its own nodes.  Nodal vectors are summed by
+  ``_scatter_vector``.
+* The unit-weight K, M and mass vector of a region come from one
   ``RegionOperator`` per mesh and region (cached on ``Mesh._cache``), which
   also holds the region's nodes and the region areas; the Dirichlet and
   mean-zero solves, the weak flux, the collapsed-shell pencil and the
@@ -49,6 +50,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,8 +62,7 @@ from scipy.sparse.csgraph import connected_components
 from enzres.errors import InputError, NumericalError
 from enzres.mesh import CORE, INTERFACE, Mesh, _as_tagset
 
-__all__ = ["Field", "BoundaryFunctional", "assemble_stiffness",
-           "assemble_mass", "mass_vector", "RegionOperator",
+__all__ = ["Field", "BoundaryFunctional", "ScatterPattern", "RegionOperator",
            "DirichletFactor", "region_operator", "weak_normal_flux",
            "linear_solve", "factor_spd", "factor_symmetric", "MeanZeroFactor",
            "element_geometry"]
@@ -140,46 +141,37 @@ def element_geometry(mesh: Mesh, tris: np.ndarray):
     return area, gx, gy
 
 
-def _element_weights(mesh: Mesh, weight_by_region: dict):
-    weights = {int(k): v for k, v in weight_by_region.items()}
-    present = {int(t) for t in np.unique(mesh.regions)}
-    included = set(weights)
-    missing = included - present
-    if missing:
-        raise InputError(f"assembly: regions {sorted(missing)} not present "
-                         "in mesh")
-    tris = mesh.region_triangles(included)
-    complex_w = any(isinstance(v, complex) or np.iscomplexobj(v)
-                    for v in weights.values())
-    dtype = complex if complex_w else float
-    w = np.zeros(len(tris), dtype=dtype)
-    for tag, val in weights.items():
-        w[mesh.regions[tris] == tag] = val
-    return tris, w
+class ScatterPattern:
+    """Sorted CSR pattern (`indptr`, `indices`) of the n x n sum of 3x3
+    element blocks, row e of `conn` holding element e's node indices; the
+    int32 `slot` maps the 9 entries per element, in `blocks.ravel()` order,
+    to their place in `data`.  The pattern is symmetric, so a symmetric
+    fill's transpose is the same matrix in CSC layout, sharing its arrays.
+    """
 
+    def __init__(self, conn: np.ndarray, n: int):
+        rows = np.repeat(conn, 3, axis=1).ravel().astype(np.int64)
+        cols = np.tile(conn, (1, 3)).ravel()
+        keys, slot = np.unique(rows * n + cols, return_inverse=True)
+        self.n = n
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=self.indptr[1:])
+        self.indices = (keys % n).astype(np.int32)
+        self.slot = slot.astype(np.int32)
 
-def _scatter(conn: np.ndarray, blocks: np.ndarray, n: int) -> sp.csr_matrix:
-    """Accumulate per-element 3x3 blocks into an n x n CSR matrix; row e of
-    `conn` holds element e's three node indices."""
-    rows = np.repeat(conn, 3, axis=1).ravel()
-    cols = np.tile(conn, (1, 3)).ravel()
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    @cached_property
+    def diag(self) -> np.ndarray:
+        """Places of the diagonal entries in `data`."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return np.flatnonzero(self.indices == rows)
 
-
-def _scatter_pattern(conn: np.ndarray, n: int):
-    """The fixed pattern of `_scatter`'s output for connectivity `conn`:
-    (indptr, indices, slot), where the int32 `slot` gives, for each of the
-    9 entries per element in `blocks.ravel()` order, its place in the
-    sorted CSR `data` array.  Filling a matrix on the pattern is then
-    ``np.bincount(slot, weights=blocks.ravel(), minlength=indices.size)``.
-    The pattern of element blocks is symmetric, so the same arrays are
-    also its CSC layout."""
-    rows = np.repeat(conn, 3, axis=1).ravel().astype(np.int64)
-    cols = np.tile(conn, (1, 3)).ravel()
-    keys, slot = np.unique(rows * n + cols, return_inverse=True)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return indptr, (keys % n).astype(np.int32), slot.astype(np.int32)
+    def fill(self, blocks: np.ndarray) -> sp.csr_matrix:
+        """CSR sum of the per-element blocks, added up in element order;
+        every fill shares the pattern's index arrays."""
+        data = np.bincount(self.slot, weights=blocks.ravel(),
+                           minlength=self.indices.size)
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.n, self.n))
 
 
 def _scatter_vector(conn: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -194,31 +186,7 @@ def _gradient_blocks(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
 
 
-def assemble_stiffness(mesh: Mesh, weight_by_region: dict) -> sp.csr_matrix:
-    """Weighted stiffness matrix int w(x) grad(u).grad(v) over the listed
-    regions.  Symmetric with constants in the kernel."""
-    tris, w = _element_weights(mesh, weight_by_region)
-    area, gx, gy = element_geometry(mesh, tris)
-    local = _gradient_blocks(gx, gy) * (w * area)[:, None, None]
-    return _scatter(mesh.triangles[tris], local, mesh.n_nodes)
-
-
 _MASS_REF = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0  # [[2,1,1],...]/12
-
-
-def assemble_mass(mesh: Mesh, weight_by_region: dict) -> sp.csr_matrix:
-    """Weighted consistent mass matrix int w(x) u v over the listed regions."""
-    tris, w = _element_weights(mesh, weight_by_region)
-    area = mesh.areas()[tris]
-    local = _MASS_REF[None, :, :] * (w * area)[:, None, None]
-    return _scatter(mesh.triangles[tris], local, mesh.n_nodes)
-
-
-def mass_vector(mesh: Mesh, tags) -> np.ndarray:
-    """Nodal integration weights m with m @ v = int_region v (P1 exact)."""
-    tris = mesh.region_triangles(tags)
-    return _scatter_vector(mesh.triangles[tris],
-                           (mesh.areas()[tris] / 3.0)[:, None], mesh.n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +310,8 @@ CONDITION_ITERS = 6
 
 def _condition_estimate(A: sp.csc_matrix, lu) -> float:
     """Cheap estimate of norm(A) * norm(inv(A)) via inverse power iteration
-    on an already computed factorization."""
+    on an already computed factorization; inf when a norm under- or
+    overflows."""
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(A.shape[0])
     if np.iscomplexobj(A):
@@ -352,24 +321,29 @@ def _condition_estimate(A: sp.csc_matrix, lu) -> float:
     for _ in range(CONDITION_ITERS):
         v = lu.solve(v)
         inv_norm = np.linalg.norm(v)
+        if not 0 < inv_norm < math.inf:
+            return math.inf
         v /= inv_norm
     a_norm = abs(A).sum(axis=1).max()
-    return float(a_norm * inv_norm)
+    return float(a_norm) * float(inv_norm)
 
 
 # ---------------------------------------------------------------------------
 # boundary-value solves
 
 class RegionOperator:
-    """Unit-weight P1 operators of a region (one tag or a set of tags).
+    """Unit-weight P1 operators of a region (one tag or a set of tags with
+    at least one triangle, else InputError).
 
     Holds the region's stiffness and mass matrices at full node dimension,
-    its mass vector `m`, its sorted `nodes`, the area of every mesh region
-    and, for Dirichlet data on the core interface, the interface nodes
-    `boundary`, the region's other nodes `interior` and (built on first
-    use) the interior blocks `K_ii` and `M_ii` that a `DirichletFactor`
-    shifts; the collapsed-shell pencil of `find_lambda0` is built from `K`,
-    `M`, `interior` and `boundary`.  None of this depends on a shift, so
+    filled on one `ScatterPattern`, `pattern`, whose index arrays they
+    share, its mass vector `m` (M's row sums), its
+    sorted `nodes`, the area of every mesh region and, for Dirichlet data
+    on the core interface, the interface nodes `boundary`, the region's
+    other nodes `interior` and (built on first use) the interior blocks
+    `K_ii` and `M_ii` that a `DirichletFactor` shifts; the collapsed-shell
+    pencil of `find_lambda0` is built from `K`, `M`, `interior` and
+    `boundary`.  None of this depends on a shift, so
     one operator per mesh and region is kept on `Mesh._cache` (see
     `region_operator`).  The operator keeps no reference to the mesh: a
     mesh -> cache -> operator -> mesh cycle would keep every dropped mesh
@@ -381,12 +355,21 @@ class RegionOperator:
     """
 
     def __init__(self, mesh: Mesh, region):
-        tags = _as_tagset(region)
-        self.n_nodes = mesh.n_nodes
-        self.K = assemble_stiffness(mesh, dict.fromkeys(tags, 1.0))
-        self.M = assemble_mass(mesh, dict.fromkeys(tags, 1.0))
-        self.m = mass_vector(mesh, tags)
-        self.nodes = mesh.region_nodes(tags)
+        tris = mesh.region_triangles(region)
+        if tris.size == 0:
+            raise InputError(f"RegionOperator: no triangle has a tag in "
+                             f"{sorted(_as_tagset(region))}")
+        conn = mesh.triangles[tris]
+        n = self.n_nodes = mesh.n_nodes
+        area, gx, gy = element_geometry(mesh, tris)
+        # kept: freed here, the pattern's slot map left heap holes that
+        # raised the h = 0.02 series' peak RSS by up to 18 MB
+        pattern = self.pattern = ScatterPattern(conn, n)
+        # CSR: CSC fills peaked up to 3 MB higher on the h = 0.02 series
+        self.K = pattern.fill(_gradient_blocks(gx, gy) * area[:, None, None])
+        self.M = pattern.fill(_MASS_REF * area[:, None, None])
+        self.m = _scatter_vector(conn, (area / 3.0)[:, None], n)
+        self.nodes = np.unique(conn)
         self.boundary = mesh.boundary_nodes(INTERFACE)
         self.interior = np.setdiff1d(self.nodes, self.boundary,
                                      assume_unique=True)
@@ -405,8 +388,6 @@ class RegionOperator:
         `nodes` with weights `m[nodes]`: it solves -Delta u = source with
         natural Neumann data, normalized to int u = 0, for a load vector
         given on `nodes`."""
-        if self.nodes.size == 0:
-            raise InputError("RegionOperator.neumann: region is empty")
         return MeanZeroFactor(self.K[self.nodes][:, self.nodes],
                               self.m[self.nodes])
 
@@ -439,10 +420,11 @@ class DirichletFactor:
                 f"DirichletFactor: singular system at lambda = {lam} "
                 f"(lambda is a Dirichlet eigenvalue of the region; {exc})")
         cond = _condition_estimate(self.A_ii, self.lu)
-        if cond > 1e10:
+        if not cond <= 1e10:
             raise NumericalError(
                 f"DirichletFactor: condition estimate {cond:.2e} too large; "
-                f"lambda = {lam} is near a Dirichlet eigenvalue of the region")
+                f"lambda = {lam} is near a Dirichlet eigenvalue of the region "
+                "or out of floating-point range")
 
     def solve(self, b: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Nodal values of u with (K - lam*M) u = b on the interior nodes

@@ -139,7 +139,9 @@ def build_concentric_mesh(r_d: float, r_0: float, h: float,
         n_sub = [max(1, math.ceil((b - a) / h)) for a, b in bands]
     except OverflowError:  # a ratio overflowed to inf
         n_theta, n_sub = math.inf, [math.inf]
-    n_nodes = 1 + n_theta * sum(n_sub)
+    # counted in floats, exact up to 2**53: a count beyond the float range
+    # reads inf, where an int would fail to format in the message below
+    n_nodes = 1.0 + n_theta * float(sum(n_sub))
     if n_nodes > MAX_NODES:
         raise InputError(
             f"build_concentric_mesh: h = {h} would need {n_nodes:.3g} nodes, "

@@ -8,6 +8,7 @@ of them.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from enzres.bessel_oracle import disk_case
@@ -74,6 +75,15 @@ def record_splu(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", recording)
     return calls
+
+
+def coo_reference(conn, blocks, n):
+    """Per-element 3x3 blocks summed by scipy's COO-to-CSR conversion, an
+    assembly independent of `fem.ScatterPattern`; row e of `conn` holds
+    element e's node indices."""
+    rows = np.repeat(conn, 3, axis=1).ravel()
+    cols = np.tile(conn, (1, 3)).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def overflowing_mesh():

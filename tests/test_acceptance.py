@@ -16,10 +16,9 @@ from enzres.dispersion import (CoreDielectric, LorentzParams, calibrate_scale,
                                enz_frequency, lambda_star, sensitivities,
                                trace_resonance)
 from enzres.eigensolver import resonance_near
-from enzres.fem import (assemble_mass, assemble_stiffness, mass_vector,
-                        weak_normal_flux)
-from enzres.mesh import (build_concentric_mesh, load_mesh, save_mesh,
-                         scale_mesh)
+from enzres.fem import region_operator, weak_normal_flux
+from enzres.mesh import (CORE, SHELL, SLACK, build_concentric_mesh, load_mesh,
+                         save_mesh, scale_mesh)
 from enzres.perturbation import (compute_psi_d, eval_lambda, expand_series,
                                  find_lambda0)
 
@@ -71,9 +70,9 @@ def test_criterion_2_series_vs_direct_remainder(series_fine):
 def test_criterion_3_recursion_invariants(series_fine):
     s = series_fine
     m = s.mesh
-    M = assemble_mass(m, {0: 1.0})
-    lump_shell = mass_vector(m, (1,))
-    lump_core = mass_vector(m, (0,))
+    M = region_operator(m, CORE).M
+    lump_shell = region_operator(m, SHELL).m
+    lump_core = region_operator(m, CORE).m
     shell_area = m.areas()[m.regions == 1].sum()
     core_psi_d = float(np.ones(m.n_nodes) @ (M @ s.psi_d.values))
     pd = s.psi_d.values
@@ -175,19 +174,20 @@ def test_criterion_6_structural_properties(disk_meshes, disk_lambda0s):
     m = disk_meshes[0.04]
     lam0 = disk_lambda0s[0.04]
 
-    K = assemble_stiffness(m, {0: 1.0, 1: 0.5, 2: 2.0})
+    K = (region_operator(m, CORE).K + 0.5 * region_operator(m, SHELL).K
+         + 2.0 * region_operator(m, SLACK).K)
     kernel = np.abs(K @ np.ones(m.n_nodes)).max()
 
     mass_defect = 0.0
     for tag in (0, 1, 2):
-        M = assemble_mass(m, {tag: 1.0})
+        M = region_operator(m, tag).M
         area = m.areas()[m.regions == tag].sum()
         mass_defect = max(mass_defect, abs(
             np.ones(m.n_nodes) @ (M @ np.ones(m.n_nodes)) - area) / area)
 
     u = compute_psi_d(m, lam0)
     flux = weak_normal_flux(u, lam0)
-    M0 = assemble_mass(m, {0: 1.0})
+    M0 = region_operator(m, CORE).M
     expected = -lam0 * float(np.ones(m.n_nodes) @ (M0 @ u.values))
     flux_defect = abs(flux.total() - expected) / abs(expected)
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -82,6 +83,17 @@ class TestMesh:
                       "--r0", "1.3", "--h", "1e-9", timeout=30)
         assert res.returncode == 2
         assert "MAX_NODES" in res.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["mesh", "--kind", "concentric", "--rd", "1", "--r0", "1.3"],
+        ["validate-disk"]], ids=["mesh", "validate-disk"])
+    def test_node_count_past_float_range_exit_2(self, argv):
+        # h = 1e-300 needs about 1e601 nodes, a count that once failed to
+        # format in the MAX_NODES refusal
+        code, err = run_main([*argv, "--h", "1e-300"])
+        assert code == 2
+        assert "MAX_NODES" in err
+        assert "internal error" not in err
 
     def test_missing_file_exit_2(self):
         res = run_cli("mesh", "--kind", "file", "--in", "no-such.mesh")
@@ -163,6 +175,21 @@ class TestResonate:
                       "--steps", "10000000000000")
         assert res.returncode == 2
         assert "internal error" not in res.stderr
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--eps-inf", "1e308", "--omega-p", "1e308"], "LorentzParams"),
+        (["--gamma-max", "1e308"], "gamma_max <= 100 \\* omega\\*")],
+        ids=["eps-inf-omega-p", "gamma-max"])
+    def test_overflowing_lorentz_input_exit_2(self, series_file, flags,
+                                               message):
+        # both overflowed the Lorentz arithmetic into an internal error
+        argv = ["resonate", "--series", str(series_file), "--eps-inf", "6.7",
+                "--omega-p", "0.7", "--omega-0", "1.0", "--gamma-max",
+                "0.006", "--steps", "3", *flags]
+        code, err = run_main(argv)
+        assert code == 2
+        assert re.search(message, err)
+        assert "internal error" not in err
 
     def test_bad_series_file_exit_2(self):
         res = run_cli("resonate", "--series", "missing.json",

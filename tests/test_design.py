@@ -22,10 +22,12 @@ from enzres.design import (CONVERGED_EXITS, DesignProblem, bathtub_projection,
                            lambda1_of_design, make_disk_problem,
                            minimize_dual, recover_design, saddle_solve)
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (BoundaryFunctional, _gradient_blocks, _scatter,
-                        assemble_stiffness, factor_spd, mass_vector)
+from enzres.fem import (BoundaryFunctional, _gradient_blocks, factor_spd,
+                        region_operator)
+from enzres.mesh import SHELL
 
-from conftest import annulus_symdiff, element_centroids, record_splu
+from conftest import (annulus_symdiff, coo_reference, element_centroids,
+                      record_splu)
 
 
 @pytest.fixture(scope="module")
@@ -237,8 +239,8 @@ class TestConvergence:
 class TestNewtonPieces:
     @pytest.mark.parametrize("seed, beta", [(0, 1.0), (1, 1e-3), (2, 1e-8)])
     def test_hessian_on_fixed_pattern(self, off_disk_problem, seed, beta):
-        # Reference: the element blocks of the Hessian summed by the
-        # one-shot COO kernel.
+        # Reference: the element blocks of the Hessian summed by scipy's
+        # COO-to-CSR conversion.
         prob = off_disk_problem
         x = np.random.default_rng(seed).standard_normal(prob.nodes.size)
         hess = design._hessian(prob, x, beta)
@@ -248,7 +250,7 @@ class TestNewtonPieces:
                   * (prob.areas * p2)[:, None, None]
                   + _gradient_blocks(prob.gx, prob.gy)
                   * (prob.areas * p1)[:, None, None])
-        ref = _scatter(prob.conn, blocks, prob.nodes.size)
+        ref = coo_reference(prob.conn, blocks, prob.nodes.size)
         assert np.array_equal(hess.indptr, ref.indptr)
         assert np.array_equal(hess.indices, ref.indices)
         # The pattern is symmetric, so CSC and CSR share their arrays.
@@ -324,7 +326,7 @@ class TestOptimum:
         shell = sorted(m.region_nodes(1))
         r = np.clip(np.linalg.norm(m.nodes[shell], axis=1), 1.0, case9.r0)
         exact = np.array([annulus_phi1(case9, ri) for ri in r])
-        lump = mass_vector(m, (1,))[shell]
+        lump = region_operator(m, SHELL).m[shell]
         exact -= (lump @ exact) / lump.sum()
         got = dual_state.w.values[shell]
         got = got - (lump @ got) / lump.sum()

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from enzres.dispersion import (MAX_STEPS, CoreDielectric, LorentzParams,
+from enzres.dispersion import (MAX_GAMMA_RATIO, MAX_PARAM, MAX_STEPS,
+                               CoreDielectric, LorentzParams,
                                calibrate_scale, enz_frequency, eps_enz,
                                lambda_star, omega_prime0, sensitivities,
                                trace_resonance, trace_to_csv)
@@ -44,6 +45,16 @@ class TestEpsEnz:
     def test_params_validated(self):
         with pytest.raises(InputError):
             LorentzParams(eps_inf=-1.0, omega_p=0.7, omega_0=1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda big: LorentzParams(eps_inf=big, omega_p=0.7, omega_0=1.0),
+        lambda big: LorentzParams(eps_inf=6.7, omega_p=big, omega_0=1.0),
+        lambda big: LorentzParams(eps_inf=6.7, omega_p=0.7, omega_0=big),
+        lambda big: CoreDielectric(eps_d=big)])
+    def test_params_bounded_above(self, make):
+        make(MAX_PARAM)
+        with pytest.raises(InputError, match="1e\\+50\\]"):
+            make(2.0 * MAX_PARAM)
 
 
 class TestSensitivities:
@@ -130,6 +141,13 @@ class TestTrace:
         with pytest.raises(InputError, match=f"steps <= {MAX_STEPS}"):
             trace_resonance(calibrated_series, SIC, VACUUM_CORE,
                             gamma_max=0.006, steps=steps)
+
+    def test_gamma_max_capped_relative_to_omega_star(self,
+                                                      calibrated_series):
+        cap = MAX_GAMMA_RATIO * enz_frequency(SIC)
+        with pytest.raises(InputError, match="gamma_max <="):
+            trace_resonance(calibrated_series, SIC, VACUUM_CORE,
+                            gamma_max=2.0 * cap, steps=1)
 
     def test_csv_layout(self, calibrated_series):
         trace = trace_resonance(calibrated_series, SIC, VACUUM_CORE,

@@ -11,11 +11,11 @@ import scipy.sparse.linalg as spla
 from enzres.bessel_oracle import disk_case, disk_psi_d
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (DirichletFactor, Field, MeanZeroFactor,
-                        assemble_mass, assemble_stiffness, linear_solve,
-                        mass_vector, region_operator, weak_normal_flux)
-from enzres.mesh import CORE, SHELL, load_mesh
+                        element_geometry, linear_solve,
+                        region_operator, weak_normal_flux)
+from enzres.mesh import CORE, SHELL, SLACK, build_concentric_mesh, load_mesh
 
-from conftest import HS, record_splu
+from conftest import HS, coo_reference, record_splu
 
 UNIT_TRIANGLE = ("enzmesh v1\n"
                  "nodes 4\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
@@ -40,7 +40,7 @@ def core_dirichlet(mesh, lam, g=1.0):
 class TestAssembly:
     def test_unit_right_triangle_stiffness(self, square):
         # Reference element (0,0),(1,0),(1,1): diag(K) = (1/2, 1, 1/2).
-        K = assemble_stiffness(square, {0: 1.0}).toarray()
+        K = region_operator(square, 0).K.toarray()
         ref = 0.5 * np.array([[1.0, -1.0, 0.0, 0.0],
                               [-1.0, 2.0, -1.0, 0.0],
                               [0.0, -1.0, 1.0, 0.0],
@@ -49,7 +49,8 @@ class TestAssembly:
 
     def test_stiffness_kernel_contains_constants(self, disk_meshes):
         m = disk_meshes[max(HS)]
-        K = assemble_stiffness(m, {0: 1.0, 1: 2.0, 2: 0.5})
+        K = (region_operator(m, CORE).K + 2.0 * region_operator(m, SHELL).K
+             + 0.5 * region_operator(m, SLACK).K)
         ones = np.ones(m.n_nodes)
         assert np.abs(K @ ones).max() < 1e-12
 
@@ -57,24 +58,45 @@ class TestAssembly:
         m = disk_meshes[max(HS)]
         areas = {tag: m.areas()[m.regions == tag].sum() for tag in (0, 1, 2)}
         for tag in (0, 1, 2):
-            M = assemble_mass(m, {tag: 1.0})
+            op = region_operator(m, tag)
             ones = np.ones(m.n_nodes)
-            assert ones @ (M @ ones) == pytest.approx(areas[tag], rel=1e-13)
-            assert mass_vector(m, (tag,)).sum() == pytest.approx(
-                areas[tag], rel=1e-13)
+            assert ones @ (op.M @ ones) == pytest.approx(areas[tag], rel=1e-13)
+            assert op.m.sum() == pytest.approx(areas[tag], rel=1e-13)
 
     def test_mass_lumped_vs_consistent_row_sums(self, square):
-        M = assemble_mass(square, {0: 1.0, 1: 1.0})
-        assert np.asarray(M.sum(axis=1)).ravel() == pytest.approx(
-            mass_vector(square, (0, 1)), rel=1e-14)
-
-    def test_complex_weights_supported(self, square):
-        K = assemble_stiffness(square, {0: 1.0, 1: 1.0 / 0.5j})
-        assert np.iscomplexobj(K.toarray())
+        op = region_operator(square, (0, 1))
+        assert np.asarray(op.M.sum(axis=1)).ravel() == pytest.approx(
+            op.m, rel=1e-14)
 
     def test_rejects_absent_region(self, square):
-        with pytest.raises(InputError):
-            assemble_stiffness(square, {7: 1.0})
+        with pytest.raises(InputError, match="no triangle"):
+            region_operator(square, 7)
+
+    @pytest.mark.parametrize("region", [CORE, SHELL, SLACK, (CORE, SHELL)])
+    def test_region_operator_matches_coo_reference(self, mesh_coarse, region):
+        m = mesh_coarse
+        op = region_operator(m, region)
+        tris = m.region_triangles(region)
+        conn = m.triangles[tris]
+        area, gx, gy = element_geometry(m, tris)
+        grad = (gx[:, :, None] * gx[:, None, :]
+                + gy[:, :, None] * gy[:, None, :]) * area[:, None, None]
+        mass = (np.ones((3, 3)) + np.eye(3)) / 12.0 * area[:, None, None]
+        for got, blocks in ((op.K, grad), (op.M, mass)):
+            ref = coo_reference(conn, blocks, m.n_nodes)
+            # CSR, the layout of the COO-built matrices: CSC fills peaked
+            # up to 3 MB higher on the h = 0.02 series case
+            assert got.format == "csr"
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert (np.abs(got.data - ref.data).max()
+                    <= 1e-13 * np.abs(ref.data).max())
+            # each block is symmetric and both triangles sum in element
+            # order, so the fill is symmetric to the bit
+            assert (got != got.T).nnz == 0
+        assert op.m == pytest.approx(np.asarray(op.M.sum(axis=1)).ravel(),
+                                     rel=1e-13)
+        assert np.array_equal(op.nodes, m.region_nodes(region))
 
 
 class TestLinearSolve:
@@ -122,6 +144,15 @@ class TestDirichletCore:
         with pytest.raises(NumericalError, match="eigenvalue"):
             core_dirichlet(mesh_coarse, mu)
 
+    def test_out_of_range_shift_raises(self):
+        # At lambda = 1e300 the condition estimate's solution norms
+        # underflow to 0, which had made the estimate NaN and passed the
+        # gate.  It is refused, with no RuntimeWarning on the way (the
+        # suite turns warnings into errors).
+        m = build_concentric_mesh(1.0, 1.3, 0.15)
+        with pytest.raises(NumericalError, match="condition estimate inf"):
+            DirichletFactor(region_operator(m, CORE), 1e300)
+
     def test_complex_data_solves_as_real_and_imaginary_parts(
             self, mesh_coarse, lambda0_coarse):
         # the finite-delta sweep's path: a complex load and complex
@@ -143,7 +174,7 @@ class TestWeakFlux:
         m = disk_meshes[0.02]
         u = core_dirichlet(m, case9.lambda0)
         flux = weak_normal_flux(u, case9.lambda0)
-        M = assemble_mass(m, {0: 1.0})
+        M = region_operator(m, CORE).M
         discrete = -case9.lambda0 * float(np.ones(m.n_nodes) @ (M @ u.values))
         assert flux.total() == pytest.approx(discrete, rel=1e-10)
         assert flux.total() == pytest.approx(case9.lambda0 * case9.A0,
@@ -179,7 +210,7 @@ class TestNeumann:
         op = region_operator(m, SHELL)
         w, mu = op.neumann().solve((op.M @ np.ones(m.n_nodes))[op.nodes])
         assert mu * op.m.sum() == pytest.approx(shell_area, rel=1e-12)
-        lumped = mass_vector(m, (1,))[op.nodes]
+        lumped = op.m[op.nodes]
         assert abs(lumped @ w) < 1e-10
 
     def test_mean_zero_and_residual(self, mesh_coarse, lambda0_coarse, case9):
@@ -190,7 +221,7 @@ class TestNeumann:
         b = lambda0_coarse * (op.M @ np.ones(m.n_nodes)) - flux.weights
         w, mu = op.neumann().solve(b[op.nodes])
         defect = mu * op.m.sum()
-        lumped = mass_vector(m, (1,))[op.nodes]
+        lumped = op.m[op.nodes]
         assert abs(lumped @ w) < 1e-9
         # At the recovered lambda0 the constant source lambda0 balances the
         # core flux, so the compatibility defect is the (tiny) residual of
@@ -204,10 +235,8 @@ class TestMeanZeroSolve:
 
     @pytest.fixture(scope="class")
     def shell_system(self, mesh_coarse):
-        nodes = mesh_coarse.region_nodes(1)
-        K = assemble_stiffness(mesh_coarse, {1: 1.0})[nodes][:, nodes]
-        m = mass_vector(mesh_coarse, 1)[nodes]
-        return K, m
+        op = region_operator(mesh_coarse, SHELL)
+        return op.K[op.nodes][:, op.nodes], op.m[op.nodes]
 
     @staticmethod
     def check_bordered(K, m, b, u, mu):
@@ -256,9 +285,8 @@ class TestMeanZeroSolve:
     def test_rejects_disconnected_region(self, mesh_coarse, monkeypatch):
         # Core and outer shell share no node, so K has a two-dimensional
         # kernel; it is refused before any factorization.
-        nodes = mesh_coarse.region_nodes({0, 2})
-        K = assemble_stiffness(mesh_coarse, {0: 1.0, 2: 1.0})[nodes][:, nodes]
-        m = mass_vector(mesh_coarse, {0, 2})[nodes]
+        op = region_operator(mesh_coarse, {CORE, SLACK})
+        K, m = op.K[op.nodes][:, op.nodes], op.m[op.nodes]
         calls = record_splu(monkeypatch)
         with pytest.raises(NumericalError, match="2 disconnected"):
             MeanZeroFactor(K, m)

@@ -13,7 +13,8 @@ from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
 from enzres import perturbation
 from enzres.design import DesignProblem, make_disk_problem
 from enzres.errors import InputError, NumericalError
-from enzres.fem import BoundaryFunctional, assemble_mass, mass_vector
+from enzres.fem import BoundaryFunctional, region_operator
+from enzres.mesh import CORE, SHELL
 from enzres.perturbation import (CoreProfile, compute_psi_d,
                                  consistency_residual,
                                  eval_field, eval_lambda, expand_series,
@@ -168,8 +169,8 @@ class TestRecursionInvariants:
         # the remaining fields integrate to zero over their regions.
         s = series_fine
         m = s.mesh
-        lump_shell = mass_vector(m, (1,))
-        lump_core = mass_vector(m, (0,))
+        lump_shell = region_operator(m, SHELL).m
+        lump_core = region_operator(m, CORE).m
         scale = max(abs(l) for l in s.all_lambdas())
         for phi in s.shell_fields:
             assert abs(lump_shell @ phi.values) < 1e-8 * scale
@@ -181,9 +182,9 @@ class TestRecursionInvariants:
         # constants e_n are folded in (consistent-mass inner products).
         s = series_fine
         m = s.mesh
-        M = assemble_mass(m, {0: 1.0})
-        lump_shell = mass_vector(m, (1,))
-        lump_core = mass_vector(m, (0,))
+        M = region_operator(m, CORE).M
+        lump_shell = region_operator(m, SHELL).m
+        lump_core = region_operator(m, CORE).m
         shell_area = m.areas()[m.regions == 1].sum()
         core_psi_d = float(np.ones(m.n_nodes) @ (M @ s.psi_d.values))
         for n in range(1, s.order + 1):
@@ -199,7 +200,7 @@ class TestRecursionInvariants:
         # psi_n^T M psi_d + e_n * norm_const = 0, which removes the secular
         # psi_d component from every core corrector.
         s = series_fine
-        M = assemble_mass(s.mesh, {0: 1.0})
+        M = region_operator(s.mesh, CORE).M
         pd = s.psi_d.values
         for n in range(1, s.order + 1):
             e_n = s.constants[n - 1]
@@ -212,8 +213,7 @@ class TestRecursionInvariants:
         # Rayleigh-type quotient -int|grad phi1|^2 / norm_const evaluated
         # from the stored first shell field.
         s = series_fine
-        from enzres.fem import assemble_stiffness
-        K = assemble_stiffness(s.mesh, {1: 1.0})
+        K = region_operator(s.mesh, SHELL).K
         phi1 = s.shell_fields[0].values
         quotient = -float(phi1 @ (K @ phi1)) / s.norm_const
         assert s.lambda_coeffs[0] == pytest.approx(quotient, rel=1e-8)
@@ -225,7 +225,7 @@ class TestRecursionInvariants:
         r = np.clip(np.linalg.norm(m.nodes[shell], axis=1), 1.0, case9.r0)
         exact = np.array([annulus_phi1(case9, ri) for ri in r])
         # The oracle profile is normalized to shell-mean zero as well.
-        lump = mass_vector(m, (1,))[shell]
+        lump = region_operator(m, SHELL).m[shell]
         exact -= (lump @ exact) / lump.sum()
         got = s.shell_fields[0].values[shell]
         assert np.abs(got - exact).max() < 0.05
