@@ -28,8 +28,12 @@ __all__ = ["LorentzParams", "CoreDielectric", "ResonanceTrace", "eps_enz",
            "omega_prime0", "trace_resonance", "trace_to_csv"]
 
 TRACE_CSV_HEADER = "gamma,re_omega,im_omega,re_delta,im_delta,newton_iters"
-#: finite-difference step and relative tolerance of `sensitivities`' check
-FD_STEP, FD_CHECK_TOL = 1e-6, 1e-6
+#: finite-difference step of `sensitivities`' check, relative to the width
+#: omega_p**2 / omega* over which eps_enz changes near omega*, and the
+#: check's relative tolerance.  Across omega* from 1e-40 to 1e45 and
+#: omega_p / omega* down to 0.01 the check's error stays below 5e-8; a
+#: step of 1e-6 * omega* reached 4e-4 at omega_p / omega* = 0.01
+FD_STEP, FD_CHECK_TOL = 1e-4, 1e-6
 #: Newton tolerance (relative to max(1, lambda*)) and steps per gamma
 NEWTON_TOL, MAX_NEWTON = 1e-12, 50
 #: most gamma steps `trace_resonance` takes.  A step costs a few scalar
@@ -42,6 +46,13 @@ MAX_STEPS = 100_000
 #: practice): the trace's largest number, a squared denominator, stays
 #: below 1e205, where 1e308 overflowed omega*^2
 MAX_PARAM = 1e50
+#: smallest eps_inf, omega_p and eps_d: omega_p**2 and the products of the
+#: sensitivities stay normal floats
+MIN_PARAM = 1e-50
+#: smallest omega_p / omega*: below it omega*^2 - omega_0^2 keeps too few
+#: digits of omega_p^2, and `sensitivities`' check fails (omega_0 = 1e50
+#: with omega_p = 1e25, say)
+MIN_PLASMA_RATIO = 1e-2
 #: largest gamma_max / omega*: past it delta(omega*) is within omega*/gamma
 #: of its gamma -> inf limit eps_inf/eps_D.  On the h = 0.08 disk (orders
 #: 2-4, six materials) Newton diverged below 13 omega* in 12 of 18 traces
@@ -58,10 +69,12 @@ class LorentzParams:
     omega_0: float
 
     def __post_init__(self):
-        if not (0 < self.eps_inf <= MAX_PARAM and 0 < self.omega_p <= MAX_PARAM
+        if not (MIN_PARAM <= self.eps_inf <= MAX_PARAM
+                and MIN_PARAM <= self.omega_p <= MAX_PARAM
                 and 0 <= self.omega_0 <= MAX_PARAM):
-            raise InputError("LorentzParams: need eps_inf, omega_p in (0, "
-                             f"{MAX_PARAM:g}], omega_0 in [0, {MAX_PARAM:g}]")
+            raise InputError("LorentzParams: need eps_inf, omega_p in "
+                             f"[{MIN_PARAM:g}, {MAX_PARAM:g}], omega_0 in "
+                             f"[0, {MAX_PARAM:g}]")
 
 
 @dataclass(frozen=True)
@@ -72,9 +85,9 @@ class CoreDielectric:
     eps_d: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.eps_d <= MAX_PARAM:
+        if not MIN_PARAM <= self.eps_d <= MAX_PARAM:
             raise InputError("CoreDielectric: need eps_d in "
-                             f"(0, {MAX_PARAM:g}]")
+                             f"[{MIN_PARAM:g}, {MAX_PARAM:g}]")
 
 
 @dataclass
@@ -132,13 +145,20 @@ def calibrate_scale(lambda0_geom: float, lam_star: float) -> float:
 
 def sensitivities(p: LorentzParams, d: CoreDielectric):
     """Closed-form sensitivities at (omega*, gamma=0), cross-checked against
-    central finite differences of eps_enz (step `FD_STEP`; a relative
-    disagreement above `FD_CHECK_TOL` raises NumericalError).
+    central finite differences of eps_enz (step `FD_STEP` * omega_p**2 /
+    omega*; a relative disagreement above `FD_CHECK_TOL` raises
+    NumericalError).  An omega_p below `MIN_PLASMA_RATIO` * omega* is
+    refused with InputError.
 
     a1 = d(eps_enz)/d(omega), a2 = (1/i) d(eps_enz)/d(gamma),
     a3 = d(omega**2 eps_D)/d(omega); all positive, and a2 = a1/2.
     """
     ws = enz_frequency(p)
+    if p.omega_p < MIN_PLASMA_RATIO * ws:
+        raise InputError(
+            f"sensitivities: need omega_p >= {MIN_PLASMA_RATIO:g} * omega* = "
+            f"{MIN_PLASMA_RATIO * ws:.6g}, got {p.omega_p}: omega_0 = "
+            f"{p.omega_0} leaves eps_enz too few digits near omega*")
     a1 = 2.0 * p.eps_inf * ws / p.omega_p ** 2
     a2 = p.eps_inf * ws / p.omega_p ** 2
     a3 = 2.0 * ws * d.eps_d
@@ -148,7 +168,7 @@ def sensitivities(p: LorentzParams, d: CoreDielectric):
         denom = p.omega_0 ** 2 - omega * omega - 1j * omega * gamma
         return p.eps_inf * (1.0 + p.omega_p ** 2 / denom)
 
-    h = FD_STEP
+    h = FD_STEP * p.omega_p ** 2 / ws
     a1_fd = (eps_raw(ws + h, 0.0) - eps_raw(ws - h, 0.0)) / (2 * h)
     a2_fd = (eps_raw(ws, h) - eps_raw(ws, -h)) / (2j * h)
     a3_fd = ((ws + h) ** 2 - (ws - h) ** 2) * d.eps_d / (2 * h)

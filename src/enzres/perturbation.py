@@ -7,7 +7,8 @@ core.  The leading eigenvalue lambda0 is fixed by the consistency condition
 |shell| + int_D psi_d = 0.  Its roots are the eigenvalues of the
 collapsed-shell pencil, the delta -> 0 problem with the whole shell merged
 into one unknown, whose eigenvectors have a nonzero shell value and zero
-mean over Omega; lambda0 is the one such eigenvalue in the search interval.
+mean over Omega; lambda0 is the one such eigenvalue in the search interval,
+found by one shift-invert Lanczos recurrence on one factor of the pencil.
 Higher orders follow from an alternating Neumann(shell)/Dirichlet(core)
 recursion that factors the core and the shell operator once each; all
 stored fields are mean-zero with the additive constants e_n kept
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (DirichletFactor, Field, MeanZeroFactor,
@@ -42,6 +43,11 @@ DEFECT_TOL = 1e-8
 MAX_PENCIL_EIGS = 64
 #: relative error bound on lambda0 that `find_lambda0` accepts
 ROOT_TOL = 1e-10
+#: most Lanczos steps (shift-invert back-solves) `find_lambda0` takes
+MAX_LANCZOS_STEPS = 2 * MAX_PENCIL_EIGS
+#: a Ritz value nu of the shift-inverted pencil counts as converged once
+#: its Lanczos residual estimate is at most `RITZ_TOL` * |nu|
+RITZ_TOL = 1e-8
 #: highest order `expand_series` runs.  Each order adds one core solve, one
 #: shell solve and two stored fields, but on the disk (target 9) |lambda_n|
 #: stops falling after order 13 at h = 0.08 and 0.04, then grows by up to
@@ -147,6 +153,47 @@ def _collapsed_pencil(op):
     return (P.T @ op.K @ P).tocsc(), (P.T @ op.M @ P + shell).tocsc(), d
 
 
+def _largest_eigenvalue_bound(K_c, d) -> float:
+    """Gershgorin bound on the largest eigenvalue of (K_c, M_c): K_c is
+    positive semidefinite and M_c >= diag(d), so every eigenvalue is at
+    most the largest eigenvalue of diag(d)^-1/2 K_c diag(d)^-1/2, and so at
+    most its largest absolute row sum."""
+    s = 1 / np.sqrt(d)
+    return float((abs(K_c) @ s * s).max())
+
+
+def _lanczos(lu, M, steps):
+    """Lanczos recurrence on the shift-inverted operator x -> lu.solve(M x),
+    self-adjoint in the M inner product, from a fixed random vector put in
+    its range.  After each of at most `steps` steps it yields the basis (its
+    rows M-orthonormal, reorthogonalized in full twice), the eigenvalues nu
+    and eigenvectors S of the tridiagonal matrix, and the M-norm of the
+    next residual, which times |S[-1]| estimates each Ritz pair's
+    residual."""
+    n = M.shape[0]
+    # the rows of Q hold the basis; Q doubles when full
+    Q = np.empty((8, n))
+    alpha, beta = [], []
+    w = lu.solve(M @ np.random.default_rng(0).standard_normal(n))
+    Mw = M @ w
+    for j in range(steps):
+        norm = math.sqrt(w @ Mw)
+        if j:
+            beta.append(norm)
+        if j == Q.shape[0]:
+            Q = np.concatenate([Q, np.empty_like(Q)])
+        Q[j] = w / norm
+        w = lu.solve(Mw / norm)
+        basis = Q[:j + 1]
+        alpha.append(0.0)
+        for _ in range(2):
+            coef = basis @ (M @ w)
+            w -= coef @ basis
+            alpha[j] += coef[j]
+        Mw = M @ w
+        yield (basis, *eigh_tridiagonal(alpha, beta), math.sqrt(w @ Mw))
+
+
 def find_lambda0(mesh: Mesh, search_interval) -> float:
     """The one root of the consistency residual in an open interval.
 
@@ -164,19 +211,31 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     the residual in the interval do no harm; an interval with no root or
     with two or more is refused.
 
-    The eigenvalues come from shift-invert Lanczos at the interval
-    midpoint, with one factorization and a fixed start vector (Ericsson &
-    Ruhe, Math. Comp. 35, 1980); k doubles from 3 until they reach past
-    both interval ends, and an interval that needs more than
-    `MAX_PENCIL_EIGS` of them is refused.  No further factorization
-    certifies the root's Ritz pair (theta_i, v_i) (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 10-11): with rho_j the Rayleigh quotient of v_j,
-    eps_j = ||K_c v_j - rho_j M_c v_j||_{diag(d)^-1} / ||v_j||_{M_c} bounds
-    the distance from rho_j to the spectrum (Kahan; M_c >= diag(d)), every
-    other eigenvalue lies at least delta from rho_i (the computed ones
-    within eps_j of their rho_j, the rest beyond max |theta_j - sigma| from
-    sigma), and lambda0 is refused unless delta > eps_i and the Kato-Temple
-    bound |theta_i - rho_i| + eps_i^2 / delta is at most `ROOT_TOL`*theta_i.
+    The eigenvalues come from one Lanczos recurrence on the shift-inverted
+    pencil, nu = 1 / (lam - sigma) at the interval midpoint sigma, with
+    one factorization and a fixed start vector put in the operator's range
+    (Ericsson & Ruhe, Math. Comp. 35, 1980).  Its basis is
+    M_c-orthonormal, reorthogonalized in full twice per step (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 13).  A Ritz value counts as
+    converged once its Lanczos residual estimate is at most
+    `RITZ_TOL` * |nu|.  The recurrence stops at the first step at which the
+    converged Ritz values nearest sigma reach past both interval ends and
+    the root passes the certificate below.  More than `MAX_PENCIL_EIGS`
+    Ritz values in the interval prove as many eigenvalues there (Cauchy
+    interlacing), and the interval is refused, as is one that reaches past
+    a bound on the pencil's largest eigenvalue
+    (`_largest_eigenvalue_bound`), where no shift resolves the spectrum.  A
+    root not certified within `MAX_LANCZOS_STEPS` steps raises
+    NumericalError.
+
+    No further factorization certifies the root (Parlett, ch. 10-11): with
+    v_j the assembled Ritz vectors of the converged set and rho_j their
+    Rayleigh quotients, eps_j = ||K_c v_j - rho_j M_c v_j||_{diag(d)^-1} /
+    ||v_j||_{M_c} bounds the distance from rho_j to the spectrum (Kahan;
+    M_c >= diag(d)), every other eigenvalue lies at least delta from rho_i
+    (the converged ones within eps_j of their rho_j, the rest beyond the
+    set's reach from sigma), and rho_i is returned once delta > eps_i and
+    the Kato-Temple bound eps_i^2 / delta is at most `ROOT_TOL` * rho_i.
     """
     t_lo, t_hi = (float(t) for t in search_interval)
     if not (0 < t_lo < t_hi < math.inf):
@@ -186,55 +245,68 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     op = region_operator(mesh, CORE)
     area = sum(op.area_by_region.values())
     K_c, M_c, d = _collapsed_pencil(op)
+    top = _largest_eigenvalue_bound(K_c, d)
+    if t_hi > top:
+        raise InputError(
+            f"find_lambda0: ({t_lo}, {t_hi}) reaches past {top:.6g}, a bound "
+            "on the largest eigenvalue of the collapsed pencil, so no shift "
+            "resolves its eigenvalues; narrow the interval")
     sigma, half = 0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo)
     try:
         lu = factor_symmetric(K_c - sigma * M_c)
     except RuntimeError as exc:
         raise NumericalError(f"find_lambda0: collapsed pencil singular at "
                              f"sigma = {sigma} ({exc})")
-    OPinv = spla.LinearOperator(K_c.shape, matvec=lu.solve, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(K_c.shape[0])
-    k = 3
-    while True:
-        vals, vecs = spla.eigsh(K_c, k=k, M=M_c, sigma=sigma, which="LM",
-                                OPinv=OPinv, v0=v0)
-        if np.abs(vals - sigma).max() >= half:
-            break
-        if 2 * k > MAX_PENCIL_EIGS:
+    n = K_c.shape[0]
+    failure = "its converged Ritz values never reached past both ends"
+    for basis, nu, S, norm in _lanczos(lu, M_c, min(MAX_LANCZOS_STEPS, n)):
+        dist = 1 / np.abs(nu)
+        if np.count_nonzero(dist < half) > MAX_PENCIL_EIGS:
             raise InputError(
-                f"find_lambda0: the {k} eigenvalues of the collapsed pencil "
-                f"nearest sigma = {sigma} all lie in ({t_lo}, {t_hi}), so "
-                "roots beyond them go unchecked; narrow the interval")
-        k *= 2
-    # c is the last component; 1^T M_c v integrates v over Omega
-    K_vecs, M_vecs = K_c @ vecs, M_c @ vecs
-    is_root = ((t_lo < vals) & (vals < t_hi)
-               & (np.abs(vecs[-1]) * np.sqrt(area) > 1e-6)
-               & (np.abs(M_vecs.sum(axis=0)) <= 1e-6 * np.sqrt(area)))
-    roots = np.flatnonzero(is_root)
-    if roots.size == 0:
-        raise InputError(
-            f"find_lambda0: no permissible lambda0 in interval ({t_lo}, "
-            f"{t_hi}): the residual has no sign change from - to + there")
-    if roots.size > 1:
-        raise InputError(
-            f"find_lambda0: {roots.size} roots of the consistency residual "
-            f"in ({t_lo}, {t_hi}): {np.sort(vals[roots]).tolist()}; narrow "
-            "the interval")
-    i = roots[0]
-    vMv = (vecs * M_vecs).sum(axis=0)
-    rq = (vecs * K_vecs).sum(axis=0) / vMv
-    eps = np.sqrt(((K_vecs - M_vecs * rq)**2 / d[:, None]).sum(axis=0) / vMv)
-    delta = min(np.delete(np.abs(rq - rq[i]) - eps, i).min(),
-                np.abs(vals - sigma).max() - abs(rq[i] - sigma))
-    lam0 = float(vals[i])
-    bound = abs(lam0 - rq[i]) + eps[i]**2 / delta
-    if not (delta > eps[i] and bound <= ROOT_TOL * lam0):
-        raise NumericalError(
-            f"find_lambda0: Ritz value {lam0!r} not certified: error bound "
-            f"{bound:.3e} (limit {ROOT_TOL:g}*lambda0), residual bound "
-            f"{eps[i]:.3e}, gap {delta:.3e}")
-    return lam0
+                f"find_lambda0: more than {MAX_PENCIL_EIGS} eigenvalues of "
+                f"the collapsed pencil lie in ({t_lo}, {t_hi}), so roots "
+                "among them go unchecked; narrow the interval")
+        # the converged Ritz values nearer sigma than any unconverged one
+        order = np.argsort(dist)
+        converged = (norm * np.abs(S[-1, order])
+                     <= RITZ_TOL * np.abs(nu[order]))
+        near = order[:order.size if converged.all() else converged.argmin()]
+        exhausted = near.size == n
+        if not near.size or not (exhausted or dist[near[-1]] >= half):
+            continue
+        reach = math.inf if exhausted else dist[near[-1]]
+        vals = sigma + 1 / nu[near]
+        vecs = basis.T @ S[:, near]
+        # c is the last component; 1^T M_c v integrates v over Omega
+        K_vecs, M_vecs = K_c @ vecs, M_c @ vecs
+        is_root = ((t_lo < vals) & (vals < t_hi)
+                   & (np.abs(vecs[-1]) * np.sqrt(area) > 1e-6)
+                   & (np.abs(M_vecs.sum(axis=0)) <= 1e-6 * np.sqrt(area)))
+        roots = np.flatnonzero(is_root)
+        if roots.size == 0:
+            raise InputError(
+                f"find_lambda0: no permissible lambda0 in interval ({t_lo}, "
+                f"{t_hi}): the residual has no sign change from - to + there")
+        if roots.size > 1:
+            raise InputError(
+                f"find_lambda0: {roots.size} roots of the consistency "
+                f"residual in ({t_lo}, {t_hi}): "
+                f"{np.sort(vals[roots]).tolist()}; narrow the interval")
+        i = roots[0]
+        vMv = (vecs * M_vecs).sum(axis=0)
+        rq = (vecs * K_vecs).sum(axis=0) / vMv
+        eps = np.sqrt(((K_vecs - M_vecs * rq)**2 / d[:, None]).sum(axis=0)
+                      / vMv)
+        others = np.delete(np.abs(rq - rq[i]) - eps, i)
+        delta = min(others.min(initial=math.inf), reach - abs(rq[i] - sigma))
+        bound = eps[i]**2 / delta
+        if delta > eps[i] and bound <= ROOT_TOL * rq[i]:
+            return float(rq[i])
+        failure = (f"Rayleigh quotient {float(rq[i])!r}: error bound "
+                   f"{bound:.3e} (limit {ROOT_TOL:g}*lambda0), residual "
+                   f"bound {eps[i]:.3e}, gap {delta:.3e}")
+    raise NumericalError(f"find_lambda0: root not certified within "
+                         f"{len(basis)} Lanczos steps; {failure}")
 
 
 def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSeries:

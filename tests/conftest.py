@@ -77,6 +77,29 @@ def record_splu(monkeypatch):
     return calls
 
 
+def record_solves(monkeypatch):
+    """Patch scipy's splu so that every factor counts the right-hand sides
+    it solves; returns a list holding one count per factor made."""
+    counts = []
+    real_splu = spla.splu
+
+    class Counting:
+        def __init__(self, lu):
+            self.lu, self.index = lu, len(counts)
+            counts.append(0)
+
+        def solve(self, b, *args, **kwargs):
+            counts[self.index] += 1 if b.ndim == 1 else b.shape[1]
+            return self.lu.solve(b, *args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: Counting(
+        real_splu(*args, **kwargs)))
+    return counts
+
+
 def coo_reference(conn, blocks, n):
     """Per-element 3x3 blocks summed by scipy's COO-to-CSR conversion, an
     assembly independent of `fem.ScatterPattern`; row e of `conn` holds

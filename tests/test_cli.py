@@ -126,6 +126,15 @@ class TestLambda0:
                       "--lo", "0.1", "--hi", "1.0")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("lo, hi", [("6", "1e308"), ("1e-300", "1e300")])
+    def test_unresolvable_interval_exit_2(self, mesh_file, lo, hi):
+        # the shift, near 5e307, once ended in an ARPACK internal error
+        code, err = run_main(["lambda0", "--mesh", str(mesh_file),
+                              "--lo", lo, "--hi", hi])
+        assert code == 2
+        assert "narrow" in err
+        assert "internal error" not in err
+
 
 class TestExpand:
     def test_writes_series(self, series_file):
@@ -146,6 +155,13 @@ class TestExpand:
         payload = json.loads(res.stdout)
         assert payload["order"] == 2
         assert payload["lambda"][0] < 0.0
+
+
+def resonate_argv(series_file):
+    """`resonate` with CI's SiC flags; a flag repeated after it wins."""
+    return ["resonate", "--series", str(series_file), "--eps-inf", "6.7",
+            "--omega-p", "0.7", "--omega-0", "1.0", "--gamma-max", "0.006",
+            "--steps", "3"]
 
 
 class TestResonate:
@@ -189,6 +205,33 @@ class TestResonate:
         code, err = run_main(argv)
         assert code == 2
         assert re.search(message, err)
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("omega_p", ["1e5", "1e10", "1e25", "1e50"])
+    def test_large_omega_p_exit_0(self, series_file, tmp_path, omega_p):
+        # the finite-difference check of the sensitivities once used an
+        # absolute step and refused these
+        code, err = run_main([*resonate_argv(series_file), "--omega-p",
+                              omega_p, "-o", str(tmp_path / "t.csv")])
+        assert code == 0, err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--omega-p", "1e-200"], "LorentzParams"),
+        (["--eps-inf", "1e-320"], "LorentzParams"),
+        (["--eps-d", "1e-320"], "CoreDielectric"),
+        (["--omega-0", "1e50", "--omega-p", "1e25"], "omega_p >= 0.01"),
+        (["--omega-0", "1e5"], "omega_p >= 0.01")],
+        ids=["omega-p-tiny", "eps-inf-subnormal", "eps-d-subnormal",
+             "omega-0-1e50", "omega-0-1e5"])
+    def test_out_of_model_range_exit_2(self, series_file, tmp_path, flags,
+                                       message):
+        # a vanishing omega_p once divided by zero, a subnormal eps_d failed
+        # the finite-difference check, and omega_0 >> omega_p leaves
+        # omega*^2 - omega_0^2 without the digits of omega_p^2
+        code, err = run_main([*resonate_argv(series_file), *flags,
+                              "-o", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert message in err
         assert "internal error" not in err
 
     def test_bad_series_file_exit_2(self):

@@ -14,14 +14,14 @@ from enzres import perturbation
 from enzres.design import DesignProblem, make_disk_problem
 from enzres.errors import InputError, NumericalError
 from enzres.fem import BoundaryFunctional, region_operator
-from enzres.mesh import CORE, SHELL
+from enzres.mesh import CORE, SHELL, build_concentric_mesh
 from enzres.perturbation import (CoreProfile, compute_psi_d,
                                  consistency_residual,
                                  eval_field, eval_lambda, expand_series,
                                  find_lambda0, series_from_json,
                                  series_to_json)
 
-from conftest import HS, record_splu
+from conftest import HS, record_solves, record_splu
 
 
 class TestFindLambda0:
@@ -59,6 +59,26 @@ class TestFindLambda0:
         with pytest.raises(InputError, match="narrow") as err:
             find_lambda0(mesh_coarse, (6.0, 40.0))
         assert "9.01" in str(err.value) and "34.9" in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def mesh_r13():
+    return build_concentric_mesh(1.0, 1.3, 0.15)
+
+
+@pytest.mark.parametrize("bracket", [(6.0, 14.0), (6.0, 40.0), (6.0, 1e6),
+                                     (6.0, 1e12), (6.0, 1e308),
+                                     (1e-300, 1e300)])
+def test_wide_interval_gives_root_or_narrow(mesh_r13, bracket):
+    # each interval holds the root near 9.60; one whose shift cannot
+    # resolve the spectrum (sigma near 5e307 for the last two) is refused
+    # as too wide, never answered "no sign change"
+    try:
+        root = find_lambda0(mesh_r13, bracket)
+    except InputError as exc:
+        assert "narrow" in str(exc)
+    else:
+        assert root == pytest.approx(9.6, abs=0.01)
 
 
 def interface_load(mesh):
@@ -111,20 +131,37 @@ class TestPencilRoot:
         assert all(kw.get("diag_pivot_thresh") != 0 for _, kw in calls)
         assert root == pytest.approx(ref, rel=1e-11)
 
+    def test_lanczos_cost(self, mesh_coarse, monkeypatch):
+        # one factor, no ARPACK call, and at most 16 back-solves: the
+        # start vector's and one per Lanczos step
+        eigsh_calls = []
+        monkeypatch.setattr(spla, "eigsh",
+                            lambda *args, **kwargs: eigsh_calls.append(args))
+        solves = record_solves(monkeypatch)
+        find_lambda0(mesh_coarse, (6.0, 14.0))
+        assert eigsh_calls == []
+        assert len(solves) == 1 and solves[0] <= 16
+
     def test_inaccurate_ritz_value_raises(self, mesh_coarse, monkeypatch):
-        # the root's Ritz value moved by 1e-6 relative no longer matches
-        # its vector's Rayleigh quotient, so its error bound exceeds
-        # ROOT_TOL
-        real_eigsh = spla.eigsh
+        # the root's Ritz vector, tilted by 1e-3 toward the Ritz vector of
+        # its nearest neighbour (near 14.69), keeps a residual whose error
+        # bound exceeds ROOT_TOL at every step
+        real_eigh = perturbation.eigh_tridiagonal
 
-        def shifted(*args, **kwargs):
-            vals, vecs = real_eigsh(*args, **kwargs)
-            vals = vals.copy()
-            vals[np.argmin(np.abs(vals - 9.0))] *= 1 + 1e-6
-            return vals, vecs
+        def tilted(*args, **kwargs):
+            nu, S = real_eigh(*args, **kwargs)
+            if nu.size > 1:
+                theta = 10.0 + 1 / nu  # sigma = 10 for (6, 14)
+                i = np.argmin(np.abs(theta - 9.0))
+                k = np.argsort(np.abs(theta - theta[i]))[1]
+                S = S.copy()
+                S[:, i] = (S[:, i] + 1e-3 * S[:, k]) / np.sqrt(1 + 1e-6)
+            return nu, S
 
-        monkeypatch.setattr(spla, "eigsh", shifted)
-        with pytest.raises(NumericalError, match="not certified"):
+        monkeypatch.setattr(perturbation, "eigh_tridiagonal", tilted)
+        monkeypatch.setattr(perturbation, "MAX_LANCZOS_STEPS", 20)
+        with pytest.raises(NumericalError, match="not certified within 20 "
+                           "Lanczos steps; Rayleigh quotient .* error bound"):
             find_lambda0(mesh_coarse, (6.0, 14.0))
 
     @pytest.mark.parametrize("bracket", [(6.0, 14.0), (6.0, 16.0),
@@ -141,9 +178,11 @@ class TestPencilRoot:
         assert find_lambda0(mesh_coarse, bracket) == root
 
     def test_eigenvalue_cap_raises(self, mesh_coarse, monkeypatch):
-        # the 3 pencil eigenvalues nearest 17 all lie in the interval, and
-        # a cap of 4 forbids doubling k to 6
-        monkeypatch.setattr(perturbation, "MAX_PENCIL_EIGS", 4)
+        # Ritz values in the interval prove as many eigenvalues there
+        # (Cauchy interlacing): the recurrence finds those near 9.01, 14.69
+        # and 26.37, one copy of each double Dirichlet eigenvalue, and 3
+        # exceed a cap of 2
+        monkeypatch.setattr(perturbation, "MAX_PENCIL_EIGS", 2)
         with pytest.raises(InputError, match="collapsed pencil.*narrow"):
             find_lambda0(mesh_coarse, (6.0, 28.0))
 
