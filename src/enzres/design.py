@@ -296,15 +296,17 @@ def _newton_step(prob: DesignProblem, x: np.ndarray, beta: float,
 class StageRecord:
     """What one beta stage of `minimize_dual` did: the gradient-norm
     tolerance it ran to, Newton directions computed (each costs one Hessian
-    factorization, or more when the Hessian needs a shift), objective
-    evaluations, final gradient norm, and why it stopped ("gtol", "rounding
-    floor", "max_iter" or "line-search failure"); `predicted` tells whether
-    it started from the tangent predictor's point rather than from the
-    previous stage's minimizer."""
+    factorization, or more when the Hessian needs a shift), chord steps
+    kept (each one back-solve on a factor already held, no factorization),
+    objective evaluations, final gradient norm, and why it stopped ("gtol",
+    "rounding floor", "max_iter" or "line-search failure"); `predicted`
+    tells whether it started from the tangent predictor's point rather than
+    from the previous stage's minimizer."""
 
     beta: float
     gtol: float
     steps: int
+    chords: int
     evaluations: int
     gnorm: float
     exit: str
@@ -320,32 +322,79 @@ MAX_NEWTON_STEPS = 60
 BETA_START, BETA_FACTOR, BETA_STAGES = 0.1, 0.1, 8
 #: relative size of a Newton decrement lost in rounding of J
 ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
+#: a chord step is kept only if it cuts |g| to at most this fraction of its
+#: value, the refactoring threshold of Kelley's Shamanskii solver `nsold`
+CHORD_CONTRACTION = 0.5
+
+
+def _chord_step(fun, jac, x, fx, g, gnorm, lu):
+    """Chord step x - H^{-1} g on a Hessian factor lu already held (Kelley,
+    Iterative Methods for Linear and Nonlinear Equations, 1995, ch. 5).
+    Returns (x, J, g) at the full step if it is a descent direction, passes
+    the Armijo test (or its decrement is at the rounding floor, where J
+    cannot tell) and cuts |g| to at most `CHORD_CONTRACTION` times gnorm;
+    otherwise None."""
+    step = lu.solve(-g)
+    slope = float(g @ step)
+    if not (np.all(np.isfinite(step)) and slope < 0):
+        return None
+    x_new = x + step
+    f_new = fun(x_new)
+    if not (f_new <= fx + 1e-4 * slope
+            or -slope <= ROUNDING_FLOOR * max(1.0, abs(fx))):
+        return None
+    g_new = jac(x_new)
+    if not np.linalg.norm(g_new) <= CHORD_CONTRACTION * gnorm:
+        return None
+    return x_new, f_new, g_new
 
 
 def _newton_stage(prob: DesignProblem, x: np.ndarray, beta: float,
-                  gtol: float):
+                  gtol: float, held: list | None = None):
     """Damped Newton with direct sparse factorization for one beta stage.
 
-    Steps are accepted by the Armijo test until the Newton decrement
+    Before each new Hessian factorization the stage takes chord steps
+    (`_chord_step`) on the factor it holds: its last Newton factor, or at
+    the start the factor taken out of `held`, the previous stage's, which
+    the caller passes in a list so that it keeps no reference of its own
+    while this stage factors.  The first chord step `_chord_step` refuses
+    hands over to the Newton step, from the last chord iterate.
+
+    Newton steps are accepted by the Armijo test until the Newton decrement
     -g.step falls to the rounding level of J, where comparing objective
     values compares noise; there the full step is taken only if it lowers
     |g| (the gradient-based acceptance of approximate Wolfe line searches,
     Hager & Zhang 2005), and otherwise the stage ends at the rounding
-    floor.  Returns (x, StageRecord, lu), where lu is the factor of the
-    last Newton direction, or None when the stage computed none or its
-    last direction was steepest descent.
+    floor.  Returns (x, StageRecord, lu), where lu is the factor the stage
+    holds at its end: its last Newton factor, or the one it was handed when
+    it made none; None when its last direction was steepest descent or it
+    had no factor at all.
     """
     fun, jac = _make_objective(prob, beta)
-    fx, g = fun(x), jac(x)
+    evals = 0
+
+    def evaluate(x):
+        nonlocal evals
+        evals += 1
+        return fun(x)
+
+    fx, g = evaluate(x), jac(x)
     gnorm = float(np.linalg.norm(g))
-    evals = 1
+    chords = 0
+    lu = held.pop() if held else None
 
     def record(steps, exit):
-        return StageRecord(beta=beta, gtol=gtol, steps=steps,
+        return StageRecord(beta=beta, gtol=gtol, steps=steps, chords=chords,
                            evaluations=evals, gnorm=gnorm, exit=exit)
 
-    lu = None
     for steps in range(MAX_NEWTON_STEPS):
+        while lu is not None and gnorm > gtol:
+            chord = _chord_step(evaluate, jac, x, fx, g, gnorm, lu)
+            if chord is None:
+                break
+            x, fx, g = chord
+            gnorm = float(np.linalg.norm(g))
+            chords += 1
         if gnorm <= gtol:
             return x, record(steps, "gtol"), lu
         lu = None  # released before the next factorization
@@ -356,14 +405,12 @@ def _newton_stage(prob: DesignProblem, x: np.ndarray, beta: float,
             g_new = jac(x_new)
             if not np.linalg.norm(g_new) < gnorm:
                 return x, record(steps + 1, "rounding floor"), lu
-            f_new = fun(x_new)
-            evals += 1
+            f_new = evaluate(x_new)
         else:
             t = 1.0
             while True:
                 x_new = x + t * step
-                f_new = fun(x_new)
-                evals += 1
+                f_new = evaluate(x_new)
                 if f_new <= fx + 1e-4 * t * slope:
                     break
                 t *= 0.5
@@ -382,7 +429,8 @@ def _predict(prob: DesignProblem, x: np.ndarray, beta: float,
     (Allgower & Georg 1990, ch. 2).  Differentiating grad J_beta(x) = 0
     along the path gives dx/dbeta = -H^{-1} d(grad J_beta)/dbeta, where
     d p'_beta(d)/dbeta = -d beta / (2 r^3) with r = sqrt(d^2 + beta^2);
-    H^{-1} is one back-solve on lu, the stage's last Hessian factor.  The
+    H^{-1} is one back-solve on lu, the factor the stage held at its end
+    (its last Hessian factor, or an earlier stage's if it made none).  The
     predicted point is kept only if it lowers J at beta_next by more than
     J's rounding level (`ROUNDING_FLOOR` relative), so that rounding noise,
     which moves with the BLAS thread count, never makes the choice.
@@ -413,7 +461,8 @@ class DualSolution(Field):
 
 
 def minimize_dual(prob: DesignProblem) -> DualSolution:
-    """Minimize the smoothed dual with beta continuation (damped Newton).
+    """Minimize the smoothed dual with beta continuation (damped Newton
+    with chord steps).
 
     Beta falls tenfold per stage from 0.1*lambda0*diam^2 to
     1e-8*lambda0*diam^2 (8 stages).  Each stage's minimizer is only a warm
@@ -423,9 +472,11 @@ def minimize_dual(prob: DesignProblem) -> DualSolution:
     the last stage runs to 1e-8 * load (the path-following rule of SUMT,
     Fiacco & McCormick 1968).  Between stages a tangent predictor
     moves x toward the next stage's minimizer with one back-solve on the
-    last Hessian factor, and its point is kept only if it lowers the next
-    stage's objective beyond rounding; after a stage that made no factor x
-    is not moved.
+    factor the last stage held, and its point is kept only if it lowers
+    the next stage's objective beyond rounding; the next stage starts its
+    chord steps on that same factor, which is handed over so that at most
+    one Hessian factor is alive at a time.  x is not moved after a stage
+    that ended without a factor (its last direction steepest descent).
     Returns the minimizer at the final beta with the record of every
     stage; the additive gauge is fixed by the plus function itself
     (stationarity in the constant direction pins the smoothed superlevel
@@ -437,16 +488,19 @@ def minimize_dual(prob: DesignProblem) -> DualSolution:
     beta = BETA_START * prob.lambda0 * diam2
     x = np.zeros(prob.nodes.size)
     load = max(1.0, float(np.linalg.norm(prob.f_r)))
-    stages, lu = [], None
+    stages, held = [], [None]
     for k in range(BETA_STAGES):
         predicted = False
         if k:
-            if lu is not None:
-                x, predicted = _predict(prob, x, beta, beta * BETA_FACTOR, lu)
-            lu = None  # released before the next stage factors
+            if held[0] is not None:
+                x, predicted = _predict(prob, x, beta, beta * BETA_FACTOR,
+                                        held[0])
             beta *= BETA_FACTOR
         x, rec, lu = _newton_stage(prob, x, beta,
-                                   beta / (prob.lambda0 * diam2) * load)
+                                   beta / (prob.lambda0 * diam2) * load, held)
+        # the list holds the only reference, which the next stage takes
+        held = [lu]
+        del lu
         stages.append(replace(rec, predicted=predicted))
     if stages[-1].gnorm > 1e-5 * load:
         raise NumericalError(

@@ -48,12 +48,12 @@ MAX_LANCZOS_STEPS = 2 * MAX_PENCIL_EIGS
 #: a Ritz value nu of the shift-inverted pencil counts as converged once
 #: its Lanczos residual estimate is at most `RITZ_TOL` * |nu|
 RITZ_TOL = 1e-8
-#: highest order `expand_series` runs.  Each order adds one core solve, one
-#: shell solve and two stored fields, but on the disk (target 9) |lambda_n|
-#: stops falling after order 13 at h = 0.08 and 0.04, then grows by up to
-#: 80 times per order as rounding takes over, and the defect check refuses
-#: order 18 and 17 respectively
-MAX_ORDER = 16
+#: highest order `expand_series` runs: the last order at which |lambda_n|
+#: still falls on the disk at target 9 (1.6e-8 at h = 0.08, 1.2e-8 at
+#: h = 0.04).  Past it rounding takes over: orders 14, 15 and 16 grow x3.7,
+#: x1.4 and x26 at h = 0.08 and x3.3, x15 and x24 at h = 0.04, and the
+#: defect check refuses only order 18 and 17 respectively
+MAX_ORDER = 13
 
 
 @dataclass
@@ -225,8 +225,11 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     interlacing), and the interval is refused, as is one that reaches past
     a bound on the pencil's largest eigenvalue
     (`_largest_eigenvalue_bound`), where no shift resolves the spectrum.  A
-    root not certified within `MAX_LANCZOS_STEPS` steps raises
-    NumericalError.
+    midpoint at which the shifted pencil is singular is refused as an input
+    error when it lies within rounding (eps times that bound) of the
+    pencil's eigenvalue 0, which is no root; elsewhere it raises
+    NumericalError.  A root not certified within `MAX_LANCZOS_STEPS` steps
+    raises NumericalError.
 
     No further factorization certifies the root (Parlett, ch. 10-11): with
     v_j the assembled Ritz vectors of the converged set and rho_j their
@@ -255,6 +258,14 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     try:
         lu = factor_symmetric(K_c - sigma * M_c)
     except RuntimeError as exc:
+        floor = np.finfo(float).eps * top
+        if sigma <= floor:
+            raise InputError(
+                f"find_lambda0: no permissible lambda0 in interval ({t_lo}, "
+                f"{t_hi}): its midpoint {sigma} lies within rounding "
+                f"({floor:.3g}) of the collapsed pencil's eigenvalue 0, which "
+                "is no root, and the shifted pencil is singular there"
+            ) from None
         raise NumericalError(f"find_lambda0: collapsed pencil singular at "
                              f"sigma = {sigma} ({exc})")
     n = K_c.shape[0]

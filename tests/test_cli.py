@@ -135,6 +135,15 @@ class TestLambda0:
         assert "narrow" in err
         assert "internal error" not in err
 
+    def test_singular_shift_at_zero_eigenvalue_exit_2(self, mesh_file):
+        # the midpoint meets an exactly singular pencil factor, and the
+        # interval holds no root: an input error, not a numerical one
+        code, err = run_main(["lambda0", "--mesh", str(mesh_file),
+                              "--lo", "2.4e-38", "--hi", "4.18e-14"])
+        assert code == 2
+        assert "eigenvalue 0" in err
+        assert "internal error" not in err
+
 
 class TestExpand:
     def test_writes_series(self, series_file):
@@ -143,10 +152,12 @@ class TestExpand:
         assert len(payload["lambda"]) == 3
 
     def test_oversized_order_exit_2(self, mesh_file):
-        res = run_cli("expand", "--mesh", str(mesh_file), "--lambda0", "9",
-                      "--order", "1000000")
-        assert res.returncode == 2
-        assert "order must be in" in res.stderr
+        # orders past 13 are rounding noise on the disk
+        for order in ("14", "1000000"):
+            res = run_cli("expand", "--mesh", str(mesh_file), "--lambda0",
+                          "9", "--order", order)
+            assert res.returncode == 2
+            assert "order must be in [1, 13]" in res.stderr
 
     def test_stdout_summary(self, mesh_file):
         res = run_cli("expand", "--mesh", str(mesh_file), "--lo", "6",

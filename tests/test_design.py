@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -138,7 +139,8 @@ class TestConvergence:
         # Two beta stages used to stall at the 60-step cap here, with 189
         # Hessian factorizations in all; quartering beta without a
         # predictor took 39, and running every stage to the final
-        # tolerance 1e-8 * load took 26 (17 with the beta-scaled one).
+        # tolerance 1e-8 * load took 26 (17 with the beta-scaled one, 11
+        # with chord steps on the held factor).
         calls = []
         splu = spla.splu
 
@@ -149,8 +151,61 @@ class TestConvergence:
         monkeypatch.setattr(spla, "splu", counting)
         w = minimize_dual(disk_problem)
         assert w.stages and all(s.exit != "max_iter" for s in w.stages)
-        assert len(calls) <= 20
+        assert len(calls) <= 12
         assert w.converged
+
+    def test_one_hessian_factor_alive_at_a_time(self, disk_problem,
+                                                monkeypatch):
+        # A SuperLU object takes no weak reference, so each factor is
+        # wrapped, and the wrapper is all that the solver holds.
+        class Factor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return self.lu.solve(b)
+
+        finalizers, alive = [], []
+        splu = spla.splu
+
+        def wrapping(*args, **kwargs):
+            fac = Factor(splu(*args, **kwargs))
+            finalizers.append(weakref.finalize(fac, lambda: None))
+            alive.append(sum(f.alive for f in finalizers))
+            return fac
+
+        monkeypatch.setattr(spla, "splu", wrapping)
+        w = minimize_dual(disk_problem)
+        assert w.converged and sum(s.chords for s in w.stages) > 0
+        assert alive and max(alive) == 1
+        assert not any(f.alive for f in finalizers)
+
+    @pytest.mark.parametrize("name", ["disk_problem", "off_disk_problem"])
+    def test_kept_chord_steps_descend_and_contract(self, request, name,
+                                                   monkeypatch):
+        # Each kept chord step lowers J, or is taken where the decrement
+        # is at J's rounding level, and cuts |g| by the contraction ratio.
+        prob = request.getfixturevalue(name)
+        kept = []
+        chord_step = design._chord_step
+
+        def checking(fun, jac, x, fx, g, gnorm, lu):
+            out = chord_step(fun, jac, x, fx, g, gnorm, lu)
+            if out is not None:
+                x_new = out[0]
+                f_old, f_new = fun(x), fun(x_new)
+                g_old = jac(x)
+                floor = design.ROUNDING_FLOOR * max(1.0, abs(f_old))
+                assert f_new < f_old or -(g_old @ (x_new - x)) <= floor
+                assert (np.linalg.norm(jac(x_new))
+                        <= design.CHORD_CONTRACTION * np.linalg.norm(g_old))
+                kept.append(x_new)
+            return out
+
+        monkeypatch.setattr(design, "_chord_step", checking)
+        w = minimize_dual(prob)
+        assert w.converged
+        assert kept and len(kept) == sum(s.chords for s in w.stages)
 
     def test_off_disk_load_converges_in_few_steps(self, off_disk_problem):
         # Quartering beta without a predictor took 81 Newton steps here,
@@ -168,6 +223,7 @@ class TestConvergence:
         for rec in w.stages:
             assert rec.exit in self.EXITS
             assert rec.evaluations >= rec.steps >= 0
+            assert rec.chords >= 0
             assert np.isfinite(rec.gnorm) and rec.gnorm >= 0
         betas = [rec.beta for rec in w.stages]
         assert betas == sorted(betas, reverse=True)
@@ -203,7 +259,7 @@ class TestConvergence:
             "r_b=2.0)\n"
             "w = minimize_dual(make_disk_problem(m, find_lambda0(m, "
             "(6.0, 14.0))))\n"
-            "print(json.dumps([[r.steps, r.exit, r.predicted] "
+            "print(json.dumps([[r.steps, r.chords, r.exit, r.predicted] "
             "for r in w.stages]))\n")
         src = os.path.dirname(os.path.dirname(enzres.__file__))
         path = os.pathsep.join(filter(None, [src,

@@ -54,6 +54,14 @@ class TestFindLambda0:
         with pytest.raises(InputError, match="sign"):
             find_lambda0(mesh_coarse, bracket)
 
+    def test_singular_shift_at_zero_eigenvalue_is_input_error(
+            self, mesh_coarse):
+        # the midpoint 2.09e-14 is a tiny shift at which the LU of
+        # K_c - sigma M_c meets an exactly zero pivot; the interval holds
+        # no root, so it is refused as one, naming the eigenvalue 0
+        with pytest.raises(InputError, match="eigenvalue 0"):
+            find_lambda0(mesh_coarse, (2.4e-38, 4.18e-14))
+
     def test_two_roots_raise(self, mesh_coarse):
         # (6, 40) holds the roots near 9.01 and 34.97
         with pytest.raises(InputError, match="narrow") as err:
@@ -275,10 +283,12 @@ class TestRecursionInvariants:
 
     def test_rejects_order_past_cap(self, mesh_coarse, lambda0_coarse,
                                     monkeypatch):
+        # |lambda_n| falls through order 13 on the disk and then grows as
+        # rounding takes over, so order 14 is refused before any work
         calls = record_splu(monkeypatch)
-        cap = perturbation.MAX_ORDER
-        with pytest.raises(InputError, match=f"in \\[1, {cap}\\]"):
-            expand_series(mesh_coarse, lambda0_coarse, order=cap + 1)
+        assert perturbation.MAX_ORDER == 13
+        with pytest.raises(InputError, match="in \\[1, 13\\]"):
+            expand_series(mesh_coarse, lambda0_coarse, order=14)
         assert calls == []
 
 
