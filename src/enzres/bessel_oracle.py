@@ -6,7 +6,9 @@ profile ``psi_d(r) = J0(k r)/J0(k)`` with ``k = sqrt(lambda0)``, the shell
 area ``A0 = -2*pi*J1(k)/(k*J0(k))`` fixed by the consistency condition, the
 first-order shell corrector ``phi1``, and the first eigenvalue correction
 ``lambda1``.  These serve as the ground-truth oracle for the FEM,
-perturbation, and design modules.
+perturbation, and design modules, and share no code with them.  J0 and J1
+are `scipy.special.j0` and `j1` (Cephes); the tests check the closed forms
+built on them against mpmath.
 """
 
 from __future__ import annotations
@@ -14,154 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.special import j0, j1
+
 from enzres.errors import InputError
 
-__all__ = ["DiskCase", "bessel_j", "disk_case", "disk_psi_d", "annulus_phi1",
+__all__ = ["DiskCase", "disk_case", "disk_psi_d", "annulus_phi1",
            "annulus_lambda1"]
 
-# Branch points for bessel_j.  The plain power series loses precision to
-# cancellation past ~8; the Hankel asymptotic expansion only reaches 1e-12
-# from ~17 up.  The middle band uses a compensated (double-double) series.
-_SERIES_CUT = 8.0
-_ASYMPTOTIC_CUT = 17.0
-
-
-# ---------------------------------------------------------------------------
-# double-double helpers (error-free transformations)
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _quick_two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    return s, b - (s - a)
-
-
-def _split(a: float) -> tuple[float, float]:
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    s, e = _two_sum(xh, yh)
-    return _quick_two_sum(s, e + xl + yl)
-
-
-def _dd_mul(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    p, e = _two_prod(xh, yh)
-    return _quick_two_sum(p, e + xh * yl + xl * yh)
-
-
-def _dd_div_d(xh: float, xl: float, d: float) -> tuple[float, float]:
-    q1 = xh / d
-    p, e = _two_prod(q1, d)
-    rh, rl = _dd_add(xh, xl, -p, -e)
-    return _quick_two_sum(q1, (rh + rl) / d)
-
-
-# ---------------------------------------------------------------------------
-# J0, J1 evaluation
-
-def _j_series(order: int, x: float) -> float:
-    """Ascending power series in plain double precision (x <= 8)."""
-    q = 0.25 * x * x
-    term = 1.0 if order == 0 else 0.5 * x
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= -q / (k * (k + order))
-        total += term
-        if abs(term) <= 1e-17 * abs(total) + 5e-324:
-            return total
-
-
-def _j_series_dd(order: int, x: float) -> float:
-    """Ascending power series with double-double accumulation (8 < x < 17).
-
-    The terms grow to ~1e5 before the alternating sum collapses to O(1);
-    compensated arithmetic keeps the absolute error near 1e-16 despite the
-    cancellation.
-    """
-    h = 0.5 * x
-    qh, ql = _two_prod(h, h)
-    th, tl = (1.0, 0.0) if order == 0 else (h, 0.0)
-    sh, sl = th, tl
-    k = 0
-    while True:
-        k += 1
-        th, tl = _dd_mul(th, tl, qh, ql)
-        th, tl = _dd_div_d(th, tl, -float(k * (k + order)))
-        sh, sl = _dd_add(sh, sl, th, tl)
-        if abs(th) <= 1e-24 * (abs(sh) + abs(th)) + 5e-324:
-            return sh + sl
-
-
-def _j_asymptotic(order: int, x: float) -> float:
-    """Hankel asymptotic expansion, truncated at the smallest term (x >= 17)."""
-    mu = 4.0 * order * order
-    t = 1.0
-    p_sum, q_sum = 1.0, 0.0
-    sign_p, sign_q = -1.0, 1.0
-    k = 0
-    while True:
-        k += 1
-        t_next = t * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(t_next) >= abs(t) or abs(t_next) < 1e-18:
-            if abs(t_next) < 1e-18:
-                t = t_next
-                if k % 2 == 1:
-                    q_sum += sign_q * t
-                else:
-                    p_sum += sign_p * t
-            break
-        t = t_next
-        if k % 2 == 1:
-            q_sum += sign_q * t
-            sign_q = -sign_q
-        else:
-            p_sum += sign_p * t
-            sign_p = -sign_p
-    chi = x - (2 * order + 1) * math.pi / 4.0
-    amp = math.sqrt(2.0 / (math.pi * x))
-    return amp * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
-
-
-def bessel_j(order: int, x: float) -> float:
-    """Cylindrical Bessel function of the first kind, J0 or J1.
-
-    Parameters
-    ----------
-    order : int
-        0 or 1.
-    x : float
-        Argument, >= 0.  Absolute error <= 1e-12 for x <= 50.
-    """
-    if order not in (0, 1):
-        raise InputError(f"bessel_j: order must be 0 or 1, got {order!r}")
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise InputError(f"bessel_j: x must be finite and >= 0, got {x!r}")
-    if x <= _SERIES_CUT:
-        return _j_series(order, x)
-    if x < _ASYMPTOTIC_CUT:
-        return _j_series_dd(order, x)
-    return _j_asymptotic(order, x)
-
-
-# ---------------------------------------------------------------------------
-# disk / annulus closed forms
 
 @dataclass(frozen=True)
 class DiskCase:
@@ -196,12 +57,12 @@ def disk_case(lambda0: float) -> DiskCase:
     if lambda0 <= 0.0:
         raise InputError(f"disk_case: lambda0 must be > 0, got {lambda0}")
     k = math.sqrt(lambda0)
-    j0 = bessel_j(0, k)
-    if abs(j0) < 1e-10:
+    j0k = float(j0(k))
+    if abs(j0k) < 1e-10:
         raise InputError(
             f"disk_case: lambda0 = {lambda0} is a Dirichlet eigenvalue of the "
             "unit disk (J0(sqrt(lambda0)) = 0)")
-    a0 = -2.0 * math.pi * bessel_j(1, k) / (k * j0)
+    a0 = -2.0 * math.pi * float(j1(k)) / (k * j0k)
     if a0 <= 0.0:
         raise InputError(
             f"disk_case: lambda0 = {lambda0} not permissible for positive "
@@ -214,11 +75,7 @@ def disk_psi_d(case: DiskCase, r: float) -> float:
     r = float(r)
     if r < 0.0 or r > 1.0:
         raise InputError(f"disk_psi_d: r must lie in [0, 1], got {r}")
-    return bessel_j(0, case.k * r) / bessel_j(0, case.k)
-
-
-def _phi1_c(case: DiskCase) -> float:
-    return 0.5 * case.lambda0 * case.r0 ** 2
+    return float(j0(case.k * r)) / float(j0(case.k))
 
 
 def annulus_phi1(case: DiskCase, r: float) -> float:
@@ -231,7 +88,7 @@ def annulus_phi1(case: DiskCase, r: float) -> float:
     r = float(r)
     if r < 1.0 or r > case.r0 * (1.0 + 1e-12):
         raise InputError(f"annulus_phi1: r must lie in [1, r0], got {r}")
-    c = _phi1_c(case)
+    c = 0.5 * case.lambda0 * case.r0 ** 2
     return c * math.log(r / case.r0) + 0.25 * case.lambda0 * (case.r0 ** 2 - r ** 2)
 
 
@@ -243,10 +100,10 @@ def annulus_lambda1(case: DiskCase) -> float:
     negative.
     """
     lam, r0, k = case.lambda0, case.r0, case.k
-    c = _phi1_c(case)
+    c = 0.5 * lam * r0 ** 2
     i_grad = 2.0 * math.pi * (c * c * math.log(r0)
                               - 0.5 * c * lam * (r0 ** 2 - 1.0)
                               + lam * lam * (r0 ** 4 - 1.0) / 16.0)
-    j0, j1 = bessel_j(0, k), bessel_j(1, k)
-    i_psi2 = math.pi * (j0 * j0 + j1 * j1) / (j0 * j0)
+    j0k, j1k = float(j0(k)), float(j1(k))
+    i_psi2 = math.pi * (j0k * j0k + j1k * j1k) / (j0k * j0k)
     return -i_grad / (case.A0 + i_psi2)

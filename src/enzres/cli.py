@@ -21,7 +21,6 @@ import numpy as np
 from enzres import design as design_mod
 from enzres import dispersion as disp
 from enzres import perturbation as pert
-from enzres.bessel_oracle import annulus_lambda1, disk_case, disk_psi_d
 from enzres.eigensolver import resonance_near
 from enzres.errors import EnzresError, InputError
 from enzres.fem import region_operator, weak_normal_flux
@@ -42,21 +41,35 @@ def _finite_float(text: str) -> float:
     return val
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of `path`; an unreadable or undecodable file is an input
+    error naming it as `what`."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}")
+
+
+def _write_text(path: str, text: str):
+    """Write `text` to `path`; an unwritable path is an input error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
+
+
 def _emit(doc: dict, path: str | None = None):
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     text = json.dumps(doc, indent=2)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(path, text + "\n")
     print(text)
 
 
 def _read_mesh(path: str):
-    try:
-        with open(path) as fh:
-            return load_mesh(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read mesh file {path}: {exc}")
+    return load_mesh(_read_text(path, "mesh file"))
 
 
 def _resolve_lambda0(mesh, args) -> float:
@@ -80,8 +93,7 @@ def cmd_mesh(args) -> int:
             raise InputError("--kind file needs --in")
         mesh = _read_mesh(args.infile)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(save_mesh(mesh))
+        _write_text(args.out, save_mesh(mesh))
     _emit({"metrics": mesh_metrics(mesh), "output": args.out})
     return 0
 
@@ -98,8 +110,7 @@ def cmd_expand(args) -> int:
     lam0 = _resolve_lambda0(mesh, args)
     series = pert.expand_series(mesh, lam0, order=args.order)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(pert.series_to_json(series))
+        _write_text(args.out, pert.series_to_json(series))
     _emit({"lambda0": series.lambda0, "lambda": series.lambda_coeffs,
            "e": series.constants, "norm_const": series.norm_const,
            "order": series.order, "output": args.out})
@@ -107,11 +118,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_resonate(args) -> int:
-    try:
-        with open(args.series) as fh:
-            series = pert.series_from_json(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read series file {args.series}: {exc}")
+    series = pert.series_from_json(_read_text(args.series, "series file"))
     p = disp.LorentzParams(eps_inf=args.eps_inf, omega_p=args.omega_p,
                            omega_0=args.omega_0)
     d = disp.CoreDielectric(eps_d=args.eps_d)
@@ -125,8 +132,7 @@ def cmd_resonate(args) -> int:
                                  steps=args.steps)
     csv_text = disp.trace_to_csv(trace)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
+        _write_text(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
     _emit({"omega_star": trace.omega_star,
@@ -146,11 +152,9 @@ def cmd_optimize(args) -> int:
     else:
         state = design_mod.saddle_solve(prob)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(design_mod.design_to_json(state, prob))
+        _write_text(args.out, design_mod.design_to_json(state, prob))
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(design_mod.design_to_csv(state, prob))
+        _write_text(args.csv, design_mod.design_to_csv(state, prob))
     _emit({"lambda0": lam0, "A0": prob.A0,
            "lambda1": design_mod.lambda1_of_design(state, prob),
            "value": state.value, "converged": state.converged,
@@ -161,6 +165,8 @@ def cmd_optimize(args) -> int:
 
 def cmd_validate_disk(args) -> int:
     """Oracle comparison suite on the radially symmetric geometry."""
+    # the only command that needs the oracle (and scipy.special) loads it
+    from enzres.bessel_oracle import annulus_lambda1, disk_case, disk_psi_d
     lam_exact = 9.0
     case = disk_case(lam_exact)
     h = args.h

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from enzres.fem import (BoundaryFunctional, Field, MeanZeroFactor,
                         element_geometry, factor_spd, region_operator,
                         weak_normal_flux)
 from enzres.mesh import CORE, DESIGN_TAGS, Mesh
-from enzres.perturbation import _check_lambda0, compute_psi_d
+from enzres.perturbation import _check_lambda0, _json_document, compute_psi_d
 
 __all__ = ["DesignProblem", "DesignState", "DualSolution", "StageRecord",
            "make_disk_problem",
@@ -56,7 +57,8 @@ class DesignProblem:
     lambda0: float
     f: BoundaryFunctional
     norm_const: float | None = None
-    # derived element data (filled in __post_init__)
+    # derived data (filled in __post_init__)
+    A0: float = field(init=False)
     elements: np.ndarray = field(init=False, repr=False)
     nodes: np.ndarray = field(init=False, repr=False)
     conn: np.ndarray = field(init=False, repr=False)
@@ -90,14 +92,15 @@ class DesignProblem:
         if not total > 0:
             raise InputError(f"DesignProblem: <f, 1> = {total:.6g} must be "
                              "> 0")
+        # in Python floats, which overflow to inf without a warning
+        self.A0 = float(total) / float(self.lambda0)
+        if not math.isfinite(self.A0):
+            raise InputError(f"DesignProblem: A0 = <f, 1> / lambda0 = "
+                             f"{total:.6g} / {self.lambda0:.6g} overflows")
         if not self.A0 < self.total_area:
             raise InputError(
                 f"DesignProblem: enclosing region too small (A0 = "
                 f"{self.A0:.6g} >= |design| = {self.total_area:.6g})")
-
-    @property
-    def A0(self) -> float:
-        return float(self.f.total() / self.lambda0)
 
     @property
     def total_area(self) -> float:
@@ -140,11 +143,10 @@ def make_disk_problem(mesh: Mesh, lambda0: float) -> DesignProblem:
     _check_lambda0("make_disk_problem", lambda0)
     psi_d = compute_psi_d(mesh, lambda0)
     f = weak_normal_flux(psi_d, lambda0, source=None)
+    prob = DesignProblem(mesh=mesh, lambda0=lambda0, f=f)
     M_core = region_operator(mesh, CORE).M
-    a0 = f.total() / lambda0
-    norm_const = float(a0 + psi_d.values @ (M_core @ psi_d.values))
-    return DesignProblem(mesh=mesh, lambda0=lambda0, f=f,
-                         norm_const=norm_const)
+    prob.norm_const = float(prob.A0 + psi_d.values @ (M_core @ psi_d.values))
+    return prob
 
 
 # ---------------------------------------------------------------------------
@@ -640,11 +642,7 @@ def design_to_json(state: DesignState, prob: DesignProblem) -> str:
 
 
 def design_from_json(text: str) -> dict:
-    doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise InputError("design_from_json: unsupported schema_version "
-                         f"{doc.get('schema_version')!r}")
-    return doc
+    return _json_document("design_from_json", text, SCHEMA_VERSION)
 
 
 def design_to_csv(state: DesignState, prob: DesignProblem) -> str:

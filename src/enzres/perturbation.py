@@ -475,25 +475,54 @@ def series_to_json(series: PerturbationSeries) -> str:
     return json.dumps(doc)
 
 
+def _json_document(caller: str, text: str, schema_version: int) -> dict:
+    """`text` parsed as a JSON object of `schema_version`; anything else is
+    an input error naming `caller`."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise InputError(f"{caller}: not a JSON document ({exc})") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{caller}: expected a JSON object, got "
+                         f"{type(doc).__name__}")
+    if doc.get("schema_version") != schema_version:
+        raise InputError(f"{caller}: unsupported schema_version "
+                         f"{doc.get('schema_version')!r}")
+    return doc
+
+
+def _json_array(doc: dict, key: str, ndim: int) -> np.ndarray:
+    """doc[key] as a float array with `ndim` axes (0: a number); a missing
+    key or a value of another type or shape is an input error naming it."""
+    if key not in doc:
+        raise InputError(f"series_from_json: missing key {key!r}")
+    try:
+        arr = np.array(doc[key])
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.dtype.kind not in "iuf":
+        shape = ("a number", "a list of numbers",
+                 "a list of equal-length lists of numbers")[ndim]
+        raise InputError(f"series_from_json: {key!r} must be {shape}")
+    return arr.astype(float, copy=False)
+
+
 def series_from_json(text: str, mesh: Mesh | None = None) -> PerturbationSeries:
     """Rebuild a series from JSON, without factors.  Without a mesh, field
     evaluation is unavailable but eval_lambda and dispersion tracing work;
     with one, psi_d is a `CoreProfile` at the stored lambda0."""
-    doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise InputError("series_from_json: unsupported schema_version "
-                         f"{doc.get('schema_version')!r}")
-    psi_d = np.array(doc["psi_d"])
-    shell = [np.array(v) for v in doc["shell_fields"]]
-    core = [np.array(v) for v in doc["core_fields"]]
-    lambda0 = float(doc["lambda0"])
+    doc = _json_document("series_from_json", text, SCHEMA_VERSION)
+    psi_d = _json_array(doc, "psi_d", 1)
+    shell = list(_json_array(doc, "shell_fields", 2))
+    core = list(_json_array(doc, "core_fields", 2))
+    lambda0 = float(_json_array(doc, "lambda0", 0))
     if mesh is not None:
         psi_d = CoreProfile(mesh, psi_d, frozenset({CORE}), lambda0)
         shell = [Field(mesh, v, frozenset({SHELL})) for v in shell]
         core = [Field(mesh, v, frozenset({CORE})) for v in core]
     return PerturbationSeries(
         mesh=mesh, lambda0=lambda0,
-        lambda_coeffs=[float(c) for c in doc["lambda"]],
+        lambda_coeffs=_json_array(doc, "lambda", 1).tolist(),
         shell_fields=shell, core_fields=core,
-        constants=[float(c) for c in doc["e"]],
-        norm_const=float(doc["norm_const"]), psi_d=psi_d)
+        constants=_json_array(doc, "e", 1).tolist(),
+        norm_const=float(_json_array(doc, "norm_const", 0)), psi_d=psi_d)

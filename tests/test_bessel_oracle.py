@@ -1,5 +1,5 @@
-"""Closed-form disk oracle: Bessel evaluation against mpmath, frozen
-reference values, and independent quadrature checks of the first-order
+"""Closed-form disk oracle: its outputs against mpmath, frozen reference
+values, and independent quadrature checks of the first-order
 coefficient."""
 
 import math
@@ -9,49 +9,44 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from enzres.bessel_oracle import (annulus_lambda1, annulus_phi1, bessel_j,
-                                  disk_case, disk_psi_d)
+from enzres.bessel_oracle import (annulus_lambda1, annulus_phi1, disk_case,
+                                  disk_psi_d)
 from enzres.errors import InputError
 
 mpmath.mp.dps = 40
 
 
-class TestBesselJ:
-    def test_against_mpmath_dense_grid(self):
-        xs = np.concatenate([np.linspace(0.0, 7.9, 80),
-                             np.linspace(8.0, 16.9, 90),
-                             np.linspace(17.0, 60.0, 120)])
-        for order in (0, 1):
-            for x in xs:
-                ref = float(mpmath.besselj(order, mpmath.mpf(float(x))))
-                got = bessel_j(order, float(x))
-                assert got == pytest.approx(ref, abs=2e-14), (order, x)
+def mp_oracle(lambda0):
+    """(A0, r0, psi_d(r), lambda1) of the disk case from the same closed
+    forms, in 40-digit arithmetic."""
+    lam = mpmath.mpf(lambda0)
+    k = mpmath.sqrt(lam)
+    j0, j1 = mpmath.besselj(0, k), mpmath.besselj(1, k)
+    a0 = -2 * mpmath.pi * j1 / (k * j0)
+    r0 = mpmath.sqrt(1 + a0 / mpmath.pi)
+    c = lam * r0 ** 2 / 2
+    i_grad = 2 * mpmath.pi * (c * c * mpmath.log(r0)
+                              - c * lam * (r0 ** 2 - 1) / 2
+                              + lam * lam * (r0 ** 4 - 1) / 16)
+    i_psi2 = mpmath.pi * (j0 * j0 + j1 * j1) / (j0 * j0)
+    return (a0, r0, lambda r: mpmath.besselj(0, k * r) / j0,
+            -i_grad / (a0 + i_psi2))
 
-    def test_branch_seams_are_continuous(self):
-        for order in (0, 1):
-            for cut in (8.0, 17.0):
-                below = bessel_j(order, cut * (1 - 1e-12))
-                above = bessel_j(order, cut * (1 + 1e-12))
-                assert below == pytest.approx(above, abs=1e-11)
 
-    def test_trivial_values(self):
-        assert bessel_j(0, 0.0) == 1.0
-        assert bessel_j(1, 0.0) == 0.0
-
-    def test_derivative_identity(self):
-        # J0' = -J1, checked by central differences.
-        for x in (0.5, 3.0, 12.0, 25.0):
-            h = 1e-6
-            fd = (bessel_j(0, x + h) - bessel_j(0, x - h)) / (2 * h)
-            assert fd == pytest.approx(-bessel_j(1, x), abs=1e-9)
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(InputError):
-            bessel_j(2, 1.0)
-
-    def test_rejects_negative_argument(self):
-        with pytest.raises(InputError):
-            bessel_j(0, -1.0)
+@pytest.mark.parametrize("lambda0", np.linspace(7.0, 12.0, 21))
+def test_closed_forms_against_mpmath(lambda0):
+    # over the benchmark sweep's lambda0 range, 9 included; lambda1 loses
+    # digits to cancellation in the shell energy, the rest stay near
+    # rounding
+    case = disk_case(lambda0)
+    a0, r0, psi_d, lambda1 = mp_oracle(lambda0)
+    assert case.A0 == pytest.approx(float(a0), rel=1e-14, abs=0)
+    assert case.r0 == pytest.approx(float(r0), rel=1e-14, abs=0)
+    for r in (0.0, 0.25, 0.5, 0.75, 1.0):
+        ref = float(psi_d(r))
+        assert abs(disk_psi_d(case, r) - ref) <= 1e-14 * max(1.0, abs(ref))
+    assert annulus_lambda1(case) == pytest.approx(float(lambda1), rel=1e-12,
+                                                  abs=0)
 
 
 class TestDiskCase:

@@ -252,6 +252,16 @@ class TestResonate:
                       "--steps", "3")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("data", [
+        b"\x7fELF\x02\x01\xd0\xff", b'{"schema_version": 1}', b"[1, 2]",
+        b"enzmesh v1\nnodes 3\n"], ids=["binary", "no-keys", "list", "mesh"])
+    def test_malformed_series_file_exit_2(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code, err = run_main(resonate_argv(path))
+        assert code == 2
+        assert "internal error" not in err
+
 
 class TestOptimize:
     def test_dual_and_saddle_agree(self, mesh_file, tmp_path):
@@ -270,6 +280,55 @@ class TestOptimize:
         payload = json.loads(out.read_text())
         assert payload["schema_version"] == 1
         assert dual["converged"] is True and payload["converged"] is True
+
+
+    def test_underflowing_lambda0_exit_2(self, mesh_file):
+        # <f, 1> / lambda0 overflows; the refusal comes without a
+        # RuntimeWarning (which the test run turns into an error)
+        code, err = run_main(["optimize", "--mesh", str(mesh_file),
+                              "--lambda0", "5e-324"])
+        assert code == 2
+        assert "overflows" in err
+        assert "internal error" not in err
+
+
+#: every file a command writes, as (argv with OUT for the path) pairs
+WRITES = {
+    "mesh": ["mesh", "--rd", "1", "--r0", R0, "--h", "0.3", "-o", "OUT"],
+    "lambda0": ["lambda0", "--mesh", "MESH", "--lo", "6", "--hi", "14",
+                "-o", "OUT"],
+    "expand": ["expand", "--mesh", "MESH", "--lo", "6", "--hi", "14",
+               "--order", "1", "-o", "OUT"],
+    "resonate": ["resonate", "--series", "SERIES", "--eps-inf", "6.7",
+                 "--omega-p", "0.7", "--omega-0", "1.0", "--gamma-max",
+                 "0.006", "--steps", "3", "-o", "OUT"],
+    "optimize-o": ["optimize", "--mesh", "MESH", "--lambda0", "9",
+                   "-o", "OUT"],
+    "optimize-csv": ["optimize", "--mesh", "MESH", "--lambda0", "9",
+                     "--csv", "OUT"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITES))
+def test_unwritable_output_exit_2(name, mesh_file, series_file, tmp_path):
+    paths = {"MESH": str(mesh_file), "SERIES": str(series_file),
+             "OUT": str(tmp_path / "missing" / "out")}
+    code, err = run_main([paths.get(a, a) for a in WRITES[name]])
+    assert code == 2
+    assert "cannot write" in err
+    assert "internal error" not in err
+
+
+def test_import_leaves_the_oracle_unloaded():
+    # only validate-disk needs the closed forms, so importing the CLI
+    # (timed in every benchmark setup) does not load scipy.special
+    code = ("import sys, enzres.cli; "
+            "print(sorted({'scipy.special', 'enzres.bessel_oracle'} "
+            "& set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 class TestValidateDisk:

@@ -459,6 +459,11 @@ class TestSerialization:
         payload = json.loads(design_to_json(dual_state, disk_problem))
         assert payload["schema_version"] == 1
 
+    @pytest.mark.parametrize("text", ["enzmesh v1\n", "[1, 2]", "3.5"])
+    def test_rejects_documents_that_are_not_objects(self, text):
+        with pytest.raises(InputError, match="^design_from_json: "):
+            design_from_json(text)
+
     def test_csv_layout(self, disk_problem, dual_state):
         lines = design_to_csv(dual_state, disk_problem).strip().split("\n")
         assert lines[0] == "centroid_x,centroid_y,theta,density"

@@ -354,3 +354,45 @@ class TestSerialization:
         payload["schema_version"] = 99
         with pytest.raises(InputError):
             series_from_json(json.dumps(payload))
+
+
+#: a well-formed series document on a two-node "mesh", read without one
+SMALL_SERIES = {"schema_version": 1, "lambda0": 9.0, "lambda": [-1.0, 0.5],
+                "e": [0.1, 0.2], "norm_const": 3.0, "psi_d": [1.0, 2.0],
+                "shell_fields": [[0.0, 1.0], [2.0, 3.0]],
+                "core_fields": [[4.0, 5.0], [6.0, 7.0]]}
+
+
+class TestSeriesFromJsonRefusals:
+    def test_small_document_reads(self):
+        s = series_from_json(json.dumps(SMALL_SERIES))
+        assert s.lambda_coeffs == [-1.0, 0.5] and s.norm_const == 3.0
+        assert np.array_equal(s.core_fields[1], [6.0, 7.0])
+
+    @pytest.mark.parametrize("text, message", [
+        ("enzmesh v1\nnodes 3\n", "not a JSON document"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('"psi_d"', "expected a JSON object, got str"),
+        ('{"schema_version": 2}', "unsupported schema_version 2"),
+    ])
+    def test_refuses_documents_that_are_not_series(self, text, message):
+        with pytest.raises(InputError, match=f"^series_from_json: {message}"):
+            series_from_json(text)
+
+    @pytest.mark.parametrize("key", sorted(set(SMALL_SERIES)
+                                           - {"schema_version"}))
+    def test_missing_key_is_named(self, key):
+        doc = {k: v for k, v in SMALL_SERIES.items() if k != key}
+        with pytest.raises(InputError, match=f"missing key '{key}'"):
+            series_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda0", None), ("lambda0", "9"), ("lambda0", [9.0]),
+        ("norm_const", {"a": 1}), ("lambda", [-1.0, "x"]), ("e", 0.1),
+        ("psi_d", [[1.0, 2.0]]), ("psi_d", [True, False]),
+        ("shell_fields", [[0.0, 1.0], [2.0]]), ("core_fields", [4.0, 5.0]),
+    ])
+    def test_wrong_type_is_named(self, key, value):
+        doc = {**SMALL_SERIES, key: value}
+        with pytest.raises(InputError, match=f"'{key}' must be"):
+            series_from_json(json.dumps(doc))
