@@ -22,11 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (BoundaryFunctional, Field, MeanZeroFactor,
-                        ScatterPattern, _gradient_blocks, _scatter_vector,
-                        element_geometry, factor_spd, region_operator,
-                        weak_normal_flux)
-from enzres.mesh import CORE, DESIGN_TAGS, Mesh
+from enzres.fem import (MeanZeroFactor, ScatterPattern, _gradient_blocks,
+                        _scatter_vector, element_geometry, factor_spd,
+                        region_operator, weak_normal_flux)
+from enzres.mesh import CORE, DESIGN_TAGS, INTERFACE, Mesh
 from enzres.perturbation import _check_lambda0, _json_document, compute_psi_d
 
 __all__ = ["DesignProblem", "DesignState", "DualSolution", "StageRecord",
@@ -42,10 +41,10 @@ class DesignProblem:
     """Shell design problem on the region outside the core.
 
     The admissible region is the union of mesh regions 1 and 2 (whatever is
-    present); `f` is a boundary functional on the core interface with
-    <f, 1> > 0; the enclosing region must satisfy |design| > A0 with
-    A0 = <f, 1> / lambda0.  `norm_const` = A0 + int_D psi_d**2 is needed
-    only for `lambda1_of_design`.
+    present); `f` holds one weight per mesh node, zero off the core
+    interface, with <f, 1> = f.sum() > 0; the enclosing region must satisfy
+    |design| > A0 with A0 = <f, 1> / lambda0.  `norm_const` =
+    A0 + int_D psi_d**2 is needed only for `lambda1_of_design`.
 
     Everything that does not depend on the field is computed once here:
     element geometry and P1 gradient blocks, the lumped mass vector `m`,
@@ -55,7 +54,7 @@ class DesignProblem:
 
     mesh: Mesh
     lambda0: float
-    f: BoundaryFunctional
+    f: np.ndarray
     norm_const: float | None = None
     # derived data (filled in __post_init__)
     A0: float = field(init=False)
@@ -72,11 +71,20 @@ class DesignProblem:
 
     def __post_init__(self):
         _check_lambda0("DesignProblem", self.lambda0)
+        self.f = np.asarray(self.f)
+        if self.f.shape != (self.mesh.n_nodes,):
+            raise InputError(f"DesignProblem: f must hold one weight per "
+                             f"mesh node ({self.mesh.n_nodes}), got shape "
+                             f"{self.f.shape}")
+        off = np.ones(self.mesh.n_nodes, dtype=bool)
+        off[self.mesh.boundary_nodes(INTERFACE)] = False
+        if np.any(self.f[off] != 0):
+            raise InputError("DesignProblem: f has a nonzero weight off the "
+                             "core interface")
         tags = set(DESIGN_TAGS) & {int(t) for t in np.unique(self.mesh.regions)}
         if not tags:
             raise InputError("DesignProblem: mesh has no design region "
                              "(tags 1 or 2)")
-        self.tags = tags
         self.elements = self.mesh.region_triangles(tags)
         self.nodes, conn = np.unique(self.mesh.triangles[self.elements],
                                      return_inverse=True)
@@ -87,8 +95,8 @@ class DesignProblem:
         n = self.nodes.size
         self.m = _scatter_vector(self.conn, (self.areas / 3.0)[:, None], n)
         self.pattern = ScatterPattern(self.conn, n)
-        self.f_r = self.f.weights[self.nodes]
-        total = self.f.total()
+        self.f_r = self.f[self.nodes]
+        total = self.f.sum()
         if not total > 0:
             raise InputError(f"DesignProblem: <f, 1> = {total:.6g} must be "
                              "> 0")
@@ -112,24 +120,23 @@ class DesignProblem:
         diagonal."""
         return self.pattern.fill(blocks).T
 
-    def reduce(self, w: Field) -> np.ndarray:
-        return w.values[self.nodes]
-
-    def expand(self, x: np.ndarray) -> Field:
+    def expand(self, x: np.ndarray) -> np.ndarray:
+        """Nodal values on the mesh of x, given on the design nodes."""
         vals = np.zeros(self.mesh.n_nodes)
         vals[self.nodes] = x
-        return Field(self.mesh, vals, frozenset(self.tags))
+        return vals
 
 
 @dataclass
 class DesignState:
     """Result of a design solve: per-element density on the design region,
-    the dual/adjoint field w (gauged so the bathtub level is 0), the level
+    the dual/adjoint field w (nodal values on the mesh, gauged so the
+    bathtub level is 0), the level
     z0 actually used after gauging, the achieved saddle value L(w, theta),
     and the (primal, dual) objective history."""
 
     theta: np.ndarray
-    w: Field
+    w: np.ndarray
     z0: float
     value: float
     history: list
@@ -142,7 +149,7 @@ def make_disk_problem(mesh: Mesh, lambda0: float) -> DesignProblem:
     the same core solve."""
     _check_lambda0("make_disk_problem", lambda0)
     psi_d = compute_psi_d(mesh, lambda0)
-    f = weak_normal_flux(psi_d, lambda0, source=None)
+    f = weak_normal_flux(mesh, psi_d.values, lambda0)
     prob = DesignProblem(mesh=mesh, lambda0=lambda0, f=f)
     M_core = region_operator(mesh, CORE).M
     prob.norm_const = float(prob.A0 + psi_d.values @ (M_core @ psi_d.values))
@@ -165,24 +172,18 @@ def _density(prob: DesignProblem, x: np.ndarray):
             0.5 * (wx * wx + wy * wy) - prob.lambda0 * ((w0 + w1 + w2) / 3.0))
 
 
-def energy_density(w: Field, prob: DesignProblem) -> np.ndarray:
-    """Per design element: |grad w|^2 / 2 - lambda0 * mean(w) (P1 gradients
-    are constant per element)."""
-    return _density(prob, prob.reduce(w))[2]
+def energy_density(w: np.ndarray, prob: DesignProblem) -> np.ndarray:
+    """Per design element, for nodal values w on the mesh:
+    |grad w|^2 / 2 - lambda0 * mean(w) (P1 gradients are constant per
+    element)."""
+    return _density(prob, w[prob.nodes])[2]
 
 
-def _p_beta(x: np.ndarray, beta: float):
-    if beta == 0.0:
-        return np.maximum(x, 0.0)
-    return 0.5 * (x + np.sqrt(x * x + beta * beta))
-
-
-def dual_objective(w: Field, prob: DesignProblem, beta: float = 0.0) -> float:
-    """J_beta(w) = sum_e area_e * p_beta(density_e) + <f, w>."""
-    if beta < 0:
-        raise InputError("dual_objective: beta must be >= 0")
+def dual_objective(w: np.ndarray, prob: DesignProblem) -> float:
+    """J(w) = sum_e area_e * max(density_e, 0) + <f, w>, the unsmoothed
+    dual, for nodal values w on the mesh."""
     d = energy_density(w, prob)
-    return float(prob.areas @ _p_beta(d, beta) + prob.f.pair(w.values))
+    return float(prob.areas @ np.maximum(d, 0.0) + prob.f @ w)
 
 
 def bathtub_projection(density: np.ndarray, areas: np.ndarray, A0: float):
@@ -451,9 +452,12 @@ def _predict(prob: DesignProblem, x: np.ndarray, beta: float,
 
 
 @dataclass
-class DualSolution(Field):
-    """Minimizer of the smoothed dual, with one record per beta stage."""
+class DualSolution:
+    """Minimizer of the smoothed dual as nodal `values` on the mesh, with
+    one record per beta stage; converged when it has stages and each of
+    them converged."""
 
+    values: np.ndarray
     stages: tuple = ()
 
     @property
@@ -508,34 +512,34 @@ def minimize_dual(prob: DesignProblem) -> DualSolution:
         raise NumericalError(
             f"minimize_dual: stationarity not reached (|grad| = "
             f"{stages[-1].gnorm:.3e} at final beta = {beta:.3e})")
-    w = prob.expand(x)
-    return DualSolution(w.mesh, w.values, w.support, stages=tuple(stages))
+    return DualSolution(prob.expand(x), tuple(stages))
 
 
-def recover_design(prob: DesignProblem, w: Field) -> DesignState:
-    """Bathtub-project the energy density of w and shift the gauge by
-    z0/lambda0 so the projection level becomes 0; the resulting primal
-    value L(w, theta) then coincides with the (unsmoothed) dual objective.
+def recover_design(prob: DesignProblem, sol: DualSolution) -> DesignState:
+    """Bathtub-project the energy density of the dual minimizer and shift
+    the gauge by z0/lambda0 so the projection level becomes 0; the
+    resulting primal value L(w, theta) then coincides with the (unsmoothed)
+    dual objective.
 
-    The state is flagged converged only when w is a `DualSolution` whose
-    every beta stage converged."""
-    d = energy_density(w, prob)
+    The state is flagged converged only when every beta stage of `sol`
+    converged (a solution with no stages is not)."""
+    d = energy_density(sol.values, prob)
     theta, z0 = bathtub_projection(d, prob.areas, prob.A0)
-    w1 = prob.expand(prob.reduce(w) + z0 / prob.lambda0)
+    w1 = prob.expand(sol.values[prob.nodes] + z0 / prob.lambda0)
     d1 = energy_density(w1, prob)
     theta1, _z1 = bathtub_projection(d1, prob.areas, prob.A0)
     value = _primal_value(prob, w1, theta1)
-    dual = dual_objective(w1, prob, beta=0.0)
+    dual = dual_objective(w1, prob)
     frac = float(prob.areas[(theta1 > 1e-12) & (theta1 < 1 - 1e-12)].sum())
-    converged = isinstance(w, DualSolution) and w.converged
     return DesignState(theta=theta1, w=w1, z0=z0, value=value,
-                       history=[(value, dual)], converged=converged,
+                       history=[(value, dual)], converged=sol.converged,
                        fractional_mass=frac)
 
 
-def _primal_value(prob: DesignProblem, w: Field, theta: np.ndarray) -> float:
+def _primal_value(prob: DesignProblem, w: np.ndarray,
+                  theta: np.ndarray) -> float:
     d = energy_density(w, prob)
-    return float((theta * prob.areas) @ d + prob.f.pair(w.values))
+    return float((theta * prob.areas) @ d + prob.f @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +593,8 @@ def saddle_solve(prob: DesignProblem) -> DesignState:
         d = energy_density(w, prob)
         theta, z0 = bathtub_projection(d, prob.areas, prob.A0)
         # gauge: shift w so the bathtub level sits at zero
-        w = prob.expand(prob.reduce(w) + z0 / prob.lambda0)
-        dual = dual_objective(w, prob, beta=0.0)
+        w = prob.expand(w[prob.nodes] + z0 / prob.lambda0)
+        dual = dual_objective(w, prob)
         history.append((primal, dual))
         gap = abs(primal - dual) / max(abs(dual), 1e-300)
         if best is None or gap < best[0]:
@@ -629,7 +633,7 @@ def design_to_json(state: DesignState, prob: DesignProblem) -> str:
         "lambda0": prob.lambda0,
         "A0": prob.A0,
         "theta": state.theta.tolist(),
-        "w": state.w.values.tolist(),
+        "w": state.w.tolist(),
         "z0": state.z0,
         "value": state.value,
         "converged": state.converged,

@@ -23,9 +23,7 @@ MAX_ITERATIONS) is refused with NumericalError, never retried another
 way.
 Measured on the disk at h = 0.08 and 0.04 (target 9, arg delta in
 {0, pi/4, 1.5}): it converges for |delta| <= 0.5 and is refused at
-|delta| = 0.6 and 0.8.  `ritz_values_near`, the simplicity probe, factors
-the complex pencil itself (`fem.factor_symmetric`: minimum-degree ordering
-of A + A^T, partial pivoting) and so checks the iteration independently.
+|delta| = 0.6 and 0.8.
 All inner products are unconjugated (complex-symmetric, not Hermitian):
 the problem is an analytic continuation in delta, and the normalization
 int u_delta * u0 uses the bilinear pairing.  Time convention
@@ -38,16 +36,13 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (DirichletFactor, Field, factor_symmetric,
-                        region_operator)
+from enzres.fem import DirichletFactor, region_operator
 from enzres.mesh import CORE, SHELL, Mesh
 from enzres.perturbation import CoreProfile
 
-__all__ = ["ResonancePair", "assemble_operator", "resonance_near",
-           "ritz_values_near"]
+__all__ = ["ResonancePair", "assemble_operator", "resonance_near"]
 
 MAX_ITERATIONS = 200
 RESIDUAL_TOL = 1e-9
@@ -58,15 +53,16 @@ class ResonancePair:
     """Converged eigenpair of the finite-delta problem.
 
     `residual` is ||(K - lambda*M) u|| / ||u|| relative to
-    ||K|| + |lambda|*||M|| (infinity norms); `u` is normalized so
-    int u * u0 = norm_const (unconjugated); `iterations` counts the
-    preconditioned sweeps; `factorizations` counts the factors the call
-    made: 0 when psi_d carried both factors, 2 when it carried none.
+    ||K|| + |lambda|*||M|| (infinity norms); `u`, the complex nodal
+    eigenvector, is normalized so int u * u0 = norm_const (unconjugated);
+    `iterations` counts the preconditioned sweeps; `factorizations` counts
+    the factors the call made: 0 when psi_d carried both factors, 2 when it
+    carried none.
     """
 
     delta: complex
     lam: complex
-    u: Field
+    u: np.ndarray
     iterations: int
     residual: float
     factorizations: int
@@ -175,30 +171,7 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
         raise NumericalError("resonance_near: eigenvector orthogonal to u0 "
                              "in the bilinear pairing")
     v = v * (norm_const / pairing)
-    return ResonancePair(delta=delta, lam=complex(lam),
-                         u=Field(mesh, v, frozenset({CORE, SHELL})),
+    return ResonancePair(delta=delta, lam=complex(lam), u=v,
                          iterations=it, residual=float(res),
                          factorizations=int(factorizations))
 
-
-def ritz_values_near(mesh: Mesh, delta, lam_guess, k: int = 2) -> np.ndarray:
-    """The k eigenvalues of (K(delta), M) nearest lam_guess (Arnoldi
-    shift-invert); used as the simplicity probe: a simple eigenvalue is
-    separated from the next Ritz value by orders of magnitude more than the
-    convergence tolerance.  The start vector is fixed, so repeated calls
-    return identical values."""
-    K, M = assemble_operator(mesh, delta)
-    nodes = np.union1d(region_operator(mesh, CORE).nodes,
-                       region_operator(mesh, SHELL).nodes)
-    Kr, Mr = K[nodes][:, nodes].tocsc(), M[nodes][:, nodes].tocsc()
-    sigma = complex(lam_guess)
-    try:
-        lu = factor_symmetric(Kr - sigma * Mr)
-    except RuntimeError as exc:
-        raise NumericalError(f"ritz_values_near: factorization failed at "
-                             f"shift {lam_guess} ({exc})")
-    shift_inv = spla.LinearOperator(Kr.shape, matvec=lu.solve, dtype=complex)
-    v0 = np.random.default_rng(0).standard_normal(Kr.shape[0]).astype(complex)
-    vals = spla.eigs(Kr, k=k, M=Mr.astype(complex), sigma=sigma,
-                     OPinv=shift_inv, v0=v0, return_eigenvectors=False)
-    return vals[np.argsort(np.abs(vals - lam_guess))]

@@ -2,6 +2,13 @@
 
 Conventions used throughout the package:
 
+* Nodal data are plain NumPy arrays with one value per mesh node: a field
+  (psi_d, a corrector, the design's adjoint w) is zero off its region, and
+  an interface functional f (the weak flux, the design load) is a weight
+  array zero off the core interface, paired with nodal values as f @ v.
+  The caller knows the mesh and the region of each; the checks on data
+  read from outside (lengths, finiteness, support) are made where it is
+  read.
 * One matrix kernel, ``ScatterPattern``, sums every matrix the solvers
   assemble from per-element 3x3 blocks: its pattern is computed once per
   element set, and each ``fill`` adds the blocks up on it in element
@@ -33,13 +40,12 @@ Conventions used throughout the package:
   ordering (kept only by the general ``linear_solve``): ``factor_spd``
   (pivots on the diagonal) for the symmetric positive definite systems --
   the mean-zero solves and the dual Hessian -- and ``factor_symmetric``
-  (partial pivoting) for the indefinite or complex ones -- K_ii - lam*M_ii, the
-  collapsed-shell pencil of ``find_lambda0`` and the complex-symmetric
-  pencil of ``eigensolver.ritz_values_near``.
+  (partial pivoting) for the indefinite ones -- K_ii - lam*M_ii and the
+  collapsed-shell pencil of ``find_lambda0``.
 * Normal fluxes across the core interface are extracted variationally
   (``weak_normal_flux``), never by pointwise differentiation; the resulting
   weights are oriented along the *outward normal of the core region* and
-  satisfy the mass identity <flux, 1> = -int(lambda*u + source) as an
+  satisfy the mass identity f.sum() = -int(lambda*u + source) as an
   algebraic identity of the discrete system.
 * Every mean-zero Neumann problem goes through a ``MeanZeroFactor``: it
   refuses a disconnected region, makes one symmetric positive definite
@@ -51,7 +57,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -62,63 +67,9 @@ from scipy.sparse.csgraph import connected_components
 from enzres.errors import InputError, NumericalError
 from enzres.mesh import CORE, INTERFACE, Mesh, _as_tagset
 
-__all__ = ["Field", "BoundaryFunctional", "ScatterPattern", "RegionOperator",
-           "DirichletFactor", "region_operator", "weak_normal_flux",
-           "linear_solve", "factor_spd", "factor_symmetric", "MeanZeroFactor",
-           "element_geometry"]
-
-
-@dataclass
-class Field:
-    """Nodal scalar function supported on a set of mesh regions.
-
-    `values` has one entry per mesh node (zero off support); `support` is
-    the frozen set of region tags the field lives on.
-    """
-
-    mesh: Mesh
-    values: np.ndarray
-    support: frozenset
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        self.support = frozenset(int(t) for t in self.support)
-        if self.values.shape != (self.mesh.n_nodes,):
-            raise InputError("Field: values must have one entry per node")
-        if not np.all(np.isfinite(self.values)):
-            raise InputError("Field: values must be finite")
-
-
-@dataclass
-class BoundaryFunctional:
-    """Linear functional <f, v> = sum(weights * v) on a tagged boundary.
-
-    Weights vanish off the named boundary.  For fluxes produced by
-    `weak_normal_flux` the orientation is the outward normal of the inner
-    (core) region.
-    """
-
-    mesh: Mesh
-    tag: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights)
-        if self.weights.shape != (self.mesh.n_nodes,):
-            raise InputError("BoundaryFunctional: one weight per node required")
-        on = np.zeros(self.mesh.n_nodes, dtype=bool)
-        on[self.mesh.boundary_nodes(self.tag)] = True
-        if np.any(self.weights[~on] != 0):
-            raise InputError("BoundaryFunctional: nonzero weight off the "
-                             f"tag-{self.tag} boundary")
-
-    def pair(self, values: np.ndarray):
-        """Evaluate <f, v> for nodal values v."""
-        return self.weights @ values
-
-    def total(self):
-        """<f, 1>."""
-        return self.weights.sum()
+__all__ = ["ScatterPattern", "RegionOperator", "DirichletFactor",
+           "region_operator", "weak_normal_flux", "linear_solve", "factor_spd",
+           "factor_symmetric", "MeanZeroFactor", "element_geometry"]
 
 
 # ---------------------------------------------------------------------------
@@ -453,22 +404,20 @@ class DirichletFactor:
         return u
 
 
-def weak_normal_flux(u: Field, lam, source=None) -> BoundaryFunctional:
-    """Variational normal-derivative functional of u on the core interface.
+def weak_normal_flux(mesh: Mesh, u: np.ndarray, lam,
+                     source=None) -> np.ndarray:
+    """Variational normal-derivative weights of u on the core interface.
 
-    For u solving (-Delta - lam) u = source on the core (`source` None for
-    zero, or one value per node), the weights are the interface rows of
-    K u - M (lam u + source); the pairing <flux, v> equals
-    int(grad u . grad v - (lam u + source) v) for any hat extension v, and
-    <flux, 1> = -int(lam u + source) identically.  Orientation: outward
-    normal of the core region.
+    For nodal values u solving (-Delta - lam) u = source on the core
+    (`source` None for zero, or one value per node), the weights are the
+    interface rows of K u - M (lam u + source) and zero off the interface;
+    the pairing f @ v equals int(grad u . grad v - (lam u + source) v) for
+    any hat extension v, and f.sum() = -int(lam u + source) identically.
+    Orientation: outward normal of the core region.
     """
-    if CORE not in u.support:
-        raise InputError("weak_normal_flux: field must be supported on the "
-                         "core (region 0)")
-    op = region_operator(u.mesh, CORE)
+    op = region_operator(mesh, CORE)
     svals = 0.0 if source is None else source
-    residual = op.K @ u.values - op.M @ (lam * u.values + svals)
+    residual = op.K @ u - op.M @ (lam * u + svals)
     weights = np.zeros_like(residual)
     weights[op.boundary] = residual[op.boundary]
-    return BoundaryFunctional(mesh=u.mesh, tag=INTERFACE, weights=weights)
+    return weights

@@ -28,12 +28,12 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (DirichletFactor, Field, MeanZeroFactor,
-                        factor_symmetric, region_operator, weak_normal_flux)
+from enzres.fem import (DirichletFactor, MeanZeroFactor, factor_symmetric,
+                        region_operator, weak_normal_flux)
 from enzres.mesh import CORE, SHELL, Mesh
 
 __all__ = ["PerturbationSeries", "CoreProfile", "compute_psi_d",
-           "consistency_residual", "find_lambda0", "expand_series", "eval_lambda", "eval_field",
+           "find_lambda0", "expand_series", "eval_lambda", "eval_field",
            "series_to_json", "series_from_json"]
 
 #: tolerance factors (relative to |Omega|) for entering / running the recursion
@@ -57,9 +57,11 @@ MAX_ORDER = 13
 
 
 @dataclass
-class CoreProfile(Field):
+class CoreProfile:
     """psi_d: (-Delta - lambda0) psi_d = 0 in the core, psi_d = 1 on the
-    interface, with the exact float `lambda0` it was solved at.
+    interface, as nodal `values` on `mesh` (zero off the core), with the
+    exact float `lambda0` it was solved at.  `mesh` is None for a psi_d
+    read by `series_from_json` without one.
 
     `core_factor` (the core at lambda0) and `shell_factor` (the shell's
     mean-zero factor) are the factors `expand_series` made; a psi_d from
@@ -67,6 +69,8 @@ class CoreProfile(Field):
     serialized, shown or compared.
     """
 
+    mesh: Mesh | None
+    values: np.ndarray
     lambda0: float
     core_factor: DirichletFactor | None = field(
         default=None, repr=False, compare=False)
@@ -82,17 +86,19 @@ class PerturbationSeries:
     `core_fields[n-1]` the mean-zero core corrector, `constants[n-1]` the
     additive constant e_n; the full correctors are
     phi_n = shell_fields[n-1] + e_n and psi_n = core_fields[n-1] + e_n*psi_d.
-    `norm_const` is |shell| + int_D psi_d**2.
+    `norm_const` is |shell| + int_D psi_d**2.  Every field is a nodal
+    array, zero off its region; `mesh` is None for a series read without
+    one.
     """
 
-    mesh: Mesh
+    mesh: Mesh | None
     lambda0: float
     lambda_coeffs: list  # [lambda1..lambdaN]
-    shell_fields: list   # mean-zero Fields on the shell
-    core_fields: list    # mean-zero Fields on the core
+    shell_fields: list   # mean-zero nodal arrays on the shell
+    core_fields: list    # mean-zero nodal arrays on the core
     constants: list      # [e_1..e_N]
     norm_const: float
-    psi_d: CoreProfile | np.ndarray
+    psi_d: CoreProfile
 
     @property
     def order(self) -> int:
@@ -115,7 +121,7 @@ def _core_profile(mesh: Mesh, lambda0):
     lambda0 = float(lambda0)
     fac = DirichletFactor(region_operator(mesh, CORE), lambda0)
     psi_d = fac.solve(np.zeros(mesh.n_nodes), np.ones(mesh.n_nodes))
-    return CoreProfile(mesh, psi_d, frozenset({CORE}), lambda0), fac
+    return CoreProfile(mesh, psi_d, lambda0), fac
 
 
 def compute_psi_d(mesh: Mesh, lambda0: float) -> CoreProfile:
@@ -123,14 +129,6 @@ def compute_psi_d(mesh: Mesh, lambda0: float) -> CoreProfile:
     interface."""
     _check_lambda0("compute_psi_d", lambda0)
     return _core_profile(mesh, lambda0)[0]
-
-
-def consistency_residual(mesh: Mesh, lambda0: float) -> float:
-    """Signed consistency residual |shell| + int_D psi_d."""
-    _check_lambda0("consistency_residual", lambda0)
-    op = region_operator(mesh, CORE)
-    psi = _core_profile(mesh, lambda0)[0]
-    return float(op.area_by_region[SHELL] + op.m @ psi.values)
 
 
 def _collapsed_pencil(op):
@@ -354,7 +352,7 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     norm_const = float(shell_area + psi_d.values @ M_psi_d)
 
     # flux of psi_d across the interface, reused for every lambda_{n+1}
-    flux_psi_d = weak_normal_flux(psi_d, lambda0, source=None)
+    flux_psi_d = weak_normal_flux(mesh, psi_d.values, lambda0)
     # one shell factorization serves every shell corrector
     shell = region_operator(mesh, SHELL)
     shell_fac = shell.neumann()
@@ -374,13 +372,12 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         shell_source = np.zeros(mesh.n_nodes)
         for k in range(n + 1):
             shell_source += lambdas[k] * (phis[n - k] + e[n - k])
-        flux_n = weak_normal_flux(
-            Field(mesh, full_psi(n) if n > 0 else psi_d.values, frozenset({CORE})),
-            lambda0, source=core_sources[n])
+        flux_n = weak_normal_flux(mesh, full_psi(n), lambda0,
+                                  source=core_sources[n])
         # the flux is oriented out of the core, so it enters the load with
-        # a minus sign; int(source) - <flux, 1> is the consistency defect
-        b = shell.M @ shell_source - flux_n.weights
-        defect = shell.m @ shell_source - flux_n.total()
+        # a minus sign; int(source) - sum(flux) is the consistency defect
+        b = shell.M @ shell_source - flux_n
+        defect = shell.m @ shell_source - flux_n.sum()
         phi_next = np.zeros(mesh.n_nodes)
         phi_next[shell.nodes], _ = shell_fac.solve(b[shell.nodes])
         if abs(defect) > DEFECT_TOL * area * max(1.0, *(abs(l) for l in lambdas)):
@@ -389,7 +386,7 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
                 f"order {n + 1} exceeds tolerance (lambda0 drift or mesh too "
                 "coarse)")
 
-        lam_next = float(flux_psi_d.pair(phi_next) / norm_const)
+        lam_next = float(flux_psi_d @ phi_next / norm_const)
         lambdas.append(lam_next)
 
         # Dirichlet problem for the order-(n+1) core corrector:
@@ -407,11 +404,9 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         psis.append(psi_ring)
 
     psi_d.core_factor, psi_d.shell_factor = fac, shell_fac
-    shell_tags, core_tags = frozenset({SHELL}), frozenset({CORE})
     return PerturbationSeries(
         mesh=mesh, lambda0=float(lambda0), lambda_coeffs=lambdas[1:],
-        shell_fields=[Field(mesh, v, shell_tags) for v in phis[1:]],
-        core_fields=[Field(mesh, v, core_tags) for v in psis[1:]],
+        shell_fields=phis[1:], core_fields=psis[1:],
         constants=e[1:], norm_const=norm_const, psi_d=psi_d)
 
 
@@ -424,7 +419,7 @@ def eval_lambda(series, delta):
     return acc
 
 
-def eval_field(series: PerturbationSeries, delta) -> Field:
+def eval_field(series: PerturbationSeries, delta) -> np.ndarray:
     """Truncated eigenfunction: 1 + sum delta^n phi_n on the shell,
     psi_d + sum delta^n psi_n on the core (continuous across the
     interface).  A series read without a mesh is refused."""
@@ -442,23 +437,17 @@ def eval_field(series: PerturbationSeries, delta) -> Field:
     for n in range(1, series.order + 1):
         dn = dn * delta
         e_n = series.constants[n - 1]
-        psi_n = series.core_fields[n - 1].values + e_n * series.psi_d.values
-        phi_n = series.shell_fields[n - 1].values + e_n
+        psi_n = series.core_fields[n - 1] + e_n * series.psi_d.values
+        phi_n = series.shell_fields[n - 1] + e_n
         u[core_nodes] = u[core_nodes] + dn * psi_n[core_nodes]
         u[shell_nodes] = u[shell_nodes] + dn * phi_n[shell_nodes]
-    return Field(mesh, u, frozenset({CORE, SHELL}))
+    return u
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 SCHEMA_VERSION = 1
-
-
-def _nodal(f) -> list:
-    """Nodal values of a Field, or of the bare array a series read without
-    a mesh holds, as a list."""
-    return (f.values if isinstance(f, Field) else f).tolist()
 
 
 def series_to_json(series: PerturbationSeries) -> str:
@@ -468,9 +457,9 @@ def series_to_json(series: PerturbationSeries) -> str:
         "lambda": [float(c) for c in series.lambda_coeffs],
         "e": [float(c) for c in series.constants],
         "norm_const": series.norm_const,
-        "psi_d": _nodal(series.psi_d),
-        "shell_fields": [_nodal(f) for f in series.shell_fields],
-        "core_fields": [_nodal(f) for f in series.core_fields],
+        "psi_d": series.psi_d.values.tolist(),
+        "shell_fields": [f.tolist() for f in series.shell_fields],
+        "core_fields": [f.tolist() for f in series.core_fields],
     }
     return json.dumps(doc)
 
@@ -491,9 +480,12 @@ def _json_document(caller: str, text: str, schema_version: int) -> dict:
     return doc
 
 
-def _json_array(doc: dict, key: str, ndim: int) -> np.ndarray:
-    """doc[key] as a float array with `ndim` axes (0: a number); a missing
-    key or a value of another type or shape is an input error naming it."""
+def _json_array(doc: dict, key: str, ndim: int,
+                n_nodes: int | None = None) -> np.ndarray:
+    """doc[key] as a finite float array with `ndim` axes (0: a number),
+    whose last axis has `n_nodes` entries when that is given; a missing key
+    or a value of another type, shape or length, or not finite, is an input
+    error naming it."""
     if key not in doc:
         raise InputError(f"series_from_json: missing key {key!r}")
     try:
@@ -504,25 +496,28 @@ def _json_array(doc: dict, key: str, ndim: int) -> np.ndarray:
         shape = ("a number", "a list of numbers",
                  "a list of equal-length lists of numbers")[ndim]
         raise InputError(f"series_from_json: {key!r} must be {shape}")
-    return arr.astype(float, copy=False)
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise InputError(f"series_from_json: {key!r} must be finite")
+    if n_nodes is not None and arr.shape[-1] != n_nodes:
+        raise InputError(f"series_from_json: {key!r} has {arr.shape[-1]} "
+                         f"values per field, not one per mesh node "
+                         f"({n_nodes})")
+    return arr
 
 
 def series_from_json(text: str, mesh: Mesh | None = None) -> PerturbationSeries:
     """Rebuild a series from JSON, without factors.  Without a mesh, field
     evaluation is unavailable but eval_lambda and dispersion tracing work;
-    with one, psi_d is a `CoreProfile` at the stored lambda0."""
+    psi_d is a `CoreProfile` at the stored lambda0 either way, on `mesh`."""
     doc = _json_document("series_from_json", text, SCHEMA_VERSION)
-    psi_d = _json_array(doc, "psi_d", 1)
-    shell = list(_json_array(doc, "shell_fields", 2))
-    core = list(_json_array(doc, "core_fields", 2))
+    n = None if mesh is None else mesh.n_nodes
     lambda0 = float(_json_array(doc, "lambda0", 0))
-    if mesh is not None:
-        psi_d = CoreProfile(mesh, psi_d, frozenset({CORE}), lambda0)
-        shell = [Field(mesh, v, frozenset({SHELL})) for v in shell]
-        core = [Field(mesh, v, frozenset({CORE})) for v in core]
     return PerturbationSeries(
         mesh=mesh, lambda0=lambda0,
         lambda_coeffs=_json_array(doc, "lambda", 1).tolist(),
-        shell_fields=shell, core_fields=core,
+        shell_fields=list(_json_array(doc, "shell_fields", 2, n)),
+        core_fields=list(_json_array(doc, "core_fields", 2, n)),
         constants=_json_array(doc, "e", 1).tolist(),
-        norm_const=float(_json_array(doc, "norm_const", 0)), psi_d=psi_d)
+        norm_const=float(_json_array(doc, "norm_const", 0)),
+        psi_d=CoreProfile(mesh, _json_array(doc, "psi_d", 1, n), lambda0))

@@ -3,7 +3,9 @@ resolutions, the recovered base eigenvalue per mesh, and a fourth-order
 perturbation series on the finest mesh.  All are session-scoped because
 building them dominates the suite's runtime.  A mesh keeps its region
 operators but no factor, so a test that counts factorizations may use any
-of them.
+of them.  Two reference computations that only the tests use live here too:
+the consistency residual as a function of lambda0 (for brentq) and an
+Arnoldi probe that factors the complex finite-delta pencil.
 """
 
 import numpy as np
@@ -12,8 +14,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from enzres.bessel_oracle import disk_case
-from enzres.mesh import Mesh, build_concentric_mesh
-from enzres.perturbation import expand_series, find_lambda0
+from enzres.eigensolver import assemble_operator
+from enzres.errors import NumericalError
+from enzres.fem import factor_symmetric, region_operator
+from enzres.mesh import CORE, SHELL, Mesh, build_concentric_mesh
+from enzres.perturbation import (_check_lambda0, _core_profile,
+                                 expand_series, find_lambda0)
 
 HS = (0.08, 0.04, 0.02)
 
@@ -129,3 +135,34 @@ def annulus_symdiff(mesh, prob, theta, r_inner, r_outer):
     rc = np.linalg.norm(element_centroids(mesh, prob.elements), axis=1)
     chi = ((rc >= r_inner) & (rc <= r_outer)).astype(float)
     return float((np.abs(theta - chi) * prob.areas).sum())
+
+
+def consistency_residual(mesh: Mesh, lambda0: float) -> float:
+    """Signed consistency residual |shell| + int_D psi_d."""
+    _check_lambda0("consistency_residual", lambda0)
+    op = region_operator(mesh, CORE)
+    psi = _core_profile(mesh, lambda0)[0]
+    return float(op.area_by_region[SHELL] + op.m @ psi.values)
+
+
+def ritz_values_near(mesh: Mesh, delta, lam_guess, k: int = 2) -> np.ndarray:
+    """The k eigenvalues of (K(delta), M) nearest lam_guess (Arnoldi
+    shift-invert); used as the simplicity probe: a simple eigenvalue is
+    separated from the next Ritz value by orders of magnitude more than the
+    convergence tolerance.  The start vector is fixed, so repeated calls
+    return identical values."""
+    K, M = assemble_operator(mesh, delta)
+    nodes = np.union1d(region_operator(mesh, CORE).nodes,
+                       region_operator(mesh, SHELL).nodes)
+    Kr, Mr = K[nodes][:, nodes].tocsc(), M[nodes][:, nodes].tocsc()
+    sigma = complex(lam_guess)
+    try:
+        lu = factor_symmetric(Kr - sigma * Mr)
+    except RuntimeError as exc:
+        raise NumericalError(f"ritz_values_near: factorization failed at "
+                             f"shift {lam_guess} ({exc})")
+    shift_inv = spla.LinearOperator(Kr.shape, matvec=lu.solve, dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(Kr.shape[0]).astype(complex)
+    vals = spla.eigs(Kr, k=k, M=Mr.astype(complex), sigma=sigma,
+                     OPinv=shift_inv, v0=v0, return_eigenvectors=False)
+    return vals[np.argsort(np.abs(vals - lam_guess))]

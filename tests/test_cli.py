@@ -262,6 +262,29 @@ class TestResonate:
         assert code == 2
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("key, index, value", [
+        ("e", 0, math.nan), ("norm_const", None, math.nan),
+        ("lambda", 2, math.nan), ("lambda0", None, math.inf),
+        ("psi_d", 0, -math.inf)])
+    def test_non_finite_series_number_exit_2(self, series_file, tmp_path,
+                                             key, index, value):
+        # NaN in e or norm_const was accepted silently, a NaN lambda_3
+        # ended in "Newton diverged" (exit 1) after a RuntimeWarning, and
+        # an infinite lambda0 was refused under another key
+        doc = json.loads(series_file.read_text())
+        if index is None:
+            doc[key] = value
+        else:
+            doc[key][index] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_main([*resonate_argv(path), "-o",
+                              str(tmp_path / "t.csv")])
+        assert code == 2
+        assert f"'{key}' must be finite" in err
+        assert "internal error" not in err
+        assert "RuntimeWarning" not in err
+
 
 class TestOptimize:
     def test_dual_and_saddle_agree(self, mesh_file, tmp_path):

@@ -17,14 +17,14 @@ from hypothesis import strategies as st
 import enzres
 from enzres import design
 from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
-from enzres.design import (CONVERGED_EXITS, DesignProblem, bathtub_projection,
-                           design_from_json, design_to_csv, design_to_json,
-                           dual_objective, energy_density, evaluate_design,
-                           lambda1_of_design, make_disk_problem,
-                           minimize_dual, recover_design, saddle_solve)
+from enzres.design import (CONVERGED_EXITS, DesignProblem, DualSolution,
+                           bathtub_projection, design_from_json,
+                           design_to_csv, design_to_json, dual_objective,
+                           energy_density, evaluate_design, lambda1_of_design,
+                           make_disk_problem, minimize_dual, recover_design,
+                           saddle_solve)
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (BoundaryFunctional, _gradient_blocks, factor_spd,
-                        region_operator)
+from enzres.fem import _gradient_blocks, factor_spd, region_operator
 from enzres.mesh import SHELL
 
 from conftest import (annulus_symdiff, coo_reference, element_centroids,
@@ -47,9 +47,25 @@ def off_disk_problem(mesh_coarse, lambda0_coarse):
     """The coarse disk with interface weights times (1 + 0.6x): a load
     whose optimal shell is not an annulus."""
     disk = make_disk_problem(mesh_coarse, lambda0_coarse)
-    f = BoundaryFunctional(mesh_coarse, disk.f.tag, disk.f.weights
-                           * (1.0 + 0.6 * mesh_coarse.nodes[:, 0]))
+    f = disk.f * (1.0 + 0.6 * mesh_coarse.nodes[:, 0])
     return DesignProblem(mesh_coarse, lambda0_coarse, f, disk.norm_const)
+
+
+class TestProblemInput:
+    """The load f is a weight per mesh node on the core interface."""
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda f, m: f[:-1], "one weight per mesh node"),
+        (lambda f, m: np.stack([f, f]), "one weight per mesh node"),
+        (lambda f, m: f + (np.linalg.norm(m.nodes, axis=1) > 1.5),
+         "nonzero weight off the core interface"),
+    ], ids=["short", "two-rows", "off-interface"])
+    def test_refuses_a_load_that_is_not_interface_weights(
+            self, mesh_coarse, lambda0_coarse, change, message):
+        disk = make_disk_problem(mesh_coarse, lambda0_coarse)
+        with pytest.raises(InputError, match=f"^DesignProblem: .*{message}"):
+            DesignProblem(mesh_coarse, lambda0_coarse,
+                          change(disk.f, mesh_coarse))
 
 
 class TestBathtub:
@@ -106,17 +122,14 @@ class TestBathtub:
 
 class TestObjective:
     def test_dual_objective_of_zero_field(self, disk_problem):
-        # J(0) = sum area * p(-lambda0 * 0) + <f, 0> = 0 at beta = 0.
+        # J(0) = sum area * max(-lambda0 * 0, 0) + <f, 0> = 0.
         prob = disk_problem
-        from enzres.fem import Field
-        zero = Field(prob.mesh, np.zeros(prob.mesh.n_nodes), frozenset((1, 2)))
-        assert dual_objective(zero, prob) == 0.0
+        assert dual_objective(np.zeros(prob.mesh.n_nodes), prob) == 0.0
 
     def test_energy_density_of_linear_field(self, disk_problem):
         # w = x has |grad w|^2 = 1 and mean x on each element.
         prob = disk_problem
-        from enzres.fem import Field
-        w = Field(prob.mesh, prob.mesh.nodes[:, 0].copy(), frozenset((1, 2)))
+        w = prob.mesh.nodes[:, 0].copy()
         dens = energy_density(w, prob)
         cx = element_centroids(prob.mesh, prob.elements)[:, 0]
         assert dens == pytest.approx(0.5 - prob.lambda0 * cx, rel=1e-12)
@@ -125,10 +138,10 @@ class TestObjective:
         # p_beta(x) >= max(x, 0), so the smoothed dual dominates the sharp
         # one for the same field.
         prob = disk_problem
-        w = minimize_dual(prob)
-        sharp = dual_objective(w, prob, beta=0.0)
-        smooth = dual_objective(w, prob, beta=1e-3)
-        assert smooth >= sharp
+        w = minimize_dual(prob).values
+        sharp = dual_objective(w, prob)
+        smooth_fun, _ = design._make_objective(prob, 1e-3)
+        assert smooth_fun(w[prob.nodes]) >= sharp
 
 
 class TestConvergence:
@@ -215,7 +228,7 @@ class TestConvergence:
         w = minimize_dual(off_disk_problem)
         assert w.converged
         assert sum(s.steps for s in w.stages) <= 36
-        assert dual_objective(w, off_disk_problem) == pytest.approx(
+        assert dual_objective(w.values, off_disk_problem) == pytest.approx(
             -8.365880207660453, rel=1e-12)
 
     def test_stage_records(self, disk_problem, dual_state):
@@ -289,7 +302,9 @@ class TestConvergence:
         assert json.loads(design_to_json(state, prob))["converged"] is False
 
     def test_plain_field_is_not_evidence(self, disk_problem, dual_state):
-        assert recover_design(disk_problem, dual_state.w).converged is False
+        # a solution with no stage records shows no convergence
+        bare = DualSolution(dual_state.w)
+        assert recover_design(disk_problem, bare).converged is False
 
 
 class TestNewtonPieces:
@@ -384,7 +399,7 @@ class TestOptimum:
         exact = np.array([annulus_phi1(case9, ri) for ri in r])
         lump = region_operator(m, SHELL).m[shell]
         exact -= (lump @ exact) / lump.sum()
-        got = dual_state.w.values[shell]
+        got = dual_state.w[shell]
         got = got - (lump @ got) / lump.sum()
         assert np.abs(got - exact).max() < 0.05
 

@@ -13,15 +13,13 @@ from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
 from enzres import perturbation
 from enzres.design import DesignProblem, make_disk_problem
 from enzres.errors import InputError, NumericalError
-from enzres.fem import BoundaryFunctional, region_operator
+from enzres.fem import region_operator
 from enzres.mesh import CORE, SHELL, build_concentric_mesh
-from enzres.perturbation import (CoreProfile, compute_psi_d,
-                                 consistency_residual,
-                                 eval_field, eval_lambda, expand_series,
-                                 find_lambda0, series_from_json,
-                                 series_to_json)
+from enzres.perturbation import (CoreProfile, compute_psi_d, eval_field,
+                                 eval_lambda, expand_series, find_lambda0,
+                                 series_from_json, series_to_json)
 
-from conftest import HS, record_solves, record_splu
+from conftest import HS, consistency_residual, record_solves, record_splu
 
 
 class TestFindLambda0:
@@ -93,7 +91,7 @@ def interface_load(mesh):
     """A positive load on the core interface, made without a solve."""
     weights = np.zeros(mesh.n_nodes)
     weights[mesh.boundary_nodes(0)] = 1.0
-    return BoundaryFunctional(mesh, 0, weights)
+    return weights
 
 
 #: public entry points that take lambda0, or an interval for it
@@ -220,9 +218,9 @@ class TestRecursionInvariants:
         lump_core = region_operator(m, CORE).m
         scale = max(abs(l) for l in s.all_lambdas())
         for phi in s.shell_fields:
-            assert abs(lump_shell @ phi.values) < 1e-8 * scale
+            assert abs(lump_shell @ phi) < 1e-8 * scale
         for psi in s.core_fields:
-            assert abs(lump_core @ psi.values) < 1e-8 * scale
+            assert abs(lump_core @ psi) < 1e-8 * scale
 
     def test_normalization_defect(self, series_fine):
         # Order-n normalization: int_shell phi_n + int_D psi_n = 0 once the
@@ -236,9 +234,9 @@ class TestRecursionInvariants:
         core_psi_d = float(np.ones(m.n_nodes) @ (M @ s.psi_d.values))
         for n in range(1, s.order + 1):
             e_n = s.constants[n - 1]
-            total = (lump_shell @ s.shell_fields[n - 1].values
+            total = (lump_shell @ s.shell_fields[n - 1]
                      + e_n * shell_area
-                     + lump_core @ s.core_fields[n - 1].values
+                     + lump_core @ s.core_fields[n - 1]
                      + e_n * core_psi_d)
             assert abs(total) < 1e-8 * max(1.0, abs(e_n))
 
@@ -251,7 +249,7 @@ class TestRecursionInvariants:
         pd = s.psi_d.values
         for n in range(1, s.order + 1):
             e_n = s.constants[n - 1]
-            raw = float(s.core_fields[n - 1].values @ (M @ pd))
+            raw = float(s.core_fields[n - 1] @ (M @ pd))
             assert abs(raw + e_n * s.norm_const) < 1e-8 * max(
                 1.0, abs(e_n) * s.norm_const)
 
@@ -261,7 +259,7 @@ class TestRecursionInvariants:
         # from the stored first shell field.
         s = series_fine
         K = region_operator(s.mesh, SHELL).K
-        phi1 = s.shell_fields[0].values
+        phi1 = s.shell_fields[0]
         quotient = -float(phi1 @ (K @ phi1)) / s.norm_const
         assert s.lambda_coeffs[0] == pytest.approx(quotient, rel=1e-8)
 
@@ -274,7 +272,7 @@ class TestRecursionInvariants:
         # The oracle profile is normalized to shell-mean zero as well.
         lump = region_operator(m, SHELL).m[shell]
         exact -= (lump @ exact) / lump.sum()
-        got = s.shell_fields[0].values[shell]
+        got = s.shell_fields[0][shell]
         assert np.abs(got - exact).max() < 0.05
 
     def test_rejects_bad_order(self, mesh_coarse, lambda0_coarse):
@@ -306,8 +304,8 @@ class TestEvaluation:
         m = s.mesh
         shell = sorted(m.region_nodes(1))
         core = sorted(m.region_nodes(0))
-        assert np.allclose(u.values[shell], 1.0)
-        assert u.values[core] == pytest.approx(
+        assert np.allclose(u[shell], 1.0)
+        assert u[core] == pytest.approx(
             s.psi_d.values[core], rel=1e-12)
 
     def test_psi_d_from_compute(self, mesh_coarse, lambda0_coarse):
@@ -328,7 +326,7 @@ class TestSerialization:
         assert s2.constants == s.constants
         assert s2.norm_const == s.norm_const
         for a, b in zip(s2.shell_fields, s.shell_fields):
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a, b)
         # psi_d keeps the lambda0 it was solved at; factors are not stored
         assert isinstance(s2.psi_d, CoreProfile)
         assert s2.psi_d.lambda0 == s.psi_d.lambda0 == s.lambda0
@@ -337,10 +335,12 @@ class TestSerialization:
         assert "factor" not in repr(s)
 
     def test_round_trip_without_mesh(self, series_fine):
-        # a series read without a mesh holds bare arrays; it writes back
-        # the same text, and field evaluation asks for a mesh
+        # a series read without a mesh holds a psi_d with no mesh; it
+        # writes back the same text, and field evaluation asks for a mesh
         text = series_to_json(series_fine)
         s2 = series_from_json(text)
+        assert isinstance(s2.psi_d, CoreProfile) and s2.psi_d.mesh is None
+        assert s2.psi_d.lambda0 == series_fine.lambda0
         assert series_to_json(s2) == text
         with pytest.raises(InputError, match="mesh"):
             eval_field(s2, 0.01)
@@ -396,3 +396,25 @@ class TestSeriesFromJsonRefusals:
         doc = {**SMALL_SERIES, key: value}
         with pytest.raises(InputError, match=f"'{key}' must be"):
             series_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda0", math.inf), ("lambda0", math.nan), ("norm_const", math.nan),
+        ("lambda", [-1.0, math.nan]), ("e", [0.1, -math.inf]),
+        ("psi_d", [1.0, math.nan]),
+        ("shell_fields", [[0.0, 1.0], [2.0, math.inf]]),
+        ("core_fields", [[math.nan, 5.0], [6.0, 7.0]]),
+    ])
+    def test_non_finite_number_is_named(self, key, value):
+        # json reads NaN and Infinity; each once passed silently or failed
+        # downstream under another name
+        doc = {**SMALL_SERIES, key: value}
+        with pytest.raises(InputError, match=f"'{key}' must be finite"):
+            series_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["psi_d", "shell_fields", "core_fields"])
+    def test_field_length_checked_against_mesh(self, series_fine, key):
+        doc = json.loads(series_to_json(series_fine))
+        doc[key] = (doc[key][:-1] if key == "psi_d"
+                    else [f[:-1] for f in doc[key]])
+        with pytest.raises(InputError, match=f"'{key}' has .* one per mesh"):
+            series_from_json(json.dumps(doc), mesh=series_fine.mesh)
