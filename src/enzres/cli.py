@@ -4,7 +4,8 @@ validate-disk.
 All commands emit machine-readable output (JSON to stdout, files via -o),
 are deterministic given their flags, and use exit codes 0 (success),
 1 (numerical/internal failure, or a stdout closed early by its reader),
-2 (invalid input).
+2 (invalid input).  Commands that solve on a mesh import the solver
+modules when they run, so `resonate` loads no SciPy.
 """
 
 from __future__ import annotations
@@ -18,12 +19,8 @@ import sys
 
 import numpy as np
 
-from enzres import design as design_mod
 from enzres import dispersion as disp
-from enzres import perturbation as pert
-from enzres.eigensolver import resonance_near
 from enzres.errors import EnzresError, InputError
-from enzres.fem import region_operator, weak_normal_flux
 from enzres.mesh import (CORE, build_concentric_mesh, load_mesh, mesh_metrics,
                          save_mesh)
 
@@ -60,6 +57,15 @@ def _write_text(path: str, text: str):
         raise InputError(f"cannot write {path}: {exc}")
 
 
+def _check_writable(path: str):
+    """Refuse, before any work, an output path whose directory is missing
+    or not writable; `_write_text` still refuses whatever this misses."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise InputError(f"cannot write {path}: {directory} is not a "
+                         "writable directory")
+
+
 def _emit(doc: dict, path: str | None = None):
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     text = json.dumps(doc, indent=2)
@@ -73,7 +79,17 @@ def _read_mesh(path: str):
 
 
 def _resolve_lambda0(mesh, args) -> float:
+    """--lambda0, refused above the collapsed pencil's largest eigenvalue
+    bound (lambda0 is one of them), or the root in (--lo, --hi)."""
+    from enzres import perturbation as pert
+    from enzres.fem import region_operator
     if args.lambda0 is not None:
+        K_c, _, d = pert._collapsed_pencil(region_operator(mesh, CORE))
+        top = pert._largest_eigenvalue_bound(K_c, d)
+        if args.lambda0 > top:
+            raise InputError(
+                f"--lambda0 {args.lambda0} exceeds {top:.6g}, a bound on the "
+                "largest eigenvalue of the collapsed pencil, so it is no root")
         return float(args.lambda0)
     if args.lo is None or args.hi is None:
         raise InputError("provide either --lambda0 or both --lo and --hi")
@@ -99,6 +115,7 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_lambda0(args) -> int:
+    from enzres import perturbation as pert
     mesh = _read_mesh(args.mesh)
     lam0 = pert.find_lambda0(mesh, (args.lo, args.hi))
     _emit({"lambda0": lam0, "interval": [args.lo, args.hi]}, args.out)
@@ -106,29 +123,28 @@ def cmd_lambda0(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from enzres import perturbation as pert
     mesh = _read_mesh(args.mesh)
     lam0 = _resolve_lambda0(mesh, args)
     series = pert.expand_series(mesh, lam0, order=args.order)
-    if args.out:
-        _write_text(args.out, pert.series_to_json(series))
+    # the series document is the coefficients, as printed
     _emit({"lambda0": series.lambda0, "lambda": series.lambda_coeffs,
            "e": series.constants, "norm_const": series.norm_const,
-           "order": series.order, "output": args.out})
+           "order": series.order, "output": args.out}, args.out)
     return 0
 
 
 def cmd_resonate(args) -> int:
-    series = pert.series_from_json(_read_text(args.series, "series file"))
+    lambdas = disp.read_series(_read_text(args.series, "series file"))
     p = disp.LorentzParams(eps_inf=args.eps_inf, omega_p=args.omega_p,
                            omega_0=args.omega_0)
     d = disp.CoreDielectric(eps_d=args.eps_d)
     # calibrate: a uniform geometric rescale maps lambda0 -> lambda* exactly
     lam_star = disp.lambda_star(p, d)
-    t = disp.calibrate_scale(series.lambda0, lam_star)
-    scale = lam_star / series.lambda0
-    series.lambda_coeffs = [c * scale for c in series.lambda_coeffs]
-    series.lambda0 = lam_star
-    trace = disp.trace_resonance(series, p, d, gamma_max=args.gamma_max,
+    t = disp.calibrate_scale(lambdas[0], lam_star)
+    scale = lam_star / lambdas[0]
+    trace = disp.trace_resonance([lam_star, *(c * scale for c in lambdas[1:])],
+                                 p, d, gamma_max=args.gamma_max,
                                  steps=args.steps)
     csv_text = disp.trace_to_csv(trace)
     if args.out:
@@ -143,6 +159,7 @@ def cmd_resonate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from enzres import design as design_mod
     mesh = _read_mesh(args.mesh)
     lam0 = _resolve_lambda0(mesh, args)
     prob = design_mod.make_disk_problem(mesh, lam0)
@@ -166,7 +183,10 @@ def cmd_optimize(args) -> int:
 def cmd_validate_disk(args) -> int:
     """Oracle comparison suite on the radially symmetric geometry."""
     # the only command that needs the oracle (and scipy.special) loads it
+    from enzres import perturbation as pert
     from enzres.bessel_oracle import annulus_lambda1, disk_case, disk_psi_d
+    from enzres.eigensolver import resonance_near
+    from enzres.fem import region_operator, weak_normal_flux
     lam_exact = 9.0
     case = disk_case(lam_exact)
     h = args.h
@@ -220,7 +240,9 @@ def cmd_validate_disk(args) -> int:
 
     ok = all(c[2] for c in checks)
     for name, value, passed in checks:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}: {value:.6g}")
+        # past three digits E_n and the flux identity are rounding noise;
+        # the JSON keeps full precision
+        print(f"{'PASS' if passed else 'FAIL'}  {name}: {value:#.3g}")
     _emit({"h": h, "lambda0": lam_h[h], "order": order,
            "lambda1": series.lambda_coeffs[0], "remainder_ratios": ratios,
            "all_passed": ok})
@@ -295,6 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for path in (getattr(args, "out", None), getattr(args, "csv", None)):
+            if path:
+                _check_writable(path)
         status = args.func(args)
         sys.stdout.flush()
         return status

@@ -21,12 +21,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
+from enzres.dispersion import _json_document
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (MeanZeroFactor, ScatterPattern, _gradient_blocks,
                         _scatter_vector, element_geometry, factor_spd,
                         region_operator, weak_normal_flux)
 from enzres.mesh import CORE, DESIGN_TAGS, INTERFACE, Mesh
-from enzres.perturbation import _check_lambda0, _json_document, compute_psi_d
+from enzres.perturbation import _check_lambda0, compute_psi_d
 
 __all__ = ["DesignProblem", "DesignState", "DualSolution", "StageRecord",
            "make_disk_problem",

@@ -10,12 +10,14 @@ delta = eps_enz / eps_D; it is traced by warm-started Newton continuation on
 the truncated series.  The decay rate at small loss is
 omega'(0) = -i * a2 / (a1 + a3 * eps_D / |lambda1|), purely imaginary with
 negative imaginary part.  Time convention e^{-i omega t}: Im omega < 0 means
-temporal decay.
+temporal decay.  The series is its coefficients, which `read_series` reads
+from the document of `enzres expand -o` with no mesh and no SciPy.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +27,7 @@ from enzres.errors import InputError, NumericalError
 
 __all__ = ["LorentzParams", "CoreDielectric", "ResonanceTrace", "eps_enz",
            "enz_frequency", "lambda_star", "calibrate_scale", "sensitivities",
-           "omega_prime0", "trace_resonance", "trace_to_csv"]
+           "omega_prime0", "read_series", "trace_resonance", "trace_to_csv"]
 
 TRACE_CSV_HEADER = "gamma,re_omega,im_omega,re_delta,im_delta,newton_iters"
 #: finite-difference step of `sensitivities`' check, relative to the width
@@ -190,7 +192,60 @@ def omega_prime0(a1: float, a2: float, a3: float, eps_d: float,
     return complex(0.0, -a2 / (a1 + a3 * eps_d / abs(lambda1)))
 
 
-def trace_resonance(series, p: LorentzParams, d: CoreDielectric,
+def _json_document(caller: str, text: str, schema_version: int) -> dict:
+    """`text` parsed as a JSON object of `schema_version`; anything else is
+    an input error naming `caller`."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise InputError(f"{caller}: not a JSON document ({exc})") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{caller}: expected a JSON object, got "
+                         f"{type(doc).__name__}")
+    if doc.get("schema_version") != schema_version:
+        raise InputError(f"{caller}: unsupported schema_version "
+                         f"{doc.get('schema_version')!r}")
+    return doc
+
+
+def _json_numbers(doc: dict, key: str, ndim: int) -> np.ndarray:
+    """doc[key] as a finite float array with `ndim` axes (0: a number, 1: a
+    list of numbers); a missing key, a value of another type or shape, or
+    one not finite, is an input error naming it."""
+    if key not in doc:
+        raise InputError(f"read_series: missing key {key!r}")
+    try:
+        arr = np.array(doc[key])
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.dtype.kind not in "iuf":
+        shape = ("a number", "a list of numbers")[ndim]
+        raise InputError(f"read_series: {key!r} must be {shape}")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise InputError(f"read_series: {key!r} must be finite")
+    return arr
+
+
+def read_series(text: str) -> list:
+    """The coefficients [lambda0, lambda_1, ..., lambda_N] of a series
+    document (`enzres expand -o`).  "lambda0" and "norm_const" must be
+    finite numbers, "lambda" and "e" lists of as many finite numbers, or
+    InputError names the key; other keys, such as the fields of older
+    documents, are ignored."""
+    doc = _json_document("read_series", text, schema_version=1)
+    lambda0 = float(_json_numbers(doc, "lambda0", 0))
+    coeffs = _json_numbers(doc, "lambda", 1)
+    constants = _json_numbers(doc, "e", 1)
+    _json_numbers(doc, "norm_const", 0)
+    if coeffs.size != constants.size:
+        raise InputError(f"read_series: 'lambda' holds {coeffs.size} "
+                         f"coefficients but 'e' {constants.size} constants; "
+                         "a series has one of each per order")
+    return [lambda0, *coeffs.tolist()]
+
+
+def trace_resonance(lambdas, p: LorentzParams, d: CoreDielectric,
                     gamma_max: float, steps: int) -> ResonanceTrace:
     """Trace omega(gamma) on a uniform gamma grid by warm-started Newton.
 
@@ -199,12 +254,14 @@ def trace_resonance(series, p: LorentzParams, d: CoreDielectric,
     `MAX_STEPS` steps, or a gamma_max above `MAX_GAMMA_RATIO` * omega*, are
     refused with InputError before any work.
 
-    `series` needs attributes lambda0 and lambda_coeffs of order >= 2.  The
-    coefficients are rescaled exactly by lambda*/lambda0 (a uniform geometric
-    rescaling) so gamma = 0 returns omega* exactly; the caller must first
-    have calibrated the geometry to within 0.1% (see `calibrate_scale`).
+    `lambdas` holds the series coefficients [lambda0, lambda_1, ...,
+    lambda_N], N >= 2.  They are rescaled exactly by lambda*/lambda0 (a
+    uniform geometric rescaling) so gamma = 0 returns omega* exactly; the
+    caller must first have calibrated the geometry to within 0.1% (see
+    `calibrate_scale`).
     """
-    if len(series.lambda_coeffs) < 2:
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.size < 3:
         raise InputError("trace_resonance: series order must be >= 2")
     ws = enz_frequency(p)
     if not (0 <= gamma_max <= MAX_GAMMA_RATIO * ws
@@ -214,13 +271,13 @@ def trace_resonance(series, p: LorentzParams, d: CoreDielectric,
                          f"{MAX_GAMMA_RATIO * ws:.6g} and 1 <= steps <= "
                          f"{MAX_STEPS}, got {gamma_max}, {steps}")
     lam_star = lambda_star(p, d)
-    scale = lam_star / series.lambda0
+    scale = lam_star / lambdas[0]
     if abs(scale - 1.0) > 1e-3:
         raise InputError(
-            f"trace_resonance: series lambda0 = {series.lambda0:.6g} is not "
+            f"trace_resonance: series lambda0 = {lambdas[0]:.6g} is not "
             f"calibrated to lambda* = {lam_star:.6g} (use calibrate_scale "
             "and rebuild, or fix units)")
-    coeffs = np.array([series.lambda0, *series.lambda_coeffs]) * scale
+    coeffs = lambdas * scale
 
     dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
     eps_d = d.eps_d

@@ -14,12 +14,13 @@ recursion that factors the core and the shell operator once each; all
 stored fields are mean-zero with the additive constants e_n kept
 separately.  The series' psi_d is a `CoreProfile`: it carries the lambda0
 it was solved at and the two factors the recursion made, which
-`eigensolver.resonance_near` on it reuses.
+`eigensolver.resonance_near` on it reuses.  Only the coefficients leave
+the process (`enzres expand -o`, read back by `dispersion.read_series`);
+the fields live with their mesh.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -33,8 +34,7 @@ from enzres.fem import (DirichletFactor, MeanZeroFactor, factor_symmetric,
 from enzres.mesh import CORE, SHELL, Mesh
 
 __all__ = ["PerturbationSeries", "CoreProfile", "compute_psi_d",
-           "find_lambda0", "expand_series", "eval_lambda", "eval_field",
-           "series_to_json", "series_from_json"]
+           "find_lambda0", "expand_series", "eval_lambda", "eval_field"]
 
 #: tolerance factors (relative to |Omega|) for entering / running the recursion
 CONSISTENCY_TOL = 1e-6
@@ -60,16 +60,14 @@ MAX_ORDER = 13
 class CoreProfile:
     """psi_d: (-Delta - lambda0) psi_d = 0 in the core, psi_d = 1 on the
     interface, as nodal `values` on `mesh` (zero off the core), with the
-    exact float `lambda0` it was solved at.  `mesh` is None for a psi_d
-    read by `series_from_json` without one.
+    exact float `lambda0` it was solved at.
 
     `core_factor` (the core at lambda0) and `shell_factor` (the shell's
     mean-zero factor) are the factors `expand_series` made; a psi_d from
-    `compute_psi_d` or `series_from_json` has none.  They are not
-    serialized, shown or compared.
+    `compute_psi_d` has none.  They are not shown or compared.
     """
 
-    mesh: Mesh | None
+    mesh: Mesh
     values: np.ndarray
     lambda0: float
     core_factor: DirichletFactor | None = field(
@@ -87,11 +85,10 @@ class PerturbationSeries:
     additive constant e_n; the full correctors are
     phi_n = shell_fields[n-1] + e_n and psi_n = core_fields[n-1] + e_n*psi_d.
     `norm_const` is |shell| + int_D psi_d**2.  Every field is a nodal
-    array, zero off its region; `mesh` is None for a series read without
-    one.
+    array on `mesh`, zero off its region.
     """
 
-    mesh: Mesh | None
+    mesh: Mesh
     lambda0: float
     lambda_coeffs: list  # [lambda1..lambdaN]
     shell_fields: list   # mean-zero nodal arrays on the shell
@@ -422,11 +419,8 @@ def eval_lambda(series, delta):
 def eval_field(series: PerturbationSeries, delta) -> np.ndarray:
     """Truncated eigenfunction: 1 + sum delta^n phi_n on the shell,
     psi_d + sum delta^n psi_n on the core (continuous across the
-    interface).  A series read without a mesh is refused."""
+    interface)."""
     mesh = series.mesh
-    if mesh is None:
-        raise InputError("eval_field: the series has no mesh; pass one to "
-                         "series_from_json")
     shell_nodes = mesh.region_nodes(SHELL)
     core_nodes = mesh.region_nodes(CORE)
     dtype = complex if np.iscomplexobj(np.asarray(delta)) else float
@@ -442,82 +436,3 @@ def eval_field(series: PerturbationSeries, delta) -> np.ndarray:
         u[core_nodes] = u[core_nodes] + dn * psi_n[core_nodes]
         u[shell_nodes] = u[shell_nodes] + dn * phi_n[shell_nodes]
     return u
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-SCHEMA_VERSION = 1
-
-
-def series_to_json(series: PerturbationSeries) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "lambda0": series.lambda0,
-        "lambda": [float(c) for c in series.lambda_coeffs],
-        "e": [float(c) for c in series.constants],
-        "norm_const": series.norm_const,
-        "psi_d": series.psi_d.values.tolist(),
-        "shell_fields": [f.tolist() for f in series.shell_fields],
-        "core_fields": [f.tolist() for f in series.core_fields],
-    }
-    return json.dumps(doc)
-
-
-def _json_document(caller: str, text: str, schema_version: int) -> dict:
-    """`text` parsed as a JSON object of `schema_version`; anything else is
-    an input error naming `caller`."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise InputError(f"{caller}: not a JSON document ({exc})") from None
-    if not isinstance(doc, dict):
-        raise InputError(f"{caller}: expected a JSON object, got "
-                         f"{type(doc).__name__}")
-    if doc.get("schema_version") != schema_version:
-        raise InputError(f"{caller}: unsupported schema_version "
-                         f"{doc.get('schema_version')!r}")
-    return doc
-
-
-def _json_array(doc: dict, key: str, ndim: int,
-                n_nodes: int | None = None) -> np.ndarray:
-    """doc[key] as a finite float array with `ndim` axes (0: a number),
-    whose last axis has `n_nodes` entries when that is given; a missing key
-    or a value of another type, shape or length, or not finite, is an input
-    error naming it."""
-    if key not in doc:
-        raise InputError(f"series_from_json: missing key {key!r}")
-    try:
-        arr = np.array(doc[key])
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.ndim != ndim or arr.dtype.kind not in "iuf":
-        shape = ("a number", "a list of numbers",
-                 "a list of equal-length lists of numbers")[ndim]
-        raise InputError(f"series_from_json: {key!r} must be {shape}")
-    arr = arr.astype(float, copy=False)
-    if not np.isfinite(arr).all():
-        raise InputError(f"series_from_json: {key!r} must be finite")
-    if n_nodes is not None and arr.shape[-1] != n_nodes:
-        raise InputError(f"series_from_json: {key!r} has {arr.shape[-1]} "
-                         f"values per field, not one per mesh node "
-                         f"({n_nodes})")
-    return arr
-
-
-def series_from_json(text: str, mesh: Mesh | None = None) -> PerturbationSeries:
-    """Rebuild a series from JSON, without factors.  Without a mesh, field
-    evaluation is unavailable but eval_lambda and dispersion tracing work;
-    psi_d is a `CoreProfile` at the stored lambda0 either way, on `mesh`."""
-    doc = _json_document("series_from_json", text, SCHEMA_VERSION)
-    n = None if mesh is None else mesh.n_nodes
-    lambda0 = float(_json_array(doc, "lambda0", 0))
-    return PerturbationSeries(
-        mesh=mesh, lambda0=lambda0,
-        lambda_coeffs=_json_array(doc, "lambda", 1).tolist(),
-        shell_fields=list(_json_array(doc, "shell_fields", 2, n)),
-        core_fields=list(_json_array(doc, "core_fields", 2, n)),
-        constants=_json_array(doc, "e", 1).tolist(),
-        norm_const=float(_json_array(doc, "norm_const", 0)),
-        psi_d=CoreProfile(mesh, _json_array(doc, "psi_d", 1, n), lambda0))

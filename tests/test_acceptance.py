@@ -101,18 +101,19 @@ def test_criterion_4_dispersion(case9):
     lam0 = find_lambda0(base, (6.0, 14.0))
     t = calibrate_scale(lam0, lambda_star(SIC, VACUUM))
     scaled = scale_mesh(base, t)
-    series = expand_series(scaled, find_lambda0(scaled, (1.0, 2.0)), order=3)
+    lambdas = expand_series(scaled, find_lambda0(scaled, (1.0, 2.0)),
+                            order=3).all_lambdas()
 
     a1, a2, a3 = sensitivities(SIC, VACUUM)
     half_defect = abs(a2 - 0.5 * a1) / abs(a1)
 
-    trace = trace_resonance(series, SIC, VACUUM, gamma_max=1e-4, steps=4)
+    trace = trace_resonance(lambdas, SIC, VACUUM, gamma_max=1e-4, steps=4)
     wp = trace.omega_prime0
     imag_ok = abs(wp.real) <= 1e-10 * abs(wp.imag) and wp.imag < 0.0
     slope = (trace.omegas[1] - trace.omegas[0]) / trace.gammas[1]
     slope_rel = abs(slope - wp) / abs(wp)
 
-    trace2 = trace_resonance(series, SIC, VACUUM, gamma_max=0.006, steps=8)
+    trace2 = trace_resonance(lambdas, SIC, VACUUM, gamma_max=0.006, steps=8)
     g = trace2.gammas[1:]
     shift = np.abs(trace2.omegas[1:].real - trace2.omega_star)
     loglog = np.polyfit(np.log(g), np.log(shift), 1)[0]

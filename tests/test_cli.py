@@ -147,9 +147,36 @@ class TestLambda0:
 
 class TestExpand:
     def test_writes_series(self, series_file):
+        # the coefficients only: 326 KB on this mesh while it held fields
         payload = json.loads(series_file.read_text())
         assert payload["schema_version"] == 1
-        assert len(payload["lambda"]) == 3
+        assert len(payload["lambda"]) == len(payload["e"]) == 3
+        assert series_file.stat().st_size < 1024
+
+    def test_document_is_the_printed_object(self, mesh_file, tmp_path):
+        # -o writes the JSON object expand prints, byte for byte
+        out = tmp_path / "s.json"
+        res = run_cli("expand", "--mesh", str(mesh_file), "--lo", "6",
+                      "--hi", "14", "--order", "2", "-o", str(out))
+        assert res.returncode == 0, res.stderr
+        assert out.read_text() == res.stdout
+
+    @pytest.mark.parametrize("command", ["expand", "optimize"])
+    @pytest.mark.parametrize("lambda0", ["1e300", "1e308"])
+    def test_lambda0_past_pencil_bound_exit_2(self, tmp_path, command,
+                                              lambda0):
+        # no eigenvalue of the collapsed pencil lies past its Gershgorin
+        # bound, so no root does; these once failed the first factor's
+        # condition estimate (exit 1)
+        path = tmp_path / "disk.mesh"
+        assert run_main(["mesh", "--rd", "1", "--r0", "1.3", "--rb", "2",
+                         "--h", "0.15", "-o", str(path)])[0] == 0
+        code, err = run_main([command, "--mesh", str(path), "--lambda0",
+                              lambda0])
+        assert code == 2
+        assert re.search(r"exceeds \d+, a bound on the largest eigenvalue",
+                         err)
+        assert "internal error" not in err
 
     def test_oversized_order_exit_2(self, mesh_file):
         # orders past 13 are rounding noise on the disk
@@ -264,8 +291,7 @@ class TestResonate:
 
     @pytest.mark.parametrize("key, index, value", [
         ("e", 0, math.nan), ("norm_const", None, math.nan),
-        ("lambda", 2, math.nan), ("lambda0", None, math.inf),
-        ("psi_d", 0, -math.inf)])
+        ("lambda", 2, math.nan), ("lambda0", None, math.inf)])
     def test_non_finite_series_number_exit_2(self, series_file, tmp_path,
                                              key, index, value):
         # NaN in e or norm_const was accepted silently, a NaN lambda_3
@@ -284,6 +310,37 @@ class TestResonate:
         assert f"'{key}' must be finite" in err
         assert "internal error" not in err
         assert "RuntimeWarning" not in err
+
+    def test_document_with_fields_traces_the_same(self, series_file,
+                                                  tmp_path):
+        # a document that also holds the series' fields, as written before
+        # the document held only coefficients, gives the same trace
+        doc = json.loads(series_file.read_text())
+        old = {**doc, "psi_d": [1.0, 0.5], "shell_fields": [[0.0]] * 3,
+               "core_fields": [[0.0]] * 3}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(old))
+        csv = []
+        for series in (series_file, path):
+            out = tmp_path / f"{series.stem}.csv"
+            code, err = run_main([*resonate_argv(series), "-o", str(out)])
+            assert code == 0, err
+            csv.append(out.read_bytes())
+        assert csv[0] == csv[1]
+
+    def test_truncated_series_exit_2(self, series_file, tmp_path):
+        # 3 lambda and 1 e: the orders disagree, and the trace once ran on
+        # such a document and exited 0
+        doc = json.loads(series_file.read_text())
+        doc["e"] = doc["e"][:1]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_main([*resonate_argv(path), "-o",
+                              str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "'lambda' holds 3 coefficients but 'e' 1" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestOptimize:
@@ -333,7 +390,19 @@ WRITES = {
 
 
 @pytest.mark.parametrize("name", sorted(WRITES))
-def test_unwritable_output_exit_2(name, mesh_file, series_file, tmp_path):
+def test_unwritable_output_exit_2(name, mesh_file, series_file, tmp_path,
+                                  monkeypatch):
+    # refused before any work: the mesh build, the root find, the dual
+    # design and the trace each fail the test if they start
+    from enzres import design, perturbation
+
+    def no_work(*args, **kwargs):
+        pytest.fail("work started before the output path was checked")
+
+    monkeypatch.setattr(cli, "build_concentric_mesh", no_work)
+    monkeypatch.setattr(perturbation, "find_lambda0", no_work)
+    monkeypatch.setattr(design, "minimize_dual", no_work)
+    monkeypatch.setattr(disp, "trace_resonance", no_work)
     paths = {"MESH": str(mesh_file), "SERIES": str(series_file),
              "OUT": str(tmp_path / "missing" / "out")}
     code, err = run_main([paths.get(a, a) for a in WRITES[name]])
@@ -343,15 +412,31 @@ def test_unwritable_output_exit_2(name, mesh_file, series_file, tmp_path):
 
 
 def test_import_leaves_the_oracle_unloaded():
-    # only validate-disk needs the closed forms, so importing the CLI
-    # (timed in every benchmark setup) does not load scipy.special
+    # only the solver commands need scipy, and only validate-disk the
+    # closed forms, so importing the CLI (timed in every benchmark setup)
+    # loads neither
     code = ("import sys, enzres.cli; "
-            "print(sorted({'scipy.special', 'enzres.bessel_oracle'} "
-            "& set(sys.modules)))")
+            "print(sorted(m for m in sys.modules if m == "
+            "'enzres.bessel_oracle' or m.split('.')[0] == 'scipy'))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_resonate_loads_no_scipy(series_file, tmp_path):
+    # a trace needs only the stored coefficients
+    code = ("import contextlib, io, sys\n"
+            "from enzres import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(sys.argv[1:])\n"
+            "print(status, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    argv = [*resonate_argv(series_file), "-o", str(tmp_path / "t.csv")]
+    res = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0 []"
 
 
 class TestValidateDisk:
@@ -361,6 +446,10 @@ class TestValidateDisk:
         for line in res.stdout.splitlines():
             if line.startswith(("PASS", "FAIL")):
                 assert line.startswith("PASS")
+                # three significant digits; past them E_2 and the flux
+                # identity are rounding noise
+                value = line.rsplit(" ", 1)[1]
+                assert value == f"{float(value):#.3g}"
         # criterion 2 runs on the series' factors; the JSON follows the
         # PASS/FAIL lines
         doc = json.loads(res.stdout[res.stdout.index("{"):])

@@ -88,7 +88,7 @@ class TestOmegaPrime:
 
 
 @pytest.fixture(scope="module")
-def calibrated_series(case9):
+def calibrated_lambdas(case9):
     # Build the series directly on a geometry rescaled so that the
     # discrete lambda0 equals lambda* for the SiC parameters.
     from enzres.mesh import build_concentric_mesh
@@ -98,31 +98,31 @@ def calibrated_series(case9):
     scaled = scale_mesh(base, t)
     lam0_s = find_lambda0(scaled, (1.0, 2.0))
     assert lam0_s == pytest.approx(lambda_star(SIC, VACUUM_CORE), rel=1e-12)
-    return expand_series(scaled, lam0_s, order=3)
+    return expand_series(scaled, lam0_s, order=3).all_lambdas()
 
 
 class TestTrace:
-    def test_gamma_zero_row_is_exact(self, calibrated_series):
-        trace = trace_resonance(calibrated_series, SIC, VACUUM_CORE,
+    def test_gamma_zero_row_is_exact(self, calibrated_lambdas):
+        trace = trace_resonance(calibrated_lambdas, SIC, VACUUM_CORE,
                                 gamma_max=0.006, steps=6)
         assert trace.gammas[0] == 0.0
         assert trace.omegas[0] == enz_frequency(SIC)
         assert trace.deltas[0] == 0.0
 
-    def test_imaginary_parts_decay(self, calibrated_series):
-        trace = trace_resonance(calibrated_series, SIC, VACUUM_CORE,
+    def test_imaginary_parts_decay(self, calibrated_lambdas):
+        trace = trace_resonance(calibrated_lambdas, SIC, VACUUM_CORE,
                                 gamma_max=0.006, steps=6)
         assert (trace.omegas[1:].imag < 0.0).all()
 
-    def test_slope_matches_derivative(self, calibrated_series):
-        trace = trace_resonance(calibrated_series, SIC, VACUUM_CORE,
+    def test_slope_matches_derivative(self, calibrated_lambdas):
+        trace = trace_resonance(calibrated_lambdas, SIC, VACUUM_CORE,
                                 gamma_max=1e-4, steps=4)
         slope = (trace.omegas[1] - trace.omegas[0]) / trace.gammas[1]
         assert abs(slope - trace.omega_prime0) < 0.01 * abs(
             trace.omega_prime0)
 
-    def test_real_shift_scales_quadratically(self, calibrated_series):
-        trace = trace_resonance(calibrated_series, SIC, VACUUM_CORE,
+    def test_real_shift_scales_quadratically(self, calibrated_lambdas):
+        trace = trace_resonance(calibrated_lambdas, SIC, VACUUM_CORE,
                                 gamma_max=0.004, steps=8)
         g = trace.gammas[1:]
         shift = np.abs(trace.omegas[1:].real - trace.omega_star)
@@ -132,25 +132,30 @@ class TestTrace:
     def test_uncalibrated_series_rejected(self, series_fine):
         # lambda0 ~ 9 while lambda* ~ 1.49: the mismatch must be flagged.
         with pytest.raises(InputError, match="calibrat"):
-            trace_resonance(series_fine, SIC, VACUUM_CORE,
+            trace_resonance(series_fine.all_lambdas(), SIC, VACUUM_CORE,
+                            gamma_max=0.006, steps=3)
+
+    def test_order_one_rejected(self, calibrated_lambdas):
+        with pytest.raises(InputError, match="order must be >= 2"):
+            trace_resonance(calibrated_lambdas[:2], SIC, VACUUM_CORE,
                             gamma_max=0.006, steps=3)
 
     @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**13])
-    def test_oversized_steps_rejected(self, calibrated_series, steps):
+    def test_oversized_steps_rejected(self, calibrated_lambdas, steps):
         # refused before the gamma grid is allocated
         with pytest.raises(InputError, match=f"steps <= {MAX_STEPS}"):
-            trace_resonance(calibrated_series, SIC, VACUUM_CORE,
+            trace_resonance(calibrated_lambdas, SIC, VACUUM_CORE,
                             gamma_max=0.006, steps=steps)
 
     def test_gamma_max_capped_relative_to_omega_star(self,
-                                                      calibrated_series):
+                                                      calibrated_lambdas):
         cap = MAX_GAMMA_RATIO * enz_frequency(SIC)
         with pytest.raises(InputError, match="gamma_max <="):
-            trace_resonance(calibrated_series, SIC, VACUUM_CORE,
+            trace_resonance(calibrated_lambdas, SIC, VACUUM_CORE,
                             gamma_max=2.0 * cap, steps=1)
 
-    def test_csv_layout(self, calibrated_series):
-        trace = trace_resonance(calibrated_series, SIC, VACUUM_CORE,
+    def test_csv_layout(self, calibrated_lambdas):
+        trace = trace_resonance(calibrated_lambdas, SIC, VACUUM_CORE,
                                 gamma_max=0.006, steps=3)
         lines = trace_to_csv(trace).strip().split("\n")
         assert lines[0] == "gamma,re_omega,im_omega,re_delta,im_delta,newton_iters"

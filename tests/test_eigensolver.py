@@ -12,8 +12,8 @@ from enzres.eigensolver import (RESIDUAL_TOL, assemble_operator,
                                 resonance_near)
 from enzres.errors import InputError, NumericalError
 from enzres.mesh import load_mesh, save_mesh
-from enzres.perturbation import (eval_lambda, expand_series, find_lambda0,
-                                 series_from_json, series_to_json)
+from enzres.perturbation import (compute_psi_d, eval_lambda, expand_series,
+                                 find_lambda0)
 
 from conftest import record_splu, ritz_values_near
 
@@ -125,12 +125,12 @@ class TestPreconditionedIteration:
 
     def test_factors_only_real_matrices(self, mesh_coarse, lambda0_coarse,
                                         monkeypatch):
-        # a series read back from JSON holds no factors, so the call makes
+        # a psi_d from compute_psi_d holds no factors, so the call makes
         # the core and shell factors itself, both real, at the shift the
         # series used: the pair is bit-identical to the shared one
         series = expand_series(mesh_coarse, lambda0_coarse, order=4)
         shared = resonance_at(series, DELTA)
-        rebuilt = series_from_json(series_to_json(series), mesh_coarse)
+        bare = compute_psi_d(mesh_coarse, lambda0_coarse)
         dtypes = []
         real_splu = spla.splu
 
@@ -139,7 +139,8 @@ class TestPreconditionedIteration:
             return real_splu(A, *args, **kwargs)
 
         monkeypatch.setattr(spla, "splu", recording)
-        pair = resonance_at(rebuilt, DELTA)
+        pair = resonance_near(mesh_coarse, DELTA, eval_lambda(series, DELTA),
+                              bare)
         assert len(dtypes) == 2
         assert not any(np.issubdtype(t, np.complexfloating) for t in dtypes)
         assert (shared.factorizations, pair.factorizations) == (0, 2)
@@ -230,12 +231,12 @@ def test_factorizations_order_by_minimum_degree(mesh_coarse,
                                                 lambda0_coarse, monkeypatch):
     # The core and shell factors of resonance_near, the Ritz shift-invert
     # and the collapsed-shell pencil of find_lambda0 all have a symmetric
-    # pattern, so each is ordered on A + A^T.  psi_d is read back from
-    # JSON, so that resonance_near makes its own factors.
+    # pattern, so each is ordered on A + A^T.  psi_d comes from
+    # compute_psi_d, so that resonance_near makes its own factors.
     m = mesh_coarse
     s = expand_series(m, lambda0_coarse, order=1)
     lam = eval_lambda(s, DELTA)
-    psi_d = series_from_json(series_to_json(s), m).psi_d
+    psi_d = compute_psi_d(m, lambda0_coarse)
     calls = record_splu(monkeypatch)
     for run in (lambda: resonance_near(m, DELTA, lam, psi_d),
                 lambda: ritz_values_near(m, DELTA, lam),

@@ -1,6 +1,8 @@
 """Base eigenvalue recovery, the expansion recursion and its discrete
 invariants, evaluation, and JSON round trip."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -10,14 +12,14 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
 from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
-from enzres import perturbation
+from enzres import cli, perturbation
 from enzres.design import DesignProblem, make_disk_problem
+from enzres.dispersion import read_series
 from enzres.errors import InputError, NumericalError
 from enzres.fem import region_operator
-from enzres.mesh import CORE, SHELL, build_concentric_mesh
+from enzres.mesh import CORE, SHELL, build_concentric_mesh, save_mesh
 from enzres.perturbation import (CoreProfile, compute_psi_d, eval_field,
-                                 eval_lambda, expand_series, find_lambda0,
-                                 series_from_json, series_to_json)
+                                 eval_lambda, expand_series, find_lambda0)
 
 from conftest import HS, consistency_residual, record_solves, record_splu
 
@@ -316,58 +318,66 @@ class TestEvaluation:
         assert isinstance(pd, CoreProfile) and pd.lambda0 == lambda0_coarse
 
 
+@pytest.fixture(scope="module")
+def series_document(series_fine, tmp_path_factory):
+    """The document `enzres expand -o` writes for series_fine's mesh,
+    lambda0 and order."""
+    d = tmp_path_factory.mktemp("series")
+    (d / "disk.mesh").write_text(save_mesh(series_fine.mesh))
+    argv = ["expand", "--mesh", str(d / "disk.mesh"), "--lambda0",
+            repr(series_fine.lambda0), "--order", str(series_fine.order),
+            "-o", str(d / "s.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    return (d / "s.json").read_text()
+
+
 class TestSerialization:
-    def test_round_trip(self, series_fine):
+    def test_round_trip(self, series_fine, series_document):
+        # the document is the coefficients alone, and they read back exactly
         s = series_fine
-        text = series_to_json(s)
-        s2 = series_from_json(text, mesh=s.mesh)
-        assert s2.lambda0 == s.lambda0
-        assert s2.lambda_coeffs == s.lambda_coeffs
-        assert s2.constants == s.constants
-        assert s2.norm_const == s.norm_const
-        for a, b in zip(s2.shell_fields, s.shell_fields):
-            assert np.array_equal(a, b)
-        # psi_d keeps the lambda0 it was solved at; factors are not stored
-        assert isinstance(s2.psi_d, CoreProfile)
-        assert s2.psi_d.lambda0 == s.psi_d.lambda0 == s.lambda0
-        assert s2.psi_d.core_factor is None
-        assert s2.psi_d.shell_factor is None
-        assert "factor" not in repr(s)
+        assert read_series(series_document) == s.all_lambdas().tolist()
+        payload = json.loads(series_document)
+        assert payload["e"] == s.constants
+        assert payload["norm_const"] == s.norm_const
+        assert payload["order"] == s.order
+        assert not {"psi_d", "shell_fields", "core_fields"} & set(payload)
+        assert len(series_document) < 1024
 
-    def test_round_trip_without_mesh(self, series_fine):
-        # a series read without a mesh holds a psi_d with no mesh; it
-        # writes back the same text, and field evaluation asks for a mesh
-        text = series_to_json(series_fine)
-        s2 = series_from_json(text)
-        assert isinstance(s2.psi_d, CoreProfile) and s2.psi_d.mesh is None
-        assert s2.psi_d.lambda0 == series_fine.lambda0
-        assert series_to_json(s2) == text
-        with pytest.raises(InputError, match="mesh"):
-            eval_field(s2, 0.01)
+    def test_schema_version_present(self, series_document):
+        assert json.loads(series_document)["schema_version"] == 1
 
-    def test_schema_version_present(self, series_fine):
-        payload = json.loads(series_to_json(series_fine))
-        assert payload["schema_version"] == 1
-
-    def test_rejects_bad_schema(self, series_fine):
-        payload = json.loads(series_to_json(series_fine))
+    def test_rejects_bad_schema(self, series_document):
+        payload = json.loads(series_document)
         payload["schema_version"] = 99
         with pytest.raises(InputError):
-            series_from_json(json.dumps(payload))
+            read_series(json.dumps(payload))
 
 
-#: a well-formed series document on a two-node "mesh", read without one
+#: a well-formed series document of order 2, as written before the series
+#: document held only coefficients: its fields are ignored
 SMALL_SERIES = {"schema_version": 1, "lambda0": 9.0, "lambda": [-1.0, 0.5],
                 "e": [0.1, 0.2], "norm_const": 3.0, "psi_d": [1.0, 2.0],
                 "shell_fields": [[0.0, 1.0], [2.0, 3.0]],
                 "core_fields": [[4.0, 5.0], [6.0, 7.0]]}
+#: the keys `read_series` requires
+SERIES_KEYS = ("lambda0", "lambda", "e", "norm_const")
 
 
 class TestSeriesFromJsonRefusals:
+    """`dispersion.read_series` on series documents."""
+
     def test_small_document_reads(self):
-        s = series_from_json(json.dumps(SMALL_SERIES))
-        assert s.lambda_coeffs == [-1.0, 0.5] and s.norm_const == 3.0
-        assert np.array_equal(s.core_fields[1], [6.0, 7.0])
+        assert read_series(json.dumps(SMALL_SERIES)) == [9.0, -1.0, 0.5]
+
+    def test_other_keys_are_ignored(self):
+        # a document of any age reads the same, with its fields malformed,
+        # non-finite or gone
+        junk = {"psi_d": "x", "shell_fields": [[math.nan]], "core_fields": 1}
+        for doc in ({**SMALL_SERIES, **junk},
+                    {k: SMALL_SERIES[k] for k in ("schema_version",
+                                                  *SERIES_KEYS)}):
+            assert read_series(json.dumps(doc)) == [9.0, -1.0, 0.5]
 
     @pytest.mark.parametrize("text, message", [
         ("enzmesh v1\nnodes 3\n", "not a JSON document"),
@@ -376,45 +386,42 @@ class TestSeriesFromJsonRefusals:
         ('{"schema_version": 2}', "unsupported schema_version 2"),
     ])
     def test_refuses_documents_that_are_not_series(self, text, message):
-        with pytest.raises(InputError, match=f"^series_from_json: {message}"):
-            series_from_json(text)
+        with pytest.raises(InputError, match=f"^read_series: {message}"):
+            read_series(text)
 
-    @pytest.mark.parametrize("key", sorted(set(SMALL_SERIES)
-                                           - {"schema_version"}))
+    @pytest.mark.parametrize("key", sorted(SERIES_KEYS))
     def test_missing_key_is_named(self, key):
         doc = {k: v for k, v in SMALL_SERIES.items() if k != key}
         with pytest.raises(InputError, match=f"missing key '{key}'"):
-            series_from_json(json.dumps(doc))
+            read_series(json.dumps(doc))
 
     @pytest.mark.parametrize("key, value", [
         ("lambda0", None), ("lambda0", "9"), ("lambda0", [9.0]),
         ("norm_const", {"a": 1}), ("lambda", [-1.0, "x"]), ("e", 0.1),
-        ("psi_d", [[1.0, 2.0]]), ("psi_d", [True, False]),
-        ("shell_fields", [[0.0, 1.0], [2.0]]), ("core_fields", [4.0, 5.0]),
+        ("lambda", [[-1.0], [0.5]]), ("e", [True, False]),
+        ("lambda0", 10 ** 400),
     ])
     def test_wrong_type_is_named(self, key, value):
         doc = {**SMALL_SERIES, key: value}
         with pytest.raises(InputError, match=f"'{key}' must be"):
-            series_from_json(json.dumps(doc))
+            read_series(json.dumps(doc))
 
     @pytest.mark.parametrize("key, value", [
         ("lambda0", math.inf), ("lambda0", math.nan), ("norm_const", math.nan),
         ("lambda", [-1.0, math.nan]), ("e", [0.1, -math.inf]),
-        ("psi_d", [1.0, math.nan]),
-        ("shell_fields", [[0.0, 1.0], [2.0, math.inf]]),
-        ("core_fields", [[math.nan, 5.0], [6.0, 7.0]]),
     ])
     def test_non_finite_number_is_named(self, key, value):
         # json reads NaN and Infinity; each once passed silently or failed
         # downstream under another name
         doc = {**SMALL_SERIES, key: value}
         with pytest.raises(InputError, match=f"'{key}' must be finite"):
-            series_from_json(json.dumps(doc))
+            read_series(json.dumps(doc))
 
-    @pytest.mark.parametrize("key", ["psi_d", "shell_fields", "core_fields"])
-    def test_field_length_checked_against_mesh(self, series_fine, key):
-        doc = json.loads(series_to_json(series_fine))
-        doc[key] = (doc[key][:-1] if key == "psi_d"
-                    else [f[:-1] for f in doc[key]])
-        with pytest.raises(InputError, match=f"'{key}' has .* one per mesh"):
-            series_from_json(json.dumps(doc), mesh=series_fine.mesh)
+    @pytest.mark.parametrize("n_lambda, n_e", [(2, 1), (1, 2), (0, 2)])
+    def test_orders_must_agree(self, n_lambda, n_e):
+        # a hand-truncated document once traced its resonance and exited 0
+        doc = {**SMALL_SERIES, "lambda": SMALL_SERIES["lambda"][:n_lambda],
+               "e": SMALL_SERIES["e"][:n_e]}
+        with pytest.raises(InputError, match=f"'lambda' holds {n_lambda} "
+                                             f"coefficients but 'e' {n_e}"):
+            read_series(json.dumps(doc))
