@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -344,6 +345,14 @@ class TestSerialization:
         assert not {"psi_d", "shell_fields", "core_fields"} & set(payload)
         assert len(series_document) < 1024
 
+    def test_round_trip_without_mesh(self, series_fine, series_document):
+        # the document reads with no mesh, and its coefficients evaluate
+        # lambda(delta) exactly as the series in memory does
+        lambda0, *coeffs = read_series(series_document)
+        read = SimpleNamespace(lambda0=lambda0, lambda_coeffs=coeffs)
+        for delta in (0.01, -0.02, 0.01 * np.exp(1j * math.pi / 4)):
+            assert eval_lambda(read, delta) == eval_lambda(series_fine, delta)
+
     def test_schema_version_present(self, series_document):
         assert json.loads(series_document)["schema_version"] == 1
 
@@ -425,3 +434,16 @@ class TestSeriesFromJsonRefusals:
         with pytest.raises(InputError, match=f"'lambda' holds {n_lambda} "
                                              f"coefficients but 'e' {n_e}"):
             read_series(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["psi_d", "shell_fields", "core_fields"])
+    def test_field_length_checked_against_mesh(self, series_fine,
+                                               series_document, key):
+        # a field once read back had to be checked against the mesh it was
+        # read with; fields now never leave the series, which holds them
+        # one value per node of its own mesh, and the document none of them
+        fields = getattr(series_fine, key)
+        fields = [fields.values] if key == "psi_d" else fields
+        assert len(fields) == (1 if key == "psi_d" else series_fine.order)
+        for f in fields:
+            assert f.shape == (series_fine.mesh.n_nodes,)
+        assert key not in json.loads(series_document)
