@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from enzres.dispersion import _json_document
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (MeanZeroFactor, ScatterPattern, _gradient_blocks,
                         _scatter_vector, element_geometry, factor_spd,
@@ -34,7 +33,7 @@ __all__ = ["DesignProblem", "DesignState", "DualSolution", "StageRecord",
            "energy_density", "dual_objective", "bathtub_projection",
            "minimize_dual", "recover_design", "saddle_solve",
            "evaluate_design", "lambda1_of_design", "design_to_json",
-           "design_from_json", "design_to_csv"]
+           "design_to_csv"]
 
 
 @dataclass
@@ -87,9 +86,11 @@ class DesignProblem:
             raise InputError("DesignProblem: mesh has no design region "
                              "(tags 1 or 2)")
         self.elements = self.mesh.region_triangles(tags)
-        self.nodes, conn = np.unique(self.mesh.triangles[self.elements],
-                                     return_inverse=True)
-        self.conn = conn.reshape(-1, 3)
+        tris = self.mesh.triangles[self.elements]
+        self.nodes = np.flatnonzero(np.bincount(tris.ravel()))
+        label = np.empty(self.mesh.n_nodes, dtype=np.intp)
+        label[self.nodes] = np.arange(self.nodes.size)
+        self.conn = label[tris]
         self.areas, self.gx, self.gy = element_geometry(self.mesh,
                                                         self.elements)
         self.blocks = _gradient_blocks(self.gx, self.gy)
@@ -644,10 +645,6 @@ def design_to_json(state: DesignState, prob: DesignProblem) -> str:
     if prob.norm_const is not None:
         doc["lambda1"] = lambda1_of_design(state, prob)
     return json.dumps(doc)
-
-
-def design_from_json(text: str) -> dict:
-    return _json_document("design_from_json", text, SCHEMA_VERSION)
 
 
 def design_to_csv(state: DesignState, prob: DesignProblem) -> str:

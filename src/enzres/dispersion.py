@@ -279,14 +279,23 @@ def trace_resonance(lambdas, p: LorentzParams, d: CoreDielectric,
             "and rebuild, or fix units)")
     coeffs = lambdas * scale
 
-    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
+    # lambda and dlambda/ddelta by one Horner recurrence on two lanes: row
+    # k holds the coefficients of delta**(N - k), with a leading zero in
+    # the derivative's lane.  Each lane takes the steps np.polyval takes,
+    # in NumPy's array arithmetic, so both match it bit for bit
+    order = len(coeffs) - 1
+    horner = np.zeros((order + 1, 2), dtype=complex)
+    horner[:, 0] = coeffs[::-1]
+    horner[1:, 1] = (coeffs[1:] * np.arange(1, order + 1))[::-1]
+    horner_rows = list(horner)
     eps_d = d.eps_d
 
-    def lam_of(delta):
-        return np.polyval(coeffs[::-1], delta)
-
-    def dlam_of(delta):
-        return np.polyval(dcoeffs[::-1], delta)
+    def lam_and_slope(delta):
+        acc = np.zeros(2, dtype=complex)
+        for row in horner_rows:
+            acc *= delta
+            acc += row
+        return acc[0], acc[1]
 
     a1, a2, a3 = sensitivities(p, d)
     wprime0 = omega_prime0(a1, a2, a3, eps_d, float(coeffs[1]))
@@ -300,15 +309,18 @@ def trace_resonance(lambdas, p: LorentzParams, d: CoreDielectric,
     omega = complex(ws)
     for j, gamma in enumerate(gammas):
         if gamma == 0.0:
-            omega = complex(ws)  # delta = 0, lambda = lambda* exactly
+            # delta = 0, lambda = lambda* exactly
+            omega, delta, lam = complex(ws), 0.0, coeffs[0]
         else:
-            # warm start from the previous gamma
+            # warm start from the previous gamma; the row keeps delta and
+            # lambda of the evaluation that converged
             for it in range(1, MAX_NEWTON + 1):
                 delta = eps_enz(p, omega, gamma) / eps_d
-                g_val = lam_of(delta) - omega * omega * eps_d
+                lam, slope = lam_and_slope(delta)
+                g_val = lam - omega * omega * eps_d
                 if abs(g_val) <= NEWTON_TOL * max(1.0, abs(coeffs[0])):
                     break
-                g_der = (dlam_of(delta) * _d_eps_enz_domega(p, omega, gamma)
+                g_der = (slope * _d_eps_enz_domega(p, omega, gamma)
                          / eps_d - 2.0 * omega * eps_d)
                 step = g_val / g_der
                 omega = omega - step
@@ -321,8 +333,7 @@ def trace_resonance(lambdas, p: LorentzParams, d: CoreDielectric,
                     f"trace_resonance: Newton did not converge at gamma = "
                     f"{gamma} (last |G| = {abs(g_val):.3e})")
             iters[j] = it
-        delta = (eps_enz(p, omega, gamma) / eps_d) if gamma > 0 else 0.0
-        omegas[j], deltas[j], lams[j] = omega, delta, lam_of(delta)
+        omegas[j], deltas[j], lams[j] = omega, delta, lam
 
     return ResonanceTrace(gammas=gammas, omegas=omegas, deltas=deltas,
                           lambdas=lams, newton_iters=iters,

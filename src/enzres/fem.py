@@ -24,16 +24,18 @@ Conventions used throughout the package:
   its own ``solve``: ``DirichletFactor(op, lam)``, one sparse LU of
   K_ii - lam*M_ii over the nodes off the core interface at a real shift
   (one condition check), whose ``solve(b, g)`` takes a load vector b and
-  interface data g; and ``op.neumann()``, the ``MeanZeroFactor`` of the
+  interface data g and moves g to the right-hand side through the
+  operator's interface columns (``K_ib``, ``M_ib``), never through
+  all-node products; and ``op.neumann()``, the ``MeanZeroFactor`` of the
   region's stiffness block, whose ``solve(b)`` takes a load vector on the
   region's nodes.  Any number of right-hand sides, real or complex, reuse
-  either, each with its own residual check; a complex one is solved as
-  its real and imaginary parts.  The series recursion and the
-  eigensolver's Dirichlet-Neumann preconditioner are built from these two
-  factors.  The operator keeps no factor: each call makes a new one,
-  which lives as long as its caller holds it.  The series hands its two
-  to the psi_d it returns, so the finite-delta check on that psi_d makes
-  none.
+  either, each with its own residual check; a complex one is solved, and
+  its residual formed, as its real and imaginary parts.  The series
+  recursion and the eigensolver's Dirichlet-Neumann preconditioner are
+  built from these two factors.  The operator keeps no factor: each call
+  makes a new one, which lives as long as its caller holds it.  The
+  series hands its two to the psi_d it returns, so the finite-delta check
+  on that psi_d makes none.
 * Every factorization the solvers make orders its matrix by minimum
   degree on A + A^T, which suits the symmetric pattern all of their
   matrices share and about halves the fill of SuperLU's default column
@@ -43,7 +45,8 @@ Conventions used throughout the package:
   (partial pivoting) for the indefinite ones -- K_ii - lam*M_ii and the
   collapsed-shell pencil of ``find_lambda0``.
 * Normal fluxes across the core interface are extracted variationally
-  (``weak_normal_flux``), never by pointwise differentiation; the resulting
+  (``weak_normal_flux``, from the interface rows ``K_b`` and ``M_b`` of the
+  core operator), never by pointwise differentiation; the resulting
   weights are oriented along the *outward normal of the core region* and
   satisfy the mass identity f.sum() = -int(lambda*u + source) as an
   algebraic identity of the discrete system.
@@ -81,8 +84,8 @@ def element_geometry(mesh: Mesh, tris: np.ndarray):
     Returns (area, gx, gy) where gx[e, i], gy[e, i] are the constant
     gradients of the three hat functions on element e.
     """
-    p = mesh.nodes[mesh.triangles[tris]]
-    x, y = p[..., 0], p[..., 1]
+    conn = mesh.triangles[tris]
+    x, y = mesh.nodes[:, 0][conn], mesh.nodes[:, 1][conn]
     area = mesh.areas()[tris]
     inv2a = 1.0 / (2.0 * area)
     gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]],
@@ -179,6 +182,15 @@ def factor_symmetric(A):
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
 
 
+def _residual_norm(A, x: np.ndarray, b: np.ndarray) -> float:
+    """norm(A @ x - b) for a real sparse A; complex x or b is taken as its
+    real and imaginary parts, so A is never copied to complex."""
+    if np.iscomplexobj(x) or np.iscomplexobj(b):
+        return math.hypot(_residual_norm(A, x.real, b.real),
+                          _residual_norm(A, x.imag, b.imag))
+    return float(np.linalg.norm(A @ x - b))
+
+
 def _solve_real(lu, b: np.ndarray) -> np.ndarray:
     """Solve with `lu`, the factor of a real matrix, for one real or complex
     right-hand side b.  SuperLU solves a real factor for real data only, so
@@ -246,7 +258,7 @@ class MeanZeroFactor:
         u = np.zeros(m.size, dtype=r.dtype)
         u[keep] = _solve_real(self.lu, r[keep])
         u -= (m @ u) / m.sum()
-        res = np.hypot(np.linalg.norm(K @ u + mu * m - b), abs(m @ u))
+        res = math.hypot(_residual_norm(K, u, r), abs(m @ u))
         nb = np.linalg.norm(b)
         if nb > 0 and not res <= 1e-10 * nb:
             raise NumericalError(
@@ -291,11 +303,13 @@ class RegionOperator:
     share, its mass vector `m` (M's row sums), its
     sorted `nodes`, the area of every mesh region and, for Dirichlet data
     on the core interface, the interface nodes `boundary`, the region's
-    other nodes `interior` and (built on first use) the interior blocks
-    `K_ii` and `M_ii` that a `DirichletFactor` shifts; the collapsed-shell
-    pencil of `find_lambda0` is built from `K`, `M`, `interior` and
-    `boundary`.  None of this depends on a shift, so
-    one operator per mesh and region is kept on `Mesh._cache` (see
+    other nodes `interior` and, built on first use, the interior blocks
+    `K_ii` and `M_ii` that a `DirichletFactor` shifts, their interface
+    columns `K_ib` and `M_ib` that its `solve` applies to the interface
+    data, and the interface rows `K_b` and `M_b` of the weak flux; the
+    collapsed-shell pencil of `find_lambda0` is built from `K`, `M`,
+    `interior` and `boundary`.  None of this depends on a shift, so one
+    operator per mesh and region is kept on `Mesh._cache` (see
     `region_operator`).  The operator keeps no reference to the mesh: a
     mesh -> cache -> operator -> mesh cycle would keep every dropped mesh
     alive until the cyclic garbage collector runs.
@@ -320,7 +334,7 @@ class RegionOperator:
         self.K = pattern.fill(_gradient_blocks(gx, gy) * area[:, None, None])
         self.M = pattern.fill(_MASS_REF * area[:, None, None])
         self.m = _scatter_vector(conn, (area / 3.0)[:, None], n)
-        self.nodes = np.unique(conn)
+        self.nodes = np.flatnonzero(np.bincount(conn.ravel(), minlength=n))
         self.boundary = mesh.boundary_nodes(INTERFACE)
         self.interior = np.setdiff1d(self.nodes, self.boundary,
                                      assume_unique=True)
@@ -333,6 +347,22 @@ class RegionOperator:
     @cached_property
     def M_ii(self):
         return self.M[self.interior][:, self.interior].tocsc()
+
+    @cached_property
+    def K_ib(self):
+        return self.K[:, self.boundary][self.interior]
+
+    @cached_property
+    def M_ib(self):
+        return self.M[:, self.boundary][self.interior]
+
+    @cached_property
+    def K_b(self):
+        return self.K[self.boundary]
+
+    @cached_property
+    def M_b(self):
+        return self.M[self.boundary]
 
     def neumann(self) -> MeanZeroFactor:
         """The `MeanZeroFactor` of the region's stiffness block on its
@@ -391,10 +421,12 @@ class DirichletFactor:
             raise InputError("DirichletFactor.solve: dimension mismatch")
         u = np.zeros(op.n_nodes, dtype=np.result_type(b, g))
         u[op.boundary] = g[op.boundary]
-        rhs = b - (op.K @ u - self.lam * (op.M @ u))
-        b_i = rhs[op.interior]
+        # the interior rows of K @ u - lam*(M @ u), u being zero off the
+        # interface: the interface columns give the same sums, term by term
+        g_b = u[op.boundary]
+        b_i = b[op.interior] - (op.K_ib @ g_b - self.lam * (op.M_ib @ g_b))
         u_i = _solve_real(self.lu, b_i)
-        res = np.linalg.norm(self.A_ii @ u_i - b_i)
+        res = _residual_norm(self.A_ii, u_i, b_i)
         scale = np.linalg.norm(b_i)
         if scale > 0 and not res <= 1e-10 * scale:
             raise NumericalError(
@@ -417,7 +449,7 @@ def weak_normal_flux(mesh: Mesh, u: np.ndarray, lam,
     """
     op = region_operator(mesh, CORE)
     svals = 0.0 if source is None else source
-    residual = op.K @ u - op.M @ (lam * u + svals)
-    weights = np.zeros_like(residual)
-    weights[op.boundary] = residual[op.boundary]
+    residual = op.K_b @ u - op.M_b @ (lam * u + svals)
+    weights = np.zeros(op.n_nodes, dtype=residual.dtype)
+    weights[op.boundary] = residual
     return weights

@@ -68,17 +68,21 @@ class Mesh:
     def areas(self) -> np.ndarray:
         """Signed triangle areas (positive for valid meshes)."""
         if "areas" not in self._cache:
-            p = self.nodes[self.triangles]
-            d1 = p[:, 1] - p[:, 0]
-            d2 = p[:, 2] - p[:, 0]
-            self._cache["areas"] = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+            (x0, x1, x2), (y0, y1, y2) = _corner_coordinates(self)
+            d1x, d1y = x1 - x0, y1 - y0
+            d2x, d2y = x2 - x0, y2 - y0
+            self._cache["areas"] = 0.5 * (d1x * d2y - d1y * d2x)
         return self._cache["areas"]
 
     def area_by_region(self) -> dict:
-        """Total area of each region tag present, {tag: area}."""
-        areas = self.areas()
-        return {int(t): float(areas[self.regions == t].sum())
+        """Total area of each region tag present, {tag: area}; computed
+        once per mesh, like `areas`."""
+        if "area_by_region" not in self._cache:
+            areas = self.areas()
+            self._cache["area_by_region"] = {
+                int(t): float(areas[self.regions == t].sum())
                 for t in np.unique(self.regions)}
+        return dict(self._cache["area_by_region"])
 
     def region_triangles(self, tags) -> np.ndarray:
         """Indices of triangles whose region tag is in `tags`."""
@@ -99,6 +103,14 @@ def _as_tagset(tags) -> set:
     if isinstance(tags, (int, np.integer)):
         return {int(tags)}
     return {int(t) for t in tags}
+
+
+def _corner_coordinates(mesh: Mesh):
+    """(x0, x1, x2), (y0, y1, y2): the coordinates of every triangle's three
+    corners, each a 1-D gather of one coordinate column."""
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    corners = mesh.triangles.T
+    return tuple(x[c] for c in corners), tuple(y[c] for c in corners)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +238,13 @@ def _validate(mesh: Mesh, lines=None) -> None:
     """Check all Mesh invariants, the one place any is checked; raise
     InputError on the first violation.  `lines` ({"node": seq, "triangle":
     seq, "boundary edge": seq}, from `load_mesh`) gives each entity's file
-    line, which errors then name in place of its index."""
+    line, which errors then name in place of its index.
+
+    Every boundary edge must be a mesh edge listed once, in either
+    orientation.  Beyond one stable sort of the half-edge keys (the edge
+    table, `_edge_table`), the checks are linear passes: run starts for the
+    unique edges, one connected-components call for both regions, and a
+    bincount for the core's vertices."""
     n = mesh.n_nodes
 
     def where(kind, i):
@@ -267,16 +285,7 @@ def _validate(mesh: Mesh, lines=None) -> None:
                          f"({where('triangle', bad[0])}); coordinates too "
                          "large")
 
-    # unique-edge table: key = min*n + max, adjacency via sorted half-edges
-    m = mesh.n_triangles
-    half = mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-    half_sorted = np.sort(half, axis=1)
-    keys = half_sorted[:, 0].astype(np.int64) * n + half_sorted[:, 1]
-    tri_of_half = np.repeat(np.arange(m), 3)
-    order = np.argsort(keys, kind="stable")
-    keys_s, tris_s = keys[order], tri_of_half[order]
-    uniq_keys, start, counts = np.unique(keys_s, return_index=True,
-                                         return_counts=True)
+    uniq_keys, start, counts, tris_s = _edge_table(mesh.triangles, n)
     if np.any(counts > 2):
         bad = uniq_keys[np.argmax(counts > 2)]
         raise InputError(f"mesh: edge ({bad // n}, {bad % n}) shared by "
@@ -285,11 +294,12 @@ def _validate(mesh: Mesh, lines=None) -> None:
     tri_b = np.where(counts == 2, tris_s[np.minimum(start + 1, len(tris_s) - 1)],
                      -1)
 
-    # tagged boundary edges must be mesh edges; map tags onto unique edges
+    # tagged boundary edges must be mesh edges, each listed once; map tags
+    # onto unique edges
     edge_tag = np.full(uniq_keys.shape, -1, dtype=np.int64)
     if mesh.boundary_edges.size:
-        be = np.sort(mesh.boundary_edges, axis=1)
-        bkeys = be[:, 0].astype(np.int64) * n + be[:, 1]
+        a, b = mesh.boundary_edges.T
+        bkeys = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
         loc = np.searchsorted(uniq_keys, bkeys)
         ok = (loc < len(uniq_keys))
         ok[ok] = uniq_keys[loc[ok]] == bkeys[ok]
@@ -297,6 +307,16 @@ def _validate(mesh: Mesh, lines=None) -> None:
             a, b = mesh.boundary_edges[np.argmin(ok)]
             raise InputError(f"mesh: boundary edge ({a}, {b}) is not a mesh "
                              "edge")
+        _, first = np.unique(loc, return_index=True)
+        if first.size < loc.size:
+            again = np.ones(loc.size, dtype=bool)
+            again[first] = False
+            j = int(np.argmax(again))
+            i = int(np.argmax(loc == loc[j]))
+            a, b = mesh.boundary_edges[j]
+            raise InputError(f"mesh: boundary edge ({a}, {b}) is listed "
+                             f"twice ({where('boundary edge', i)} and "
+                             f"{where('boundary edge', j)})")
         edge_tag[loc] = mesh.edge_tags
 
     reg_a = mesh.regions[tri_a]
@@ -317,31 +337,52 @@ def _validate(mesh: Mesh, lines=None) -> None:
         raise InputError(f"mesh: tag-{OUTER} edge ({k // n}, {k % n}) is not "
                          "on the outer boundary")
 
-    _check_connectivity(mesh, tri_a, tri_b, counts)
+    _check_connectivity(mesh, tri_a, tri_b, reg_a, reg_b)
 
 
-def _check_connectivity(mesh: Mesh, tri_a, tri_b, counts) -> None:
+def _edge_table(triangles: np.ndarray, n: int):
+    """The unique undirected edges of `triangles` (nodes < n), from one
+    stable sort of the half-edge keys min*n + max.
+
+    Returns (keys, start, counts, tris): the unique keys in increasing
+    order; where each key's run begins among the sorted half-edges, and its
+    length -- what np.unique(sorted keys, return_index=True,
+    return_counts=True) gives; and the triangle of every sorted half-edge.
+    """
+    a = triangles.ravel()
+    b = triangles[:, [1, 2, 0]].ravel()  # half-edge 3e+k runs corner k -> k+1
+    keys = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+    order = np.argsort(keys, kind="stable")
+    keys_s = keys[order]
+    start = np.flatnonzero(np.diff(keys_s, prepend=-1))
+    counts = np.diff(start, append=keys_s.size)
+    return keys_s[start], start, counts, order // 3
+
+
+def _check_connectivity(mesh: Mesh, tri_a, tri_b, reg_a, reg_b) -> None:
+    """Regions 0 and 1 each connected across shared edges, and region 0
+    simply connected (Euler's formula V - E + T = 1), from one graph of the
+    triangles that share an edge with a triangle of their own tag."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    # connectedness of region 0 (plus simple-connectedness via Euler) and 1
     m = mesh.n_triangles
+    pair = reg_a == reg_b  # reg_b is -1 on a boundary edge
+    graph = coo_matrix((np.ones(int(pair.sum())), (tri_a[pair], tri_b[pair])),
+                       shape=(m, m))
+    _, labels = connected_components(graph, directed=False)
     for tag, simply in ((CORE, True), (SHELL, False)):
         in_region = mesh.regions == tag
         n_tris = int(in_region.sum())
         if n_tris == 0:
             raise InputError(f"mesh: region {tag} is empty")
-        pair = (counts == 2) & in_region[tri_a] & in_region[np.maximum(tri_b, 0)]
-        graph = coo_matrix((np.ones(int(pair.sum())),
-                            (tri_a[pair], tri_b[pair])), shape=(m, m))
-        n_comp, labels = connected_components(graph, directed=False)
-        if len(np.unique(labels[in_region])) != 1:
+        region_labels = labels[in_region]
+        if np.any(region_labels != region_labels[0]):
             raise InputError(f"mesh: region {tag} triangles are not connected")
         if simply:
-            touch_a = in_region[tri_a]
-            touch_b = (tri_b >= 0) & in_region[np.maximum(tri_b, 0)]
-            n_edges = int((touch_a | touch_b).sum())
-            n_verts = len(np.unique(mesh.triangles[in_region]))
+            n_edges = int(((reg_a == tag) | (reg_b == tag)).sum())
+            n_verts = np.count_nonzero(
+                np.bincount(mesh.triangles[in_region].ravel()))
             if n_verts - n_edges + n_tris != 1:
                 raise InputError("mesh: region 0 is not simply connected")
 
@@ -382,7 +423,9 @@ def load_mesh(text) -> Mesh:
     lines are ignored; sections must appear in order.  Each section's rows
     are converted by one `np.loadtxt` call, and only if it fails are they
     walked, each row through the same call, to name the bad line; every
-    mesh rule is then checked once, by `_validate`.
+    mesh rule is then checked once, by `_validate`.  Each boundary edge
+    may be listed once, in either orientation; an edge listed twice is
+    refused, naming both lines.
     Errors name the offending 1-based line number.  The returned mesh
     satisfies all Mesh invariants.
     """
@@ -474,10 +517,10 @@ def load_mesh(text) -> Mesh:
 
 def mesh_metrics(mesh: Mesh) -> dict:
     """Areas by region, longest edge, and entity counts."""
-    p = mesh.nodes[mesh.triangles]
-    edge_len = np.stack([np.linalg.norm(p[:, a] - p[:, b], axis=1)
-                         for a, b in ((0, 1), (1, 2), (2, 0))])
+    xs, ys = _corner_coordinates(mesh)
+    edge_len = [np.sqrt((xs[a] - xs[b]) ** 2 + (ys[a] - ys[b]) ** 2)
+                for a, b in ((0, 1), (1, 2), (2, 0))]
     return {"area_by_region": mesh.area_by_region(),
-            "h_max": float(edge_len.max()),
+            "h_max": float(max(e.max() for e in edge_len)),
             "n_nodes": mesh.n_nodes,
             "n_triangles": mesh.n_triangles}

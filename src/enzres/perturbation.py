@@ -34,7 +34,7 @@ from enzres.fem import (DirichletFactor, MeanZeroFactor, factor_symmetric,
 from enzres.mesh import CORE, SHELL, Mesh
 
 __all__ = ["PerturbationSeries", "CoreProfile", "compute_psi_d",
-           "find_lambda0", "expand_series", "eval_lambda", "eval_field"]
+           "find_lambda0", "expand_series", "eval_lambda"]
 
 #: tolerance factors (relative to |Omega|) for entering / running the recursion
 CONSISTENCY_TOL = 1e-6
@@ -414,25 +414,3 @@ def eval_lambda(series, delta):
     for c in reversed(coeffs[:-1]):
         acc = acc * delta + c
     return acc
-
-
-def eval_field(series: PerturbationSeries, delta) -> np.ndarray:
-    """Truncated eigenfunction: 1 + sum delta^n phi_n on the shell,
-    psi_d + sum delta^n psi_n on the core (continuous across the
-    interface)."""
-    mesh = series.mesh
-    shell_nodes = mesh.region_nodes(SHELL)
-    core_nodes = mesh.region_nodes(CORE)
-    dtype = complex if np.iscomplexobj(np.asarray(delta)) else float
-    u = np.zeros(mesh.n_nodes, dtype=dtype)
-    u[core_nodes] = series.psi_d.values[core_nodes]
-    u[shell_nodes] = 1.0  # interface nodes overwritten consistently below
-    dn = 1.0
-    for n in range(1, series.order + 1):
-        dn = dn * delta
-        e_n = series.constants[n - 1]
-        psi_n = series.core_fields[n - 1] + e_n * series.psi_d.values
-        phi_n = series.shell_fields[n - 1] + e_n
-        u[core_nodes] = u[core_nodes] + dn * psi_n[core_nodes]
-        u[shell_nodes] = u[shell_nodes] + dn * phi_n[shell_nodes]
-    return u

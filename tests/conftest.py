@@ -3,9 +3,11 @@ resolutions, the recovered base eigenvalue per mesh, and a fourth-order
 perturbation series on the finest mesh.  All are session-scoped because
 building them dominates the suite's runtime.  A mesh keeps its region
 operators but no factor, so a test that counts factorizations may use any
-of them.  Two reference computations that only the tests use live here too:
-the consistency residual as a function of lambda0 (for brentq) and an
-Arnoldi probe that factors the complex finite-delta pencil.
+of them.  Code that only the tests use lives here too: the consistency
+residual as a function of lambda0 (for brentq), an Arnoldi probe that
+factors the complex finite-delta pencil, the truncated eigenfunction of a
+series, the reader of a design document, and the `np.polyval` Newton loop
+that `dispersion.trace_resonance` must reproduce bit for bit.
 """
 
 import numpy as np
@@ -14,12 +16,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from enzres.bessel_oracle import disk_case
+from enzres import dispersion as disp
+from enzres.design import SCHEMA_VERSION
+from enzres.dispersion import _json_document
 from enzres.eigensolver import assemble_operator
 from enzres.errors import NumericalError
 from enzres.fem import factor_symmetric, region_operator
 from enzres.mesh import CORE, SHELL, Mesh, build_concentric_mesh
-from enzres.perturbation import (_check_lambda0, _core_profile,
-                                 expand_series, find_lambda0)
+from enzres.perturbation import (PerturbationSeries, _check_lambda0,
+                                 _core_profile, expand_series, find_lambda0)
 
 HS = (0.08, 0.04, 0.02)
 
@@ -166,3 +171,83 @@ def ritz_values_near(mesh: Mesh, delta, lam_guess, k: int = 2) -> np.ndarray:
     vals = spla.eigs(Kr, k=k, M=Mr.astype(complex), sigma=sigma,
                      OPinv=shift_inv, v0=v0, return_eigenvectors=False)
     return vals[np.argsort(np.abs(vals - lam_guess))]
+
+
+def eval_field(series: PerturbationSeries, delta) -> np.ndarray:
+    """Truncated eigenfunction: 1 + sum delta^n phi_n on the shell,
+    psi_d + sum delta^n psi_n on the core (continuous across the
+    interface)."""
+    mesh = series.mesh
+    shell_nodes = mesh.region_nodes(SHELL)
+    core_nodes = mesh.region_nodes(CORE)
+    dtype = complex if np.iscomplexobj(np.asarray(delta)) else float
+    u = np.zeros(mesh.n_nodes, dtype=dtype)
+    u[core_nodes] = series.psi_d.values[core_nodes]
+    u[shell_nodes] = 1.0  # interface nodes overwritten consistently below
+    dn = 1.0
+    for n in range(1, series.order + 1):
+        dn = dn * delta
+        e_n = series.constants[n - 1]
+        psi_n = series.core_fields[n - 1] + e_n * series.psi_d.values
+        phi_n = series.shell_fields[n - 1] + e_n
+        u[core_nodes] = u[core_nodes] + dn * psi_n[core_nodes]
+        u[shell_nodes] = u[shell_nodes] + dn * phi_n[shell_nodes]
+    return u
+
+
+def design_from_json(text: str) -> dict:
+    return _json_document("design_from_json", text, SCHEMA_VERSION)
+
+
+def reference_trace(lambdas, p, d, gamma_max: float, steps: int):
+    """`dispersion.trace_resonance` as it was written with `np.polyval`:
+    lambda and its derivative by two separate polyval calls per Newton
+    step, and each row's delta and lambda computed again after Newton
+    converged.  The library's loop must give the same trace bit for bit."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    ws = disp.enz_frequency(p)
+    coeffs = lambdas * (disp.lambda_star(p, d) / lambdas[0])
+    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
+    eps_d = d.eps_d
+
+    def lam_of(delta):
+        return np.polyval(coeffs[::-1], delta)
+
+    def dlam_of(delta):
+        return np.polyval(dcoeffs[::-1], delta)
+
+    a1, a2, a3 = disp.sensitivities(p, d)
+    wprime0 = disp.omega_prime0(a1, a2, a3, eps_d, float(coeffs[1]))
+    gammas = np.linspace(0.0, gamma_max, steps + 1)
+    omegas = np.empty(len(gammas), dtype=complex)
+    deltas = np.empty(len(gammas), dtype=complex)
+    lams = np.empty(len(gammas), dtype=complex)
+    iters = np.zeros(len(gammas), dtype=int)
+    omega = complex(ws)
+    for j, gamma in enumerate(gammas):
+        if gamma == 0.0:
+            omega = complex(ws)
+        else:
+            for it in range(1, disp.MAX_NEWTON + 1):
+                delta = disp.eps_enz(p, omega, gamma) / eps_d
+                g_val = lam_of(delta) - omega * omega * eps_d
+                if abs(g_val) <= disp.NEWTON_TOL * max(1.0, abs(coeffs[0])):
+                    break
+                g_der = (dlam_of(delta) * disp._d_eps_enz_domega(p, omega,
+                                                                  gamma)
+                         / eps_d - 2.0 * omega * eps_d)
+                omega = omega - g_val / g_der
+                if not np.isfinite(omega) or abs(omega - ws) > 0.5 * ws:
+                    raise NumericalError(
+                        f"trace_resonance: Newton diverged at gamma = {gamma} "
+                        f"(iterate {omega})")
+            else:
+                raise NumericalError(
+                    f"trace_resonance: Newton did not converge at gamma = "
+                    f"{gamma} (last |G| = {abs(g_val):.3e})")
+            iters[j] = it
+        delta = (disp.eps_enz(p, omega, gamma) / eps_d) if gamma > 0 else 0.0
+        omegas[j], deltas[j], lams[j] = omega, delta, lam_of(delta)
+    return disp.ResonanceTrace(gammas=gammas, omegas=omegas, deltas=deltas,
+                               lambdas=lams, newton_iters=iters,
+                               omega_prime0=wprime0, omega_star=ws)

@@ -18,17 +18,16 @@ import enzres
 from enzres import design
 from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
 from enzres.design import (CONVERGED_EXITS, DesignProblem, DualSolution,
-                           bathtub_projection, design_from_json,
-                           design_to_csv, design_to_json, dual_objective,
-                           energy_density, evaluate_design, lambda1_of_design,
-                           make_disk_problem, minimize_dual, recover_design,
-                           saddle_solve)
+                           bathtub_projection, design_to_csv, design_to_json,
+                           dual_objective, energy_density, evaluate_design,
+                           lambda1_of_design, make_disk_problem, minimize_dual,
+                           recover_design, saddle_solve)
 from enzres.errors import InputError, NumericalError
 from enzres.fem import _gradient_blocks, factor_spd, region_operator
 from enzres.mesh import SHELL
 
-from conftest import (annulus_symdiff, coo_reference, element_centroids,
-                      record_splu)
+from conftest import (annulus_symdiff, coo_reference, design_from_json,
+                      element_centroids, record_splu)
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +307,15 @@ class TestConvergence:
 
 
 class TestNewtonPieces:
+    def test_design_nodes_match_np_unique(self, off_disk_problem):
+        # the relabelling by bincount is np.unique's, inverse included
+        prob = off_disk_problem
+        tris = prob.mesh.triangles[prob.elements]
+        nodes, inverse = np.unique(tris, return_inverse=True)
+        assert np.array_equal(prob.nodes, nodes)
+        assert np.array_equal(prob.conn, inverse.reshape(-1, 3))
+        assert np.array_equal(prob.nodes, prob.mesh.region_nodes((1, 2)))
+
     @pytest.mark.parametrize("seed, beta", [(0, 1.0), (1, 1e-3), (2, 1e-8)])
     def test_hessian_on_fixed_pattern(self, off_disk_problem, seed, beta):
         # Reference: the element blocks of the Hessian summed by scipy's

@@ -12,9 +12,11 @@ from enzres.dispersion import (MAX_GAMMA_RATIO, MAX_PARAM, MAX_STEPS,
                                calibrate_scale, enz_frequency, eps_enz,
                                lambda_star, omega_prime0, sensitivities,
                                trace_resonance, trace_to_csv)
-from enzres.errors import InputError
+from enzres.errors import InputError, NumericalError
 from enzres.mesh import scale_mesh
 from enzres.perturbation import expand_series, find_lambda0
+
+from conftest import reference_trace
 
 SIC = LorentzParams(eps_inf=6.7, omega_p=0.7, omega_0=1.0)
 VACUUM_CORE = CoreDielectric(eps_d=1.0)
@@ -163,3 +165,51 @@ class TestTrace:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert int(first[5]) == 0
+
+
+def _random_trace_case(rng):
+    """A random trace: order 2-6, SiC-like or random Lorentz parameters,
+    lambda0 within 5e-4 of lambda*, lambda_1 < 0, gamma_max up to
+    0.05 omega*, and 1-400 steps."""
+    if rng.uniform() < 0.5:
+        p = LorentzParams(*(np.array([6.7, 0.7, 1.0])
+                            * rng.uniform(0.8, 1.2, 3)))
+    else:
+        p = LorentzParams(rng.uniform(1.0, 10.0), rng.uniform(0.2, 2.0),
+                          rng.uniform(0.0, 2.0))
+    d = CoreDielectric(rng.choice([1.0, rng.uniform(0.5, 4.0)]))
+    lam0 = lambda_star(p, d) * (1.0 + rng.uniform(-5e-4, 5e-4))
+    order = int(rng.integers(2, 7))
+    rel = rng.standard_normal(order) * 0.3 ** np.arange(1, order + 1)
+    rel[0] = -rng.uniform(0.05, 1.0)
+    gamma_max = rng.uniform(0.0, 0.05) * enz_frequency(p)
+    return [lam0, *(lam0 * rel)], p, d, gamma_max, int(rng.integers(1, 401))
+
+
+def _outcome(trace_fn, case):
+    try:
+        trace = trace_fn(*case)
+    except NumericalError as exc:
+        return "refused", str(exc)
+    return "traced", (trace_to_csv(trace), trace.lambdas.tobytes(),
+                      trace.omega_prime0)
+
+
+class TestTraceMatchesPolyvalLoop:
+    def test_random_series_and_materials(self):
+        # the two-lane Horner step and the reuse of the converged Newton
+        # evaluation leave every CSV byte and every lambda as they were
+        rng = np.random.default_rng(20261019)
+        traced = 0
+        for _ in range(60):
+            case = _random_trace_case(rng)
+            got = _outcome(trace_resonance, case)
+            assert got == _outcome(reference_trace, case), case
+            traced += got[0] == "traced"
+        assert traced >= 50
+
+    def test_calibrated_disk_series(self, calibrated_lambdas):
+        for gamma_max, steps in ((0.006, 200), (0.05, 400)):
+            case = (calibrated_lambdas, SIC, VACUUM_CORE, gamma_max, steps)
+            assert _outcome(trace_resonance, case) == _outcome(
+                reference_trace, case)

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from enzres.bessel_oracle import disk_case, disk_psi_d
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (DirichletFactor, MeanZeroFactor,
+from enzres.fem import (DirichletFactor, MeanZeroFactor, _solve_real,
                         element_geometry, linear_solve,
                         region_operator, weak_normal_flux)
 from enzres.mesh import CORE, SHELL, SLACK, build_concentric_mesh, load_mesh
@@ -164,6 +164,67 @@ class TestDirichletCore:
         u = fac.solve(b_re + 1j * b_im, g_re + 1j * g_im)
         assert np.array_equal(u.real, fac.solve(b_re, g_re))
         assert np.array_equal(u.imag, fac.solve(b_im, g_im))
+
+
+def full_product_solve(fac, b, g):
+    """`DirichletFactor.solve` written with all-node products: u holds g on
+    the interface and zeros elsewhere, and the right-hand side is the
+    interior rows of b - (K @ u - lam*(M @ u))."""
+    op = fac.op
+    u = np.zeros(op.n_nodes, dtype=np.result_type(b, g))
+    u[op.boundary] = g[op.boundary]
+    rhs = b - (op.K @ u - fac.lam * (op.M @ u))
+    u[op.interior] = _solve_real(fac.lu, rhs[op.interior])
+    return u
+
+
+class TestInterfaceColumnSolve:
+    """The solve and the flux read only the interface columns or rows of
+    the core operator; their answers are the all-node formulas' bit for
+    bit, signed zeros included."""
+
+    @pytest.mark.parametrize("b_complex, g_complex", [
+        (False, False), (True, True), (True, False), (False, True)])
+    def test_solve_equals_full_product_formula(self, mesh_coarse,
+                                               lambda0_coarse, b_complex,
+                                               g_complex):
+        n = mesh_coarse.n_nodes
+        fac = DirichletFactor(region_operator(mesh_coarse, CORE),
+                              lambda0_coarse)
+        rng = np.random.default_rng(11)
+        b, b_im, g, g_im = rng.standard_normal((4, n))
+        if b_complex:
+            b = b + 1j * b_im
+        if g_complex:
+            g = g + 1j * g_im
+        got, want = fac.solve(b, g), full_product_solve(fac, b, g)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_psi_d_equals_full_product_formula(self, mesh_coarse,
+                                               lambda0_coarse):
+        n = mesh_coarse.n_nodes
+        fac = DirichletFactor(region_operator(mesh_coarse, CORE),
+                              lambda0_coarse)
+        b, g = np.zeros(n), np.ones(n)
+        assert fac.solve(b, g).tobytes() == full_product_solve(
+            fac, b, g).tobytes()
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_flux_equals_full_product_formula(self, mesh_coarse,
+                                              lambda0_coarse, complex_data):
+        op = region_operator(mesh_coarse, CORE)
+        rng = np.random.default_rng(5)
+        u, source = rng.standard_normal((2, mesh_coarse.n_nodes))
+        lam = lambda0_coarse
+        if complex_data:
+            u, lam = u + 1j * source[::-1], lam * (1 + 0.01j)
+        residual = op.K @ u - op.M @ (lam * u + source)
+        want = np.zeros_like(residual)
+        want[op.boundary] = residual[op.boundary]
+        got = weak_normal_flux(mesh_coarse, u, lam, source)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestWeakFlux:

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enzres.errors import InputError
-from enzres.mesh import (Mesh, build_concentric_mesh, load_mesh, mesh_metrics,
+from enzres.mesh import (CORE, INTERFACE, OUTER, SHELL, Mesh, _edge_table,
+                         build_concentric_mesh, load_mesh, mesh_metrics,
                          save_mesh, scale_mesh)
 
 from conftest import overflowing_mesh
@@ -235,6 +236,142 @@ class TestValidation:
         lines[i] = " ".join(lines[i].split()[:-1] + [tag])
         with pytest.raises(InputError, match=f"tag {tag}"):
             load_mesh("\n".join(lines) + "\n")
+
+
+class TestDuplicateBoundaryEdge:
+    """A boundary edge listed twice is refused wherever the second listing
+    stands and whichever way it runs; each listing is named by its file
+    line.  Before, the later listing's tag won, so the mesh was accepted
+    or refused by line order."""
+
+    #: SQUARE_TEXT's boundary edges start at file line 11: "0 2 0" (the
+    #: interface), then "0 1 1" (outer) at line 12
+    @pytest.mark.parametrize("extra", ["0 1 0", "1 0 0", "0 1 1", "1 0 1"])
+    @pytest.mark.parametrize("before", [True, False],
+                             ids=["before", "after"])
+    def test_outer_edge_listed_twice(self, extra, before):
+        pair = (extra, "0 1 1") if before else ("0 1 1", extra)
+        text = SQUARE_TEXT.replace("boundary_edges 5", "boundary_edges 6")
+        text = text.replace("0 1 1\n", "\n".join(pair) + "\n")
+        a, b = pair[1].split()[:2]  # the message names the second listing
+        with pytest.raises(InputError, match=(
+                rf"^mesh: boundary edge \({a}, {b}\) is listed twice "
+                r"\(file line 12 and file line 13\)$")):
+            load_mesh(text)
+
+    @pytest.mark.parametrize("extra", ["0 2 0", "2 0 0"])
+    def test_interface_edge_listed_twice(self, extra):
+        text = SQUARE_TEXT.replace("boundary_edges 5\n",
+                                   f"boundary_edges 6\n{extra}\n")
+        with pytest.raises(InputError, match="file line 11 and file line 12"):
+            load_mesh(text)
+
+    def test_built_mesh_names_edge_indices(self):
+        m = build_concentric_mesh(1.0, 1.4, 0.6)
+        k = int(np.argmax(m.edge_tags == OUTER))
+        twice = Mesh(nodes=m.nodes, triangles=m.triangles, regions=m.regions,
+                     boundary_edges=np.vstack([m.boundary_edges,
+                                               m.boundary_edges[k, ::-1]]),
+                     edge_tags=np.append(m.edge_tags, INTERFACE))
+        last = len(m.edge_tags)
+        with pytest.raises(InputError, match=f"boundary edge {k} and "
+                                             f"boundary edge {last}"):
+            scale_mesh(twice, 1.0)
+
+
+class TestConnectivity:
+    """The region rules that follow the edge rules, on a disk with three
+    rings of shell nodes: each region connected across shared edges, the
+    core simply connected."""
+
+    @staticmethod
+    def retag(triangle, tag, edges_tag0=()):
+        """The disk's mesh text with one triangle retagged and tag-0
+        boundary edges added."""
+        m = build_concentric_mesh(1.0, 1.4, 0.15)
+        regions = m.regions.copy()
+        regions[triangle] = tag
+        edges = np.vstack([m.boundary_edges, np.array(edges_tag0,
+                                                      dtype=np.int64)
+                           .reshape(-1, 2)])
+        tags = np.append(m.edge_tags, np.full(len(edges_tag0), INTERFACE))
+        return save_mesh(Mesh(nodes=m.nodes, triangles=m.triangles,
+                              regions=regions, boundary_edges=edges,
+                              edge_tags=tags))
+
+    @staticmethod
+    def sides(m, e):
+        a, b, c = m.triangles[e]
+        return [(a, b), (b, c), (c, a)]
+
+    def test_core_with_a_hole_refused(self):
+        # a center-fan core triangle made shell, its sides tagged 0: the
+        # core stays connected around it, but V - E + T = 0
+        m = build_concentric_mesh(1.0, 1.4, 0.15)
+        text = self.retag(0, SHELL, self.sides(m, 0))
+        with pytest.raises(InputError, match="region 0 is not simply "
+                                             "connected"):
+            load_mesh(text)
+
+    def test_detached_core_triangle_refused(self):
+        # a shell triangle off the interface made core, its sides tagged 0
+        m = build_concentric_mesh(1.0, 1.4, 0.15)
+        interface = m.boundary_nodes(INTERFACE)
+        e = next(e for e in np.flatnonzero(m.regions == SHELL)
+                 if not np.isin(m.triangles[e], interface).any())
+        text = self.retag(e, CORE, self.sides(m, e))
+        with pytest.raises(InputError, match="region 0 triangles are not "
+                                             "connected"):
+            load_mesh(text)
+
+    def test_retagged_shell_triangle_lacks_interface_tags(self):
+        m = build_concentric_mesh(1.0, 1.4, 0.15)
+        e = int(np.argmax(m.regions == SHELL))
+        with pytest.raises(InputError, match="lacks tag 0"):
+            load_mesh(self.retag(e, CORE))
+
+
+def _reference_edge_table(triangles, n):
+    """The edge table from row-sorted half-edges and np.unique."""
+    half = triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+    half = np.sort(half, axis=1)
+    keys = half[:, 0].astype(np.int64) * n + half[:, 1]
+    order = np.argsort(keys, kind="stable")
+    uniq, start, counts = np.unique(keys[order], return_index=True,
+                                    return_counts=True)
+    return uniq, start, counts, np.repeat(np.arange(len(triangles)), 3)[order]
+
+
+@st.composite
+def _triangle_arrays(draw):
+    """(triangles, n): random node triples over n nodes, so repeated
+    triangles and triangles with a repeated node are common."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(0, 30))
+    flat = draw(st.lists(st.integers(0, n - 1), min_size=3 * m,
+                         max_size=3 * m))
+    tri = np.array(flat, dtype=np.int64).reshape(m, 3)
+    if m and draw(st.booleans()):  # repeat some rows verbatim
+        tri = tri[draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                max_size=2 * m))]
+    return tri, n
+
+
+class TestEdgeTable:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_triangle_arrays())
+    def test_equals_np_unique(self, case):
+        tri, n = case
+        for got, want in zip(_edge_table(tri, n),
+                             _reference_edge_table(tri, n)):
+            assert got.dtype.kind == want.dtype.kind == "i"
+            assert np.array_equal(got, want)
+
+    def test_equals_np_unique_on_the_disk(self):
+        m = build_concentric_mesh(1.0, 1.4, 0.1, r_b=2.0)
+        for got, want in zip(_edge_table(m.triangles, m.n_nodes),
+                             _reference_edge_table(m.triangles, m.n_nodes)):
+            assert np.array_equal(got, want)
 
 
 class TestLoadBoundary:

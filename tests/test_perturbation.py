@@ -19,10 +19,11 @@ from enzres.dispersion import read_series
 from enzres.errors import InputError, NumericalError
 from enzres.fem import region_operator
 from enzres.mesh import CORE, SHELL, build_concentric_mesh, save_mesh
-from enzres.perturbation import (CoreProfile, compute_psi_d, eval_field,
-                                 eval_lambda, expand_series, find_lambda0)
+from enzres.perturbation import (CoreProfile, compute_psi_d, eval_lambda,
+                                 expand_series, find_lambda0)
 
-from conftest import HS, consistency_residual, record_solves, record_splu
+from conftest import (HS, consistency_residual, eval_field, record_solves,
+                      record_splu)
 
 
 class TestFindLambda0:
