@@ -82,9 +82,8 @@ def _resolve_lambda0(mesh, args) -> float:
     """--lambda0, refused above the collapsed pencil's largest eigenvalue
     bound (lambda0 is one of them), or the root in (--lo, --hi)."""
     from enzres import perturbation as pert
-    from enzres.fem import region_operator
     if args.lambda0 is not None:
-        K_c, _, d = pert._collapsed_pencil(region_operator(mesh, CORE))
+        K_c, _, d = pert._collapsed_pencil(mesh)
         top = pert._largest_eigenvalue_bound(K_c, d)
         if args.lambda0 > top:
             raise InputError(

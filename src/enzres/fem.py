@@ -18,22 +18,23 @@ Conventions used throughout the package:
   ``_scatter_vector``.
 * The unit-weight K, M and mass vector of a region come from one
   ``RegionOperator`` per mesh and region (cached on ``Mesh._cache``), which
-  also holds the region's nodes and the region areas; the Dirichlet and
-  mean-zero solves, the weak flux, the collapsed-shell pencil and the
-  eigensolver's pencil use it.  Two factors solve with it, each through
-  its own ``solve``: ``DirichletFactor(op, lam)``, one sparse LU of
-  K_ii - lam*M_ii over the nodes off the core interface at a real shift
-  (one condition check), whose ``solve(b, g)`` takes a load vector b and
-  interface data g and moves g to the right-hand side through the
-  operator's interface columns (``K_ib``, ``M_ib``), never through
-  all-node products; and ``op.neumann()``, the ``MeanZeroFactor`` of the
-  region's stiffness block, whose ``solve(b)`` takes a load vector on the
-  region's nodes.  Any number of right-hand sides, real or complex, reuse
-  either, each with its own residual check; a complex one is solved, and
-  its residual formed, as its real and imaginary parts.  The series
-  recursion and the eigensolver's Dirichlet-Neumann preconditioner are
-  built from these two factors.  The operator keeps no factor: each call
-  makes a new one, which lives as long as its caller holds it.  The
+  also holds the region's nodes, its interface nodes and its other nodes:
+  only the data its consumers share.  The Dirichlet and mean-zero solves,
+  the weak flux, the collapsed-shell pencil and the eigensolver's pencil
+  use it, and each forms the blocks that it alone reads.  Two factors
+  solve with it, each through its own ``solve``: ``DirichletFactor(op,
+  lam)``, one sparse LU of K_ii - lam*M_ii over the nodes off the core
+  interface at a real, finite shift (one condition check), which also
+  keeps the interface columns K_ib and M_ib, so that its ``solve(b, g)``
+  moves the interface data g to the right-hand side through them, never
+  through all-node products; and ``op.neumann()``, the ``MeanZeroFactor``
+  of the region's stiffness block, whose ``solve(b)`` takes a load vector
+  on the region's nodes.  Any number of right-hand sides, real or complex,
+  reuse either, each with its own residual check; a complex one is
+  solved, and its residual formed, as its real and imaginary parts.  The
+  series recursion and the eigensolver's Dirichlet-Neumann preconditioner
+  are built from these two factors.  The operator keeps no factor: each
+  call makes a new one, which lives as long as its caller holds it.  The
   series hands its two to the psi_d it returns, so the finite-delta check
   on that psi_d makes none.
 * Every factorization the solvers make orders its matrix by minimum
@@ -45,11 +46,11 @@ Conventions used throughout the package:
   (partial pivoting) for the indefinite ones -- K_ii - lam*M_ii and the
   collapsed-shell pencil of ``find_lambda0``.
 * Normal fluxes across the core interface are extracted variationally
-  (``weak_normal_flux``, from the interface rows ``K_b`` and ``M_b`` of the
-  core operator), never by pointwise differentiation; the resulting
-  weights are oriented along the *outward normal of the core region* and
-  satisfy the mass identity f.sum() = -int(lambda*u + source) as an
-  algebraic identity of the discrete system.
+  (``weak_normal_flux``, from the interface rows of the core operator's K
+  and M), never by pointwise differentiation; the resulting weights are
+  oriented along the *outward normal of the core region* and satisfy the
+  mass identity f.sum() = -int(lambda*u + source) as an algebraic
+  identity of the discrete system.
 * Every mean-zero Neumann problem goes through a ``MeanZeroFactor``: it
   refuses a disconnected region, makes one symmetric positive definite
   factorization with one node pinned, and solves the bordered (Lagrange
@@ -175,10 +176,9 @@ def factor_spd(A):
 
 
 def factor_symmetric(A):
-    """Sparse LU of a square matrix with a symmetric pattern, real or
-    complex, definite or not: minimum-degree ordering of A + A^T with
-    SuperLU's default partial pivoting.  Raises RuntimeError on an exactly
-    singular matrix."""
+    """Sparse LU of a real square matrix with a symmetric pattern, definite
+    or not: minimum-degree ordering of A + A^T with SuperLU's default
+    partial pivoting.  Raises RuntimeError on an exactly singular matrix."""
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
 
 
@@ -277,8 +277,6 @@ def _condition_estimate(A: sp.csc_matrix, lu) -> float:
     overflows."""
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(A.shape[0])
-    if np.iscomplexobj(A):
-        v = v.astype(complex)
     inv_norm = 0.0
     v /= np.linalg.norm(v)
     for _ in range(CONDITION_ITERS):
@@ -296,23 +294,22 @@ def _condition_estimate(A: sp.csc_matrix, lu) -> float:
 
 class RegionOperator:
     """Unit-weight P1 operators of a region (one tag or a set of tags with
-    at least one triangle, else InputError).
+    at least one triangle, else InputError): the data that every solve on
+    the region shares.
 
-    Holds the region's stiffness and mass matrices at full node dimension,
-    filled on one `ScatterPattern`, `pattern`, whose index arrays they
-    share, its mass vector `m` (M's row sums), its
-    sorted `nodes`, the area of every mesh region and, for Dirichlet data
-    on the core interface, the interface nodes `boundary`, the region's
-    other nodes `interior` and, built on first use, the interior blocks
-    `K_ii` and `M_ii` that a `DirichletFactor` shifts, their interface
-    columns `K_ib` and `M_ib` that its `solve` applies to the interface
-    data, and the interface rows `K_b` and `M_b` of the weak flux; the
-    collapsed-shell pencil of `find_lambda0` is built from `K`, `M`,
-    `interior` and `boundary`.  None of this depends on a shift, so one
-    operator per mesh and region is kept on `Mesh._cache` (see
-    `region_operator`).  The operator keeps no reference to the mesh: a
-    mesh -> cache -> operator -> mesh cycle would keep every dropped mesh
-    alive until the cyclic garbage collector runs.
+    Holds `n_nodes`, the mesh's node count; the region's stiffness and mass
+    matrices `K` and `M` at full node dimension, filled on one
+    `ScatterPattern`, `pattern`, whose index arrays they share; its mass
+    vector `m` (M's row sums); its sorted `nodes`; and, for Dirichlet data
+    on the core interface, the interface nodes `boundary` and the region's
+    other nodes `interior`.  A block that one consumer reads is formed by
+    that consumer: a `DirichletFactor` its shifted interior block and the
+    interface columns its `solve` applies, `weak_normal_flux` the interface
+    rows, `find_lambda0` the collapsed-shell pencil.  None of this depends
+    on a shift, so one operator per mesh and region is kept on
+    `Mesh._cache` (see `region_operator`).  The operator keeps no reference
+    to the mesh: a mesh -> cache -> operator -> mesh cycle would keep every
+    dropped mesh alive until the cyclic garbage collector runs.
 
     Factors are not kept either: `DirichletFactor(op, lam)` and `neumann`
     make a new one on every call.  Nothing here refers to a factor, so it
@@ -338,31 +335,6 @@ class RegionOperator:
         self.boundary = mesh.boundary_nodes(INTERFACE)
         self.interior = np.setdiff1d(self.nodes, self.boundary,
                                      assume_unique=True)
-        self.area_by_region = mesh.area_by_region()
-
-    @cached_property
-    def K_ii(self):
-        return self.K[self.interior][:, self.interior].tocsc()
-
-    @cached_property
-    def M_ii(self):
-        return self.M[self.interior][:, self.interior].tocsc()
-
-    @cached_property
-    def K_ib(self):
-        return self.K[:, self.boundary][self.interior]
-
-    @cached_property
-    def M_ib(self):
-        return self.M[:, self.boundary][self.interior]
-
-    @cached_property
-    def K_b(self):
-        return self.K[self.boundary]
-
-    @cached_property
-    def M_b(self):
-        return self.M[self.boundary]
 
     def neumann(self) -> MeanZeroFactor:
         """The `MeanZeroFactor` of the region's stiffness block on its
@@ -383,8 +355,10 @@ def region_operator(mesh: Mesh, region) -> RegionOperator:
 
 
 class DirichletFactor:
-    """Sparse LU of K_ii - lam*M_ii, a region's operator over its interior
-    nodes at one real shift lam.
+    """Sparse LU of A_ii = K_ii - lam*M_ii, a region's operator over its
+    interior nodes at one real, finite shift lam (anything else is an
+    InputError), with the interface columns `K_ib` and `M_ib` that its
+    `solve` applies to the interface data.
 
     The matrix is indefinite above the lowest Dirichlet eigenvalue, so it is
     factored by `factor_symmetric`.  The condition estimate is checked
@@ -392,8 +366,16 @@ class DirichletFactor:
     """
 
     def __init__(self, op: RegionOperator, lam: float):
+        if np.iscomplexobj(lam) or not math.isfinite(lam):
+            raise InputError(f"DirichletFactor: the shift must be real and "
+                             f"finite, got {lam}")
         self.op, self.lam = op, lam
-        self.A_ii = (op.K_ii - lam * op.M_ii).tocsc()
+        ii, ib = op.interior, op.boundary
+        K_ii = op.K[ii][:, ii].tocsc()
+        M_ii = op.M[ii][:, ii].tocsc()
+        self.A_ii = (K_ii - lam * M_ii).tocsc()
+        self.K_ib = op.K[:, ib][ii]
+        self.M_ib = op.M[:, ib][ii]
         try:
             self.lu = factor_symmetric(self.A_ii)
         except RuntimeError as exc:
@@ -424,7 +406,8 @@ class DirichletFactor:
         # the interior rows of K @ u - lam*(M @ u), u being zero off the
         # interface: the interface columns give the same sums, term by term
         g_b = u[op.boundary]
-        b_i = b[op.interior] - (op.K_ib @ g_b - self.lam * (op.M_ib @ g_b))
+        b_i = b[op.interior] - (self.K_ib @ g_b
+                                - self.lam * (self.M_ib @ g_b))
         u_i = _solve_real(self.lu, b_i)
         res = _residual_norm(self.A_ii, u_i, b_i)
         scale = np.linalg.norm(b_i)
@@ -449,7 +432,8 @@ def weak_normal_flux(mesh: Mesh, u: np.ndarray, lam,
     """
     op = region_operator(mesh, CORE)
     svals = 0.0 if source is None else source
-    residual = op.K_b @ u - op.M_b @ (lam * u + svals)
+    residual = (op.K[op.boundary] @ u
+                - op.M[op.boundary] @ (lam * u + svals))
     weights = np.zeros(op.n_nodes, dtype=residual.dtype)
     weights[op.boundary] = residual
     return weights

@@ -164,12 +164,12 @@ def build_concentric_mesh(r_d: float, r_0: float, h: float,
             f"(only {n_theta} angular segments, need >= 8)")
 
     ring_r = [0.0]
-    band_of_ring = []  # band index of the annulus ending at this ring
-    for band, ((a, b), n) in enumerate(zip(bands, n_sub)):
+    tag_of_ring = []  # region tag of the annulus ending at this ring
+    for tag, (a, b), n in zip((CORE, SHELL, SLACK), bands, n_sub):
         for j in range(1, n + 1):
             # the band's last ring exactly at b: a + (b - a) can round off it
             ring_r.append(b if j == n else a + (b - a) * j / n)
-            band_of_ring.append(band)
+            tag_of_ring.append(tag)
     n_rings = len(ring_r) - 1  # rings of nodes beyond the center
 
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
@@ -189,14 +189,13 @@ def build_concentric_mesh(r_d: float, r_0: float, h: float,
     inner = ring_ids(1)
     tris.append(np.column_stack((np.zeros(n_theta, dtype=np.int64),
                                  inner[j], inner[jp])))
-    regs.append(np.full(n_theta, band_of_ring[0], dtype=np.int64))
+    regs.append(np.full(n_theta, tag_of_ring[0], dtype=np.int64))
     # quad bands
     for i in range(1, n_rings):
         a_ids, b_ids = ring_ids(i), ring_ids(i + 1)
-        band = band_of_ring[i]
         tris.append(np.column_stack((a_ids[j], b_ids[j], b_ids[jp])))
         tris.append(np.column_stack((a_ids[j], b_ids[jp], a_ids[jp])))
-        regs.append(np.full(2 * n_theta, band, dtype=np.int64))
+        regs.append(np.full(2 * n_theta, tag_of_ring[i], dtype=np.int64))
     triangles = np.vstack(tris)
     regions = np.concatenate(regs)
 

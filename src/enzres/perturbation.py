@@ -106,10 +106,11 @@ class PerturbationSeries:
 
 
 def _check_lambda0(caller: str, lambda0) -> None:
-    """Refuse a lambda0 that is not finite and > 0, naming `caller`."""
-    if not (math.isfinite(lambda0) and lambda0 > 0):
-        raise InputError(f"{caller}: lambda0 must be finite and > 0, got "
-                         f"{lambda0}")
+    """Refuse a lambda0 that is not real, finite and > 0, naming
+    `caller`."""
+    if np.iscomplexobj(lambda0) or not 0 < lambda0 < math.inf:
+        raise InputError(f"{caller}: lambda0 must be real, finite and > 0, "
+                         f"got {lambda0}")
 
 
 def _core_profile(mesh: Mesh, lambda0):
@@ -128,23 +129,25 @@ def compute_psi_d(mesh: Mesh, lambda0: float) -> CoreProfile:
     return _core_profile(mesh, lambda0)[0]
 
 
-def _collapsed_pencil(op):
-    """Core pencil (K_c, M_c) of the delta -> 0 limit, in which the shell is
-    one unknown c: K_c = P^T K P and M_c = P^T M P + |shell| e_c e_c^T,
-    where P maps [core interior, c] onto the core nodes (c on every
-    interface node).  Also returns a diagonal d with M_c >= diag(d): each
-    element's consistent mass A_e/12 (I + 1 1^T) is at least A_e/12 I, so
-    M >= diag(m/4), and P^T diag(m/4) P is diagonal."""
+def _collapsed_pencil(mesh: Mesh):
+    """Core pencil (K_c, M_c) of the mesh's delta -> 0 limit, in which the
+    shell is one unknown c: K_c = P^T K P and
+    M_c = P^T M P + |shell| e_c e_c^T, where P maps [core interior, c] onto
+    the core nodes (c on every interface node).  Also returns a diagonal d
+    with M_c >= diag(d): each element's consistent mass
+    A_e/12 (I + 1 1^T) is at least A_e/12 I, so M >= diag(m/4), and
+    P^T diag(m/4) P is diagonal."""
+    op = region_operator(mesh, CORE)
+    shell_area = mesh.area_by_region()[SHELL]
     n = op.interior.size
     P = sp.csc_matrix(
         (np.ones(n + op.boundary.size),
          (np.concatenate([op.interior, op.boundary]),
           np.concatenate([np.arange(n), np.full(op.boundary.size, n)]))),
         shape=(op.n_nodes, n + 1))
-    shell = sp.csc_matrix(([op.area_by_region[SHELL]], ([n], [n])),
-                          shape=(n + 1, n + 1))
+    shell = sp.csc_matrix(([shell_area], ([n], [n])), shape=(n + 1, n + 1))
     d = P.T @ (op.m / 4)
-    d[n] += op.area_by_region[SHELL]
+    d[n] += shell_area
     return (P.T @ op.K @ P).tocsc(), (P.T @ op.M @ P + shell).tocsc(), d
 
 
@@ -235,14 +238,16 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     set's reach from sigma), and rho_i is returned once delta > eps_i and
     the Kato-Temple bound eps_i^2 / delta is at most `ROOT_TOL` * rho_i.
     """
+    if np.iscomplexobj(search_interval):
+        raise InputError(f"find_lambda0: need a real interval, got "
+                         f"{search_interval}")
     t_lo, t_hi = (float(t) for t in search_interval)
     if not (0 < t_lo < t_hi < math.inf):
         raise InputError(f"find_lambda0: need 0 < t_lo < t_hi < inf, got "
                          f"({t_lo}, {t_hi})")
 
-    op = region_operator(mesh, CORE)
-    area = sum(op.area_by_region.values())
-    K_c, M_c, d = _collapsed_pencil(op)
+    area = sum(mesh.area_by_region().values())
+    K_c, M_c, d = _collapsed_pencil(mesh)
     top = _largest_eigenvalue_bound(K_c, d)
     if t_hi > top:
         raise InputError(
@@ -334,11 +339,10 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     # one core factorization serves psi_d and every core corrector
     psi_d, fac = _core_profile(mesh, lambda0)
     op = fac.op
-    area = sum(op.area_by_region.values())
-    shell_area = op.area_by_region[SHELL]
-    m_core = op.m
+    areas = mesh.area_by_region()
+    area, shell_area = sum(areas.values()), areas[SHELL]
 
-    consist = shell_area + m_core @ psi_d.values
+    consist = shell_area + op.m @ psi_d.values
     if abs(consist) > CONSISTENCY_TOL * area:
         raise InputError(
             f"expand_series: consistency residual {consist:.3e} exceeds "
@@ -358,7 +362,7 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     e = [1.0]                            # e_0..e_N
     phis = [np.zeros(mesh.n_nodes)]      # mean-zero shell parts, order 0 = 0
     psis = [np.zeros(mesh.n_nodes)]      # mean-zero core parts,  order 0 = 0
-    core_sources = [np.zeros(mesh.n_nodes)]  # RHS of each psi_n's PDE
+    core_source = np.zeros(mesh.n_nodes)  # RHS of psi_n's PDE, order 0 = 0
 
     def full_psi(n):
         return psis[n] + e[n] * psi_d.values
@@ -370,7 +374,7 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         for k in range(n + 1):
             shell_source += lambdas[k] * (phis[n - k] + e[n - k])
         flux_n = weak_normal_flux(mesh, full_psi(n), lambda0,
-                                  source=core_sources[n])
+                                  source=core_source)
         # the flux is oriented out of the core, so it enters the load with
         # a minus sign; int(source) - sum(flux) is the consistency defect
         b = shell.M @ shell_source - flux_n
@@ -393,7 +397,6 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         for k in range(1, n + 2):
             core_source += lambdas[k] * full_psi(n + 1 - k)
         psi_ring = fac.solve(op.M @ core_source, phi_next)
-        core_sources.append(core_source)
 
         e_next = float(-(psi_ring @ M_psi_d) / norm_const)
         e.append(e_next)

@@ -145,9 +145,9 @@ def annulus_symdiff(mesh, prob, theta, r_inner, r_outer):
 def consistency_residual(mesh: Mesh, lambda0: float) -> float:
     """Signed consistency residual |shell| + int_D psi_d."""
     _check_lambda0("consistency_residual", lambda0)
-    op = region_operator(mesh, CORE)
     psi = _core_profile(mesh, lambda0)[0]
-    return float(op.area_by_region[SHELL] + op.m @ psi.values)
+    return float(mesh.area_by_region()[SHELL]
+                 + region_operator(mesh, CORE).m @ psi.values)
 
 
 def ritz_values_near(mesh: Mesh, delta, lam_guess, k: int = 2) -> np.ndarray:

@@ -10,8 +10,8 @@ import scipy.sparse.linalg as spla
 
 from enzres.bessel_oracle import disk_case, disk_psi_d
 from enzres.errors import InputError, NumericalError
-from enzres.fem import (DirichletFactor, MeanZeroFactor, _solve_real,
-                        element_geometry, linear_solve,
+from enzres.fem import (DirichletFactor, MeanZeroFactor, RegionOperator,
+                        _solve_real, element_geometry, linear_solve,
                         region_operator, weak_normal_flux)
 from enzres.mesh import CORE, SHELL, SLACK, build_concentric_mesh, load_mesh
 
@@ -138,10 +138,24 @@ class TestDirichletCore:
         # The discrete Dirichlet eigenvalue makes the shifted operator
         # numerically singular.
         op = region_operator(mesh_coarse, CORE)
-        mu, = spla.eigsh(op.K_ii, k=1, M=op.M_ii, sigma=0.0,
+        ii = op.interior
+        mu, = spla.eigsh(op.K[ii][:, ii].tocsc(), k=1,
+                         M=op.M[ii][:, ii].tocsc(), sigma=0.0,
                          return_eigenvectors=False)
         with pytest.raises(NumericalError, match="eigenvalue"):
             core_dirichlet(mesh_coarse, mu)
+
+    @pytest.mark.parametrize("lam", [9 + 1j, 9 + 0j, math.nan, math.inf,
+                                     -math.inf])
+    def test_non_real_or_non_finite_shift_refused(self, mesh_coarse, lam,
+                                                  monkeypatch):
+        # a complex shift had made a complex factor, and NaN had been
+        # factored and reported as a Dirichlet eigenvalue; each is an
+        # input error, refused before anything is factored
+        calls = record_splu(monkeypatch)
+        with pytest.raises(InputError, match="real and finite"):
+            DirichletFactor(region_operator(mesh_coarse, CORE), lam)
+        assert calls == []
 
     def test_out_of_range_shift_raises(self):
         # At lambda = 1e300 the condition estimate's solution norms
@@ -179,9 +193,9 @@ def full_product_solve(fac, b, g):
 
 
 class TestInterfaceColumnSolve:
-    """The solve and the flux read only the interface columns or rows of
-    the core operator; their answers are the all-node formulas' bit for
-    bit, signed zeros included."""
+    """The solve reads only the interface columns its factor keeps, and the
+    flux only the interface rows of the core operator; their answers are
+    the all-node formulas' bit for bit, signed zeros included."""
 
     @pytest.mark.parametrize("b_complex, g_complex", [
         (False, False), (True, True), (True, False), (False, True)])
@@ -225,6 +239,26 @@ class TestInterfaceColumnSolve:
         got = weak_normal_flux(mesh_coarse, u, lam, source)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+class TestRegionOperatorContract:
+    def test_operator_holds_only_the_shared_data(self, mesh_coarse,
+                                                 lambda0_coarse):
+        # after a solve, a flux and a mean-zero factor, the operator holds
+        # exactly the attributes its docstring lists; each block that one
+        # consumer reads is formed by that consumer, not cached here
+        shared = {"K", "M", "m", "nodes", "boundary", "interior", "n_nodes",
+                  "pattern"}
+        doc = " ".join(RegionOperator.__doc__.split())
+        assert all(f"`{name}`" in doc for name in shared)
+        op = region_operator(mesh_coarse, CORE)
+        n = mesh_coarse.n_nodes
+        fac = DirichletFactor(op, lambda0_coarse)
+        u = fac.solve(np.zeros(n), np.ones(n))
+        weak_normal_flux(mesh_coarse, u, lambda0_coarse)
+        op.neumann()
+        assert set(vars(region_operator(mesh_coarse, CORE))) == shared
+        assert {"A_ii", "K_ib", "M_ib"} <= set(vars(fac))
 
 
 class TestWeakFlux:

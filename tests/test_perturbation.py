@@ -109,13 +109,15 @@ TAKES_LAMBDA0 = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0,
+                                   9 + 1j, 9 + 0j])
 @pytest.mark.parametrize("name", sorted(TAKES_LAMBDA0))
 def test_bad_lambda0_refused_by_its_caller(mesh_coarse, name, value,
                                            monkeypatch):
-    # a non-finite or non-positive lambda0 (an interval end for
+    # a non-finite, non-positive or complex lambda0 (an interval end for
     # find_lambda0) is an input error named after the function called,
-    # refused before anything is factored
+    # refused before anything is factored; a complex one had raised a
+    # bare TypeError
     calls = record_splu(monkeypatch)
     with pytest.raises(InputError, match=f"^{name}: "):
         TAKES_LAMBDA0[name](mesh_coarse, value)
