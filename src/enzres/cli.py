@@ -79,19 +79,13 @@ def _read_mesh(path: str):
 
 
 def _resolve_lambda0(mesh, args) -> float:
-    """--lambda0, refused above the collapsed pencil's largest eigenvalue
-    bound (lambda0 is one of them), or the root in (--lo, --hi)."""
-    from enzres import perturbation as pert
-    if args.lambda0 is not None:
-        K_c, _, d = pert._collapsed_pencil(mesh)
-        top = pert._largest_eigenvalue_bound(K_c, d)
-        if args.lambda0 > top:
-            raise InputError(
-                f"--lambda0 {args.lambda0} exceeds {top:.6g}, a bound on the "
-                "largest eigenvalue of the collapsed pencil, so it is no root")
+    """--lambda0 as given (the solver it is handed refuses one that can be
+    no root), or the root in (--lo, --hi); any other mix is refused."""
+    if args.lambda0 is not None and args.lo is None and args.hi is None:
         return float(args.lambda0)
-    if args.lo is None or args.hi is None:
-        raise InputError("provide either --lambda0 or both --lo and --hi")
+    if args.lambda0 is not None or args.lo is None or args.hi is None:
+        raise InputError("give either --lambda0 or both --lo and --hi")
+    from enzres import perturbation as pert
     return pert.find_lambda0(mesh, (args.lo, args.hi))
 
 

@@ -26,7 +26,7 @@ from enzres.fem import (MeanZeroFactor, ScatterPattern, _gradient_blocks,
                         _scatter_vector, element_geometry, factor_spd,
                         region_operator, weak_normal_flux)
 from enzres.mesh import CORE, DESIGN_TAGS, INTERFACE, Mesh
-from enzres.perturbation import _check_lambda0, compute_psi_d
+from enzres.perturbation import _check_lambda0, _core_profile
 
 __all__ = ["DesignProblem", "DesignState", "DualSolution", "StageRecord",
            "make_disk_problem",
@@ -70,7 +70,7 @@ class DesignProblem:
     f_r: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_lambda0("DesignProblem", self.lambda0)
+        _check_lambda0("DesignProblem", self.mesh, self.lambda0)
         self.f = np.asarray(self.f)
         if self.f.shape != (self.mesh.n_nodes,):
             raise InputError(f"DesignProblem: f must hold one weight per "
@@ -149,8 +149,7 @@ class DesignState:
 def make_disk_problem(mesh: Mesh, lambda0: float) -> DesignProblem:
     """Standard problem: f = weak interface flux of psi_d, norm_const from
     the same core solve."""
-    _check_lambda0("make_disk_problem", lambda0)
-    psi_d = compute_psi_d(mesh, lambda0)
+    psi_d = _core_profile("make_disk_problem", mesh, lambda0)[0]
     f = weak_normal_flux(mesh, psi_d.values, lambda0)
     prob = DesignProblem(mesh=mesh, lambda0=lambda0, f=f)
     M_core = region_operator(mesh, CORE).M

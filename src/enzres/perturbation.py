@@ -105,17 +105,32 @@ class PerturbationSeries:
         return np.array([self.lambda0, *self.lambda_coeffs])
 
 
-def _check_lambda0(caller: str, lambda0) -> None:
-    """Refuse a lambda0 that is not real, finite and > 0, naming
-    `caller`."""
+def _check_lambda0(caller: str, mesh: Mesh, lambda0) -> None:
+    """The one lambda0 gate, run before anything is factored: refuse,
+    naming `caller`, a lambda0 that is not real, finite and > 0, or one
+    above a bound on the largest eigenvalue of the collapsed pencil
+    (`_collapsed_pencil`), since lambda0 is one of its eigenvalues.
+
+    The bound is `_largest_eigenvalue_bound` of the cached core
+    `RegionOperator`'s K and m / 4; no pencil is built.  It holds for the
+    collapsed pencil, the core pencil (K, M) on vectors constant on the
+    interface with the extra mass |shell| on that constant, because
+    M >= diag(m / 4).  On the disk it equals the pencil's own bound."""
     if np.iscomplexobj(lambda0) or not 0 < lambda0 < math.inf:
         raise InputError(f"{caller}: lambda0 must be real, finite and > 0, "
                          f"got {lambda0}")
+    op = region_operator(mesh, CORE)
+    top = _largest_eigenvalue_bound(op.K, op.m / 4)
+    if lambda0 > top:
+        raise InputError(
+            f"{caller}: lambda0 {lambda0} exceeds {top:.6g}, a bound on the "
+            "largest eigenvalue of the collapsed pencil, so it is no root")
 
 
-def _core_profile(mesh: Mesh, lambda0):
-    """(psi_d, the core factor at lambda0 that solved it), for a checked
-    lambda0."""
+def _core_profile(caller: str, mesh: Mesh, lambda0):
+    """(psi_d, the core factor at lambda0 that solved it), for a lambda0
+    that `_check_lambda0` passes first, naming `caller`."""
+    _check_lambda0(caller, mesh, lambda0)
     lambda0 = float(lambda0)
     fac = DirichletFactor(region_operator(mesh, CORE), lambda0)
     psi_d = fac.solve(np.zeros(mesh.n_nodes), np.ones(mesh.n_nodes))
@@ -125,8 +140,7 @@ def _core_profile(mesh: Mesh, lambda0):
 def compute_psi_d(mesh: Mesh, lambda0: float) -> CoreProfile:
     """Core profile: (-Delta - lambda0) psi_d = 0 in D, psi_d = 1 on the
     interface."""
-    _check_lambda0("compute_psi_d", lambda0)
-    return _core_profile(mesh, lambda0)[0]
+    return _core_profile("compute_psi_d", mesh, lambda0)[0]
 
 
 def _collapsed_pencil(mesh: Mesh):
@@ -151,13 +165,16 @@ def _collapsed_pencil(mesh: Mesh):
     return (P.T @ op.K @ P).tocsc(), (P.T @ op.M @ P + shell).tocsc(), d
 
 
-def _largest_eigenvalue_bound(K_c, d) -> float:
-    """Gershgorin bound on the largest eigenvalue of (K_c, M_c): K_c is
-    positive semidefinite and M_c >= diag(d), so every eigenvalue is at
-    most the largest eigenvalue of diag(d)^-1/2 K_c diag(d)^-1/2, and so at
-    most its largest absolute row sum."""
-    s = 1 / np.sqrt(d)
-    return float((abs(K_c) @ s * s).max())
+def _largest_eigenvalue_bound(K, d) -> float:
+    """Gershgorin bound on the largest eigenvalue of any pencil (K, M) with
+    K positive semidefinite and M >= diag(d): every eigenvalue is at most
+    the largest eigenvalue of diag(d)^-1/2 K diag(d)^-1/2, and so at most
+    its largest absolute row sum.  Rows and columns where d = 0 (and K
+    vanishes) are left out, so a region's operator can be given at full
+    node dimension.  `find_lambda0` applies it to the collapsed pencil,
+    `_check_lambda0` to the core's."""
+    s = 1 / np.sqrt(d, out=np.full_like(d, np.inf), where=d > 0)
+    return float((abs(K) @ s * s).max())
 
 
 def _lanczos(lu, M, steps):
@@ -222,7 +239,9 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     Ritz values in the interval prove as many eigenvalues there (Cauchy
     interlacing), and the interval is refused, as is one that reaches past
     a bound on the pencil's largest eigenvalue
-    (`_largest_eigenvalue_bound`), where no shift resolves the spectrum.  A
+    (`_largest_eigenvalue_bound` of the pencil itself), where no shift
+    resolves the spectrum; a single lambda0 meets the same kind of bound,
+    taken from the core alone, in `_check_lambda0`.  A
     midpoint at which the shifted pencil is singular is refused as an input
     error when it lies within rounding (eps times that bound) of the
     pencil's eigenvalue 0, which is no root; elsewhere it raises
@@ -335,9 +354,8 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     if not 1 <= order <= MAX_ORDER:
         raise InputError(f"expand_series: order must be in [1, {MAX_ORDER}]"
                          f", got {order}")
-    _check_lambda0("expand_series", lambda0)
     # one core factorization serves psi_d and every core corrector
-    psi_d, fac = _core_profile(mesh, lambda0)
+    psi_d, fac = _core_profile("expand_series", mesh, lambda0)
     op = fac.op
     areas = mesh.area_by_region()
     area, shell_area = sum(areas.values()), areas[SHELL]

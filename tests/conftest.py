@@ -23,8 +23,8 @@ from enzres.eigensolver import assemble_operator
 from enzres.errors import NumericalError
 from enzres.fem import factor_symmetric, region_operator
 from enzres.mesh import CORE, SHELL, Mesh, build_concentric_mesh
-from enzres.perturbation import (PerturbationSeries, _check_lambda0,
-                                 _core_profile, expand_series, find_lambda0)
+from enzres.perturbation import (PerturbationSeries, _core_profile,
+                                 expand_series, find_lambda0)
 
 HS = (0.08, 0.04, 0.02)
 
@@ -144,8 +144,7 @@ def annulus_symdiff(mesh, prob, theta, r_inner, r_outer):
 
 def consistency_residual(mesh: Mesh, lambda0: float) -> float:
     """Signed consistency residual |shell| + int_D psi_d."""
-    _check_lambda0("consistency_residual", lambda0)
-    psi = _core_profile(mesh, lambda0)[0]
+    psi = _core_profile("consistency_residual", mesh, lambda0)[0]
     return float(mesh.area_by_region()[SHELL]
                  + region_operator(mesh, CORE).m @ psi.values)
 

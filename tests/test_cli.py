@@ -178,6 +178,20 @@ class TestExpand:
                          err)
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("command", ["expand", "optimize"])
+    @pytest.mark.parametrize("interval", [["--lo", "100", "--hi", "200"],
+                                          ["--lo", "6"], ["--hi", "14"]],
+                             ids=["lo-hi", "lo", "hi"])
+    def test_lambda0_with_interval_exit_2(self, mesh_file, command,
+                                          interval):
+        # the interval was dropped without a word, and a --lambda0 off the
+        # root then failed the consistency check instead
+        code, err = run_main([command, "--mesh", str(mesh_file),
+                              "--lambda0", "9.6", *interval])
+        assert code == 2
+        assert "--lambda0" in err and "--lo" in err
+        assert "internal error" not in err
+
     def test_oversized_order_exit_2(self, mesh_file):
         # orders past 13 are rounding noise on the disk
         for order in ("14", "1000000"):

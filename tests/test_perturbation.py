@@ -5,10 +5,12 @@ import contextlib
 import io
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
@@ -18,7 +20,7 @@ from enzres.design import DesignProblem, make_disk_problem
 from enzres.dispersion import read_series
 from enzres.errors import InputError, NumericalError
 from enzres.fem import region_operator
-from enzres.mesh import CORE, SHELL, build_concentric_mesh, save_mesh
+from enzres.mesh import CORE, SHELL, Mesh, build_concentric_mesh, save_mesh
 from enzres.perturbation import (CoreProfile, compute_psi_d, eval_lambda,
                                  expand_series, find_lambda0)
 
@@ -110,18 +112,44 @@ TAKES_LAMBDA0 = {
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0,
-                                   9 + 1j, 9 + 0j])
+                                   9 + 1j, 9 + 0j, 1e300, 1e308])
 @pytest.mark.parametrize("name", sorted(TAKES_LAMBDA0))
 def test_bad_lambda0_refused_by_its_caller(mesh_coarse, name, value,
                                            monkeypatch):
     # a non-finite, non-positive or complex lambda0 (an interval end for
-    # find_lambda0) is an input error named after the function called,
-    # refused before anything is factored; a complex one had raised a
-    # bare TypeError
+    # find_lambda0), or one past the bound on the collapsed pencil's
+    # largest eigenvalue, is an input error named after the function
+    # called, refused before anything is factored; a complex one had
+    # raised a bare TypeError, and 1e300 had failed the core factor's
+    # condition estimate as a NumericalError
     calls = record_splu(monkeypatch)
     with pytest.raises(InputError, match=f"^{name}: "):
         TAKES_LAMBDA0[name](mesh_coarse, value)
     assert calls == []
+
+
+@pytest.mark.parametrize("stretch", [1.0, 1.3])
+def test_lambda0_gate_bounds_the_collapsed_pencil(mesh_r13, stretch):
+    # the gate's bound, taken from the core alone, lies above every
+    # eigenvalue of the collapsed pencil, also on the area-preserving
+    # stretch (x, y) -> (1.3x, y/1.3), whose core is not round
+    mesh = Mesh(nodes=mesh_r13.nodes * [stretch, 1 / stretch],
+                triangles=mesh_r13.triangles, regions=mesh_r13.regions,
+                boundary_edges=mesh_r13.boundary_edges,
+                edge_tags=mesh_r13.edge_tags)
+    K_c, M_c, _ = perturbation._collapsed_pencil(mesh)
+    top = scipy.linalg.eigh(K_c.toarray(), M_c.toarray(),
+                            eigvals_only=True)[-1]
+    with pytest.raises(InputError) as gate:
+        compute_psi_d(mesh, 1e300)
+    bound = re.search(r"exceeds (\S+), a bound", str(gate.value))[1]
+    assert float(bound) >= top
+    if stretch == 1.0:
+        # on the disk it is the pencil's own bound, which find_lambda0
+        # quotes for an interval past it
+        with pytest.raises(InputError) as interval:
+            find_lambda0(mesh, (6.0, 1e300))
+        assert f"reaches past {bound}, a bound" in str(interval.value)
 
 
 def core_dim(mesh):
