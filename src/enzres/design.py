@@ -546,17 +546,16 @@ def _primal_value(prob: DesignProblem, w: np.ndarray,
 # ---------------------------------------------------------------------------
 # epsilon-regularized saddle iteration (cross-check)
 
-#: smallest ersatz conductivity of the void
+#: ersatz conductivity of the void, at which every saddle iteration solves
 EPS_FLOOR = 1e-6
 #: saddle iterations allowed, and the relative duality gap that ends them
 SADDLE_ITERS, SADDLE_TOL = 60, 1e-3
 
 
-def evaluate_design(prob: DesignProblem, theta: np.ndarray,
-                    eps: float = EPS_FLOOR):
+def evaluate_design(prob: DesignProblem, theta: np.ndarray):
     """Primal minimization for a fixed density: solve the conductivity
-    problem with a = theta + eps*(1 - theta) and load (lambda0*theta in the
-    bulk, -f on the interface), mean pinned to zero.
+    problem with a = theta + EPS_FLOOR*(1 - theta) and load (lambda0*theta
+    in the bulk, -f on the interface), mean pinned to zero.
 
     Returns (w, L(w, theta)); the value is gauge-invariant when theta
     satisfies the area constraint.
@@ -564,7 +563,7 @@ def evaluate_design(prob: DesignProblem, theta: np.ndarray,
     theta = np.asarray(theta, dtype=float)
     if theta.shape != prob.elements.shape:
         raise InputError("evaluate_design: theta must be per design element")
-    a = theta + eps * (1.0 - theta)
+    a = theta + EPS_FLOOR * (1.0 - theta)
     K = prob.assemble(prob.blocks * (a * prob.areas)[:, None, None])
     # load: lambda0 * theta against hat functions (element-lumped), minus f
     b = _scatter_vector(prob.conn,
@@ -576,21 +575,24 @@ def evaluate_design(prob: DesignProblem, theta: np.ndarray,
 
 
 def saddle_solve(prob: DesignProblem) -> DesignState:
-    """Alternating saddle iteration: regularized primal solve in w, bathtub
-    update of theta.  Iteration k uses eps = max(10^-(k+1), EPS_FLOOR), so
-    1e-1, 1e-2, ..., 1e-6, then the floor; it stops at the first iteration
-    at the floor whose relative gap |primal - dual| / |dual| is <=
-    `SADDLE_TOL`, or after `SADDLE_ITERS` iterations.  History rows are
-    (primal, dual) = (L(w_k, theta_{k-1}), max_theta L(w_k, theta)); weak
-    duality primal <= dual holds at every iteration.  Returns the state of
-    smallest gap, flagged non-converged if that gap exceeds `SADDLE_TOL`.
+    """Alternating saddle iteration: primal solve in w at eps = EPS_FLOOR,
+    bathtub update of theta.  It stops at the first iteration whose
+    relative gap |primal - dual| / |dual| is <= `SADDLE_TOL`, or after
+    `SADDLE_ITERS` iterations.  History rows are (primal, dual) =
+    (L(w_k, theta_{k-1}), max_theta L(w_k, theta)); weak duality primal <=
+    dual holds at every iteration.  Returns the state of smallest gap,
+    flagged non-converged if that gap exceeds `SADDLE_TOL`.  A primal solve
+    that fails raises `NumericalError` naming the iteration.
     """
     theta = np.full(prob.elements.size, prob.A0 / prob.total_area)
     history = []
     best = None
-    for k in range(SADDLE_ITERS):
-        eps = max(10.0 ** -(k + 1), EPS_FLOOR)
-        w, primal = evaluate_design(prob, theta, eps=eps)
+    for k in range(1, SADDLE_ITERS + 1):
+        try:
+            w, primal = evaluate_design(prob, theta)
+        except NumericalError as exc:
+            raise NumericalError(f"saddle_solve: iteration {k} at eps = "
+                                 f"{EPS_FLOOR:g}: {exc}") from exc
         d = energy_density(w, prob)
         theta, z0 = bathtub_projection(d, prob.areas, prob.A0)
         # gauge: shift w so the bathtub level sits at zero
@@ -599,17 +601,13 @@ def saddle_solve(prob: DesignProblem) -> DesignState:
         history.append((primal, dual))
         gap = abs(primal - dual) / max(abs(dual), 1e-300)
         if best is None or gap < best[0]:
-            frac = float(prob.areas[(theta > 1e-12)
-                                    & (theta < 1 - 1e-12)].sum())
-            best = (gap, DesignState(theta=theta.copy(), w=w, z0=z0,
-                                     value=primal, history=history,
-                                     converged=gap <= SADDLE_TOL,
-                                     fractional_mass=frac))
-        if gap <= SADDLE_TOL and eps == EPS_FLOOR:
+            best = (gap, theta, w, z0, primal)
+        if gap <= SADDLE_TOL:
             break
-    state = best[1]
-    state.history = history
-    return state
+    gap, theta, w, z0, value = best
+    frac = float(prob.areas[(theta > 1e-12) & (theta < 1 - 1e-12)].sum())
+    return DesignState(theta=theta, w=w, z0=z0, value=value, history=history,
+                       converged=gap <= SADDLE_TOL, fractional_mass=frac)
 
 
 def lambda1_of_design(state: DesignState, prob: DesignProblem) -> float:

@@ -130,6 +130,14 @@ def overflowing_mesh():
                 edge_tags=m.edge_tags)
 
 
+def stretched_mesh(mesh, s=1.3):
+    """The area-preserving stretch (x, y) -> (s*x, y/s) of a mesh, whose
+    core is then not round."""
+    return Mesh(nodes=mesh.nodes * [s, 1 / s], triangles=mesh.triangles,
+                regions=mesh.regions, boundary_edges=mesh.boundary_edges,
+                edge_tags=mesh.edge_tags)
+
+
 def element_centroids(mesh, elements):
     return mesh.nodes[mesh.triangles[elements]].mean(axis=1)
 

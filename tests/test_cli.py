@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from enzres import cli
 from enzres import dispersion as disp
-from enzres.mesh import save_mesh
+from enzres.mesh import load_mesh, save_mesh
 
-from conftest import overflowing_mesh
+from conftest import overflowing_mesh, stretched_mesh
 
 R0 = "1.3671899114809272"
 
@@ -384,6 +384,23 @@ class TestOptimize:
         assert code == 2
         assert "overflows" in err
         assert "internal error" not in err
+
+    def test_saddle_refusal_on_a_stretched_core_names_the_saddle(
+            self, mesh_file, tmp_path):
+        # On the area-preserving stretch (x, y) -> (1.3x, y/1.3) the dual
+        # converges and the saddle cross-check refuses (exit 1), naming
+        # itself rather than only the mean-zero solver it calls.
+        mesh = load_mesh(mesh_file.read_text())
+        stretched = tmp_path / "stretched.mesh"
+        stretched.write_text(save_mesh(stretched_mesh(mesh)))
+        code, err = run_main(["optimize", "--mesh", str(stretched), "--lo",
+                              "6", "--hi", "14", "--method", "saddle"])
+        assert code == 1
+        assert err.startswith("error: saddle_solve: iteration ")
+        assert "at eps = 1e-06: MeanZeroFactor.solve: " in err
+        code, _ = run_main(["optimize", "--mesh", str(stretched), "--lo",
+                            "6", "--hi", "14"])
+        assert code == 0
 
 
 #: every file a command writes, as (argv with OUT for the path) pairs

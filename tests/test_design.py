@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import enzres
 from enzres import design
-from enzres.bessel_oracle import annulus_lambda1, annulus_phi1
+from enzres.bessel_oracle import annulus_lambda1, annulus_phi1, disk_case
 from enzres.design import (CONVERGED_EXITS, DesignProblem, DualSolution,
                            bathtub_projection, design_to_csv, design_to_json,
                            dual_objective, energy_density, evaluate_design,
@@ -429,26 +429,43 @@ class TestOptimum:
         ss = saddle_solve(disk_problem)
         assert ss.converged
         assert ss.value == pytest.approx(dual_state.value, rel=1e-6)
-        # The gap closes at once, so the ramp 1e-1 ... 1e-6 ends at its
-        # first iteration at the floor: one SPD factorization per iteration.
-        assert len(ss.history) == 6
-        assert len(calls) == 6
+        # The first bathtub update from the uniform start lands on the
+        # annulus, so the second iteration closes the gap: one SPD
+        # factorization per iteration, every one at the floor eps.
+        assert len(ss.history) == 2
+        assert len(calls) == 2
         # Weak duality holds along the whole iteration history.
         for primal, dual in ss.history:
             assert primal <= dual + 1e-9 * abs(dual)
 
+    @pytest.mark.parametrize("target", [7.5, 11.5])
+    def test_saddle_agrees_with_dual_at_other_targets(self, target):
+        # Thick (7.5) and thin (11.5) optimal shells on the h = 0.08 disk.
+        from enzres.mesh import build_concentric_mesh
+        from enzres.perturbation import find_lambda0
+        mesh = build_concentric_mesh(1.0, disk_case(target).r0, 0.08,
+                                     r_b=2.0)
+        prob = make_disk_problem(
+            mesh, find_lambda0(mesh, (target - 1.0, target + 1.0)))
+        dual = recover_design(prob, minimize_dual(prob))
+        ss = saddle_solve(prob)
+        assert ss.converged and len(ss.history) == 2
+        assert ss.value == pytest.approx(dual.value, rel=1e-6)
+        for primal, dual_value in ss.history:
+            assert primal <= dual_value + 1e-9 * abs(dual_value)
+
     def test_saddle_off_the_disk_is_right_or_refused(self, off_disk_problem):
-        # The dual still converges, and the saddle cross-check may refuse
-        # but must not converge elsewhere.
+        # The dual still converges.  The saddle cross-check (bathtub
+        # update with step 1) does not: its second primal solve fails the
+        # mean-zero residual check, and the refusal names the saddle, the
+        # iteration and the floor eps before the solver's own words.
         prob = off_disk_problem
         dual = recover_design(prob, minimize_dual(prob))
         assert dual.converged
-        try:
-            ss = saddle_solve(prob)
-        except NumericalError:
-            return
-        assert (not ss.converged
-                or ss.value == pytest.approx(dual.value, rel=1e-6))
+        with pytest.raises(NumericalError, match=(
+                r"^saddle_solve: iteration \d+ at eps = 1e-06: "
+                r"MeanZeroFactor\.solve: relative residual")):
+            saddle_solve(prob)
 
     def test_slack_region_invariance(self, disk_meshes, disk_lambda0s,
                                      case9):

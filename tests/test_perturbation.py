@@ -20,12 +20,12 @@ from enzres.design import DesignProblem, make_disk_problem
 from enzres.dispersion import read_series
 from enzres.errors import InputError, NumericalError
 from enzres.fem import region_operator
-from enzres.mesh import CORE, SHELL, Mesh, build_concentric_mesh, save_mesh
+from enzres.mesh import CORE, SHELL, build_concentric_mesh, save_mesh
 from enzres.perturbation import (CoreProfile, compute_psi_d, eval_lambda,
                                  expand_series, find_lambda0)
 
 from conftest import (HS, consistency_residual, eval_field, record_solves,
-                      record_splu)
+                      record_splu, stretched_mesh)
 
 
 class TestFindLambda0:
@@ -133,10 +133,7 @@ def test_lambda0_gate_bounds_the_collapsed_pencil(mesh_r13, stretch):
     # the gate's bound, taken from the core alone, lies above every
     # eigenvalue of the collapsed pencil, also on the area-preserving
     # stretch (x, y) -> (1.3x, y/1.3), whose core is not round
-    mesh = Mesh(nodes=mesh_r13.nodes * [stretch, 1 / stretch],
-                triangles=mesh_r13.triangles, regions=mesh_r13.regions,
-                boundary_edges=mesh_r13.boundary_edges,
-                edge_tags=mesh_r13.edge_tags)
+    mesh = stretched_mesh(mesh_r13, stretch)
     K_c, M_c, _ = perturbation._collapsed_pencil(mesh)
     top = scipy.linalg.eigh(K_c.toarray(), M_c.toarray(),
                             eigvals_only=True)[-1]
