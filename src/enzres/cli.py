@@ -132,12 +132,7 @@ def cmd_resonate(args) -> int:
     p = disp.LorentzParams(eps_inf=args.eps_inf, omega_p=args.omega_p,
                            omega_0=args.omega_0)
     d = disp.CoreDielectric(eps_d=args.eps_d)
-    # calibrate: a uniform geometric rescale maps lambda0 -> lambda* exactly
-    lam_star = disp.lambda_star(p, d)
-    t = disp.calibrate_scale(lambdas[0], lam_star)
-    scale = lam_star / lambdas[0]
-    trace = disp.trace_resonance([lam_star, *(c * scale for c in lambdas[1:])],
-                                 p, d, gamma_max=args.gamma_max,
+    trace = disp.trace_resonance(lambdas, p, d, gamma_max=args.gamma_max,
                                  steps=args.steps)
     csv_text = disp.trace_to_csv(trace)
     if args.out:
@@ -146,7 +141,7 @@ def cmd_resonate(args) -> int:
         sys.stdout.write(csv_text)
     _emit({"omega_star": trace.omega_star,
            "omega_prime0": [trace.omega_prime0.real, trace.omega_prime0.imag],
-           "calibration_scale_t": t,
+           "calibration_scale_t": trace.calibration_scale_t,
            "rows": len(trace.gammas), "output": args.out})
     return 0
 
@@ -156,11 +151,7 @@ def cmd_optimize(args) -> int:
     mesh = _read_mesh(args.mesh)
     lam0 = _resolve_lambda0(mesh, args)
     prob = design_mod.make_disk_problem(mesh, lam0)
-    if args.method == "dual":
-        w = design_mod.minimize_dual(prob)
-        state = design_mod.recover_design(prob, w)
-    else:
-        state = design_mod.saddle_solve(prob)
+    state = design_mod.recover_design(prob, design_mod.minimize_dual(prob))
     if args.out:
         _write_text(args.out, design_mod.design_to_json(state, prob))
     if args.csv:
@@ -295,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda0", type=_finite_float, default=None)
     p.add_argument("--lo", type=_finite_float, default=None)
     p.add_argument("--hi", type=_finite_float, default=None)
-    p.add_argument("--method", choices=["dual", "saddle"], default="dual")
     p.add_argument("-o", "--out")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_optimize)

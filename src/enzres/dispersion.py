@@ -11,7 +11,10 @@ the truncated series.  The decay rate at small loss is
 omega'(0) = -i * a2 / (a1 + a3 * eps_D / |lambda1|), purely imaginary with
 negative imaginary part.  Time convention e^{-i omega t}: Im omega < 0 means
 temporal decay.  The series is its coefficients, which `read_series` reads
-from the document of `enzres expand -o` with no mesh and no SciPy.
+from the document of `enzres expand -o` with no mesh and no SciPy;
+`trace_resonance` calibrates them itself, since the uniform rescale of the
+geometry by `calibrate_scale` multiplies every coefficient by
+lambda*/lambda0 exactly.
 """
 
 from __future__ import annotations
@@ -103,6 +106,7 @@ class ResonanceTrace:
     newton_iters: np.ndarray
     omega_prime0: complex
     omega_star: float
+    calibration_scale_t: float  # the geometric rescale, see calibrate_scale
 
 
 def eps_enz(p: LorentzParams, omega, gamma: float = 0.0):
@@ -141,7 +145,8 @@ def calibrate_scale(lambda0_geom: float, lam_star: float) -> float:
     coordinates by t moves the geometry's permissible eigenvalue to
     lambda*."""
     if not (lambda0_geom > 0 and lam_star > 0):
-        raise InputError("calibrate_scale: both eigenvalues must be > 0")
+        raise InputError(f"calibrate_scale: both eigenvalues must be > 0, "
+                         f"got {lambda0_geom} and {lam_star}")
     return math.sqrt(lambda0_geom / lam_star)
 
 
@@ -255,14 +260,23 @@ def trace_resonance(lambdas, p: LorentzParams, d: CoreDielectric,
     refused with InputError before any work.
 
     `lambdas` holds the series coefficients [lambda0, lambda_1, ...,
-    lambda_N], N >= 2.  They are rescaled exactly by lambda*/lambda0 (a
-    uniform geometric rescaling) so gamma = 0 returns omega* exactly; the
-    caller must first have calibrated the geometry to within 0.1% (see
-    `calibrate_scale`).
+    lambda_N], N >= 2, of any geometry, as `read_series` or
+    `PerturbationSeries.all_lambdas` give them; a coefficient that is not finite, a
+    lambda0 <= 0, or a rescale that overflows is refused with InputError
+    before any Newton step.  Scaling the geometry by t =
+    `calibrate_scale`(lambda0, lambda*) multiplies lambda_n by
+    lambda*/lambda0 exactly, so the trace runs on the coefficients so
+    rescaled, with lambda0 set to lambda* (gamma = 0 returns omega*
+    exactly), and returns t as `calibration_scale_t`.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size < 3:
         raise InputError("trace_resonance: series order must be >= 2")
+    finite = np.isfinite(lambdas)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise InputError(f"trace_resonance: coefficient {n} must be finite, "
+                         f"got {lambdas[n]}")
     ws = enz_frequency(p)
     if not (0 <= gamma_max <= MAX_GAMMA_RATIO * ws
             and 1 <= steps <= MAX_STEPS):
@@ -271,13 +285,13 @@ def trace_resonance(lambdas, p: LorentzParams, d: CoreDielectric,
                          f"{MAX_GAMMA_RATIO * ws:.6g} and 1 <= steps <= "
                          f"{MAX_STEPS}, got {gamma_max}, {steps}")
     lam_star = lambda_star(p, d)
-    scale = lam_star / lambdas[0]
-    if abs(scale - 1.0) > 1e-3:
-        raise InputError(
-            f"trace_resonance: series lambda0 = {lambdas[0]:.6g} is not "
-            f"calibrated to lambda* = {lam_star:.6g} (use calibrate_scale "
-            "and rebuild, or fix units)")
-    coeffs = lambdas * scale
+    t = calibrate_scale(lambdas[0], lam_star)
+    with np.errstate(over="ignore"):
+        coeffs = lambdas * (lam_star / lambdas[0])
+    coeffs[0] = lam_star
+    if not np.isfinite(coeffs).all():
+        raise InputError(f"trace_resonance: rescaling by lambda*/lambda0 = "
+                         f"{lam_star:.6g}/{lambdas[0]:.6g} overflows")
 
     # lambda and dlambda/ddelta by one Horner recurrence on two lanes: row
     # k holds the coefficients of delta**(N - k), with a leading zero in
@@ -337,7 +351,8 @@ def trace_resonance(lambdas, p: LorentzParams, d: CoreDielectric,
 
     return ResonanceTrace(gammas=gammas, omegas=omegas, deltas=deltas,
                           lambdas=lams, newton_iters=iters,
-                          omega_prime0=wprime0, omega_star=ws)
+                          omega_prime0=wprime0, omega_star=ws,
+                          calibration_scale_t=t)
 
 
 def trace_to_csv(trace: ResonanceTrace) -> str:

@@ -213,7 +213,9 @@ def reference_trace(lambdas, p, d, gamma_max: float, steps: int):
     converged.  The library's loop must give the same trace bit for bit."""
     lambdas = np.asarray(lambdas, dtype=float)
     ws = disp.enz_frequency(p)
-    coeffs = lambdas * (disp.lambda_star(p, d) / lambdas[0])
+    lam_star = disp.lambda_star(p, d)
+    coeffs = lambdas * (lam_star / lambdas[0])
+    coeffs[0] = lam_star
     dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
     eps_d = d.eps_d
 
@@ -257,4 +259,6 @@ def reference_trace(lambdas, p, d, gamma_max: float, steps: int):
         omegas[j], deltas[j], lams[j] = omega, delta, lam_of(delta)
     return disp.ResonanceTrace(gammas=gammas, omegas=omegas, deltas=deltas,
                                lambdas=lams, newton_iters=iters,
-                               omega_prime0=wprime0, omega_star=ws)
+                               omega_prime0=wprime0, omega_star=ws,
+                               calibration_scale_t=disp.calibrate_scale(
+                                   lambdas[0], lam_star))

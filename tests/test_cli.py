@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from enzres import cli
 from enzres import dispersion as disp
-from enzres.mesh import load_mesh, save_mesh
+from enzres.mesh import save_mesh
 
-from conftest import overflowing_mesh, stretched_mesh
+from conftest import overflowing_mesh
 
 R0 = "1.3671899114809272"
 
@@ -358,23 +358,27 @@ class TestResonate:
 
 
 class TestOptimize:
-    def test_dual_and_saddle_agree(self, mesh_file, tmp_path):
+    def test_dual_design_converges(self, mesh_file, tmp_path):
         out = tmp_path / "design.json"
         res = run_cli("optimize", "--mesh", str(mesh_file), "--lo", "6",
                       "--hi", "14", "-o", str(out),
                       "--csv", str(tmp_path / "design.csv"))
         assert res.returncode == 0, res.stderr
         dual = json.loads(res.stdout)
-        res2 = run_cli("optimize", "--mesh", str(mesh_file), "--lo", "6",
-                       "--hi", "14", "--method", "saddle")
-        assert res2.returncode == 0, res2.stderr
-        saddle = json.loads(res2.stdout)
-        assert abs(dual["lambda1"] - saddle["lambda1"]) < 1e-6
         assert (tmp_path / "design.csv").exists()
         payload = json.loads(out.read_text())
         assert payload["schema_version"] == 1
         assert dual["converged"] is True and payload["converged"] is True
 
+    @pytest.mark.parametrize("method", ["dual", "saddle"])
+    def test_method_is_no_option(self, mesh_file, method):
+        # the dual is the one design path; the saddle iteration is a
+        # library cross-check (test_design)
+        code, err = run_main(["optimize", "--mesh", str(mesh_file), "--lo",
+                              "6", "--hi", "14", "--method", method])
+        assert code == 2
+        assert "unrecognized arguments: --method" in err
+        assert "internal error" not in err
 
     def test_underflowing_lambda0_exit_2(self, mesh_file):
         # <f, 1> / lambda0 overflows; the refusal comes without a
@@ -384,23 +388,6 @@ class TestOptimize:
         assert code == 2
         assert "overflows" in err
         assert "internal error" not in err
-
-    def test_saddle_refusal_on_a_stretched_core_names_the_saddle(
-            self, mesh_file, tmp_path):
-        # On the area-preserving stretch (x, y) -> (1.3x, y/1.3) the dual
-        # converges and the saddle cross-check refuses (exit 1), naming
-        # itself rather than only the mean-zero solver it calls.
-        mesh = load_mesh(mesh_file.read_text())
-        stretched = tmp_path / "stretched.mesh"
-        stretched.write_text(save_mesh(stretched_mesh(mesh)))
-        code, err = run_main(["optimize", "--mesh", str(stretched), "--lo",
-                              "6", "--hi", "14", "--method", "saddle"])
-        assert code == 1
-        assert err.startswith("error: saddle_solve: iteration ")
-        assert "at eps = 1e-06: MeanZeroFactor.solve: " in err
-        code, _ = run_main(["optimize", "--mesh", str(stretched), "--lo",
-                            "6", "--hi", "14"])
-        assert code == 0
 
 
 #: every file a command writes, as (argv with OUT for the path) pairs

@@ -27,7 +27,7 @@ from enzres.fem import _gradient_blocks, factor_spd, region_operator
 from enzres.mesh import SHELL
 
 from conftest import (annulus_symdiff, coo_reference, design_from_json,
-                      element_centroids, record_splu)
+                      element_centroids, record_splu, stretched_mesh)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,14 @@ def off_disk_problem(mesh_coarse, lambda0_coarse):
     disk = make_disk_problem(mesh_coarse, lambda0_coarse)
     f = disk.f * (1.0 + 0.6 * mesh_coarse.nodes[:, 0])
     return DesignProblem(mesh_coarse, lambda0_coarse, f, disk.norm_const)
+
+
+@pytest.fixture(scope="module")
+def stretched_problem(mesh_coarse):
+    """The coarse disk stretched to (1.3x, y/1.3): a core that is not
+    round."""
+    mesh = stretched_mesh(mesh_coarse)
+    return make_disk_problem(mesh, find_lambda0_cached(mesh))
 
 
 class TestProblemInput:
@@ -454,12 +462,15 @@ class TestOptimum:
         for primal, dual_value in ss.history:
             assert primal <= dual_value + 1e-9 * abs(dual_value)
 
-    def test_saddle_off_the_disk_is_right_or_refused(self, off_disk_problem):
-        # The dual still converges.  The saddle cross-check (bathtub
-        # update with step 1) does not: its second primal solve fails the
-        # mean-zero residual check, and the refusal names the saddle, the
-        # iteration and the floor eps before the solver's own words.
-        prob = off_disk_problem
+    @pytest.mark.parametrize("name", ["off_disk_problem",
+                                      "stretched_problem"])
+    def test_saddle_off_the_disk_is_right_or_refused(self, request, name):
+        # On the ×(1 + 0.6x) load and on the stretched core the dual still
+        # converges.  The saddle cross-check (bathtub update with step 1)
+        # does not: a primal solve fails the mean-zero residual check, and
+        # the refusal names the saddle, the iteration and the floor eps
+        # before the solver's own words.
+        prob = request.getfixturevalue(name)
         dual = recover_design(prob, minimize_dual(prob))
         assert dual.converged
         with pytest.raises(NumericalError, match=(

@@ -131,11 +131,58 @@ class TestTrace:
         coeffs = np.polyfit(np.log(g), np.log(shift), 1)
         assert coeffs[0] == pytest.approx(2.0, abs=0.2)
 
-    def test_uncalibrated_series_rejected(self, series_fine):
-        # lambda0 ~ 9 while lambda* ~ 1.49: the mismatch must be flagged.
-        with pytest.raises(InputError, match="calibrat"):
-            trace_resonance(series_fine.all_lambdas(), SIC, VACUUM_CORE,
-                            gamma_max=0.006, steps=3)
+    def test_raw_series_is_calibrated_exactly(self, series_fine):
+        # lambda0 ~ 9 while lambda* ~ 1.49: the trace rescales the raw
+        # coefficients as a caller once did, to the same bits
+        raw = series_fine.all_lambdas()
+        lam_star = lambda_star(SIC, VACUUM_CORE)
+        rescaled = [lam_star, *(c * (lam_star / raw[0]) for c in raw[1:])]
+        got, want = (trace_resonance(lambdas, SIC, VACUUM_CORE,
+                                     gamma_max=0.006, steps=20)
+                     for lambdas in (raw, rescaled))
+        for name in ("omegas", "deltas", "newton_iters"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.calibration_scale_t == calibrate_scale(raw[0], lam_star)
+        assert want.calibration_scale_t == 1.0
+
+    def test_raw_series_traces_as_the_rescaled_mesh(self, disk_meshes,
+                                                    disk_lambda0s,
+                                                    calibrated_lambdas):
+        # the rescale is the series of the mesh scaled by t, up to the
+        # rounding of the two solves
+        raw = expand_series(disk_meshes[0.04], disk_lambda0s[0.04],
+                            order=3).all_lambdas()
+        got, want = (trace_resonance(lambdas, SIC, VACUUM_CORE,
+                                     gamma_max=0.006, steps=20)
+                     for lambdas in (raw, calibrated_lambdas))
+        assert np.abs(got.omegas - want.omegas).max() <= 1e-14
+
+    @pytest.mark.parametrize("index, value, match", [
+        (0, math.nan, "coefficient 0 must be finite"),
+        (0, math.inf, "coefficient 0 must be finite"),
+        (2, math.nan, "coefficient 2 must be finite"),
+        (3, math.inf, "coefficient 3 must be finite"),
+        (3, -math.inf, "coefficient 3 must be finite"),
+        (0, 0.0, "eigenvalues must be > 0"),
+        (0, -9.0, "eigenvalues must be > 0"),
+        (0, 5e-324, "lambda\\*/lambda0 = .* overflows")])
+    def test_bad_series_refused_before_newton(self, calibrated_lambdas,
+                                              monkeypatch, index, value,
+                                              match):
+        # a NaN lambda2 or an infinite lambda3 once ended in "Newton
+        # diverged" after a RuntimeWarning, and a NaN lambda0 was reported
+        # as a bad lambda1
+        from enzres import dispersion as disp
+
+        def no_newton(*args, **kwargs):
+            pytest.fail("a Newton step ran on a refused series")
+
+        monkeypatch.setattr(disp, "eps_enz", no_newton)
+        lambdas = list(calibrated_lambdas)
+        lambdas[index] = value
+        with pytest.raises(InputError, match=match):
+            trace_resonance(lambdas, SIC, VACUUM_CORE, gamma_max=0.006,
+                            steps=3)
 
     def test_order_one_rejected(self, calibrated_lambdas):
         with pytest.raises(InputError, match="order must be >= 2"):
