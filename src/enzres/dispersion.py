@@ -62,6 +62,12 @@ MIN_PLASMA_RATIO = 1e-2
 #: of its gamma -> inf limit eps_inf/eps_D.  On the h = 0.08 disk (orders
 #: 2-4, six materials) Newton diverged below 13 omega* in 12 of 18 traces
 MAX_GAMMA_RATIO = 100.0
+#: highest order `expand_series` runs and `read_series` reads: the last at
+#: which |lambda_n| still falls on the disk at target 9 (1.6e-8 at h = 0.08,
+#: 1.2e-8 at h = 0.04).  Past it rounding takes over: orders 14, 15 and 16
+#: grow x3.7, x1.4 and x26 at h = 0.08 and x3.3, x15 and x24 at h = 0.04,
+#: and the defect check refuses only order 18 and 17 respectively
+MAX_ORDER = 13
 
 
 @dataclass(frozen=True)
@@ -235,12 +241,16 @@ def _json_numbers(doc: dict, key: str, ndim: int) -> np.ndarray:
 def read_series(text: str) -> list:
     """The coefficients [lambda0, lambda_1, ..., lambda_N] of a series
     document (`enzres expand -o`).  "lambda0" and "norm_const" must be
-    finite numbers, "lambda" and "e" lists of as many finite numbers, or
-    InputError names the key; other keys, such as the fields of older
-    documents, are ignored."""
+    finite numbers, "lambda" and "e" lists of as many finite numbers, at
+    most `MAX_ORDER`, or InputError names the key; other keys, such as the
+    fields of older documents, are ignored."""
     doc = _json_document("read_series", text, schema_version=1)
     lambda0 = float(_json_numbers(doc, "lambda0", 0))
     coeffs = _json_numbers(doc, "lambda", 1)
+    if coeffs.size > MAX_ORDER:
+        raise InputError(f"read_series: 'lambda' holds {coeffs.size} "
+                         f"coefficients, past the highest order MAX_ORDER = "
+                         f"{MAX_ORDER}")
     constants = _json_numbers(doc, "e", 1)
     _json_numbers(doc, "norm_const", 0)
     if coeffs.size != constants.size:

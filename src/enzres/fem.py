@@ -30,13 +30,15 @@ Conventions used throughout the package:
   through all-node products; and ``op.neumann()``, the ``MeanZeroFactor``
   of the region's stiffness block, whose ``solve(b)`` takes a load vector
   on the region's nodes.  Any number of right-hand sides, real or complex,
-  reuse either, each with its own residual check; a complex one is
-  solved, and its residual formed, as its real and imaginary parts.  The
-  series recursion and the eigensolver's Dirichlet-Neumann preconditioner
-  are built from these two factors.  The operator keeps no factor: each
-  call makes a new one, which lives as long as its caller holds it.  The
-  series hands its two to the psi_d it returns, so the finite-delta check
-  on that psi_d makes none.
+  reuse either; a complex one is solved, and its residual formed, as its
+  real and imaginary parts.  The series recursion and the eigensolver's
+  Dirichlet-Neumann preconditioner are built from these two factors.  The
+  operator keeps no factor: each call makes a new one, which lives as long
+  as its caller holds it.  The series hands its two to the psi_d it
+  returns, so the finite-delta check on that psi_d makes none.
+* Every back-solve (both factors' ``solve``, ``linear_solve``) passes one
+  gate, ``_accept_solve``: a finite relative residual of at most
+  ``SOLVE_TOL``, else NumericalError naming the solve, NaN data included.
 * Every factorization the solvers make orders its matrix by minimum
   degree on A + A^T, which suits the symmetric pattern all of their
   matrices share and about halves the fill of SuperLU's default column
@@ -147,8 +149,22 @@ _MASS_REF = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0  # [[2,1,1],...]/12
 # ---------------------------------------------------------------------------
 # linear algebra
 
+#: largest relative residual ||A x - b|| / ||b|| of an accepted back-solve
+SOLVE_TOL = 1e-10
+
+
+def _accept_solve(caller: str, res: float, scale: float) -> None:
+    """NumericalError naming `caller` unless the residual norm `res` and the
+    data norm `scale` are finite with res <= `SOLVE_TOL` * scale."""
+    if not (math.isfinite(scale) and res <= SOLVE_TOL * scale):
+        ratio = float(res) / float(scale) if scale else math.inf
+        raise NumericalError(
+            f"{caller}: relative residual {ratio:.3e} exceeds {SOLVE_TOL:g} "
+            "(matrix singular to working precision, or data not finite?)")
+
+
 def linear_solve(A, b: np.ndarray) -> np.ndarray:
-    """Direct sparse solve with a residual check (real or complex)."""
+    """Direct sparse solve (real or complex), accepted by `_accept_solve`."""
     A = sp.csc_matrix(A)
     if A.shape[0] != A.shape[1] or A.shape[0] != len(b):
         raise InputError("linear_solve: dimension mismatch")
@@ -157,12 +173,8 @@ def linear_solve(A, b: np.ndarray) -> np.ndarray:
     except RuntimeError as exc:
         raise NumericalError(f"linear_solve: factorization failed ({exc})")
     x = lu.solve(np.asarray(b, dtype=A.dtype))
-    nb = np.linalg.norm(b)
-    res = np.linalg.norm(A @ x - b)
-    if nb > 0 and not res <= 1e-10 * nb:
-        raise NumericalError(
-            f"linear_solve: relative residual {res / nb:.3e} exceeds 1e-10 "
-            "(matrix singular to working precision?)")
+    _accept_solve("linear_solve", np.linalg.norm(A @ x - b),
+                  np.linalg.norm(b))
     return x
 
 
@@ -214,7 +226,7 @@ class MeanZeroFactor:
     larger kernel and is refused here, before anything is factored.  One
     node, the one with the largest diagonal entry, is pinned, and K without
     it is factored once by `factor_spd`; any number of right-hand sides
-    then reuse the factor through `solve`.
+    then reuse the factor through `solve`, accepted by `_accept_solve`.
     """
 
     def __init__(self, K, m: np.ndarray):
@@ -244,8 +256,8 @@ class MeanZeroFactor:
         """Solve for one real or complex right-hand side b.  Summing the
         first block row gives mu = sum(b) / sum(m); K u = b - mu*m is then
         consistent and is solved with the pinned node's value 0, and u is
-        shifted by a constant so that m @ u = 0.  The solution is checked
-        against the bordered equations (relative residual 1e-10).
+        shifted by a constant so that m @ u = 0.  The residual is that of
+        the bordered equations.
 
         Returns (u, mu).
         """
@@ -253,17 +265,16 @@ class MeanZeroFactor:
         b = np.asarray(b)
         if b.shape != m.shape:
             raise InputError("MeanZeroFactor.solve: dimension mismatch")
-        mu = b.sum() / m.sum()
-        r = b - mu * m
-        u = np.zeros(m.size, dtype=r.dtype)
-        u[keep] = _solve_real(self.lu, r[keep])
-        u -= (m @ u) / m.sum()
-        res = math.hypot(_residual_norm(K, u, r), abs(m @ u))
-        nb = np.linalg.norm(b)
-        if nb > 0 and not res <= 1e-10 * nb:
-            raise NumericalError(
-                f"MeanZeroFactor.solve: relative residual {res / nb:.3e} "
-                "exceeds 1e-10 (matrix singular to working precision?)")
+        # an inf in b makes inf - inf here; the residual check refuses it
+        with np.errstate(invalid="ignore"):
+            mu = b.sum() / m.sum()
+            r = b - mu * m
+            u = np.zeros(m.size, dtype=r.dtype)
+            u[keep] = _solve_real(self.lu, r[keep])
+            u -= (m @ u) / m.sum()
+        _accept_solve("MeanZeroFactor.solve",
+                      math.hypot(_residual_norm(K, u, r), abs(m @ u)),
+                      np.linalg.norm(b))
         return u, mu
 
 
@@ -362,7 +373,7 @@ class DirichletFactor:
 
     The matrix is indefinite above the lowest Dirichlet eigenvalue, so it is
     factored by `factor_symmetric`.  The condition estimate is checked
-    once, here; every `solve` checks its own residual.
+    once, here; every `solve`'s residual is accepted by `_accept_solve`.
     """
 
     def __init__(self, op: RegionOperator, lam: float):
@@ -409,12 +420,8 @@ class DirichletFactor:
         b_i = b[op.interior] - (self.K_ib @ g_b
                                 - self.lam * (self.M_ib @ g_b))
         u_i = _solve_real(self.lu, b_i)
-        res = _residual_norm(self.A_ii, u_i, b_i)
-        scale = np.linalg.norm(b_i)
-        if scale > 0 and not res <= 1e-10 * scale:
-            raise NumericalError(
-                f"DirichletFactor.solve: residual {res / scale:.3e} > "
-                "1e-10")
+        _accept_solve("DirichletFactor.solve",
+                      _residual_norm(self.A_ii, u_i, b_i), np.linalg.norm(b_i))
         u[op.interior] = u_i
         return u
 

@@ -391,16 +391,16 @@ def _check_connectivity(mesh: Mesh, tri_a, tri_b, reg_a, reg_b) -> None:
 
 def save_mesh(mesh: Mesh) -> str:
     """Serialize to the `enzmesh v1` text format (coordinates round-trip
-    bit-identically)."""
-    out = ["enzmesh v1", f"nodes {mesh.n_nodes}"]
-    out += [f"{x!r} {y!r}" for x, y in mesh.nodes.tolist()]
-    out.append(f"triangles {mesh.n_triangles}")
-    out += [f"{a} {b} {c} {reg}" for (a, b, c), reg
-            in zip(mesh.triangles.tolist(), mesh.regions.tolist())]
-    out.append(f"boundary_edges {mesh.boundary_edges.shape[0]}")
-    out += [f"{a} {b} {tag}" for (a, b), tag
-            in zip(mesh.boundary_edges.tolist(), mesh.edge_tags.tolist())]
-    return "\n".join(out) + "\n"
+    bit-identically), each section as one `%` format of its flat values."""
+    sections = [("nodes", "%r %r\n", mesh.nodes),
+                ("triangles", "%d %d %d %d\n",
+                 np.column_stack([mesh.triangles, mesh.regions])),
+                ("boundary_edges", "%d %d %d\n",
+                 np.column_stack([mesh.boundary_edges, mesh.edge_tags]))]
+    return "enzmesh v1\n" + "".join(
+        f"{name} {len(rows)}\n"
+        + row * len(rows) % tuple(rows.ravel().tolist())
+        for name, row, rows in sections)
 
 
 def _numbers(rows, dtype, width) -> np.ndarray:

@@ -28,6 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
+from enzres.dispersion import MAX_ORDER
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (DirichletFactor, MeanZeroFactor, factor_symmetric,
                         region_operator, weak_normal_flux)
@@ -48,12 +49,6 @@ MAX_LANCZOS_STEPS = 2 * MAX_PENCIL_EIGS
 #: a Ritz value nu of the shift-inverted pencil counts as converged once
 #: its Lanczos residual estimate is at most `RITZ_TOL` * |nu|
 RITZ_TOL = 1e-8
-#: highest order `expand_series` runs: the last order at which |lambda_n|
-#: still falls on the disk at target 9 (1.6e-8 at h = 0.08, 1.2e-8 at
-#: h = 0.04).  Past it rounding takes over: orders 14, 15 and 16 grow x3.7,
-#: x1.4 and x26 at h = 0.08 and x3.3, x15 and x24 at h = 0.04, and the
-#: defect check refuses only order 18 and 17 respectively
-MAX_ORDER = 13
 
 
 @dataclass

@@ -356,6 +356,24 @@ class TestResonate:
         assert "internal error" not in err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("order, expected", [(13, 0), (14, 2)])
+    def test_series_past_max_order_exit_2(self, series_file, tmp_path,
+                                          order, expected):
+        # the order-3 document padded with zeros: 10,000 orders once traced
+        # for 1.4 s and exited 0, though no series runs past MAX_ORDER
+        doc = json.loads(series_file.read_text())
+        pad = [0.0] * (order - len(doc["lambda"]))
+        doc["lambda"] += pad
+        doc["e"] += pad
+        path, out = tmp_path / "s.json", tmp_path / "t.csv"
+        path.write_text(json.dumps(doc))
+        code, err = run_main([*resonate_argv(path), "-o", str(out)])
+        assert code == expected, err
+        if expected == 2:
+            assert f"holds {order} coefficients, past the highest order " \
+                   "MAX_ORDER = 13" in err
+            assert not out.exists()
+
 
 class TestOptimize:
     def test_dual_design_converges(self, mesh_file, tmp_path):

@@ -2,6 +2,7 @@
 normal flux identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,42 @@ class TestLinearSolve:
         A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(NumericalError):
             linear_solve(A, np.array([1.0, 0.0]))
+
+
+class TestSolveGate:
+    """Every back-solve passes `_accept_solve`: NaN or inf data is refused
+    by the solve that met it, and zero data gives zeros."""
+
+    @pytest.fixture(scope="class")
+    def solves(self):
+        # the h = 0.15 disk, whose NaN loads once came back as NaN fields
+        m = build_concentric_mesh(1.0, 1.3, 0.15)
+        core, shell = region_operator(m, CORE), region_operator(m, SHELL)
+        fac, neumann = DirichletFactor(core, 9.0), shell.neumann()
+        n = m.n_nodes
+        return {
+            "DirichletFactor.solve": (n, lambda b: fac.solve(b, np.zeros(n))),
+            "MeanZeroFactor.solve": (shell.nodes.size,
+                                     lambda b: neumann.solve(b)[0]),
+            "linear_solve": (fac.A_ii.shape[0],
+                             lambda b: linear_solve(fac.A_ii, b))}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["DirichletFactor.solve",
+                                      "MeanZeroFactor.solve", "linear_solve"])
+    def test_non_finite_data_refused(self, solves, name, bad):
+        n, solve = solves[name]
+        b = np.zeros(n)
+        b[n // 2] = bad
+        with pytest.raises(NumericalError, match=(
+                f"^{re.escape(name)}: relative residual nan exceeds 1e-10")):
+            solve(b)
+
+    @pytest.mark.parametrize("name", ["DirichletFactor.solve",
+                                      "MeanZeroFactor.solve", "linear_solve"])
+    def test_zero_data_gives_zeros(self, solves, name):
+        n, solve = solves[name]
+        assert not solve(np.zeros(n)).any()
 
 
 class TestDirichletCore:

@@ -164,6 +164,19 @@ class TestRoundTrip:
         # would change the bytes of every file
         assert save_mesh(load_mesh(text)) == SQUARE_TEXT
 
+    def test_save_matches_a_per_row_writer(self):
+        # one `%` format per section writes what per-row f-strings wrote
+        m = build_concentric_mesh(1.0, 1.4, 0.3, r_b=2.0)
+        out = ["enzmesh v1", f"nodes {m.n_nodes}"]
+        out += [f"{x!r} {y!r}" for x, y in m.nodes.tolist()]
+        out.append(f"triangles {m.n_triangles}")
+        out += [f"{a} {b} {c} {reg}" for (a, b, c), reg
+                in zip(m.triangles.tolist(), m.regions.tolist())]
+        out.append(f"boundary_edges {m.boundary_edges.shape[0]}")
+        out += [f"{a} {b} {tag}" for (a, b), tag
+                in zip(m.boundary_edges.tolist(), m.edge_tags.tolist())]
+        assert save_mesh(m) == "\n".join(out) + "\n"
+
 
 class TestLoadErrors:
     def test_bad_header_reports_line(self):
