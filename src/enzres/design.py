@@ -150,10 +150,10 @@ def make_disk_problem(mesh: Mesh, lambda0: float) -> DesignProblem:
     """Standard problem: f = weak interface flux of psi_d, norm_const from
     the same core solve."""
     psi_d = _core_profile("make_disk_problem", mesh, lambda0)[0]
-    f = weak_normal_flux(mesh, psi_d.values, lambda0)
+    f = weak_normal_flux(mesh, psi_d, lambda0)
     prob = DesignProblem(mesh=mesh, lambda0=lambda0, f=f)
     M_core = region_operator(mesh, CORE).M
-    prob.norm_const = float(prob.A0 + psi_d.values @ (M_core @ psi_d.values))
+    prob.norm_const = float(prob.A0 + psi_d @ (M_core @ psi_d))
     return prob
 
 

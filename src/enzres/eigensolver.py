@@ -11,11 +11,11 @@ Equations, 1999), the shell/core splitting of the series recursion: at
 small delta the shell stiffness K_s/delta dominates the pencil, so a
 mean-zero shell solve of K_s x_S = delta*r_S is followed by a Dirichlet
 core solve at the real shift sigma = lambda0 of psi_d with x_S as
-interface data.  Those are the two factors the series recursion made, and
-the sweep solves with each through its own `solve`, as the recursion
-does: `MeanZeroFactor.solve` and `DirichletFactor.solve`.  The psi_d of
-`perturbation.expand_series` carries them, and they are made here for any
-other psi_d.  The shift is the same either way, and so is the answer.
+interface data.  Those are the two factors the series recursion made,
+which the psi_d of `perturbation.expand_series` carries, and the sweep
+solves with each through its own `solve`, as the recursion does:
+`MeanZeroFactor.solve` and `DirichletFactor.solve`.  Nothing is factored
+here.
 A pair is accepted only when its true pencil residual, relative to
 ||K|| + |lambda|*||M||, is at most RESIDUAL_TOL; an iteration that stops
 above it (it no longer halves its residual every two sweeps, or reaches
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from enzres.errors import InputError, NumericalError
-from enzres.fem import DirichletFactor, region_operator
+from enzres.fem import region_operator
 from enzres.mesh import CORE, SHELL, Mesh
 from enzres.perturbation import CoreProfile
 
@@ -55,9 +55,7 @@ class ResonancePair:
     `residual` is ||(K - lambda*M) u|| / ||u|| relative to
     ||K|| + |lambda|*||M|| (infinity norms); `u`, the complex nodal
     eigenvector, is normalized so int u * u0 = norm_const (unconjugated);
-    `iterations` counts the preconditioned sweeps; `factorizations` counts
-    the factors the call made: 0 when psi_d carried both factors, 2 when it
-    carried none.
+    `iterations` counts the preconditioned sweeps.
     """
 
     delta: complex
@@ -65,7 +63,6 @@ class ResonancePair:
     u: np.ndarray
     iterations: int
     residual: float
-    factorizations: int
 
 
 def assemble_operator(mesh: Mesh, delta):
@@ -86,9 +83,12 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
     u0.
 
     psi_d is a `perturbation.CoreProfile` on `mesh`: the core profile with
-    the lambda0 it was solved at.  lam_guess (the series' prediction) is the
-    eigenvalue estimate of the first residual only; every later residual
-    takes the unconjugated Rayleigh quotient of its iterate.
+    the lambda0 it was solved at and the series' two factors.  lam_guess
+    (the series' prediction) is the eigenvalue estimate of the first
+    residual only, and only when it lies within |rho0| of rho0, the
+    unconjugated Rayleigh quotient of u0; a guess farther off is replaced
+    by rho0, since its first residual would be dominated by guess*M u0.
+    Every later residual takes the Rayleigh quotient of its iterate.
 
     Preconditioned inverse iteration from u0: u <- u - P r, where
     r = (K(delta) - lam*M) u.  P is one Dirichlet-Neumann sweep over two
@@ -98,8 +98,7 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
     core's `DirichletFactor` at sigma = psi_d.lambda0 takes r as its load
     and x_S as its interface data, giving
     x_I = (K_ii - sigma*M_ii)^-1 (r - (K_core - sigma*M_core) x_G)_I.
-    Both are taken from psi_d when it carries them
-    (`perturbation.expand_series`), and made here otherwise.
+    Both are psi_d's own (`perturbation.expand_series`).
     The iteration stops once the residual is at most RESIDUAL_TOL * 1e-2,
     or when it is not below half its value two sweeps before, or after
     MAX_ITERATIONS sweeps; a residual not at most RESIDUAL_TOL at that
@@ -115,21 +114,18 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
                              f"{value}")
     if not isinstance(psi_d, CoreProfile):
         raise InputError("resonance_near: psi_d must be a CoreProfile, "
-                         "which carries the lambda0 it was solved at")
+                         "which carries the lambda0 it was solved at and "
+                         "the series' two factors")
     if psi_d.mesh is not mesh:
         raise InputError("resonance_near: psi_d belongs to another mesh")
-    lambda0 = psi_d.lambda0
     K, M = assemble_operator(mesh, delta)
     delta = complex(delta)
     core, shell = region_operator(mesh, CORE), region_operator(mesh, SHELL)
-    factorizations = (psi_d.core_factor is None) + (psi_d.shell_factor is None)
-    core_factor = psi_d.core_factor or DirichletFactor(core, lambda0)
-    shell_factor = psi_d.shell_factor or shell.neumann()
 
     def sweep(r):
         x = np.zeros_like(r)
-        x[shell.nodes], _ = shell_factor.solve(delta * r[shell.nodes])
-        x[core.interior] = core_factor.solve(r, x)[core.interior]
+        x[shell.nodes], _ = psi_d.shell_factor.solve(delta * r[shell.nodes])
+        x[core.interior] = psi_d.core_factor.solve(r, x)[core.interior]
         return x
 
     u0 = np.zeros(mesh.n_nodes, dtype=complex)
@@ -149,8 +145,9 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
             raise NumericalError("resonance_near: degenerate bilinear norm "
                                  "(complex-symmetric breakdown)")
         Kv = K @ v
-        if it > 0:
-            lam = (v @ Kv) / vMv
+        rho = (v @ Kv) / vMv
+        if it > 0 or abs(lam - rho) > abs(rho):
+            lam = rho
         r = Kv - lam * Mv
         res = np.linalg.norm(r) / (K_norm + abs(lam) * M_norm)
         if (res <= RESIDUAL_TOL * 1e-2 or it == MAX_ITERATIONS
@@ -172,6 +169,5 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
                              "in the bilinear pairing")
     v = v * (norm_const / pairing)
     return ResonancePair(delta=delta, lam=complex(lam), u=v,
-                         iterations=it, residual=float(res),
-                         factorizations=int(factorizations))
+                         iterations=it, residual=float(res))
 

@@ -11,11 +11,12 @@ Conventions used throughout the package:
   read.
 * One matrix kernel, ``ScatterPattern``, sums every matrix the solvers
   assemble from per-element 3x3 blocks: its pattern is computed once per
-  element set, and each ``fill`` adds the blocks up on it in element
-  order.  A region's K and M share one pattern, at full node dimension
-  (empty rows off the region); the design module fills its stiffness and
-  Hessians on one pattern of its own nodes.  Nodal vectors are summed by
-  ``_scatter_vector``.
+  element set, by one ``np.unique`` over the key row*n + col of each of
+  the 9 entries of every element, and each ``fill`` adds the blocks up on
+  it in element order.  A region's K and M share one pattern, at full
+  node dimension (empty rows off the region); the design module fills its
+  stiffness and Hessians on one pattern of its own nodes.  Nodal vectors
+  are summed by ``_scatter_vector``.
 * The unit-weight K, M and mass vector of a region come from one
   ``RegionOperator`` per mesh and region (cached on ``Mesh._cache``), which
   also holds the region's nodes, its interface nodes and its other nodes:
@@ -35,7 +36,8 @@ Conventions used throughout the package:
   Dirichlet-Neumann preconditioner are built from these two factors.  The
   operator keeps no factor: each call makes a new one, which lives as long
   as its caller holds it.  The series hands its two to the psi_d it
-  returns, so the finite-delta check on that psi_d makes none.
+  returns, which cannot be made without them, so the finite-delta check
+  factors nothing.
 * Every back-solve (both factors' ``solve``, ``linear_solve``) passes one
   gate, ``_accept_solve``: a finite relative residual of at most
   ``SOLVE_TOL``, else NumericalError naming the solve, NaN data included.
@@ -107,13 +109,15 @@ class ScatterPattern:
     """
 
     def __init__(self, conn: np.ndarray, n: int):
-        rows = np.repeat(conn, 3, axis=1).ravel().astype(np.int64)
-        cols = np.tile(conn, (1, 3)).ravel()
-        keys, slot = np.unique(rows * n + cols, return_inverse=True)
+        # key row*n + col of entry (i, j) of each element's block
+        conn = conn.astype(np.int64, copy=False)
+        keys = conn[:, :, None] * n + conn[:, None, :]
+        keys, slot = np.unique(keys.ravel(), return_inverse=True)
+        rows, cols = np.divmod(keys, n)
         self.n = n
         self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=self.indptr[1:])
-        self.indices = (keys % n).astype(np.int32)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
+        self.indices = cols.astype(np.int32)
         self.slot = slot.astype(np.int32)
 
     @cached_property

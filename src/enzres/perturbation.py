@@ -14,7 +14,9 @@ recursion that factors the core and the shell operator once each; all
 stored fields are mean-zero with the additive constants e_n kept
 separately.  The series' psi_d is a `CoreProfile`: it carries the lambda0
 it was solved at and the two factors the recursion made, which
-`eigensolver.resonance_near` on it reuses.  Only the coefficients leave
+`eigensolver.resonance_near` solves with, so a profile without its
+factors cannot be built; `compute_psi_d` returns the nodal values alone.
+Only the coefficients leave
 the process (`enzres expand -o`, read back by `dispersion.read_series`);
 the fields live with their mesh.
 """
@@ -58,17 +60,16 @@ class CoreProfile:
     exact float `lambda0` it was solved at.
 
     `core_factor` (the core at lambda0) and `shell_factor` (the shell's
-    mean-zero factor) are the factors `expand_series` made; a psi_d from
-    `compute_psi_d` has none.  They are not shown or compared.
+    mean-zero factor) are the two factors `expand_series` made, which
+    `eigensolver.resonance_near` solves with.  They are not shown or
+    compared.
     """
 
     mesh: Mesh
     values: np.ndarray
     lambda0: float
-    core_factor: DirichletFactor | None = field(
-        default=None, repr=False, compare=False)
-    shell_factor: MeanZeroFactor | None = field(
-        default=None, repr=False, compare=False)
+    core_factor: DirichletFactor = field(repr=False, compare=False)
+    shell_factor: MeanZeroFactor = field(repr=False, compare=False)
 
 
 @dataclass
@@ -123,18 +124,16 @@ def _check_lambda0(caller: str, mesh: Mesh, lambda0) -> None:
 
 
 def _core_profile(caller: str, mesh: Mesh, lambda0):
-    """(psi_d, the core factor at lambda0 that solved it), for a lambda0
-    that `_check_lambda0` passes first, naming `caller`."""
+    """(psi_d's nodal values, the core factor at lambda0 that solved it),
+    for a lambda0 that `_check_lambda0` passes first, naming `caller`."""
     _check_lambda0(caller, mesh, lambda0)
-    lambda0 = float(lambda0)
-    fac = DirichletFactor(region_operator(mesh, CORE), lambda0)
-    psi_d = fac.solve(np.zeros(mesh.n_nodes), np.ones(mesh.n_nodes))
-    return CoreProfile(mesh, psi_d, lambda0), fac
+    fac = DirichletFactor(region_operator(mesh, CORE), float(lambda0))
+    return fac.solve(np.zeros(mesh.n_nodes), np.ones(mesh.n_nodes)), fac
 
 
-def compute_psi_d(mesh: Mesh, lambda0: float) -> CoreProfile:
-    """Core profile: (-Delta - lambda0) psi_d = 0 in D, psi_d = 1 on the
-    interface."""
+def compute_psi_d(mesh: Mesh, lambda0: float) -> np.ndarray:
+    """Nodal values of the core profile: (-Delta - lambda0) psi_d = 0 in D,
+    psi_d = 1 on the interface, zero off the core."""
     return _core_profile("compute_psi_d", mesh, lambda0)[0]
 
 
@@ -355,18 +354,18 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     areas = mesh.area_by_region()
     area, shell_area = sum(areas.values()), areas[SHELL]
 
-    consist = shell_area + op.m @ psi_d.values
+    consist = shell_area + op.m @ psi_d
     if abs(consist) > CONSISTENCY_TOL * area:
         raise InputError(
             f"expand_series: consistency residual {consist:.3e} exceeds "
             f"{CONSISTENCY_TOL:g}*|Omega|; run find_lambda0 first "
             "(lambda0 drift or mesh too coarse)")
     # consistent-mass products keep the recursion identities exact discretely
-    M_psi_d = op.M @ psi_d.values
-    norm_const = float(shell_area + psi_d.values @ M_psi_d)
+    M_psi_d = op.M @ psi_d
+    norm_const = float(shell_area + psi_d @ M_psi_d)
 
     # flux of psi_d across the interface, reused for every lambda_{n+1}
-    flux_psi_d = weak_normal_flux(mesh, psi_d.values, lambda0)
+    flux_psi_d = weak_normal_flux(mesh, psi_d, lambda0)
     # one shell factorization serves every shell corrector
     shell = region_operator(mesh, SHELL)
     shell_fac = shell.neumann()
@@ -378,7 +377,7 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     core_source = np.zeros(mesh.n_nodes)  # RHS of psi_n's PDE, order 0 = 0
 
     def full_psi(n):
-        return psis[n] + e[n] * psi_d.values
+        return psis[n] + e[n] * psi_d
 
     for n in range(order):
         # Neumann problem for the order-(n+1) shell corrector:
@@ -416,11 +415,11 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         phis.append(phi_next)
         psis.append(psi_ring)
 
-    psi_d.core_factor, psi_d.shell_factor = fac, shell_fac
     return PerturbationSeries(
         mesh=mesh, lambda0=float(lambda0), lambda_coeffs=lambdas[1:],
         shell_fields=phis[1:], core_fields=psis[1:],
-        constants=e[1:], norm_const=norm_const, psi_d=psi_d)
+        constants=e[1:], norm_const=norm_const,
+        psi_d=CoreProfile(mesh, psi_d, float(lambda0), fac, shell_fac))
 
 
 def eval_lambda(series, delta):

@@ -154,7 +154,7 @@ def consistency_residual(mesh: Mesh, lambda0: float) -> float:
     """Signed consistency residual |shell| + int_D psi_d."""
     psi = _core_profile("consistency_residual", mesh, lambda0)[0]
     return float(mesh.area_by_region()[SHELL]
-                 + region_operator(mesh, CORE).m @ psi.values)
+                 + region_operator(mesh, CORE).m @ psi)
 
 
 def ritz_values_near(mesh: Mesh, delta, lam_guess, k: int = 2) -> np.ndarray:

@@ -187,9 +187,9 @@ def test_criterion_6_structural_properties(disk_meshes, disk_lambda0s):
             np.ones(m.n_nodes) @ (M @ np.ones(m.n_nodes)) - area) / area)
 
     u = compute_psi_d(m, lam0)
-    flux = weak_normal_flux(m, u.values, lam0)
+    flux = weak_normal_flux(m, u, lam0)
     M0 = region_operator(m, CORE).M
-    expected = -lam0 * float(np.ones(m.n_nodes) @ (M0 @ u.values))
+    expected = -lam0 * float(np.ones(m.n_nodes) @ (M0 @ u))
     flux_defect = abs(flux.sum() - expected) / abs(expected)
 
     prob = make_disk_problem(m, lam0)

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from enzres.bessel_oracle import disk_case, disk_psi_d
+from enzres.design import make_disk_problem
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (DirichletFactor, MeanZeroFactor, RegionOperator,
                         _solve_real, element_geometry, linear_solve,
@@ -97,6 +98,31 @@ class TestAssembly:
         assert op.m == pytest.approx(np.asarray(op.M.sum(axis=1)).ravel(),
                                      rel=1e-13)
         assert np.array_equal(op.nodes, m.region_nodes(region))
+
+    @pytest.mark.parametrize("owner", ["region", "design"])
+    def test_pattern_matches_repeat_tile_keys(self, mesh_coarse,
+                                              lambda0_coarse, owner):
+        # the same pattern from keys built by np.repeat/np.tile and split
+        # by // and %: a core operator's, at full node dimension, and a
+        # design problem's, on its own relabelled nodes
+        m = mesh_coarse
+        if owner == "region":
+            pattern = region_operator(m, CORE).pattern
+            conn = m.triangles[m.region_triangles(CORE)]
+        else:
+            prob = make_disk_problem(m, lambda0_coarse)
+            pattern, conn = prob.pattern, prob.conn
+        n = pattern.n
+        rows = np.repeat(conn, 3, axis=1).ravel().astype(np.int64)
+        cols = np.tile(conn, (1, 3)).ravel()
+        keys, slot = np.unique(rows * n + cols, return_inverse=True)
+        counts = np.bincount(keys // n, minlength=n)
+        assert np.array_equal(pattern.indptr,
+                              np.concatenate([[0], np.cumsum(counts)]))
+        assert np.array_equal(pattern.indices, keys % n)
+        assert np.array_equal(pattern.slot, slot)
+        for index in (pattern.indptr, pattern.indices, pattern.slot):
+            assert index.dtype == np.int32
 
 
 class TestLinearSolve:

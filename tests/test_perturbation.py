@@ -343,8 +343,24 @@ class TestEvaluation:
         pd = compute_psi_d(mesh_coarse, lambda0_coarse)
         interface = np.unique(
             mesh_coarse.boundary_edges[mesh_coarse.edge_tags == 0])
-        assert np.allclose(pd.values[interface], 1.0, atol=1e-12)
-        assert isinstance(pd, CoreProfile) and pd.lambda0 == lambda0_coarse
+        assert np.allclose(pd[interface], 1.0, atol=1e-12)
+        assert isinstance(pd, np.ndarray) and pd.shape == (
+            mesh_coarse.n_nodes,)
+
+    def test_compute_psi_d_is_the_series_profile(self, mesh_coarse,
+                                                 lambda0_coarse):
+        # one solve on one factor at the same shift: the nodal values of
+        # compute_psi_d are those the series' CoreProfile holds, to the bit
+        s = expand_series(mesh_coarse, lambda0_coarse, order=1)
+        assert np.array_equal(compute_psi_d(mesh_coarse, lambda0_coarse),
+                              s.psi_d.values)
+
+    def test_core_profile_needs_its_factors(self, series_fine):
+        # a CoreProfile is made only with the two factors it was solved
+        # on, which resonance_near solves with
+        pd = series_fine.psi_d
+        with pytest.raises(TypeError, match="core_factor.*shell_factor"):
+            CoreProfile(pd.mesh, pd.values, pd.lambda0)
 
 
 @pytest.fixture(scope="module")
