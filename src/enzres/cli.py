@@ -169,44 +169,37 @@ def cmd_validate_disk(args) -> int:
     # the only command that needs the oracle (and scipy.special) loads it
     from enzres import perturbation as pert
     from enzres.bessel_oracle import annulus_lambda1, disk_case, disk_psi_d
-    from enzres.eigensolver import resonance_near
+    from enzres.eigensolver import remainder_ratios
     from enzres.fem import region_operator, weak_normal_flux
     lam_exact = 9.0
     case = disk_case(lam_exact)
     h = args.h
     checks = []
 
-    lam_h = {}
-    mesh_h = {}
-    for hh in (4 * h, 2 * h, h):
-        mesh_h[hh] = build_concentric_mesh(1.0, case.r0, hh)
-        lam_h[hh] = pert.find_lambda0(mesh_h[hh], (6.0, 14.0))
-    rel = abs(lam_h[h] - lam_exact) / lam_exact
+    # the finest mesh first, so that an oversized h is refused before any
+    # work; the coarser two serve lambda0's convergence order alone
+    mesh = build_concentric_mesh(1.0, case.r0, h)
+    e1, e2 = (abs(pert.find_lambda0(build_concentric_mesh(1.0, case.r0, hh),
+                                    (6.0, 14.0)) - lam_exact)
+              for hh in (4 * h, 2 * h))
+    lam0 = pert.find_lambda0(mesh, (6.0, 14.0))
+    e3 = abs(lam0 - lam_exact)
+    rel = e3 / lam_exact
     checks.append(("lambda0 within 0.5% at h", rel, rel <= 5e-3))
-    e1, e2 = abs(lam_h[4 * h] - lam_exact), abs(lam_h[2 * h] - lam_exact)
-    e3 = abs(lam_h[h] - lam_exact)
     order = 0.5 * (math.log2(e1 / e2) + math.log2(e2 / e3))
     checks.append(("lambda0 convergence order >= 1.8", order, order >= 1.8))
 
-    mesh = mesh_h[h]
-    series = pert.expand_series(mesh, lam_h[h], order=2)
+    series = pert.expand_series(mesh, lam0, order=2)
     lam1_rel = abs(series.lambda_coeffs[0] - annulus_lambda1(case)) \
         / abs(annulus_lambda1(case))
     checks.append(("lambda1 within 1% of oracle", lam1_rel, lam1_rel <= 1e-2))
 
     # criterion 2: the direct finite-delta eigenvalue at delta and delta/2
     # (on the series' own factors) leaves remainders E_n = O(delta^(n+1))
-    delta = 0.01 * cmath.exp(1j * math.pi / 4)
-    pairs = [resonance_near(mesh, d, pert.eval_lambda(series, d),
-                            series.psi_d) for d in (delta, delta / 2)]
-    ratios = []
-    for n in (1, 2):
-        rem = [abs(p.lam - series.lambda0 - sum(
-            c * p.delta ** (k + 1)
-            for k, c in enumerate(series.lambda_coeffs[:n]))) for p in pairs]
-        ratios.append(rem[0] / rem[1])
+    ratios = remainder_ratios(series, 0.01 * cmath.exp(1j * math.pi / 4))
+    for n, ratio in enumerate(ratios, 1):
         checks.append((f"E_{n} remainder ratio in [{2 ** n}, {2 ** (n + 2)}]",
-                       ratios[-1], 2 ** n <= ratios[-1] <= 2 ** (n + 2)))
+                       ratio, 2 ** n <= ratio <= 2 ** (n + 2)))
 
     r = np.linalg.norm(mesh.nodes, axis=1)
     core_nodes = mesh.region_nodes(CORE)
@@ -216,9 +209,9 @@ def cmd_validate_disk(args) -> int:
     checks.append(("psi_d max nodal error small (O(h^2))", psi_err,
                    psi_err <= 50 * h * h))
 
-    total = weak_normal_flux(mesh, series.psi_d.values, lam_h[h]).sum()
+    total = weak_normal_flux(mesh, series.psi_d.values, lam0).sum()
     m_core = region_operator(mesh, CORE).m
-    ident = abs(total + lam_h[h] * (m_core @ series.psi_d.values))
+    ident = abs(total + lam0 * (m_core @ series.psi_d.values))
     checks.append(("flux mass identity <= 1e-10 relative",
                    ident / abs(total), ident <= 1e-10 * abs(total)))
 
@@ -227,7 +220,7 @@ def cmd_validate_disk(args) -> int:
         # past three digits E_n and the flux identity are rounding noise;
         # the JSON keeps full precision
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {value:#.3g}")
-    _emit({"h": h, "lambda0": lam_h[h], "order": order,
+    _emit({"h": h, "lambda0": lam0, "order": order,
            "lambda1": series.lambda_coeffs[0], "remainder_ratios": ratios,
            "all_passed": ok})
     return 0 if ok else 1

@@ -38,9 +38,15 @@ Conventions used throughout the package:
   as its caller holds it.  The series hands its two to the psi_d it
   returns, which cannot be made without them, so the finite-delta check
   factors nothing.
-* Every back-solve (both factors' ``solve``, ``linear_solve``) passes one
-  gate, ``_accept_solve``: a finite relative residual of at most
+* The back-solves of both factors' ``solve`` and of ``linear_solve`` pass
+  one gate, ``_accept_solve``: a finite relative residual of at most
   ``SOLVE_TOL``, else NumericalError naming the solve, NaN data included.
+  The solves made on a bare LU are checked by what they feed instead:
+  ``_condition_estimate`` returns inf on a non-finite norm; the Lanczos
+  solves of ``perturbation.find_lambda0`` by its Ritz residual and
+  Kato-Temple certificate; and the design's Hessian solves by
+  ``_newton_step`` and ``_chord_step``, which require a finite descent
+  step, and ``_predict``, which keeps its point only if J falls.
 * Every factorization the solvers make orders its matrix by minimum
   degree on A + A^T, which suits the symmetric pattern all of their
   matrices share and about halves the fill of SuperLU's default column

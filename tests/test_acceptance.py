@@ -15,12 +15,11 @@ from enzres.design import (bathtub_projection, dual_objective,
 from enzres.dispersion import (CoreDielectric, LorentzParams, calibrate_scale,
                                enz_frequency, lambda_star, sensitivities,
                                trace_resonance)
-from enzres.eigensolver import resonance_near
+from enzres.eigensolver import remainder_ratios
 from enzres.fem import region_operator, weak_normal_flux
 from enzres.mesh import (CORE, SHELL, SLACK, build_concentric_mesh, load_mesh,
                          save_mesh, scale_mesh)
-from enzres.perturbation import (compute_psi_d, eval_lambda, expand_series,
-                                 find_lambda0)
+from enzres.perturbation import compute_psi_d, expand_series, find_lambda0
 
 from conftest import HS, annulus_symdiff, element_centroids, record_criterion
 
@@ -46,25 +45,16 @@ def test_criterion_1_disk_oracle_equivalence(disk_meshes, disk_lambda0s,
 
 
 def test_criterion_2_series_vs_direct_remainder(series_fine):
-    s = series_fine
-    delta = 0.01 * cmath.exp(1j * math.pi / 4)
-    ratios = {}
-    for n_trunc in (1, 2):
-        rem = {}
-        for d in (delta, delta / 2):
-            pair = resonance_near(s.mesh, d, eval_lambda(s, d), s.psi_d)
-            partial = s.lambda0 + sum(
-                c * d ** (k + 1)
-                for k, c in enumerate(s.lambda_coeffs[:n_trunc]))
-            rem[d] = abs(pair.lam - partial)
-        ratios[n_trunc] = rem[delta] / rem[delta / 2]
-    ok = all(2.0 ** n <= ratios[n] <= 2.0 ** (n + 2) for n in (1, 2))
+    # E_3 and E_4 already sit at the rounding floor at h = 0.02
+    ratios = remainder_ratios(series_fine,
+                              0.01 * cmath.exp(1j * math.pi / 4))[:2]
+    ok = all(2.0 ** n <= r <= 2.0 ** (n + 2) for n, r in enumerate(ratios, 1))
     record_criterion(
         "criterion-2 series-vs-direct remainder", ok,
-        f"E_1 ratio {ratios[1]:.1f} in [2, 8], "
-        f"E_2 ratio {ratios[2]:.1f} in [4, 16]")
-    for n in (1, 2):
-        assert 2.0 ** n <= ratios[n] <= 2.0 ** (n + 2)
+        f"E_1 ratio {ratios[0]:.1f} in [2, 8], "
+        f"E_2 ratio {ratios[1]:.1f} in [4, 16]")
+    for n, r in enumerate(ratios, 1):
+        assert 2.0 ** n <= r <= 2.0 ** (n + 2)
 
 
 def test_criterion_3_recursion_invariants(series_fine):

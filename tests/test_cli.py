@@ -493,6 +493,20 @@ class TestValidateDisk:
         r1, r2 = doc["remainder_ratios"]
         assert 2 <= r1 <= 8 and 4 <= r2 <= 16
 
+    @pytest.mark.parametrize("h", ["1e-3", "1.5e-3"])
+    def test_oversized_h_refused_before_any_root(self, h, monkeypatch):
+        # the finest mesh is built first: its node budget refuses the h
+        # given, before a coarser mesh's lambda0 is searched for
+        from enzres import perturbation
+
+        def no_root(*args):
+            raise AssertionError("find_lambda0 called")
+
+        monkeypatch.setattr(perturbation, "find_lambda0", no_root)
+        code, err = run_main(["validate-disk", "--h", h])
+        assert code == 2
+        assert f"h = {float(h)} " in err
+
 
 class ClosedPipe(io.TextIOBase):
     """A stdout whose reader has left: every write raises BrokenPipeError.

@@ -1,6 +1,7 @@
 """Direct complex-symmetric eigensolve near the perturbative prediction."""
 
 import cmath
+import dataclasses
 import gc
 import weakref
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from enzres.eigensolver import (RESIDUAL_TOL, assemble_operator,
-                                resonance_near)
+                                remainder_ratios, resonance_near)
 from enzres.errors import InputError, NumericalError
 from enzres.mesh import load_mesh, save_mesh
 from enzres.perturbation import eval_lambda, expand_series, find_lambda0
@@ -200,6 +201,28 @@ class TestRitz:
         first = ritz_values_near(mesh_coarse, DELTA, lambda0_coarse, k=2)
         again = ritz_values_near(mesh_coarse, DELTA, lambda0_coarse, k=2)
         assert np.array_equal(first, again)
+
+
+class TestRemainderRatios:
+    @pytest.fixture(scope="class")
+    def series3(self, mesh_coarse, lambda0_coarse):
+        return expand_series(mesh_coarse, lambda0_coarse, order=3)
+
+    def test_ratios_tend_to_two_to_the_n_plus_one(self, series3):
+        # measured at h = 0.08: 3.9986 and 8.0215
+        ratios = remainder_ratios(series3, DELTA)
+        assert len(ratios) == 3
+        assert 3.9 <= ratios[0] <= 4.1
+        assert 7.8 <= ratios[1] <= 8.2
+
+    def test_wrong_lambda2_shows_in_e2(self, series3):
+        # lambda2 off by 1% leaves E_2 = O(delta^2): the ratio drops to
+        # 4.146, which criterion 2's band [4, 16] still admits
+        lam = list(series3.lambda_coeffs)
+        lam[1] *= 1.01
+        ratios = remainder_ratios(
+            dataclasses.replace(series3, lambda_coeffs=lam), DELTA)
+        assert ratios[1] < 5
 
 
 def test_factorizations_order_by_minimum_degree(mesh_coarse,
