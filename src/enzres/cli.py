@@ -24,8 +24,6 @@ from enzres.errors import EnzresError, InputError
 from enzres.mesh import (CORE, build_concentric_mesh, load_mesh, mesh_metrics,
                          save_mesh)
 
-SCHEMA_VERSION = 1
-
 
 def _finite_float(text: str) -> float:
     """argparse type: a finite float (nan and inf exit 2 as bad usage)."""
@@ -67,7 +65,7 @@ def _check_writable(path: str):
 
 
 def _emit(doc: dict, path: str | None = None):
-    doc = {"schema_version": SCHEMA_VERSION, **doc}
+    doc = {"schema_version": disp.SCHEMA_VERSION, **doc}
     text = json.dumps(doc, indent=2)
     if path:
         _write_text(path, text + "\n")
@@ -93,11 +91,19 @@ def _resolve_lambda0(mesh, args) -> float:
 # subcommands
 
 def cmd_mesh(args) -> int:
+    # each kind refuses the other kind's flags, which it would not read
     if args.kind == "concentric":
+        if args.infile is not None:
+            raise InputError("--kind concentric takes no --in")
         if args.rd is None or args.r0 is None or args.h is None:
             raise InputError("concentric mesh needs --rd, --r0 and --h")
         mesh = build_concentric_mesh(args.rd, args.r0, args.h, r_b=args.rb)
     else:
+        given = [flag for flag, value in (("--rd", args.rd), ("--r0", args.r0),
+                                          ("--rb", args.rb), ("--h", args.h))
+                 if value is not None]
+        if given:
+            raise InputError(f"--kind file takes no {', '.join(given)}")
         if args.infile is None:
             raise InputError("--kind file needs --in")
         mesh = _read_mesh(args.infile)
@@ -176,12 +182,20 @@ def cmd_validate_disk(args) -> int:
     h = args.h
     checks = []
 
-    # the finest mesh first, so that an oversized h is refused before any
-    # work; the coarser two serve lambda0's convergence order alone
+    # the finest mesh first, and then the coarsest, so that an h too small
+    # or too large is refused before any root; the coarser two serve
+    # lambda0's convergence order alone, and each is dropped after its root
     mesh = build_concentric_mesh(1.0, case.r0, h)
-    e1, e2 = (abs(pert.find_lambda0(build_concentric_mesh(1.0, case.r0, hh),
-                                    (6.0, 14.0)) - lam_exact)
-              for hh in (4 * h, 2 * h))
+    try:
+        coarsest = build_concentric_mesh(1.0, case.r0, 4 * h)
+    except InputError as exc:
+        raise InputError(f"--h {h}: lambda0's convergence order needs a "
+                         f"mesh at 4h = {4 * h}, which is refused ({exc})"
+                         ) from None
+    e1 = abs(pert.find_lambda0(coarsest, (6.0, 14.0)) - lam_exact)
+    del coarsest
+    e2 = abs(pert.find_lambda0(build_concentric_mesh(1.0, case.r0, 2 * h),
+                               (6.0, 14.0)) - lam_exact)
     lam0 = pert.find_lambda0(mesh, (6.0, 14.0))
     e3 = abs(lam0 - lam_exact)
     rel = e3 / lam_exact

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
+from enzres.dispersion import SCHEMA_VERSION
 from enzres.errors import InputError, NumericalError
 from enzres.fem import (MeanZeroFactor, ScatterPattern, _gradient_blocks,
                         _scatter_vector, element_geometry, factor_spd,
@@ -622,8 +623,6 @@ def lambda1_of_design(state: DesignState, prob: DesignProblem) -> float:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-SCHEMA_VERSION = 1
 
 
 def design_to_json(state: DesignState, prob: DesignProblem) -> str:

@@ -108,31 +108,33 @@ class ResonanceTrace:
     gammas: np.ndarray
     omegas: np.ndarray        # complex
     deltas: np.ndarray        # complex
-    lambdas: np.ndarray       # complex, series value at delta
     newton_iters: np.ndarray
     omega_prime0: complex
     omega_star: float
     calibration_scale_t: float  # the geometric rescale, see calibrate_scale
 
 
-def eps_enz(p: LorentzParams, omega, gamma: float = 0.0):
-    """Lorentz permittivity eps_inf*(1 + omega_p^2/(omega_0^2 - omega^2
-    - i*omega*gamma))."""
-    if gamma < 0:
-        raise InputError("eps_enz: gamma must be >= 0")
+def _lorentz(p: LorentzParams, omega, gamma: float):
+    """(eps, d eps / d omega) of the Lorentz model at any omega and any real
+    gamma, negative included, from one denominator; eps is a complex.  The
+    pole is an input error."""
     denom = p.omega_0 ** 2 - omega * omega - 1j * omega * gamma
     if denom == 0:
         raise InputError(f"eps_enz: pole at omega = {omega}, gamma = {gamma}")
-    val = p.eps_inf * (1.0 + p.omega_p ** 2 / denom)
+    return (complex(p.eps_inf * (1.0 + p.omega_p ** 2 / denom)),
+            p.eps_inf * p.omega_p ** 2 * (2.0 * omega + 1j * gamma)
+            / denom ** 2)
+
+
+def eps_enz(p: LorentzParams, omega, gamma: float = 0.0):
+    """Lorentz permittivity eps_inf*(1 + omega_p^2/(omega_0^2 - omega^2
+    - i*omega*gamma)), a float when lossless at a real omega."""
+    if gamma < 0:
+        raise InputError("eps_enz: gamma must be >= 0")
+    val = _lorentz(p, omega, gamma)[0]
     if gamma == 0 and np.imag(np.asarray(omega)) == 0:
-        return float(np.real(val))
-    return complex(val)
-
-
-def _d_eps_enz_domega(p: LorentzParams, omega, gamma: float):
-    """Analytic d(eps_enz)/d(omega)."""
-    denom = p.omega_0 ** 2 - omega * omega - 1j * omega * gamma
-    return p.eps_inf * p.omega_p ** 2 * (2.0 * omega + 1j * gamma) / denom ** 2
+        return val.real
+    return val
 
 
 def enz_frequency(p: LorentzParams) -> float:
@@ -158,10 +160,10 @@ def calibrate_scale(lambda0_geom: float, lam_star: float) -> float:
 
 def sensitivities(p: LorentzParams, d: CoreDielectric):
     """Closed-form sensitivities at (omega*, gamma=0), cross-checked against
-    central finite differences of eps_enz (step `FD_STEP` * omega_p**2 /
-    omega*; a relative disagreement above `FD_CHECK_TOL` raises
-    NumericalError).  An omega_p below `MIN_PLASMA_RATIO` * omega* is
-    refused with InputError.
+    central finite differences of the Lorentz model (step `FD_STEP` *
+    omega_p**2 / omega*; a relative disagreement above `FD_CHECK_TOL`
+    raises NumericalError).  An omega_p below `MIN_PLASMA_RATIO` * omega*
+    is refused with InputError.
 
     a1 = d(eps_enz)/d(omega), a2 = (1/i) d(eps_enz)/d(gamma),
     a3 = d(omega**2 eps_D)/d(omega); all positive, and a2 = a1/2.
@@ -176,14 +178,12 @@ def sensitivities(p: LorentzParams, d: CoreDielectric):
     a2 = p.eps_inf * ws / p.omega_p ** 2
     a3 = 2.0 * ws * d.eps_d
 
-    def eps_raw(omega, gamma):
-        # formula without the gamma >= 0 guard, for central differencing
-        denom = p.omega_0 ** 2 - omega * omega - 1j * omega * gamma
-        return p.eps_inf * (1.0 + p.omega_p ** 2 / denom)
+    def eps(omega, gamma):
+        return _lorentz(p, omega, gamma)[0]
 
     h = FD_STEP * p.omega_p ** 2 / ws
-    a1_fd = (eps_raw(ws + h, 0.0) - eps_raw(ws - h, 0.0)) / (2 * h)
-    a2_fd = (eps_raw(ws, h) - eps_raw(ws, -h)) / (2j * h)
+    a1_fd = (eps(ws + h, 0.0) - eps(ws - h, 0.0)) / (2 * h)
+    a2_fd = (eps(ws, h) - eps(ws, -h)) / (2j * h)
     a3_fd = ((ws + h) ** 2 - (ws - h) ** 2) * d.eps_d / (2 * h)
     for name, exact, fd in (("a1", a1, a1_fd), ("a2", a2, a2_fd),
                             ("a3", a3, a3_fd)):
@@ -203,8 +203,12 @@ def omega_prime0(a1: float, a2: float, a3: float, eps_d: float,
     return complex(0.0, -a2 / (a1 + a3 * eps_d / abs(lambda1)))
 
 
-def _json_document(caller: str, text: str, schema_version: int) -> dict:
-    """`text` parsed as a JSON object of `schema_version`; anything else is
+#: version of every JSON document the CLI writes and reads
+SCHEMA_VERSION = 1
+
+
+def _json_document(caller: str, text: str) -> dict:
+    """`text` parsed as a JSON object of `SCHEMA_VERSION`; anything else is
     an input error naming `caller`."""
     try:
         doc = json.loads(text)
@@ -213,7 +217,7 @@ def _json_document(caller: str, text: str, schema_version: int) -> dict:
     if not isinstance(doc, dict):
         raise InputError(f"{caller}: expected a JSON object, got "
                          f"{type(doc).__name__}")
-    if doc.get("schema_version") != schema_version:
+    if doc.get("schema_version") != SCHEMA_VERSION:
         raise InputError(f"{caller}: unsupported schema_version "
                          f"{doc.get('schema_version')!r}")
     return doc
@@ -244,7 +248,7 @@ def read_series(text: str) -> list:
     finite numbers, "lambda" and "e" lists of as many finite numbers, at
     most `MAX_ORDER`, or InputError names the key; other keys, such as the
     fields of older documents, are ignored."""
-    doc = _json_document("read_series", text, schema_version=1)
+    doc = _json_document("read_series", text)
     lambda0 = float(_json_numbers(doc, "lambda0", 0))
     coeffs = _json_numbers(doc, "lambda", 1)
     if coeffs.size > MAX_ORDER:
@@ -327,25 +331,24 @@ def trace_resonance(lambdas, p: LorentzParams, d: CoreDielectric,
     gammas = np.linspace(0.0, gamma_max, steps + 1)
     omegas = np.empty(len(gammas), dtype=complex)
     deltas = np.empty(len(gammas), dtype=complex)
-    lams = np.empty(len(gammas), dtype=complex)
     iters = np.zeros(len(gammas), dtype=int)
 
     omega = complex(ws)
     for j, gamma in enumerate(gammas):
         if gamma == 0.0:
             # delta = 0, lambda = lambda* exactly
-            omega, delta, lam = complex(ws), 0.0, coeffs[0]
+            omega, delta = complex(ws), 0.0
         else:
-            # warm start from the previous gamma; the row keeps delta and
-            # lambda of the evaluation that converged
+            # warm start from the previous gamma; the row keeps the delta
+            # of the evaluation that converged
             for it in range(1, MAX_NEWTON + 1):
-                delta = eps_enz(p, omega, gamma) / eps_d
+                eps, d_eps = _lorentz(p, omega, gamma)
+                delta = eps / eps_d
                 lam, slope = lam_and_slope(delta)
                 g_val = lam - omega * omega * eps_d
                 if abs(g_val) <= NEWTON_TOL * max(1.0, abs(coeffs[0])):
                     break
-                g_der = (slope * _d_eps_enz_domega(p, omega, gamma)
-                         / eps_d - 2.0 * omega * eps_d)
+                g_der = slope * d_eps / eps_d - 2.0 * omega * eps_d
                 step = g_val / g_der
                 omega = omega - step
                 if not np.isfinite(omega) or abs(omega - ws) > 0.5 * ws:
@@ -357,12 +360,11 @@ def trace_resonance(lambdas, p: LorentzParams, d: CoreDielectric,
                     f"trace_resonance: Newton did not converge at gamma = "
                     f"{gamma} (last |G| = {abs(g_val):.3e})")
             iters[j] = it
-        omegas[j], deltas[j], lams[j] = omega, delta, lam
+        omegas[j], deltas[j] = omega, delta
 
     return ResonanceTrace(gammas=gammas, omegas=omegas, deltas=deltas,
-                          lambdas=lams, newton_iters=iters,
-                          omega_prime0=wprime0, omega_star=ws,
-                          calibration_scale_t=t)
+                          newton_iters=iters, omega_prime0=wprime0,
+                          omega_star=ws, calibration_scale_t=t)
 
 
 def trace_to_csv(trace: ResonanceTrace) -> str:

@@ -10,12 +10,12 @@ products alone.  Its preconditioner is one Dirichlet-Neumann sweep
 Equations, 1999), the shell/core splitting of the series recursion: at
 small delta the shell stiffness K_s/delta dominates the pencil, so a
 mean-zero shell solve of K_s x_S = delta*r_S is followed by a Dirichlet
-core solve at the real shift sigma = lambda0 of psi_d with x_S as
-interface data.  Those are the two factors the series recursion made,
-which the psi_d of `perturbation.expand_series` carries, and the sweep
-solves with each through its own `solve`, as the recursion does:
-`MeanZeroFactor.solve` and `DirichletFactor.solve`.  Nothing is factored
-here.
+core solve at the real shift sigma = lambda0, psi_d's `core_factor.lam`,
+with x_S as interface data.  Those are the two factors the series
+recursion made, which the psi_d of `perturbation.expand_series` carries,
+and the sweep solves with each through its own `solve`, as the recursion
+does: `MeanZeroFactor.solve` and `DirichletFactor.solve`.  Nothing is
+factored here.
 A pair is accepted only when its true pencil residual, relative to
 ||K|| + |lambda|*||M||, is at most RESIDUAL_TOL; an iteration that stops
 above it (it no longer halves its residual every two sweeps, or reaches
@@ -86,7 +86,7 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
     u0.
 
     psi_d is a `perturbation.CoreProfile` on `mesh`: the core profile with
-    the lambda0 it was solved at and the series' two factors.  lam_guess
+    the series' two factors.  lam_guess
     (the series' prediction) is the eigenvalue estimate of the first
     residual only, and only when it lies within |rho0| of rho0, the
     unconjugated Rayleigh quotient of u0; a guess farther off is replaced
@@ -98,8 +98,8 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
     real factors, each used through its `solve`: the shell's
     `MeanZeroFactor` (`RegionOperator.neumann`) gives x_S from
     K_s x_S = delta*r_S on the shell nodes, interface included, and the
-    core's `DirichletFactor` at sigma = psi_d.lambda0 takes r as its load
-    and x_S as its interface data, giving
+    core's `DirichletFactor` at sigma = psi_d.core_factor.lam takes r as
+    its load and x_S as its interface data, giving
     x_I = (K_ii - sigma*M_ii)^-1 (r - (K_core - sigma*M_core) x_G)_I.
     Both are psi_d's own (`perturbation.expand_series`).
     The iteration stops once the residual is at most RESIDUAL_TOL * 1e-2,
@@ -117,8 +117,7 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
                              f"{value}")
     if not isinstance(psi_d, CoreProfile):
         raise InputError("resonance_near: psi_d must be a CoreProfile, "
-                         "which carries the lambda0 it was solved at and "
-                         "the series' two factors")
+                         "which carries the series' two factors")
     if psi_d.mesh is not mesh:
         raise InputError("resonance_near: psi_d belongs to another mesh")
     K, M = assemble_operator(mesh, delta)

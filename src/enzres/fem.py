@@ -18,7 +18,7 @@ Conventions used throughout the package:
   stiffness and Hessians on one pattern of its own nodes.  Nodal vectors
   are summed by ``_scatter_vector``.
 * The unit-weight K, M and mass vector of a region come from one
-  ``RegionOperator`` per mesh and region (cached on ``Mesh._cache``), which
+  ``RegionOperator`` per mesh and region tag (cached on ``Mesh._cache``), which
   also holds the region's nodes, its interface nodes and its other nodes:
   only the data its consumers share.  The Dirichlet and mean-zero solves,
   the weak flux, the collapsed-shell pencil and the eigensolver's pencil
@@ -79,7 +79,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from enzres.errors import InputError, NumericalError
-from enzres.mesh import CORE, INTERFACE, Mesh, _as_tagset
+from enzres.mesh import CORE, INTERFACE, Mesh
 
 __all__ = ["ScatterPattern", "RegionOperator", "DirichletFactor",
            "region_operator", "weak_normal_flux", "linear_solve", "factor_spd",
@@ -314,9 +314,9 @@ def _condition_estimate(A: sp.csc_matrix, lu) -> float:
 # boundary-value solves
 
 class RegionOperator:
-    """Unit-weight P1 operators of a region (one tag or a set of tags with
-    at least one triangle, else InputError): the data that every solve on
-    the region shares.
+    """Unit-weight P1 operators of the region of one tag (with at least one
+    triangle, else InputError): the data that every solve on the region
+    shares.
 
     Holds `n_nodes`, the mesh's node count; the region's stiffness and mass
     matrices `K` and `M` at full node dimension, filled on one
@@ -337,11 +337,10 @@ class RegionOperator:
     is freed as soon as its last holder drops it.
     """
 
-    def __init__(self, mesh: Mesh, region):
-        tris = mesh.region_triangles(region)
+    def __init__(self, mesh: Mesh, tag: int):
+        tris = mesh.region_triangles(tag)
         if tris.size == 0:
-            raise InputError(f"RegionOperator: no triangle has a tag in "
-                             f"{sorted(_as_tagset(region))}")
+            raise InputError(f"RegionOperator: no triangle has tag {tag}")
         conn = mesh.triangles[tris]
         n = self.n_nodes = mesh.n_nodes
         area, gx, gy = element_geometry(mesh, tris)
@@ -366,12 +365,12 @@ class RegionOperator:
                               self.m[self.nodes])
 
 
-def region_operator(mesh: Mesh, region) -> RegionOperator:
-    """The mesh's `RegionOperator` for a region (a tag or a set of tags),
-    built on first use and kept on `Mesh._cache`."""
-    key = ("region", frozenset(_as_tagset(region)))
+def region_operator(mesh: Mesh, tag: int) -> RegionOperator:
+    """The mesh's `RegionOperator` for the region of one tag, built on first
+    use and kept on `Mesh._cache`."""
+    key = ("region", int(tag))
     if key not in mesh._cache:
-        mesh._cache[key] = RegionOperator(mesh, region)
+        mesh._cache[key] = RegionOperator(mesh, tag)
     return mesh._cache[key]
 
 

@@ -415,27 +415,19 @@ def _numbers(rows, dtype, width) -> np.ndarray:
     return values
 
 
-def load_mesh(text) -> Mesh:
-    """Parse the `enzmesh v1` text format (strict).
+def load_mesh(text: str) -> Mesh:
+    """Parse the `enzmesh v1` text format (strict) from a str; a file is
+    read and decoded by its caller.
 
-    Accepts str, bytes, or a readable stream.  '#' starts a comment; blank
-    lines are ignored; sections must appear in order.  Each section's rows
-    are converted by one `np.loadtxt` call, and only if it fails are they
-    walked, each row through the same call, to name the bad line; every
-    mesh rule is then checked once, by `_validate`.  Each boundary edge
-    may be listed once, in either orientation; an edge listed twice is
-    refused, naming both lines.
+    '#' starts a comment; blank lines are ignored; sections must appear in
+    order.  Each section's rows are converted by one `np.loadtxt` call, and
+    only if it fails are they walked, each row through the same call, to
+    name the bad line; every mesh rule is then checked once, by
+    `_validate`.  Each boundary edge may be listed once, in either
+    orientation; an edge listed twice is refused, naming both lines.
     Errors name the offending 1-based line number.  The returned mesh
     satisfies all Mesh invariants.
     """
-    try:
-        if hasattr(text, "read"):
-            text = text.read()
-        if isinstance(text, bytes):
-            text = text.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"enzmesh parse: cannot decode text ({exc})")
-
     line_nos, rows = [], []  # 1-based line number and text of each line
     for i, raw in enumerate(text.splitlines(), start=1):
         row = raw.partition("#")[0]

@@ -12,13 +12,12 @@ found by one shift-invert Lanczos recurrence on one factor of the pencil.
 Higher orders follow from an alternating Neumann(shell)/Dirichlet(core)
 recursion that factors the core and the shell operator once each; all
 stored fields are mean-zero with the additive constants e_n kept
-separately.  The series' psi_d is a `CoreProfile`: it carries the lambda0
-it was solved at and the two factors the recursion made, which
-`eigensolver.resonance_near` solves with, so a profile without its
-factors cannot be built; `compute_psi_d` returns the nodal values alone.
-Only the coefficients leave
-the process (`enzres expand -o`, read back by `dispersion.read_series`);
-the fields live with their mesh.
+separately.  The series' psi_d is a `CoreProfile`: it carries the two
+factors the recursion made, which `eigensolver.resonance_near` solves
+with, so a profile without its factors cannot be built; the lambda0 it
+was solved at is its core factor's shift, `core_factor.lam`.  Only the
+coefficients leave the process (`enzres expand -o`, read back by
+`dispersion.read_series`); the fields live with their mesh.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from enzres.fem import (DirichletFactor, MeanZeroFactor, factor_symmetric,
                         region_operator, weak_normal_flux)
 from enzres.mesh import CORE, SHELL, Mesh
 
-__all__ = ["PerturbationSeries", "CoreProfile", "compute_psi_d",
-           "find_lambda0", "expand_series", "eval_lambda"]
+__all__ = ["PerturbationSeries", "CoreProfile", "find_lambda0",
+           "expand_series", "eval_lambda"]
 
 #: tolerance factors (relative to |Omega|) for entering / running the recursion
 CONSISTENCY_TOL = 1e-6
@@ -56,18 +55,16 @@ RITZ_TOL = 1e-8
 @dataclass
 class CoreProfile:
     """psi_d: (-Delta - lambda0) psi_d = 0 in the core, psi_d = 1 on the
-    interface, as nodal `values` on `mesh` (zero off the core), with the
-    exact float `lambda0` it was solved at.
+    interface, as nodal `values` on `mesh` (zero off the core).
 
-    `core_factor` (the core at lambda0) and `shell_factor` (the shell's
-    mean-zero factor) are the two factors `expand_series` made, which
-    `eigensolver.resonance_near` solves with.  They are not shown or
-    compared.
+    `core_factor` (the core at lambda0, the exact float `core_factor.lam`)
+    and `shell_factor` (the shell's mean-zero factor) are the two factors
+    `expand_series` made, which `eigensolver.resonance_near` solves with.
+    They are not shown or compared.
     """
 
     mesh: Mesh
     values: np.ndarray
-    lambda0: float
     core_factor: DirichletFactor = field(repr=False, compare=False)
     shell_factor: MeanZeroFactor = field(repr=False, compare=False)
 
@@ -129,12 +126,6 @@ def _core_profile(caller: str, mesh: Mesh, lambda0):
     _check_lambda0(caller, mesh, lambda0)
     fac = DirichletFactor(region_operator(mesh, CORE), float(lambda0))
     return fac.solve(np.zeros(mesh.n_nodes), np.ones(mesh.n_nodes)), fac
-
-
-def compute_psi_d(mesh: Mesh, lambda0: float) -> np.ndarray:
-    """Nodal values of the core profile: (-Delta - lambda0) psi_d = 0 in D,
-    psi_d = 1 on the interface, zero off the core."""
-    return _core_profile("compute_psi_d", mesh, lambda0)[0]
 
 
 def _collapsed_pencil(mesh: Mesh):
@@ -419,7 +410,7 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         mesh=mesh, lambda0=float(lambda0), lambda_coeffs=lambdas[1:],
         shell_fields=phis[1:], core_fields=psis[1:],
         constants=e[1:], norm_const=norm_const,
-        psi_d=CoreProfile(mesh, psi_d, float(lambda0), fac, shell_fac))
+        psi_d=CoreProfile(mesh, psi_d, fac, shell_fac))
 
 
 def eval_lambda(series, delta):

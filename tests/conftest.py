@@ -17,7 +17,6 @@ import scipy.sparse.linalg as spla
 
 from enzres.bessel_oracle import disk_case
 from enzres import dispersion as disp
-from enzres.design import SCHEMA_VERSION
 from enzres.dispersion import _json_document
 from enzres.eigensolver import assemble_operator
 from enzres.errors import NumericalError
@@ -203,14 +202,14 @@ def eval_field(series: PerturbationSeries, delta) -> np.ndarray:
 
 
 def design_from_json(text: str) -> dict:
-    return _json_document("design_from_json", text, SCHEMA_VERSION)
+    return _json_document("design_from_json", text)
 
 
 def reference_trace(lambdas, p, d, gamma_max: float, steps: int):
     """`dispersion.trace_resonance` as it was written with `np.polyval`:
     lambda and its derivative by two separate polyval calls per Newton
-    step, and each row's delta and lambda computed again after Newton
-    converged.  The library's loop must give the same trace bit for bit."""
+    step, and each row's delta computed again after Newton converged.  The
+    library's loop must give the same trace bit for bit."""
     lambdas = np.asarray(lambdas, dtype=float)
     ws = disp.enz_frequency(p)
     lam_star = disp.lambda_star(p, d)
@@ -230,7 +229,6 @@ def reference_trace(lambdas, p, d, gamma_max: float, steps: int):
     gammas = np.linspace(0.0, gamma_max, steps + 1)
     omegas = np.empty(len(gammas), dtype=complex)
     deltas = np.empty(len(gammas), dtype=complex)
-    lams = np.empty(len(gammas), dtype=complex)
     iters = np.zeros(len(gammas), dtype=int)
     omega = complex(ws)
     for j, gamma in enumerate(gammas):
@@ -242,8 +240,7 @@ def reference_trace(lambdas, p, d, gamma_max: float, steps: int):
                 g_val = lam_of(delta) - omega * omega * eps_d
                 if abs(g_val) <= disp.NEWTON_TOL * max(1.0, abs(coeffs[0])):
                     break
-                g_der = (dlam_of(delta) * disp._d_eps_enz_domega(p, omega,
-                                                                  gamma)
+                g_der = (dlam_of(delta) * disp._lorentz(p, omega, gamma)[1]
                          / eps_d - 2.0 * omega * eps_d)
                 omega = omega - g_val / g_der
                 if not np.isfinite(omega) or abs(omega - ws) > 0.5 * ws:
@@ -256,9 +253,9 @@ def reference_trace(lambdas, p, d, gamma_max: float, steps: int):
                     f"{gamma} (last |G| = {abs(g_val):.3e})")
             iters[j] = it
         delta = (disp.eps_enz(p, omega, gamma) / eps_d) if gamma > 0 else 0.0
-        omegas[j], deltas[j], lams[j] = omega, delta, lam_of(delta)
+        omegas[j], deltas[j] = omega, delta
     return disp.ResonanceTrace(gammas=gammas, omegas=omegas, deltas=deltas,
-                               lambdas=lams, newton_iters=iters,
-                               omega_prime0=wprime0, omega_star=ws,
+                               newton_iters=iters, omega_prime0=wprime0,
+                               omega_star=ws,
                                calibration_scale_t=disp.calibrate_scale(
                                    lambdas[0], lam_star))

@@ -95,6 +95,24 @@ class TestMesh:
         assert "MAX_NODES" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("argv, flags", [
+        (["--kind", "concentric", "--rd", "1", "--r0", "1.3", "--h", "0.2",
+          "--in", "no-such.mesh"], ["--in"]),
+        (["--kind", "file", "--in", "MESH", "--rd", "5", "--r0", "9",
+          "--h", "7", "--rb", "11"], ["--rd", "--r0", "--rb", "--h"]),
+        (["--kind", "file", "--in", "MESH", "--h", "0.1"], ["--h"])],
+        ids=["concentric-in", "file-all", "file-h"])
+    def test_other_kinds_flags_exit_2(self, mesh_file, tmp_path, argv,
+                                      flags):
+        # each kind once dropped the other kind's flags and exited 0
+        out = tmp_path / "x.mesh"
+        argv = [str(mesh_file) if a == "MESH" else a for a in argv]
+        code, err = run_main(["mesh", *argv, "-o", str(out)])
+        assert code == 2
+        assert all(flag in err for flag in flags), err
+        assert "internal error" not in err
+        assert not out.exists()
+
     def test_missing_file_exit_2(self):
         res = run_cli("mesh", "--kind", "file", "--in", "no-such.mesh")
         assert res.returncode == 2
@@ -506,6 +524,20 @@ class TestValidateDisk:
         code, err = run_main(["validate-disk", "--h", h])
         assert code == 2
         assert f"h = {float(h)} " in err
+
+    @pytest.mark.parametrize("h", ["0.4", "0.6", "1.2"])
+    def test_coarse_h_names_the_h_given(self, h, monkeypatch):
+        # the mesh at h is fine, but the convergence order's mesh at 4h is
+        # too coarse; the refusal once named 4h alone, an h never given
+        from enzres import perturbation
+
+        def no_root(*args):
+            raise AssertionError("find_lambda0 called")
+
+        monkeypatch.setattr(perturbation, "find_lambda0", no_root)
+        code, err = run_main(["validate-disk", "--h", h])
+        assert code == 2
+        assert f"--h {h}:" in err and "4h" in err
 
 
 class ClosedPipe(io.TextIOBase):

@@ -177,7 +177,7 @@ class TestTrace:
         def no_newton(*args, **kwargs):
             pytest.fail("a Newton step ran on a refused series")
 
-        monkeypatch.setattr(disp, "eps_enz", no_newton)
+        monkeypatch.setattr(disp, "_lorentz", no_newton)
         lambdas = list(calibrated_lambdas)
         lambdas[index] = value
         with pytest.raises(InputError, match=match):
@@ -238,14 +238,14 @@ def _outcome(trace_fn, case):
         trace = trace_fn(*case)
     except NumericalError as exc:
         return "refused", str(exc)
-    return "traced", (trace_to_csv(trace), trace.lambdas.tobytes(),
-                      trace.omega_prime0)
+    return "traced", (trace_to_csv(trace), trace.omega_prime0)
 
 
 class TestTraceMatchesPolyvalLoop:
     def test_random_series_and_materials(self):
-        # the two-lane Horner step and the reuse of the converged Newton
-        # evaluation leave every CSV byte and every lambda as they were
+        # the two-lane Horner step, the one Lorentz evaluation per Newton
+        # step and the reuse of the converged one leave every CSV byte as
+        # it was
         rng = np.random.default_rng(20261019)
         traced = 0
         for _ in range(60):

@@ -2,8 +2,10 @@
 expand, resonate, optimize, validate-disk), run in-process, must reproduce
 `golden.json` to 1e-12 relative.  Only well-conditioned numbers are kept:
 no remainder ratio E_n(delta)/E_n(delta/2) and no flux identity, which sit
-at the rounding level.  A change that moves a number on purpose records
-the file again in the same change:
+at the rounding level.  `optimize.fractional_mass` is the area of the one
+element that the design leaves partial; it was bit-identical under two
+hash seeds and two BLAS thread counts.  A change that moves a number on
+purpose records the file again in the same change:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden.json
 """
@@ -57,7 +59,7 @@ def chain_numbers(directory: pathlib.Path) -> dict:
         for i, row in enumerate(csv.DictReader(fh)):
             for column, value in row.items():
                 numbers[f"resonate.{i}.{column}"] = float(value)
-    for key in ("value", "lambda1"):
+    for key in ("value", "lambda1", "fractional_mass"):
         numbers[f"optimize.{key}"] = design[key]
     for key in ("lambda0", "order", "lambda1"):
         numbers[f"validate-disk.{key}"] = validate[key]

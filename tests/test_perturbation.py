@@ -21,8 +21,8 @@ from enzres.dispersion import read_series
 from enzres.errors import InputError, NumericalError
 from enzres.fem import region_operator
 from enzres.mesh import CORE, SHELL, build_concentric_mesh, save_mesh
-from enzres.perturbation import (CoreProfile, compute_psi_d, eval_lambda,
-                                 expand_series, find_lambda0)
+from enzres.perturbation import (CoreProfile, eval_lambda, expand_series,
+                                 find_lambda0)
 
 from conftest import (HS, consistency_residual, eval_field, record_solves,
                       record_splu, stretched_mesh)
@@ -102,7 +102,6 @@ def interface_load(mesh):
 
 #: public entry points that take lambda0, or an interval for it
 TAKES_LAMBDA0 = {
-    "compute_psi_d": compute_psi_d,
     "expand_series": expand_series,
     "make_disk_problem": make_disk_problem,
     "DesignProblem": lambda mesh, value: DesignProblem(
@@ -138,7 +137,7 @@ def test_lambda0_gate_bounds_the_collapsed_pencil(mesh_r13, stretch):
     top = scipy.linalg.eigh(K_c.toarray(), M_c.toarray(),
                             eigvals_only=True)[-1]
     with pytest.raises(InputError) as gate:
-        compute_psi_d(mesh, 1e300)
+        expand_series(mesh, 1e300)
     bound = re.search(r"exceeds (\S+), a bound", str(gate.value))[1]
     assert float(bound) >= top
     if stretch == 1.0:
@@ -236,7 +235,7 @@ class TestRecursionInvariants:
         shell_dim = m.region_nodes(1).size
         assert sorted(dim for dim, _ in calls) == sorted(
             [core_dim(m), shell_dim - 1])
-        assert s.psi_d.core_factor.lam == s.psi_d.lambda0 == lambda0_coarse
+        assert s.psi_d.core_factor.lam == lambda0_coarse
         assert s.psi_d.shell_factor is not None
 
 
@@ -340,27 +339,19 @@ class TestEvaluation:
             s.psi_d.values[core], rel=1e-12)
 
     def test_psi_d_from_compute(self, mesh_coarse, lambda0_coarse):
-        pd = compute_psi_d(mesh_coarse, lambda0_coarse)
+        pd = expand_series(mesh_coarse, lambda0_coarse, order=1).psi_d.values
         interface = np.unique(
             mesh_coarse.boundary_edges[mesh_coarse.edge_tags == 0])
         assert np.allclose(pd[interface], 1.0, atol=1e-12)
         assert isinstance(pd, np.ndarray) and pd.shape == (
             mesh_coarse.n_nodes,)
 
-    def test_compute_psi_d_is_the_series_profile(self, mesh_coarse,
-                                                 lambda0_coarse):
-        # one solve on one factor at the same shift: the nodal values of
-        # compute_psi_d are those the series' CoreProfile holds, to the bit
-        s = expand_series(mesh_coarse, lambda0_coarse, order=1)
-        assert np.array_equal(compute_psi_d(mesh_coarse, lambda0_coarse),
-                              s.psi_d.values)
-
     def test_core_profile_needs_its_factors(self, series_fine):
         # a CoreProfile is made only with the two factors it was solved
         # on, which resonance_near solves with
         pd = series_fine.psi_d
         with pytest.raises(TypeError, match="core_factor.*shell_factor"):
-            CoreProfile(pd.mesh, pd.values, pd.lambda0)
+            CoreProfile(pd.mesh, pd.values)
 
 
 @pytest.fixture(scope="module")
