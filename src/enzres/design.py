@@ -27,7 +27,7 @@ from enzres.fem import (MeanZeroFactor, ScatterPattern, _gradient_blocks,
                         _scatter_vector, element_geometry, factor_spd,
                         region_operator, weak_normal_flux)
 from enzres.mesh import CORE, DESIGN_TAGS, INTERFACE, Mesh
-from enzres.perturbation import _check_lambda0, _core_profile
+from enzres.perturbation import CONSISTENCY_TOL, _check_lambda0, _core_profile
 
 __all__ = ["DesignProblem", "DesignState", "DualSolution", "StageRecord",
            "make_disk_problem",
@@ -43,8 +43,10 @@ class DesignProblem:
 
     The admissible region is the union of mesh regions 1 and 2 (whatever is
     present); `f` holds one weight per mesh node, zero off the core
-    interface, with <f, 1> = f.sum() > 0; the enclosing region must satisfy
-    |design| > A0 with A0 = <f, 1> / lambda0.  `norm_const` =
+    interface, with <f, 1> = f.sum() > 0; the design region must exceed
+    A0 = <f, 1> / lambda0 by more than `CONSISTENCY_TOL` * |Omega|, the
+    bound to which `expand_series` takes A0 = |shell|, so a mesh without a
+    slack ring is refused however its rounding falls.  `norm_const` =
     A0 + int_D psi_d**2 is needed only for `lambda1_of_design`.
 
     Everything that does not depend on the field is computed once here:
@@ -82,11 +84,10 @@ class DesignProblem:
         if np.any(self.f[off] != 0):
             raise InputError("DesignProblem: f has a nonzero weight off the "
                              "core interface")
-        tags = set(DESIGN_TAGS) & {int(t) for t in np.unique(self.mesh.regions)}
-        if not tags:
+        self.elements = self.mesh.region_triangles(DESIGN_TAGS)
+        if not self.elements.size:
             raise InputError("DesignProblem: mesh has no design region "
                              "(tags 1 or 2)")
-        self.elements = self.mesh.region_triangles(tags)
         tris = self.mesh.triangles[self.elements]
         self.nodes = np.flatnonzero(np.bincount(tris.ravel()))
         label = np.empty(self.mesh.n_nodes, dtype=np.intp)
@@ -108,10 +109,12 @@ class DesignProblem:
         if not math.isfinite(self.A0):
             raise InputError(f"DesignProblem: A0 = <f, 1> / lambda0 = "
                              f"{total:.6g} / {self.lambda0:.6g} overflows")
-        if not self.A0 < self.total_area:
+        slack = self.total_area - self.A0
+        if not slack > CONSISTENCY_TOL * float(self.mesh.areas().sum()):
             raise InputError(
-                f"DesignProblem: enclosing region too small (A0 = "
-                f"{self.A0:.6g} >= |design| = {self.total_area:.6g})")
+                f"DesignProblem: the design region must exceed A0 (A0 = "
+                f"{self.A0:.6g}, |design| = {self.total_area:.6g}); a slack "
+                "ring (region 2, --rb) provides it")
 
     @property
     def total_area(self) -> float:
@@ -119,8 +122,7 @@ class DesignProblem:
 
     def assemble(self, blocks: np.ndarray) -> sp.csc_matrix:
         """Sum symmetric per-element 3x3 blocks on the design nodes into a
-        CSC matrix on the fixed pattern; `data[pattern.diag]` is its
-        diagonal."""
+        CSC matrix on the fixed pattern."""
         return self.pattern.fill(blocks).T
 
     def expand(self, x: np.ndarray) -> np.ndarray:
@@ -184,7 +186,11 @@ def energy_density(w: np.ndarray, prob: DesignProblem) -> np.ndarray:
 def dual_objective(w: np.ndarray, prob: DesignProblem) -> float:
     """J(w) = sum_e area_e * max(density_e, 0) + <f, w>, the unsmoothed
     dual, for nodal values w on the mesh."""
-    d = energy_density(w, prob)
+    return _dual_value(prob, w, energy_density(w, prob))
+
+
+def _dual_value(prob: DesignProblem, w: np.ndarray, d: np.ndarray) -> float:
+    """J(w) for nodal values w on the mesh whose energy density is d."""
     return float(prob.areas @ np.maximum(d, 0.0) + prob.f @ w)
 
 
@@ -218,6 +224,23 @@ def bathtub_projection(density: np.ndarray, areas: np.ndarray, A0: float):
     if area_tie > 0 and need > 0:
         theta[tie] = need / area_tie
     return theta, z0
+
+
+def _gauged(prob: DesignProblem, x: np.ndarray):
+    """The one gauge step of a design state, for nodal values x on the
+    design nodes: the bathtub (theta, z0) of x's energy density, x shifted
+    by z0/lambda0 so that the bathtub level sits at zero, as nodal values w
+    on the mesh, and w's energy density d.  Returns (theta, z0, w, d)."""
+    theta, z0 = bathtub_projection(_density(prob, x)[2], prob.areas, prob.A0)
+    w = prob.expand(x + z0 / prob.lambda0)
+    return theta, z0, w, energy_density(w, prob)
+
+
+def _design_state(prob, theta, w, z0, value, history, converged):
+    """The DesignState of these fields, with theta's fractional mass."""
+    frac = float(prob.areas[(theta > 1e-12) & (theta < 1 - 1e-12)].sum())
+    return DesignState(theta=theta, w=w, z0=z0, value=value, history=history,
+                       converged=converged, fractional_mass=frac)
 
 
 # ---------------------------------------------------------------------------
@@ -266,26 +289,17 @@ def _hessian(prob: DesignProblem, x: np.ndarray, beta: float) -> sp.csc_matrix:
         + prob.blocks * (areas * p1)[:, None, None])
 
 
-def _shifted(prob: DesignProblem, hess: sp.csc_matrix,
-             shift: float) -> sp.csc_matrix:
-    """hess + shift * I on the same pattern (hess itself for shift 0)."""
-    if shift == 0.0:
-        return hess
-    data = hess.data.copy()
-    data[prob.pattern.diag] += shift
-    return sp.csc_matrix((data, hess.indices, hess.indptr), shape=hess.shape)
-
-
 def _newton_step(prob: DesignProblem, x: np.ndarray, beta: float,
                  g: np.ndarray):
     """Newton direction -H^{-1} g and the factor that gave it.  The
-    Hessian's diagonal is shifted until its factor gives a descent
+    Hessian is shifted to H + shift*I until its factor gives a descent
     direction, with steepest descent (and no factor) as the last resort."""
     hess = _hessian(prob, x, beta)
     shift = 0.0
     while True:
         try:
-            lu = factor_spd(_shifted(prob, hess, shift))
+            lu = factor_spd(hess if not shift else
+                            hess + shift * sp.identity(x.size, format="csc"))
         except RuntimeError:
             lu = None
         step = None if lu is None else lu.solve(-g)
@@ -518,30 +532,17 @@ def minimize_dual(prob: DesignProblem) -> DualSolution:
 
 
 def recover_design(prob: DesignProblem, sol: DualSolution) -> DesignState:
-    """Bathtub-project the energy density of the dual minimizer and shift
-    the gauge by z0/lambda0 so the projection level becomes 0; the
-    resulting primal value L(w, theta) then coincides with the (unsmoothed)
-    dual objective.
+    """The gauge step (`_gauged`) of the dual minimizer: the bathtub
+    projection of its energy density, with the field shifted by z0/lambda0
+    so that the projection level becomes 0; the resulting primal value
+    L(w, theta) then coincides with the (unsmoothed) dual objective.
 
     The state is flagged converged only when every beta stage of `sol`
     converged (a solution with no stages is not)."""
-    d = energy_density(sol.values, prob)
-    theta, z0 = bathtub_projection(d, prob.areas, prob.A0)
-    w1 = prob.expand(sol.values[prob.nodes] + z0 / prob.lambda0)
-    d1 = energy_density(w1, prob)
-    theta1, _z1 = bathtub_projection(d1, prob.areas, prob.A0)
-    value = _primal_value(prob, w1, theta1)
-    dual = dual_objective(w1, prob)
-    frac = float(prob.areas[(theta1 > 1e-12) & (theta1 < 1 - 1e-12)].sum())
-    return DesignState(theta=theta1, w=w1, z0=z0, value=value,
-                       history=[(value, dual)], converged=sol.converged,
-                       fractional_mass=frac)
-
-
-def _primal_value(prob: DesignProblem, w: np.ndarray,
-                  theta: np.ndarray) -> float:
-    d = energy_density(w, prob)
-    return float((theta * prob.areas) @ d + prob.f @ w)
+    theta, z0, w, d = _gauged(prob, sol.values[prob.nodes])
+    value = float((theta * prob.areas) @ d + prob.f @ w)
+    return _design_state(prob, theta, w, z0, value,
+                         [(value, _dual_value(prob, w, d))], sol.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +573,8 @@ def evaluate_design(prob: DesignProblem, theta: np.ndarray):
                         prob.nodes.size) - prob.f_r
     u, _ = MeanZeroFactor(K, prob.m).solve(b)
     w = prob.expand(u)
-    return w, _primal_value(prob, w, theta)
+    return w, float((theta * prob.areas) @ energy_density(w, prob)
+                    + prob.f @ w)
 
 
 def saddle_solve(prob: DesignProblem) -> DesignState:
@@ -594,11 +596,8 @@ def saddle_solve(prob: DesignProblem) -> DesignState:
         except NumericalError as exc:
             raise NumericalError(f"saddle_solve: iteration {k} at eps = "
                                  f"{EPS_FLOOR:g}: {exc}") from exc
-        d = energy_density(w, prob)
-        theta, z0 = bathtub_projection(d, prob.areas, prob.A0)
-        # gauge: shift w so the bathtub level sits at zero
-        w = prob.expand(w[prob.nodes] + z0 / prob.lambda0)
-        dual = dual_objective(w, prob)
+        theta, z0, w, d = _gauged(prob, w[prob.nodes])
+        dual = _dual_value(prob, w, d)
         history.append((primal, dual))
         gap = abs(primal - dual) / max(abs(dual), 1e-300)
         if best is None or gap < best[0]:
@@ -606,9 +605,8 @@ def saddle_solve(prob: DesignProblem) -> DesignState:
         if gap <= SADDLE_TOL:
             break
     gap, theta, w, z0, value = best
-    frac = float(prob.areas[(theta > 1e-12) & (theta < 1 - 1e-12)].sum())
-    return DesignState(theta=theta, w=w, z0=z0, value=value, history=history,
-                       converged=gap <= SADDLE_TOL, fractional_mass=frac)
+    return _design_state(prob, theta, w, z0, value, history,
+                         gap <= SADDLE_TOL)
 
 
 def lambda1_of_design(state: DesignState, prob: DesignProblem) -> float:

@@ -15,8 +15,9 @@ Conventions used throughout the package:
   the 9 entries of every element, and each ``fill`` adds the blocks up on
   it in element order.  A region's K and M share one pattern, at full
   node dimension (empty rows off the region); the design module fills its
-  stiffness and Hessians on one pattern of its own nodes.  Nodal vectors
-  are summed by ``_scatter_vector``.
+  stiffness and Hessians on one pattern of its own nodes.  A pattern keeps
+  no map of its diagonal: the design's shifted Hessian H + shift*I is a
+  plain sparse sum.  Nodal vectors are summed by ``_scatter_vector``.
 * The unit-weight K, M and mass vector of a region come from one
   ``RegionOperator`` per mesh and region tag (cached on ``Mesh._cache``), which
   also holds the region's nodes, its interface nodes and its other nodes:
@@ -71,7 +72,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,12 +125,6 @@ class ScatterPattern:
         np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
         self.indices = cols.astype(np.int32)
         self.slot = slot.astype(np.int32)
-
-    @cached_property
-    def diag(self) -> np.ndarray:
-        """Places of the diagonal entries in `data`."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return np.flatnonzero(self.indices == rows)
 
     def fill(self, blocks: np.ndarray) -> sp.csr_matrix:
         """CSR sum of the per-element blocks, added up in element order;

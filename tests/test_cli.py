@@ -425,6 +425,21 @@ class TestOptimize:
         assert "overflows" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("h", ["0.16", "0.12", "0.1", "0.08"])
+    def test_mesh_without_slack_ring_exit_2(self, tmp_path, h):
+        # without a slack ring the design region is the shell, whose area
+        # A0 equals at the root up to rounding of either sign: refused
+        # whichever way it falls, never answered with the whole shell
+        path = tmp_path / "noslack.mesh"
+        assert run_main(["mesh", "--rd", "1", "--r0", R0, "--h", h,
+                         "-o", str(path)])[0] == 0
+        code, err = run_main(["optimize", "--mesh", str(path), "--lo", "6",
+                              "--hi", "14"])
+        assert code == 2
+        assert "the design region must exceed A0" in err
+        assert "slack ring (region 2, --rb)" in err
+        assert "internal error" not in err
+
 
 #: every file a command writes, as (argv with OUT for the path) pairs
 WRITES = {

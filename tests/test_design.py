@@ -358,16 +358,44 @@ class TestNewtonPieces:
             for got, ref in zip(design._density(prob, x), (wx, wy, dens)):
                 assert np.array_equal(got, ref)
 
-    def test_shifted_hessian_is_h_plus_shift_identity(self, off_disk_problem):
+    def test_failed_factor_retries_with_shifted_hessian(
+            self, off_disk_problem, monkeypatch):
+        # No run on record needs the shift: a factorization that fails
+        # once is made to, and the retry must factor H + 1e-12*lambda0*I.
         prob = off_disk_problem
         x = np.random.default_rng(3).standard_normal(prob.nodes.size)
+        g = design._make_objective(prob, 0.1)[1](x)
+        factored = []
+
+        def fail_first(A):
+            factored.append(A)
+            if len(factored) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return factor_spd(A)
+
+        monkeypatch.setattr(design, "factor_spd", fail_first)
+        step, lu = design._newton_step(prob, x, 0.1, g)
         hess = design._hessian(prob, x, 0.1)
-        data = hess.data.copy()
-        shifted = design._shifted(prob, hess, 0.25)
-        diff = shifted - (hess + 0.25 * sp.eye(prob.nodes.size))
-        assert abs(diff).max() == 0.0
-        assert np.array_equal(hess.data, data)
-        assert design._shifted(prob, hess, 0.0) is hess
+        shift = 1e-12 * prob.lambda0
+        assert len(factored) == 2
+        assert np.array_equal(factored[0].data, hess.data)
+        ref = hess + shift * sp.eye(prob.nodes.size)
+        assert abs(factored[1] - ref).max() == 0.0
+        assert lu is not None and g @ step < 0
+        assert np.array_equal(step, lu.solve(-g))
+
+    def test_every_factor_failing_gives_steepest_descent(
+            self, off_disk_problem, monkeypatch):
+        prob = off_disk_problem
+        x = np.random.default_rng(3).standard_normal(prob.nodes.size)
+        g = design._make_objective(prob, 0.1)[1](x)
+
+        def fail(A):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(design, "factor_spd", fail)
+        step, lu = design._newton_step(prob, x, 0.1, g)
+        assert lu is None and np.array_equal(step, -g)
 
     def test_predictor_kept_only_if_it_lowers_the_objective(
             self, off_disk_problem):
@@ -395,6 +423,21 @@ class TestOptimum:
         mass = dual_state.theta @ disk_problem.areas
         assert mass == pytest.approx(disk_problem.A0, abs=1e-12 *
                                      disk_problem.total_area)
+
+    @pytest.mark.parametrize("name", ["disk_problem", "off_disk_problem",
+                                      "stretched_problem"])
+    def test_recovered_state_is_gauged(self, request, name):
+        # One bathtub serves recover_design: projecting the gauged field's
+        # own density again gives the same theta, at a level of 0 up to
+        # rounding, and the history holds (value, J(w)).
+        prob = request.getfixturevalue(name)
+        state = recover_design(prob, minimize_dual(prob))
+        d = energy_density(state.w, prob)
+        theta, z0 = bathtub_projection(d, prob.areas, prob.A0)
+        assert np.array_equal(theta, state.theta)
+        assert abs(z0) <= 1e-12 * np.abs(d).max()
+        assert state.history[0] == (state.value,
+                                    dual_objective(state.w, prob))
 
     def test_duality_gap(self, disk_problem, dual_state):
         dual = dual_objective(dual_state.w, disk_problem)
