@@ -51,11 +51,11 @@ Conventions used throughout the package:
 * Every factorization the solvers make orders its matrix by minimum
   degree on A + A^T, which suits the symmetric pattern all of their
   matrices share and about halves the fill of SuperLU's default column
-  ordering (kept only by the general ``linear_solve``): ``factor_spd``
-  (pivots on the diagonal) for the symmetric positive definite systems --
-  the mean-zero solves and the dual Hessian -- and ``factor_symmetric``
-  (partial pivoting) for the indefinite ones -- K_ii - lam*M_ii and the
-  collapsed-shell pencil of ``find_lambda0``.
+  ordering: ``factor_spd`` (pivots on the diagonal) for the symmetric
+  positive definite systems -- the mean-zero solves and the dual Hessian
+  -- and ``factor_symmetric`` (partial pivoting) for the others --
+  K_ii - lam*M_ii, the collapsed-shell pencil of ``find_lambda0`` and the
+  general ``linear_solve``.
 * Normal fluxes across the core interface are extracted variationally
   (``weak_normal_flux``, from the interface rows of the core operator's K
   and M), never by pointwise differentiation; the resulting weights are
@@ -173,7 +173,7 @@ def linear_solve(A, b: np.ndarray) -> np.ndarray:
     if A.shape[0] != A.shape[1] or A.shape[0] != len(b):
         raise InputError("linear_solve: dimension mismatch")
     try:
-        lu = spla.splu(A)
+        lu = factor_symmetric(A)
     except RuntimeError as exc:
         raise NumericalError(f"linear_solve: factorization failed ({exc})")
     x = lu.solve(np.asarray(b, dtype=A.dtype))
@@ -192,9 +192,10 @@ def factor_spd(A):
 
 
 def factor_symmetric(A):
-    """Sparse LU of a real square matrix with a symmetric pattern, definite
-    or not: minimum-degree ordering of A + A^T with SuperLU's default
-    partial pivoting.  Raises RuntimeError on an exactly singular matrix."""
+    """Sparse LU of a square matrix, real or complex, definite or not:
+    minimum-degree ordering of A + A^T, which suits a symmetric pattern,
+    with SuperLU's default partial pivoting.  Raises RuntimeError on an
+    exactly singular matrix."""
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
 
 

@@ -85,9 +85,9 @@ class Mesh:
         return dict(self._cache["area_by_region"])
 
     def region_triangles(self, tags) -> np.ndarray:
-        """Indices of triangles whose region tag is in `tags`."""
-        tags = _as_tagset(tags)
-        return np.flatnonzero(np.isin(self.regions, sorted(tags)))
+        """Indices of triangles whose region tag is `tags`, an int, or is in
+        `tags`, a tuple of ints."""
+        return np.flatnonzero(np.isin(self.regions, tags))
 
     def region_nodes(self, tags) -> np.ndarray:
         """Sorted node indices touching any triangle with a tag in `tags`."""
@@ -97,12 +97,6 @@ class Mesh:
     def boundary_nodes(self, tag: int) -> np.ndarray:
         """Sorted node indices lying on boundary edges with the given tag."""
         return np.unique(self.boundary_edges[self.edge_tags == tag])
-
-
-def _as_tagset(tags) -> set:
-    if isinstance(tags, (int, np.integer)):
-        return {int(tags)}
-    return {int(t) for t in tags}
 
 
 def _corner_coordinates(mesh: Mesh):

@@ -9,15 +9,20 @@ collapsed-shell pencil, the delta -> 0 problem with the whole shell merged
 into one unknown, whose eigenvectors have a nonzero shell value and zero
 mean over Omega; lambda0 is the one such eigenvalue in the search interval,
 found by one shift-invert Lanczos recurrence on one factor of the pencil.
-Higher orders follow from an alternating Neumann(shell)/Dirichlet(core)
-recursion that factors the core and the shell operator once each; all
-stored fields are mean-zero with the additive constants e_n kept
-separately.  The series' psi_d is a `CoreProfile`: it carries the two
-factors the recursion made, which `eigensolver.resonance_near` solves
-with, so a profile without its factors cannot be built; the lambda0 it
-was solved at is its core factor's shift, `core_factor.lam`.  Only the
-coefficients leave the process (`enzres expand -o`, read back by
-`dispersion.read_series`); the fields live with their mesh.
+A lambda0 becomes a core set-up (the lambda0 gate, the core factor, psi_d
+and psi_d's interface flux) in one place, `_core_profile`, for the series
+and for `design.make_disk_problem`.  Higher orders follow from an
+alternating Neumann(shell)/Dirichlet(core) recursion that factors the core
+and the shell operator once each; its order-1 Neumann consistency defect
+is lambda0 * (|shell| + int_D psi_d), so that defect check is where the
+series checks the consistency condition, once.  All stored fields are
+mean-zero with the additive constants e_n kept separately.  The series'
+psi_d is a `CoreProfile`: it carries the two factors the recursion made,
+which `eigensolver.resonance_near` solves with, so a profile without its
+factors cannot be built; the lambda0 it was solved at is its core
+factor's shift, `core_factor.lam`.  Only the coefficients leave the
+process (`enzres expand -o`, read back by `dispersion.read_series`); the
+fields live with their mesh.
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ from enzres.mesh import CORE, SHELL, Mesh
 __all__ = ["PerturbationSeries", "CoreProfile", "find_lambda0",
            "expand_series", "eval_lambda"]
 
-#: tolerance factors (relative to |Omega|) for entering / running the recursion
-CONSISTENCY_TOL = 1e-6
+#: tolerance factor (relative to |Omega| * max(1, |lambda_k|)) on the
+#: recursion's Neumann consistency defect
 DEFECT_TOL = 1e-8
 #: most eigenvalues of the collapsed pencil `find_lambda0` asks for
 MAX_PENCIL_EIGS = 64
@@ -121,11 +126,13 @@ def _check_lambda0(caller: str, mesh: Mesh, lambda0) -> None:
 
 
 def _core_profile(caller: str, mesh: Mesh, lambda0):
-    """(psi_d's nodal values, the core factor at lambda0 that solved it),
-    for a lambda0 that `_check_lambda0` passes first, naming `caller`."""
+    """The one core set-up of a lambda0, which `_check_lambda0` passes
+    first, naming `caller`: (psi_d's nodal values, the core factor at
+    lambda0 that solved it, psi_d's interface flux `weak_normal_flux`)."""
     _check_lambda0(caller, mesh, lambda0)
     fac = DirichletFactor(region_operator(mesh, CORE), float(lambda0))
-    return fac.solve(np.zeros(mesh.n_nodes), np.ones(mesh.n_nodes)), fac
+    psi_d = fac.solve(np.zeros(mesh.n_nodes), np.ones(mesh.n_nodes))
+    return psi_d, fac, weak_normal_flux(mesh, psi_d, fac.lam)
 
 
 def _collapsed_pencil(mesh: Mesh):
@@ -335,28 +342,26 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     the series normalization.  The psi_d it returns holds the core and
     shell factors, for `eigensolver.resonance_near`.  An order outside
     [1, `MAX_ORDER`] is refused with InputError before any work.
+
+    Every order's Neumann consistency defect int(source) - sum(flux) is
+    checked against `DEFECT_TOL` * |Omega| * max(1, |lambda_k|) before its
+    shell solve.  At order 1 it is lambda0 * (|shell| + int_D psi_d), the
+    consistency condition itself, so a lambda0 that fails there is no root
+    of this mesh and is refused with InputError; a failure at a later
+    order raises NumericalError.
     """
     if not 1 <= order <= MAX_ORDER:
         raise InputError(f"expand_series: order must be in [1, {MAX_ORDER}]"
                          f", got {order}")
-    # one core factorization serves psi_d and every core corrector
-    psi_d, fac = _core_profile("expand_series", mesh, lambda0)
+    # one core factorization serves psi_d and every core corrector; psi_d's
+    # flux is reused for every lambda_{n+1}
+    psi_d, fac, flux_psi_d = _core_profile("expand_series", mesh, lambda0)
     op = fac.op
     areas = mesh.area_by_region()
     area, shell_area = sum(areas.values()), areas[SHELL]
-
-    consist = shell_area + op.m @ psi_d
-    if abs(consist) > CONSISTENCY_TOL * area:
-        raise InputError(
-            f"expand_series: consistency residual {consist:.3e} exceeds "
-            f"{CONSISTENCY_TOL:g}*|Omega|; run find_lambda0 first "
-            "(lambda0 drift or mesh too coarse)")
     # consistent-mass products keep the recursion identities exact discretely
     M_psi_d = op.M @ psi_d
     norm_const = float(shell_area + psi_d @ M_psi_d)
-
-    # flux of psi_d across the interface, reused for every lambda_{n+1}
-    flux_psi_d = weak_normal_flux(mesh, psi_d, lambda0)
     # one shell factorization serves every shell corrector
     shell = region_operator(mesh, SHELL)
     shell_fac = shell.neumann()
@@ -380,15 +385,23 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
                                   source=core_source)
         # the flux is oriented out of the core, so it enters the load with
         # a minus sign; int(source) - sum(flux) is the consistency defect
-        b = shell.M @ shell_source - flux_n
         defect = shell.m @ shell_source - flux_n.sum()
-        phi_next = np.zeros(mesh.n_nodes)
-        phi_next[shell.nodes], _ = shell_fac.solve(b[shell.nodes])
-        if abs(defect) > DEFECT_TOL * area * max(1.0, *(abs(l) for l in lambdas)):
+        tol = DEFECT_TOL * area * max(1.0, *(abs(l) for l in lambdas))
+        if abs(defect) > tol:
+            if not n:
+                # the order-1 defect is lambda0 * (|shell| + int_D psi_d)
+                raise InputError(
+                    f"expand_series: lambda0 {lambdas[0]!r} is no root of "
+                    f"this mesh: its consistency residual is "
+                    f"{defect / lambdas[0]:.3e} (order-1 defect {defect:.3e} "
+                    f"exceeds {tol:.3e}); run find_lambda0")
             raise NumericalError(
                 f"expand_series: Neumann consistency defect {defect:.3e} at "
                 f"order {n + 1} exceeds tolerance (lambda0 drift or mesh too "
                 "coarse)")
+        phi_next = np.zeros(mesh.n_nodes)
+        phi_next[shell.nodes], _ = shell_fac.solve(
+            (shell.M @ shell_source - flux_n)[shell.nodes])
 
         lam_next = float(flux_psi_d @ phi_next / norm_const)
         lambdas.append(lam_next)

@@ -196,6 +196,19 @@ class TestExpand:
                          err)
         assert "internal error" not in err
 
+    def test_lambda0_off_root_exit_2(self, mesh_file):
+        # 1e-6 off the root once passed the consistency entry check and
+        # failed the recursion's order-1 defect check (exit 1)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["lambda0", "--mesh", str(mesh_file), "--lo",
+                             "6", "--hi", "14"]) == 0
+        lam = json.loads(out.getvalue())["lambda0"] * (1 + 1e-6)
+        code, err = run_main(["expand", "--mesh", str(mesh_file),
+                              "--lambda0", repr(lam)])
+        assert code == 2
+        assert "no root of this mesh" in err
+        assert "internal error" not in err
+
     @pytest.mark.parametrize("command", ["expand", "optimize"])
     @pytest.mark.parametrize("interval", [["--lo", "100", "--hi", "200"],
                                           ["--lo", "6"], ["--hi", "14"]],

@@ -320,6 +320,50 @@ class TestRecursionInvariants:
         assert calls == []
 
 
+class TestConsistencyCheck:
+    """`expand_series` checks the consistency condition once, in its
+    order-1 Neumann defect, which is lambda0 * (|shell| + int_D psi_d)."""
+
+    @pytest.mark.parametrize("r", [1e-7, 1e-6, 1e-5, 1e-3])
+    def test_lambda0_off_root_is_input_error(self, mesh_coarse,
+                                             lambda0_coarse, r,
+                                             monkeypatch):
+        # 1e-7 and 1e-6 passed a looser entry check and were then refused
+        # as a NumericalError by the order-1 defect check; the refusal
+        # comes before the shell factor solves anything
+        counts = record_solves(monkeypatch)
+        with pytest.raises(InputError, match="no root of this mesh: its "
+                           "consistency residual .*run find_lambda0"):
+            expand_series(mesh_coarse, lambda0_coarse * (1 + r), order=3)
+        assert counts[1:] == [0]
+
+    def test_lambda0_within_tolerance_of_root_expands(self, mesh_coarse,
+                                                      lambda0_coarse):
+        # 1e-8 off the root passes the defect check; the coefficients are
+        # those the series gave with its former entry check too
+        s = expand_series(mesh_coarse, lambda0_coarse * (1 + 1e-8), order=3)
+        assert s.lambda_coeffs == pytest.approx(
+            [-1.032181387402722, -0.12827813472037275, 0.01306751438129943],
+            rel=1e-12)
+        assert s.constants == pytest.approx(
+            [0.1577092113072875, 0.016417035270645683,
+             -0.0026773135773655835], rel=1e-12)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-6])
+    def test_order_one_defect_is_lambda0_times_residual(
+            self, mesh_coarse, lambda0_coarse, r):
+        # the order-1 shell source is lambda0 on the shell, and the flux of
+        # psi_d sums to -lambda0 * int_D psi_d
+        lam = lambda0_coarse * (1 + r)
+        flux = perturbation._core_profile("test", mesh_coarse, lam)[2]
+        shell_m = region_operator(mesh_coarse, SHELL).m
+        defect = shell_m @ np.full(mesh_coarse.n_nodes, lam) - flux.sum()
+        area = mesh_coarse.areas().sum()
+        assert defect == pytest.approx(
+            lam * consistency_residual(mesh_coarse, lam),
+            abs=1e-13 * lam * area)
+
+
 class TestEvaluation:
     def test_eval_lambda_is_horner_polynomial(self, series_fine):
         s = series_fine
