@@ -43,8 +43,9 @@ from enzres.mesh import CORE, SHELL, Mesh
 __all__ = ["PerturbationSeries", "CoreProfile", "find_lambda0",
            "expand_series", "eval_lambda"]
 
-#: tolerance factor (relative to |Omega| * max(1, |lambda_k|)) on the
-#: recursion's Neumann consistency defect
+#: tolerance factor (relative to |Omega| * lambda0 at order 1, and to
+#: |Omega| * max(1, |lambda_k|) after) on the recursion's Neumann
+#: consistency defect
 DEFECT_TOL = 1e-8
 #: most eigenvalues of the collapsed pencil `find_lambda0` asks for
 MAX_PENCIL_EIGS = 64
@@ -344,11 +345,13 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     [1, `MAX_ORDER`] is refused with InputError before any work.
 
     Every order's Neumann consistency defect int(source) - sum(flux) is
-    checked against `DEFECT_TOL` * |Omega| * max(1, |lambda_k|) before its
-    shell solve.  At order 1 it is lambda0 * (|shell| + int_D psi_d), the
-    consistency condition itself, so a lambda0 that fails there is no root
-    of this mesh and is refused with InputError; a failure at a later
-    order raises NumericalError.
+    checked before its shell solve.  At order 1 it is
+    lambda0 * (|shell| + int_D psi_d), the consistency condition itself,
+    held to `DEFECT_TOL` * |Omega| * lambda0, so the residual is held to
+    `DEFECT_TOL` * |Omega| whatever lambda0; a lambda0 that fails there is
+    no root of this mesh and is refused with InputError.  A later order's
+    defect is held to `DEFECT_TOL` * |Omega| * max(1, |lambda_k|), and a
+    failure there raises NumericalError.
     """
     if not 1 <= order <= MAX_ORDER:
         raise InputError(f"expand_series: order must be in [1, {MAX_ORDER}]"
@@ -386,7 +389,11 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         # the flux is oriented out of the core, so it enters the load with
         # a minus sign; int(source) - sum(flux) is the consistency defect
         defect = shell.m @ shell_source - flux_n.sum()
-        tol = DEFECT_TOL * area * max(1.0, *(abs(l) for l in lambdas))
+        # at order 1 the defect is lambda0 * (|shell| + int_D psi_d), so
+        # the scale lambda0 holds that residual to DEFECT_TOL * |Omega|
+        # whatever lambda0
+        scale = max(1.0, *(abs(l) for l in lambdas)) if n else lambda0
+        tol = DEFECT_TOL * area * scale
         if abs(defect) > tol:
             if not n:
                 # the order-1 defect is lambda0 * (|shell| + int_D psi_d)

@@ -209,6 +209,15 @@ class TestExpand:
         assert "no root of this mesh" in err
         assert "internal error" not in err
 
+    def test_tiny_lambda0_exit_2(self, mesh_file):
+        # the order-1 defect at lambda0 = 1e-9 is about 1e-9 |Omega|, but
+        # the consistency residual it is lambda0 times is about |Omega|
+        code, err = run_main(["expand", "--mesh", str(mesh_file),
+                              "--lambda0", "1e-9"])
+        assert code == 2
+        assert "no root of this mesh" in err
+        assert "internal error" not in err
+
     @pytest.mark.parametrize("command", ["expand", "optimize"])
     @pytest.mark.parametrize("interval", [["--lo", "100", "--hi", "200"],
                                           ["--lo", "6"], ["--hi", "14"]],

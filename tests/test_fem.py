@@ -328,15 +328,17 @@ class TestRegionOperatorContract:
 class TestWeakFlux:
     def test_total_flux_identity(self, disk_meshes, case9):
         # <flux, 1> = -int_D lambda0 psi_d = lambda0 A0 exactly in the
-        # discrete sense; compare against the continuum value.
+        # discrete sense, 1e-6 off the root too; compare against the
+        # continuum value.
         m = disk_meshes[0.02]
-        u = core_dirichlet(m, case9.lambda0)
-        flux = weak_normal_flux(m, u, case9.lambda0)
         M = region_operator(m, CORE).M
-        discrete = -case9.lambda0 * float(np.ones(m.n_nodes) @ (M @ u))
-        assert flux.sum() == pytest.approx(discrete, rel=1e-10)
-        assert flux.sum() == pytest.approx(case9.lambda0 * case9.A0,
-                                             rel=5e-3)
+        for lam in (case9.lambda0, case9.lambda0 * (1 + 1e-6)):
+            u = core_dirichlet(m, lam)
+            flux = weak_normal_flux(m, u, lam)
+            discrete = -lam * float(np.ones(m.n_nodes) @ (M @ u))
+            assert flux.sum() == pytest.approx(discrete, rel=1e-10)
+            assert flux.sum() == pytest.approx(case9.lambda0 * case9.A0,
+                                                 rel=5e-3)
 
     def test_flux_of_linear_field_vanishes(self, mesh_coarse):
         # u = x is discretely harmonic, so its weak flux out of the core

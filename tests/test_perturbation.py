@@ -349,19 +349,13 @@ class TestConsistencyCheck:
             [0.1577092113072875, 0.016417035270645683,
              -0.0026773135773655835], rel=1e-12)
 
-    @pytest.mark.parametrize("r", [0.0, 1e-6])
-    def test_order_one_defect_is_lambda0_times_residual(
-            self, mesh_coarse, lambda0_coarse, r):
-        # the order-1 shell source is lambda0 on the shell, and the flux of
-        # psi_d sums to -lambda0 * int_D psi_d
-        lam = lambda0_coarse * (1 + r)
-        flux = perturbation._core_profile("test", mesh_coarse, lam)[2]
-        shell_m = region_operator(mesh_coarse, SHELL).m
-        defect = shell_m @ np.full(mesh_coarse.n_nodes, lam) - flux.sum()
-        area = mesh_coarse.areas().sum()
-        assert defect == pytest.approx(
-            lam * consistency_residual(mesh_coarse, lam),
-            abs=1e-13 * lam * area)
+    def test_tiny_lambda0_is_input_error(self, mesh_coarse):
+        # psi_d is about 1 at lambda0 = 1e-9, so the consistency residual is
+        # about |Omega| while the order-1 defect, lambda0 times it, is about
+        # 1e-9 |Omega|; the order-1 tolerance scales with lambda0 as well
+        with pytest.raises(InputError, match="no root of this mesh: its "
+                           "consistency residual"):
+            expand_series(mesh_coarse, 1e-9, order=3)
 
 
 class TestEvaluation:
