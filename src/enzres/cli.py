@@ -64,6 +64,31 @@ def _check_writable(path: str):
                          "writable directory")
 
 
+#: (flag, argparse dest) of every file a command reads, and writes
+INPUTS = (("--mesh", "mesh"), ("--series", "series"), ("--in", "infile"))
+OUTPUTS = (("-o", "out"), ("--csv", "csv"))
+
+
+def _check_outputs(args):
+    """Refuse, before any work, an output path that `_check_writable`
+    refuses, or whose real path is that of an input or of the other
+    output, which writing it would overwrite; the refusal names both
+    flags."""
+    given = [(flag, getattr(args, dest, None)) for flag, dest in INPUTS]
+    for flag, dest in OUTPUTS:
+        path = getattr(args, dest, None)
+        if not path:
+            continue
+        _check_writable(path)
+        for other, other_path in given:
+            if other_path and (os.path.realpath(other_path)
+                               == os.path.realpath(path)):
+                raise InputError(
+                    f"{flag} {path} names the file of {other} {other_path}; "
+                    "writing it would overwrite that file")
+        given.append((flag, path))
+
+
 def _emit(doc: dict, path: str | None = None):
     doc = {"schema_version": disp.SCHEMA_VERSION, **doc}
     text = json.dumps(doc, indent=2)
@@ -176,7 +201,7 @@ def cmd_validate_disk(args) -> int:
     from enzres import perturbation as pert
     from enzres.bessel_oracle import annulus_lambda1, disk_case, disk_psi_d
     from enzres.eigensolver import remainder_ratios
-    from enzres.fem import region_operator, weak_normal_flux
+    from enzres.fem import weak_normal_flux
     lam_exact = 9.0
     case = disk_case(lam_exact)
     h = args.h
@@ -223,9 +248,9 @@ def cmd_validate_disk(args) -> int:
     checks.append(("psi_d max nodal error small (O(h^2))", psi_err,
                    psi_err <= 50 * h * h))
 
-    total = weak_normal_flux(mesh, series.psi_d.values, lam0).sum()
-    m_core = region_operator(mesh, CORE).m
-    ident = abs(total + lam0 * (m_core @ series.psi_d.values))
+    fac = series.psi_d.core_factor
+    total = weak_normal_flux(fac, series.psi_d.values).sum()
+    ident = abs(total + lam0 * (fac.op.m @ series.psi_d.values))
     checks.append(("flux mass identity <= 1e-10 relative",
                    ident / abs(total), ident <= 1e-10 * abs(total)))
 
@@ -307,9 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for path in (getattr(args, "out", None), getattr(args, "csv", None)):
-            if path:
-                _check_writable(path)
+        _check_outputs(args)
         status = args.func(args)
         sys.stdout.flush()
         return status

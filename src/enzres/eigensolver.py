@@ -96,7 +96,7 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
     Preconditioned inverse iteration from u0: u <- u - P r, where
     r = (K(delta) - lam*M) u.  P is one Dirichlet-Neumann sweep over two
     real factors, each used through its `solve`: the shell's
-    `MeanZeroFactor` (`RegionOperator.neumann`) gives x_S from
+    `MeanZeroFactor` takes delta*r and gives x_S, zero off the shell, from
     K_s x_S = delta*r_S on the shell nodes, interface included, and the
     core's `DirichletFactor` at sigma = psi_d.core_factor.lam takes r as
     its load and x_S as its interface data, giving
@@ -125,8 +125,7 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
     core, shell = region_operator(mesh, CORE), region_operator(mesh, SHELL)
 
     def sweep(r):
-        x = np.zeros_like(r)
-        x[shell.nodes], _ = psi_d.shell_factor.solve(delta * r[shell.nodes])
+        x, _ = psi_d.shell_factor.solve(delta * r)
         x[core.interior] = psi_d.core_factor.solve(r, x)[core.interior]
         return x
 

@@ -29,11 +29,12 @@ Conventions used throughout the package:
   interface at a real, finite shift (one condition check), which also
   keeps the interface columns K_ib and M_ib, so that its ``solve(b, g)``
   moves the interface data g to the right-hand side through them, never
-  through all-node products; and ``op.neumann()``, the ``MeanZeroFactor``
-  of the region's stiffness block, whose ``solve(b)`` takes a load vector
-  on the region's nodes.  Any number of right-hand sides, real or complex,
-  reuse either; a complex one is solved, and its residual formed, as its
-  real and imaginary parts.  The series recursion and the eigensolver's
+  through all-node products; and ``MeanZeroFactor(op.K, op.m)``, which
+  factors the stiffness block on the support of m, the region's nodes.
+  Both take and return nodal arrays with one value per mesh node, zero off
+  the region.  Any number of right-hand sides, real or complex, reuse
+  either; a complex one is solved, and its residual formed, as its real
+  and imaginary parts.  The series recursion and the eigensolver's
   Dirichlet-Neumann preconditioner are built from these two factors.  The
   operator keeps no factor: each call makes a new one, which lives as long
   as its caller holds it.  The series hands its two to the psi_d it
@@ -58,11 +59,14 @@ Conventions used throughout the package:
   general ``linear_solve``.
 * Normal fluxes across the core interface are extracted variationally
   (``weak_normal_flux``, from the interface rows of the core operator's K
-  and M), never by pointwise differentiation; the resulting weights are
+  and M at the shift of the core ``DirichletFactor`` that solved the
+  field), never by pointwise differentiation; the resulting weights are
   oriented along the *outward normal of the core region* and satisfy the
   mass identity f.sum() = -int(lambda*u + source) as an algebraic
   identity of the discrete system.
 * Every mean-zero Neumann problem goes through a ``MeanZeroFactor``: it
+  gathers the block on the support of its weights (every node of the
+  design's compact system, whose weights are positive throughout),
   refuses a disconnected region, makes one symmetric positive definite
   factorization with one node pinned, and solves the bordered (Lagrange
   multiplier) system exactly through its multiplier, so inconsistent data
@@ -79,7 +83,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from enzres.errors import InputError, NumericalError
-from enzres.mesh import CORE, INTERFACE, Mesh
+from enzres.mesh import INTERFACE, Mesh
 
 __all__ = ["ScatterPattern", "RegionOperator", "DirichletFactor",
            "region_operator", "weak_normal_flux", "linear_solve", "factor_spd",
@@ -225,32 +229,37 @@ class MeanZeroFactor:
         [K    m] [u ]   [b]
         [m^T  0] [mu] = [0]
 
-    with a real symmetric positive semidefinite K whose kernel is the
-    constants (the stiffness matrix of a connected region) and positive
-    weights m.  A K whose graph falls apart into several components has a
-    larger kernel and is refused here, before anything is factored.  One
-    node, the one with the largest diagonal entry, is pinned, and K without
-    it is factored once by `factor_spd`; any number of right-hand sides
-    then reuse the factor through `solve`, accepted by `_accept_solve`.
+    over the support of the nonnegative weights m (a region's nodes), with
+    a real symmetric positive semidefinite K whose block on that support
+    has the constants as its kernel (the stiffness matrix of a connected
+    region).  K and m are given at one dimension, say the mesh's, with K
+    empty off the support; the support block is gathered here, and `solve`
+    takes a load and returns u at that same dimension, zero off the
+    support.  A block whose graph falls apart into several components has
+    a larger kernel and is refused here, before anything is factored.  One
+    node, the one with the largest diagonal entry, is pinned, and the block
+    without it is factored once by `factor_spd`; any number of right-hand
+    sides then reuse the factor through `solve`, accepted by
+    `_accept_solve`.
     """
 
     def __init__(self, K, m: np.ndarray):
-        K = sp.csc_matrix(K)
         m = np.asarray(m, dtype=float)
-        n = K.shape[0]
-        if K.shape != (n, n) or m.shape != (n,):
+        if m.ndim != 1 or K.shape != (m.size, m.size):
             raise InputError("MeanZeroFactor: dimension mismatch")
         if np.iscomplexobj(K):
             raise InputError("MeanZeroFactor: K must be real")
+        self.nodes = np.flatnonzero(m)
+        K = sp.csc_matrix(K[self.nodes][:, self.nodes])
         n_parts, _ = connected_components(K, directed=False)
         if n_parts > 1:
             raise NumericalError(
                 f"MeanZeroFactor: the region falls apart into {n_parts} "
                 "disconnected components, so the mean-zero problem has no "
                 "unique solution")
-        self.K, self.m = K, m
+        self.K, self.m, self.n = K, m[self.nodes], m.size
         pin = int(np.argmax(K.diagonal()))
-        self.keep = np.delete(np.arange(n), pin)
+        self.keep = np.delete(np.arange(self.nodes.size), pin)
         try:
             self.lu = factor_spd(K[self.keep][:, self.keep])
         except RuntimeError as exc:
@@ -258,18 +267,18 @@ class MeanZeroFactor:
                 f"MeanZeroFactor: factorization failed ({exc})")
 
     def solve(self, b: np.ndarray):
-        """Solve for one real or complex right-hand side b.  Summing the
-        first block row gives mu = sum(b) / sum(m); K u = b - mu*m is then
-        consistent and is solved with the pinned node's value 0, and u is
-        shifted by a constant so that m @ u = 0.  The residual is that of
-        the bordered equations.
+        """Solve for one real or complex load b, read on the support only.
+        Summing the first block row gives mu = sum(b) / sum(m); K u =
+        b - mu*m is then consistent and is solved with the pinned node's
+        value 0, and u is shifted by a constant so that m @ u = 0.  The
+        residual is that of the bordered equations.
 
-        Returns (u, mu).
+        Returns (u, mu), u zero off the support.
         """
         K, m, keep = self.K, self.m, self.keep
-        b = np.asarray(b)
-        if b.shape != m.shape:
+        if np.shape(b) != (self.n,):
             raise InputError("MeanZeroFactor.solve: dimension mismatch")
+        b = np.asarray(b)[self.nodes]
         # an inf in b makes inf - inf here; the residual check refuses it
         with np.errstate(invalid="ignore"):
             mu = b.sum() / m.sum()
@@ -280,7 +289,9 @@ class MeanZeroFactor:
         _accept_solve("MeanZeroFactor.solve",
                       math.hypot(_residual_norm(K, u, r), abs(m @ u)),
                       np.linalg.norm(b))
-        return u, mu
+        full = np.zeros(self.n, dtype=u.dtype)
+        full[self.nodes] = u
+        return full, mu
 
 
 #: inverse power iterations of `_condition_estimate`
@@ -320,16 +331,18 @@ class RegionOperator:
     on the core interface, the interface nodes `boundary` and the region's
     other nodes `interior`.  A block that one consumer reads is formed by
     that consumer: a `DirichletFactor` its shifted interior block and the
-    interface columns its `solve` applies, `weak_normal_flux` the interface
-    rows, `find_lambda0` the collapsed-shell pencil.  None of this depends
+    interface columns its `solve` applies, a `MeanZeroFactor` the block on
+    the support of `m`, `weak_normal_flux` the interface rows,
+    `find_lambda0` the collapsed-shell pencil.  None of this depends
     on a shift, so one operator per mesh and region is kept on
     `Mesh._cache` (see `region_operator`).  The operator keeps no reference
     to the mesh: a mesh -> cache -> operator -> mesh cycle would keep every
     dropped mesh alive until the cyclic garbage collector runs.
 
-    Factors are not kept either: `DirichletFactor(op, lam)` and `neumann`
-    make a new one on every call.  Nothing here refers to a factor, so it
-    is freed as soon as its last holder drops it.
+    Factors are not kept either: `DirichletFactor(op, lam)` and
+    `MeanZeroFactor(op.K, op.m)` make a new one on every call.  Nothing
+    here refers to a factor, so it is freed as soon as its last holder
+    drops it.
     """
 
     def __init__(self, mesh: Mesh, tag: int):
@@ -350,14 +363,6 @@ class RegionOperator:
         self.boundary = mesh.boundary_nodes(INTERFACE)
         self.interior = np.setdiff1d(self.nodes, self.boundary,
                                      assume_unique=True)
-
-    def neumann(self) -> MeanZeroFactor:
-        """The `MeanZeroFactor` of the region's stiffness block on its
-        `nodes` with weights `m[nodes]`: it solves -Delta u = source with
-        natural Neumann data, normalized to int u = 0, for a load vector
-        given on `nodes`."""
-        return MeanZeroFactor(self.K[self.nodes][:, self.nodes],
-                              self.m[self.nodes])
 
 
 def region_operator(mesh: Mesh, tag: int) -> RegionOperator:
@@ -386,9 +391,7 @@ class DirichletFactor:
                              f"finite, got {lam}")
         self.op, self.lam = op, lam
         ii, ib = op.interior, op.boundary
-        K_ii = op.K[ii][:, ii].tocsc()
-        M_ii = op.M[ii][:, ii].tocsc()
-        self.A_ii = (K_ii - lam * M_ii).tocsc()
+        self.A_ii = (op.K - lam * op.M)[ii][:, ii].tocsc()
         self.K_ib = op.K[:, ib][ii]
         self.M_ib = op.M[:, ib][ii]
         try:
@@ -430,18 +433,19 @@ class DirichletFactor:
         return u
 
 
-def weak_normal_flux(mesh: Mesh, u: np.ndarray, lam,
+def weak_normal_flux(fac: DirichletFactor, u: np.ndarray,
                      source=None) -> np.ndarray:
     """Variational normal-derivative weights of u on the core interface.
 
-    For nodal values u solving (-Delta - lam) u = source on the core
-    (`source` None for zero, or one value per node), the weights are the
-    interface rows of K u - M (lam u + source) and zero off the interface;
-    the pairing f @ v equals int(grad u . grad v - (lam u + source) v) for
-    any hat extension v, and f.sum() = -int(lam u + source) identically.
-    Orientation: outward normal of the core region.
+    For nodal values u solving (-Delta - lam) u = source on the core with
+    the core's `DirichletFactor` `fac` at lam = `fac.lam` (`source` None for
+    zero, or one value per node), the weights are the interface rows of
+    K u - M (lam u + source) and zero off the interface; the pairing f @ v
+    equals int(grad u . grad v - (lam u + source) v) for any hat extension
+    v, and f.sum() = -int(lam u + source) identically.  Orientation:
+    outward normal of the core region.
     """
-    op = region_operator(mesh, CORE)
+    op, lam = fac.op, fac.lam
     svals = 0.0 if source is None else source
     residual = (op.K[op.boundary] @ u
                 - op.M[op.boundary] @ (lam * u + svals))

@@ -133,7 +133,7 @@ def _core_profile(caller: str, mesh: Mesh, lambda0):
     _check_lambda0(caller, mesh, lambda0)
     fac = DirichletFactor(region_operator(mesh, CORE), float(lambda0))
     psi_d = fac.solve(np.zeros(mesh.n_nodes), np.ones(mesh.n_nodes))
-    return psi_d, fac, weak_normal_flux(mesh, psi_d, fac.lam)
+    return psi_d, fac, weak_normal_flux(fac, psi_d)
 
 
 def _collapsed_pencil(mesh: Mesh):
@@ -367,7 +367,7 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     norm_const = float(shell_area + psi_d @ M_psi_d)
     # one shell factorization serves every shell corrector
     shell = region_operator(mesh, SHELL)
-    shell_fac = shell.neumann()
+    shell_fac = MeanZeroFactor(shell.K, shell.m)
 
     lambdas = [float(lambda0)]           # lambda_0..lambda_N
     e = [1.0]                            # e_0..e_N
@@ -384,8 +384,7 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         shell_source = np.zeros(mesh.n_nodes)
         for k in range(n + 1):
             shell_source += lambdas[k] * (phis[n - k] + e[n - k])
-        flux_n = weak_normal_flux(mesh, full_psi(n), lambda0,
-                                  source=core_source)
+        flux_n = weak_normal_flux(fac, full_psi(n), source=core_source)
         # the flux is oriented out of the core, so it enters the load with
         # a minus sign; int(source) - sum(flux) is the consistency defect
         defect = shell.m @ shell_source - flux_n.sum()
@@ -406,9 +405,7 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
                 f"expand_series: Neumann consistency defect {defect:.3e} at "
                 f"order {n + 1} exceeds tolerance (lambda0 drift or mesh too "
                 "coarse)")
-        phi_next = np.zeros(mesh.n_nodes)
-        phi_next[shell.nodes], _ = shell_fac.solve(
-            (shell.M @ shell_source - flux_n)[shell.nodes])
+        phi_next, _ = shell_fac.solve(shell.M @ shell_source - flux_n)
 
         lam_next = float(flux_psi_d @ phi_next / norm_const)
         lambdas.append(lam_next)

@@ -176,8 +176,9 @@ def test_criterion_6_structural_properties(disk_meshes, disk_lambda0s):
         mass_defect = max(mass_defect, abs(
             np.ones(m.n_nodes) @ (M @ np.ones(m.n_nodes)) - area) / area)
 
-    u = expand_series(m, lam0, order=1).psi_d.values
-    flux = weak_normal_flux(m, u, lam0)
+    psi_d = expand_series(m, lam0, order=1).psi_d
+    u = psi_d.values
+    flux = weak_normal_flux(psi_d.core_factor, u)
     M0 = region_operator(m, CORE).M
     expected = -lam0 * float(np.ones(m.n_nodes) @ (M0 @ u))
     flux_defect = abs(flux.sum() - expected) / abs(expected)

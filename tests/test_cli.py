@@ -219,15 +219,16 @@ class TestExpand:
         assert "internal error" not in err
 
     @pytest.mark.parametrize("command", ["expand", "optimize"])
-    @pytest.mark.parametrize("interval", [["--lo", "100", "--hi", "200"],
-                                          ["--lo", "6"], ["--hi", "14"]],
-                             ids=["lo-hi", "lo", "hi"])
-    def test_lambda0_with_interval_exit_2(self, mesh_file, command,
-                                          interval):
+    @pytest.mark.parametrize("flags", [
+        ["--lambda0", "9.6", "--lo", "100", "--hi", "200"],
+        ["--lambda0", "9.6", "--lo", "6"], ["--lambda0", "9.6", "--hi", "14"],
+        ["--lambda0", "9", "--lo", "6", "--hi", "14"]],
+        ids=["lo-hi", "lo", "hi", "root-interval"])
+    def test_lambda0_with_interval_exit_2(self, mesh_file, command, flags):
         # the interval was dropped without a word, and a --lambda0 off the
-        # root then failed the consistency check instead
-        code, err = run_main([command, "--mesh", str(mesh_file),
-                              "--lambda0", "9.6", *interval])
+        # root then failed the consistency check instead; an interval
+        # around the root is refused as well
+        code, err = run_main([command, "--mesh", str(mesh_file), *flags])
         assert code == 2
         assert "--lambda0" in err and "--lo" in err
         assert "internal error" not in err
@@ -335,10 +336,12 @@ class TestResonate:
 
     @pytest.mark.parametrize("data", [
         b"\x7fELF\x02\x01\xd0\xff", b'{"schema_version": 1}', b"[1, 2]",
-        b"enzmesh v1\nnodes 3\n"], ids=["binary", "no-keys", "list", "mesh"])
-    def test_malformed_series_file_exit_2(self, tmp_path, data):
+        b"enzmesh v1\nnodes 3\n", "MESH"],
+        ids=["binary", "no-keys", "list", "mesh", "saved-mesh"])
+    def test_malformed_series_file_exit_2(self, mesh_file, tmp_path, data):
+        # MESH: the whole saved disk mesh given as --series
         path = tmp_path / "bad.json"
-        path.write_bytes(data)
+        path.write_bytes(mesh_file.read_bytes() if data == "MESH" else data)
         code, err = run_main(resonate_argv(path))
         assert code == 2
         assert "internal error" not in err
@@ -364,6 +367,21 @@ class TestResonate:
         assert f"'{key}' must be finite" in err
         assert "internal error" not in err
         assert "RuntimeWarning" not in err
+
+    def test_newton_not_converging_is_no_internal_error(self, series_file,
+                                                        tmp_path):
+        # eps_inf = 1.2e29 (inside the model's range) puts delta far past
+        # where the order-3 series answers; Newton then stops at its step
+        # limit, which names the gamma.  Exit 1 (a numerical failure) or 2
+        # (refused as input) both say so; 0 would be an answer.
+        out = tmp_path / "t.csv"
+        code, err = run_main([*resonate_argv(series_file), "--eps-inf",
+                              "123456789012345678901234567890", "--steps",
+                              "20", "-o", str(out)])
+        assert code in (1, 2)
+        assert re.search(r"gamma = [0-9.e-]+", err), err
+        assert "internal error" not in err
+        assert not out.exists()
 
     def test_document_with_fields_traces_the_same(self, series_file,
                                                   tmp_path):
@@ -480,26 +498,69 @@ WRITES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(WRITES))
-def test_unwritable_output_exit_2(name, mesh_file, series_file, tmp_path,
-                                  monkeypatch):
-    # refused before any work: the mesh build, the root find, the dual
-    # design and the trace each fail the test if they start
+@pytest.fixture
+def no_work(monkeypatch):
+    """The mesh build, the root find, the dual design and the trace each
+    fail the test if they start."""
     from enzres import design, perturbation
 
-    def no_work(*args, **kwargs):
+    def fail(*args, **kwargs):
         pytest.fail("work started before the output path was checked")
 
-    monkeypatch.setattr(cli, "build_concentric_mesh", no_work)
-    monkeypatch.setattr(perturbation, "find_lambda0", no_work)
-    monkeypatch.setattr(design, "minimize_dual", no_work)
-    monkeypatch.setattr(disp, "trace_resonance", no_work)
+    for owner, name in ((cli, "build_concentric_mesh"),
+                        (perturbation, "find_lambda0"),
+                        (design, "minimize_dual"), (disp, "trace_resonance")):
+        monkeypatch.setattr(owner, name, fail)
+
+
+@pytest.mark.parametrize("name", sorted(WRITES))
+def test_unwritable_output_exit_2(name, mesh_file, series_file, tmp_path,
+                                  no_work):
+    # refused before any work
     paths = {"MESH": str(mesh_file), "SERIES": str(series_file),
              "OUT": str(tmp_path / "missing" / "out")}
     code, err = run_main([paths.get(a, a) for a in WRITES[name]])
     assert code == 2
     assert "cannot write" in err
     assert "internal error" not in err
+
+
+#: an output path that names an input file, or the other output: argv
+#: with MESH, SERIES and OUT for copies in one directory, and the two flags
+#: the refusal names; expand's -o spells the mesh's path another way
+CLOBBERS = {
+    "mesh": (["mesh", "--kind", "file", "--in", "MESH", "-o", "MESH"],
+             ["--in", "-o"]),
+    "lambda0": (["lambda0", "--mesh", "MESH", "--lo", "6", "--hi", "14",
+                 "-o", "MESH"], ["--mesh", "-o"]),
+    "expand": (["expand", "--mesh", "MESH", "--lo", "6", "--hi", "14",
+                "-o", "DOT/MESH"], ["--mesh", "-o"]),
+    "resonate": ([*WRITES["resonate"][:-1], "SERIES"], ["--series", "-o"]),
+    "optimize": (["optimize", "--mesh", "MESH", "--lambda0", "9", "-o", "OUT",
+                  "--csv", "OUT"], ["-o", "--csv"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOBBERS))
+def test_output_naming_an_input_exit_2(name, mesh_file, series_file,
+                                       tmp_path, no_work):
+    # expand once wrote its series over the mesh it read (exit 0, and the
+    # next command on the mesh failed), and optimize -o X --csv X left the
+    # CSV alone; both are refused before any work, and no file changes
+    mesh, series = tmp_path / "disk.mesh", tmp_path / "s.json"
+    mesh.write_bytes(mesh_file.read_bytes())
+    series.write_bytes(series_file.read_bytes())
+    paths = {"MESH": str(mesh), "SERIES": str(series),
+             "DOT/MESH": os.path.join(tmp_path, ".", "disk.mesh"),
+             "OUT": str(tmp_path / "out")}
+    argv, flags = CLOBBERS[name]
+    code, err = run_main([paths.get(a, a) for a in argv])
+    assert code == 2
+    assert all(f"{flag} " in err for flag in flags), err
+    assert "internal error" not in err
+    assert mesh.read_bytes() == mesh_file.read_bytes()
+    assert series.read_bytes() == series_file.read_bytes()
+    assert not (tmp_path / "out").exists()
 
 
 def test_import_leaves_the_oracle_unloaded():

@@ -1,6 +1,7 @@
 """Convex shell design: bathtub projection, dual objective, optimizer,
 saddle cross-check, and serialization."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -267,32 +268,45 @@ class TestConvergence:
         assert w.stages[-1].gtol == pytest.approx(1e-8 * load)
 
     def test_stage_records_do_not_depend_on_blas_threads(self):
-        # BLAS reads its thread count when it loads, so each count gets a
-        # fresh interpreter; rounding noise differs between them.
-        script = (
-            "import json\n"
-            "from enzres.bessel_oracle import disk_case\n"
-            "from enzres.design import make_disk_problem, minimize_dual\n"
-            "from enzres.mesh import build_concentric_mesh\n"
-            "from enzres.perturbation import find_lambda0\n"
-            "m = build_concentric_mesh(1.0, disk_case(9.0).r0, 0.04, "
-            "r_b=2.0)\n"
-            "w = minimize_dual(make_disk_problem(m, find_lambda0(m, "
-            "(6.0, 14.0))))\n"
-            "print(json.dumps([[r.steps, r.chords, r.exit, r.predicted] "
-            "for r in w.stages]))\n")
-        src = os.path.dirname(os.path.dirname(enzres.__file__))
-        path = os.pathsep.join(filter(None, [src,
-                                             os.environ.get("PYTHONPATH")]))
-        runs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS=threads,
-                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            out = subprocess.run([sys.executable, "-c", script], env=env,
-                                 capture_output=True, text=True, check=True)
-            runs.append(json.loads(out.stdout))
+        runs = stage_records_per_blas_threads(0.04)
         assert len(runs[0]) == design.BETA_STAGES
         assert runs[0] == runs[1]
+
+    def test_rounding_floor_exit_converges(self):
+        # The ×(1 + 1.5x) load on the h = 0.08 disk: its last beta stage
+        # ends where the Newton decrement sits at J's rounding level and
+        # the full step no longer lowers |g| (74 Newton steps in all; 61
+        # at h = 0.16), under either BLAS thread count.
+        runs = stage_records_per_blas_threads(0.08, "1.0 + 1.5 * x")
+        assert runs[0] == runs[1]
+        exits = [rec[2] for rec in runs[0]]
+        assert exits == ["gtol"] * (design.BETA_STAGES - 1) + [
+            "rounding floor"]
+        assert set(exits) <= set(CONVERGED_EXITS)
+
+    def test_line_search_failure_is_not_converged(self, mesh_coarse,
+                                                  lambda0_coarse,
+                                                  monkeypatch):
+        # An objective that rises at every evaluation fails every Armijo
+        # test: the stage ends at its first Newton step with x unmoved,
+        # its record counts as unconverged, and the continuation refuses
+        # the unmoved point rather than report it.
+        prob = make_disk_problem(mesh_coarse, lambda0_coarse)
+        real = design._make_objective
+
+        def rising(prob, beta):
+            _, jac = real(prob, beta)
+            calls = itertools.count()
+            return (lambda x: float(next(calls))), jac
+
+        monkeypatch.setattr(design, "_make_objective", rising)
+        x0 = np.zeros(prob.nodes.size)
+        x, rec, _ = design._newton_stage(prob, x0, 1.0, 1e-12)
+        assert (rec.exit, rec.steps) == ("line-search failure", 1)
+        assert np.array_equal(x, x0)
+        assert not DualSolution(prob.expand(x), (rec,)).converged
+        with pytest.raises(NumericalError, match="stationarity not reached"):
+            minimize_dual(prob)
 
     def test_capped_stage_is_not_converged(self, mesh_coarse, lambda0_coarse,
                                            monkeypatch):
@@ -489,9 +503,10 @@ class TestOptimum:
         for primal, dual in ss.history:
             assert primal <= dual + 1e-9 * abs(dual)
 
-    @pytest.mark.parametrize("target", [7.5, 11.5])
+    @pytest.mark.parametrize("target", [7.5, 9.0, 11.5])
     def test_saddle_agrees_with_dual_at_other_targets(self, target):
-        # Thick (7.5) and thin (11.5) optimal shells on the h = 0.08 disk.
+        # Thick (7.5), standard (9.0) and thin (11.5) optimal shells on the
+        # h = 0.08 disk.
         from enzres.mesh import build_concentric_mesh
         from enzres.perturbation import find_lambda0
         mesh = build_concentric_mesh(1.0, disk_case(target).r0, 0.08,
@@ -534,6 +549,39 @@ class TestOptimum:
         lam_big = lambda1_of_design(st_big, prob_big)
         lam_ref = lambda1_of_design(st_ref, prob)
         assert lam_big == pytest.approx(lam_ref, rel=5e-3)
+
+
+def stage_records_per_blas_threads(h, load=None):
+    """[steps, chords, exit, predicted] of every beta stage of
+    `minimize_dual` on the h disk, under BLAS thread counts 1 and 2.  The
+    load is the disk's interface flux, times the expression `load` in the
+    node's x if given.  BLAS reads its thread count when it loads, so each
+    count gets a fresh interpreter; rounding noise differs between them."""
+    script = (
+        "import json\n"
+        "from enzres.bessel_oracle import disk_case\n"
+        "from enzres.design import DesignProblem, make_disk_problem, "
+        "minimize_dual\n"
+        "from enzres.mesh import build_concentric_mesh\n"
+        "from enzres.perturbation import find_lambda0\n"
+        f"m = build_concentric_mesh(1.0, disk_case(9.0).r0, {h}, r_b=2.0)\n"
+        "prob = make_disk_problem(m, find_lambda0(m, (6.0, 14.0)))\n"
+        + ("" if load is None else
+           "x = m.nodes[:, 0]\n"
+           f"prob = DesignProblem(m, prob.lambda0, prob.f * ({load}))\n")
+        + "w = minimize_dual(prob)\n"
+        "print(json.dumps([[r.steps, r.chords, r.exit, r.predicted] "
+        "for r in w.stages]))\n")
+    src = os.path.dirname(os.path.dirname(enzres.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        runs.append(json.loads(out.stdout))
+    return runs
 
 
 def find_lambda0_cached(mesh):

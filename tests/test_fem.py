@@ -31,11 +31,12 @@ def square():
 
 
 def core_dirichlet(mesh, lam, g=1.0):
-    """(-Delta - lam) u = 0 in the core, u = g on the interface, through one
-    `DirichletFactor` of the core operator at shift lam."""
+    """(fac, u): u solves (-Delta - lam) u = 0 in the core, u = g on the
+    interface, through fac, one `DirichletFactor` of the core operator at
+    shift lam."""
     fac = DirichletFactor(region_operator(mesh, CORE), lam)
     n = mesh.n_nodes
-    return fac.solve(np.zeros(n), np.full(n, g))
+    return fac, fac.solve(np.zeros(n), np.full(n, g))
 
 
 class TestAssembly:
@@ -153,22 +154,25 @@ class TestSolveGate:
         # the h = 0.15 disk, whose NaN loads once came back as NaN fields
         m = build_concentric_mesh(1.0, 1.3, 0.15)
         core, shell = region_operator(m, CORE), region_operator(m, SHELL)
-        fac, neumann = DirichletFactor(core, 9.0), shell.neumann()
+        fac = DirichletFactor(core, 9.0)
+        neumann = MeanZeroFactor(shell.K, shell.m)
         n = m.n_nodes
+        # (data length, an entry the solve reads, solve)
         return {
-            "DirichletFactor.solve": (n, lambda b: fac.solve(b, np.zeros(n))),
-            "MeanZeroFactor.solve": (shell.nodes.size,
+            "DirichletFactor.solve": (n, core.interior[0],
+                                      lambda b: fac.solve(b, np.zeros(n))),
+            "MeanZeroFactor.solve": (n, shell.interior[0],
                                      lambda b: neumann.solve(b)[0]),
-            "linear_solve": (fac.A_ii.shape[0],
+            "linear_solve": (fac.A_ii.shape[0], 0,
                              lambda b: linear_solve(fac.A_ii, b))}
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["DirichletFactor.solve",
                                       "MeanZeroFactor.solve", "linear_solve"])
     def test_non_finite_data_refused(self, solves, name, bad):
-        n, solve = solves[name]
+        n, read, solve = solves[name]
         b = np.zeros(n)
-        b[n // 2] = bad
+        b[read] = bad
         with pytest.raises(NumericalError, match=(
                 f"^{re.escape(name)}: relative residual nan exceeds 1e-10")):
             solve(b)
@@ -176,7 +180,7 @@ class TestSolveGate:
     @pytest.mark.parametrize("name", ["DirichletFactor.solve",
                                       "MeanZeroFactor.solve", "linear_solve"])
     def test_zero_data_gives_zeros(self, solves, name):
-        n, solve = solves[name]
+        n, _, solve = solves[name]
         assert not solve(np.zeros(n)).any()
 
 
@@ -184,7 +188,7 @@ class TestDirichletCore:
     def test_psi_d_matches_oracle(self, disk_meshes, case9):
         errs = {}
         for h, m in disk_meshes.items():
-            u = core_dirichlet(m, case9.lambda0)
+            _, u = core_dirichlet(m, case9.lambda0)
             core = sorted(m.region_nodes(0))
             r = np.linalg.norm(m.nodes[core], axis=1)
             exact = np.array([disk_psi_d(case9, min(ri, 1.0)) for ri in r])
@@ -195,7 +199,7 @@ class TestDirichletCore:
         assert order > 1.7
 
     def test_zero_data_gives_zero(self, mesh_coarse):
-        u = core_dirichlet(mesh_coarse, 1.0, g=0.0)
+        _, u = core_dirichlet(mesh_coarse, 1.0, g=0.0)
         assert np.abs(u).max() == 0.0
 
     def test_near_eigenvalue_raises(self, mesh_coarse):
@@ -291,16 +295,17 @@ class TestInterfaceColumnSolve:
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_flux_equals_full_product_formula(self, mesh_coarse,
                                               lambda0_coarse, complex_data):
+        # the flux is formed at its factor's own shift
         op = region_operator(mesh_coarse, CORE)
+        fac = DirichletFactor(op, lambda0_coarse)
         rng = np.random.default_rng(5)
         u, source = rng.standard_normal((2, mesh_coarse.n_nodes))
-        lam = lambda0_coarse
         if complex_data:
-            u, lam = u + 1j * source[::-1], lam * (1 + 0.01j)
-        residual = op.K @ u - op.M @ (lam * u + source)
+            u, source = u + 1j * source[::-1], source - 1j * u
+        residual = op.K @ u - op.M @ (lambda0_coarse * u + source)
         want = np.zeros_like(residual)
         want[op.boundary] = residual[op.boundary]
-        got = weak_normal_flux(mesh_coarse, u, lam, source)
+        got = weak_normal_flux(fac, u, source)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -319,8 +324,8 @@ class TestRegionOperatorContract:
         n = mesh_coarse.n_nodes
         fac = DirichletFactor(op, lambda0_coarse)
         u = fac.solve(np.zeros(n), np.ones(n))
-        weak_normal_flux(mesh_coarse, u, lambda0_coarse)
-        op.neumann()
+        weak_normal_flux(fac, u)
+        MeanZeroFactor(op.K, op.m)
         assert set(vars(region_operator(mesh_coarse, CORE))) == shared
         assert {"A_ii", "K_ib", "M_ib"} <= set(vars(fac))
 
@@ -333,8 +338,8 @@ class TestWeakFlux:
         m = disk_meshes[0.02]
         M = region_operator(m, CORE).M
         for lam in (case9.lambda0, case9.lambda0 * (1 + 1e-6)):
-            u = core_dirichlet(m, lam)
-            flux = weak_normal_flux(m, u, lam)
+            fac, u = core_dirichlet(m, lam)
+            flux = weak_normal_flux(fac, u)
             discrete = -lam * float(np.ones(m.n_nodes) @ (M @ u))
             assert flux.sum() == pytest.approx(discrete, rel=1e-10)
             assert flux.sum() == pytest.approx(case9.lambda0 * case9.A0,
@@ -345,12 +350,12 @@ class TestWeakFlux:
         # integrates to zero against 1.
         m = mesh_coarse
         u = m.nodes[:, 0].copy()
-        flux = weak_normal_flux(m, u, 0.0)
+        flux = weak_normal_flux(DirichletFactor(region_operator(m, CORE), 0.0),
+                                u)
         assert abs(flux.sum()) < 1e-10
 
     def test_weights_supported_on_interface(self, mesh_coarse, case9):
-        u = core_dirichlet(mesh_coarse, case9.lambda0)
-        flux = weak_normal_flux(mesh_coarse, u, case9.lambda0)
+        flux = weak_normal_flux(*core_dirichlet(mesh_coarse, case9.lambda0))
         interface = np.unique(
             mesh_coarse.boundary_edges[mesh_coarse.edge_tags == 0])
         off = np.ones(mesh_coarse.n_nodes, bool)
@@ -359,30 +364,30 @@ class TestWeakFlux:
 
 
 class TestNeumann:
-    """The shell's mean-zero factor from `RegionOperator.neumann`: its
-    multiplier times the shell area is the consistency defect
-    int(source) - <flux, 1>."""
+    """The shell's mean-zero factor `MeanZeroFactor(op.K, op.m)`, on nodal
+    arrays over the mesh: its multiplier times the shell area is the
+    consistency defect int(source) - <flux, 1>, and its field is zero off
+    the shell."""
 
     def test_defect_equals_compatibility_mismatch(self, mesh_coarse):
         # Source 1 with zero flux: the compatibility defect is the area.
         m = mesh_coarse
         shell_area = m.areas()[m.regions == 1].sum()
         op = region_operator(m, SHELL)
-        w, mu = op.neumann().solve((op.M @ np.ones(m.n_nodes))[op.nodes])
+        w, mu = MeanZeroFactor(op.K, op.m).solve(op.M @ np.ones(m.n_nodes))
         assert mu * op.m.sum() == pytest.approx(shell_area, rel=1e-12)
-        lumped = op.m[op.nodes]
-        assert abs(lumped @ w) < 1e-10
+        assert abs(op.m @ w) < 1e-10
 
     def test_mean_zero_and_residual(self, mesh_coarse, lambda0_coarse, case9):
         m = mesh_coarse
-        u = core_dirichlet(m, lambda0_coarse)
-        flux = weak_normal_flux(m, u, lambda0_coarse)
+        flux = weak_normal_flux(*core_dirichlet(m, lambda0_coarse))
         op = region_operator(m, SHELL)
         b = lambda0_coarse * (op.M @ np.ones(m.n_nodes)) - flux
-        w, mu = op.neumann().solve(b[op.nodes])
+        w, mu = MeanZeroFactor(op.K, op.m).solve(b)
         defect = mu * op.m.sum()
-        lumped = op.m[op.nodes]
-        assert abs(lumped @ w) < 1e-9
+        assert abs(op.m @ w) < 1e-9
+        off = np.setdiff1d(np.arange(m.n_nodes), op.nodes)
+        assert off.size and not w[off].any()
         # At the recovered lambda0 the constant source lambda0 balances the
         # core flux, so the compatibility defect is the (tiny) residual of
         # the consistency condition times lambda0.
@@ -442,15 +447,26 @@ class TestMeanZeroSolve:
         # the bordered references are factored by spsolve, not splu
         assert [dim for dim, _ in calls] == [m.size - 1]
 
+    def test_mesh_wide_arrays_give_the_compact_solution(self, mesh_coarse,
+                                                        shell_system):
+        # K and m at the mesh's dimension: the factor gathers the block on
+        # the support of m, reads b there only, and returns the compact
+        # factor's u bit for bit, with zeros off the support
+        op = region_operator(mesh_coarse, SHELL)
+        b = np.random.default_rng(9).standard_normal(mesh_coarse.n_nodes)
+        u, mu = MeanZeroFactor(op.K, op.m).solve(b)
+        u_compact, mu_compact = MeanZeroFactor(*shell_system).solve(
+            b[op.nodes])
+        want = np.zeros(mesh_coarse.n_nodes)
+        want[op.nodes] = u_compact
+        assert u.tobytes() == want.tobytes() and mu == mu_compact
+
     def test_rejects_disconnected_region(self, mesh_coarse, monkeypatch):
         # Core and outer shell share no node, so K has a two-dimensional
         # kernel; it is refused before any factorization.
         core, slack = (region_operator(mesh_coarse, tag)
                        for tag in (CORE, SLACK))
-        nodes = np.union1d(core.nodes, slack.nodes)
-        K = (core.K + slack.K)[nodes][:, nodes]
-        m = (core.m + slack.m)[nodes]
         calls = record_splu(monkeypatch)
         with pytest.raises(NumericalError, match="2 disconnected"):
-            MeanZeroFactor(K, m)
+            MeanZeroFactor(core.K + slack.K, core.m + slack.m)
         assert calls == []
