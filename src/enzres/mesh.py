@@ -270,8 +270,10 @@ def _validate(mesh: Mesh, lines=None) -> None:
         areas = mesh.areas()
     bad = np.flatnonzero(areas <= 0.0)
     if bad.size:
-        raise InputError("mesh: non-positive triangle area, CCW orientation "
-                         f"required ({where('triangle', bad[0])})")
+        why = ("negative triangle area, CCW orientation required"
+               if areas[bad[0]] < 0 else "zero triangle area: a degenerate "
+               "triangle, or coordinates too small to carry its area")
+        raise InputError(f"mesh: {why} ({where('triangle', bad[0])})")
     bad = np.flatnonzero(~np.isfinite(areas))
     if bad.size:
         raise InputError(f"mesh: triangle area {areas[bad[0]]} is not finite "

@@ -104,26 +104,41 @@ class PerturbationSeries:
         return np.array([self.lambda0, *self.lambda_coeffs])
 
 
+def _lambda_window(mesh: Mesh):
+    """(floor, top): the one window (floor, top] in which `_check_lambda0`
+    accepts a lambda0 and `find_lambda0` an interval.
+
+    top is `_largest_eigenvalue_bound` of the cached core
+    `RegionOperator`'s K and m / 4; no pencil is built.  It bounds every
+    eigenvalue of the collapsed pencil (`_collapsed_pencil`), the core
+    pencil (K, M) on vectors constant on the interface with the extra mass
+    |shell| on that constant, because M >= diag(m / 4); on the disk it
+    equals the pencil's own Gershgorin bound bit for bit.  floor = eps *
+    top is the rounding of the pencil's eigenvalue 0, which is no root: a
+    lambda at or below it cannot be told from 0."""
+    op = region_operator(mesh, CORE)
+    top = _largest_eigenvalue_bound(op.K, op.m / 4)
+    return np.finfo(float).eps * top, top
+
+
 def _check_lambda0(caller: str, mesh: Mesh, lambda0) -> None:
     """The one lambda0 gate, run before anything is factored: refuse,
     naming `caller`, a lambda0 that is not real, finite and > 0, or one
-    above a bound on the largest eigenvalue of the collapsed pencil
-    (`_collapsed_pencil`), since lambda0 is one of its eigenvalues.
-
-    The bound is `_largest_eigenvalue_bound` of the cached core
-    `RegionOperator`'s K and m / 4; no pencil is built.  It holds for the
-    collapsed pencil, the core pencil (K, M) on vectors constant on the
-    interface with the extra mass |shell| on that constant, because
-    M >= diag(m / 4).  On the disk it equals the pencil's own bound."""
+    outside the mesh's `_lambda_window`: above the bound on the collapsed
+    pencil's largest eigenvalue, since lambda0 is one of its eigenvalues,
+    or within rounding of its eigenvalue 0."""
     if np.iscomplexobj(lambda0) or not 0 < lambda0 < math.inf:
         raise InputError(f"{caller}: lambda0 must be real, finite and > 0, "
                          f"got {lambda0}")
-    op = region_operator(mesh, CORE)
-    top = _largest_eigenvalue_bound(op.K, op.m / 4)
+    floor, top = _lambda_window(mesh)
     if lambda0 > top:
         raise InputError(
             f"{caller}: lambda0 {lambda0} exceeds {top:.6g}, a bound on the "
             "largest eigenvalue of the collapsed pencil, so it is no root")
+    if lambda0 <= floor:
+        raise InputError(
+            f"{caller}: lambda0 {lambda0} lies within rounding ({floor:.3g}) "
+            "of the collapsed pencil's eigenvalue 0, which is no root")
 
 
 def _core_profile(caller: str, mesh: Mesh, lambda0):
@@ -141,9 +156,9 @@ def _collapsed_pencil(mesh: Mesh):
     shell is one unknown c: K_c = P^T K P and
     M_c = P^T M P + |shell| e_c e_c^T, where P maps [core interior, c] onto
     the core nodes (c on every interface node).  Also returns a diagonal d
-    with M_c >= diag(d): each element's consistent mass
-    A_e/12 (I + 1 1^T) is at least A_e/12 I, so M >= diag(m/4), and
-    P^T diag(m/4) P is diagonal."""
+    with M_c >= diag(d), for the Kato-Temple certificate of `find_lambda0`:
+    each element's consistent mass A_e/12 (I + 1 1^T) is at least
+    A_e/12 I, so M >= diag(m/4), and P^T diag(m/4) P is diagonal."""
     op = region_operator(mesh, CORE)
     shell_area = mesh.area_by_region()[SHELL]
     n = op.interior.size
@@ -164,8 +179,7 @@ def _largest_eigenvalue_bound(K, d) -> float:
     the largest eigenvalue of diag(d)^-1/2 K diag(d)^-1/2, and so at most
     its largest absolute row sum.  Rows and columns where d = 0 (and K
     vanishes) are left out, so a region's operator can be given at full
-    node dimension.  `find_lambda0` applies it to the collapsed pencil,
-    `_check_lambda0` to the core's."""
+    node dimension, as `_lambda_window` gives the core's."""
     s = 1 / np.sqrt(d, out=np.full_like(d, np.inf), where=d > 0)
     return float((abs(K) @ s * s).max())
 
@@ -230,16 +244,14 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
     converged Ritz values nearest sigma reach past both interval ends and
     the root passes the certificate below.  More than `MAX_PENCIL_EIGS`
     Ritz values in the interval prove as many eigenvalues there (Cauchy
-    interlacing), and the interval is refused, as is one that reaches past
-    a bound on the pencil's largest eigenvalue
-    (`_largest_eigenvalue_bound` of the pencil itself), where no shift
-    resolves the spectrum; a single lambda0 meets the same kind of bound,
-    taken from the core alone, in `_check_lambda0`.  A
-    midpoint at which the shifted pencil is singular is refused as an input
-    error when it lies within rounding (eps times that bound) of the
-    pencil's eigenvalue 0, which is no root; elsewhere it raises
-    NumericalError.  A root not certified within `MAX_LANCZOS_STEPS` steps
-    raises NumericalError.
+    interlacing), and the interval is refused.  Before anything is
+    factored, the interval meets the mesh's `_lambda_window`, the one a
+    single lambda0 meets in `_check_lambda0`: one that reaches past its
+    bound on the pencil's largest eigenvalue, where no shift resolves the
+    spectrum, is refused, as is one whose midpoint lies at or below its
+    floor, within rounding of the pencil's eigenvalue 0, which is no root.
+    A pencil singular at the midpoint raises NumericalError, as does a
+    root not certified within `MAX_LANCZOS_STEPS` steps.
 
     No further factorization certifies the root (Parlett, ch. 10-11): with
     v_j the assembled Ritz vectors of the converged set and rho_j their
@@ -258,26 +270,24 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
         raise InputError(f"find_lambda0: need 0 < t_lo < t_hi < inf, got "
                          f"({t_lo}, {t_hi})")
 
-    area = sum(mesh.area_by_region().values())
-    K_c, M_c, d = _collapsed_pencil(mesh)
-    top = _largest_eigenvalue_bound(K_c, d)
+    floor, top = _lambda_window(mesh)
     if t_hi > top:
         raise InputError(
             f"find_lambda0: ({t_lo}, {t_hi}) reaches past {top:.6g}, a bound "
             "on the largest eigenvalue of the collapsed pencil, so no shift "
             "resolves its eigenvalues; narrow the interval")
     sigma, half = 0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo)
+    if sigma <= floor:
+        raise InputError(
+            f"find_lambda0: no permissible lambda0 in interval ({t_lo}, "
+            f"{t_hi}): its midpoint {sigma} lies within rounding "
+            f"({floor:.3g}) of the collapsed pencil's eigenvalue 0, which is "
+            "no root")
+    area = sum(mesh.area_by_region().values())
+    K_c, M_c, d = _collapsed_pencil(mesh)
     try:
         lu = factor_symmetric(K_c - sigma * M_c)
     except RuntimeError as exc:
-        floor = np.finfo(float).eps * top
-        if sigma <= floor:
-            raise InputError(
-                f"find_lambda0: no permissible lambda0 in interval ({t_lo}, "
-                f"{t_hi}): its midpoint {sigma} lies within rounding "
-                f"({floor:.3g}) of the collapsed pencil's eigenvalue 0, which "
-                "is no root, and the shifted pencil is singular there"
-            ) from None
         raise NumericalError(f"find_lambda0: collapsed pencil singular at "
                              f"sigma = {sigma} ({exc})")
     n = K_c.shape[0]

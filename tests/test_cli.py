@@ -95,6 +95,15 @@ class TestMesh:
         assert "MAX_NODES" in err
         assert "internal error" not in err
 
+    def test_underflowing_triangle_area_exit_2(self):
+        # a core of radius 1e-300 has counter-clockwise triangles whose
+        # areas underflow to 0; they were blamed on their orientation
+        code, err = run_main(["mesh", "--kind", "concentric", "--rd",
+                              "1e-300", "--r0", "1", "--h", "0.1"])
+        assert code == 2
+        assert "zero triangle area" in err and "orient" not in err
+        assert "internal error" not in err
+
     @pytest.mark.parametrize("argv, flags", [
         (["--kind", "concentric", "--rd", "1", "--r0", "1.3", "--h", "0.2",
           "--in", "no-such.mesh"], ["--in"]),
@@ -217,6 +226,21 @@ class TestExpand:
         assert code == 2
         assert "no root of this mesh" in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("command, lambda0", [("expand", "5e-324"),
+                                                  ("optimize", "1e-16")])
+    def test_lambda0_below_floor_exit_2(self, mesh_file, command, lambda0):
+        # eps times the collapsed pencil's bound is 3.8e-10 on this disk,
+        # and a lambda0 at or below it cannot be told from the pencil's
+        # eigenvalue 0.  expand once overflowed a division at 5e-324 (exit
+        # 1 with the warning an error), and optimize refused 1e-16 for a
+        # rounding-level <f, 1>; both now meet the floor before any work
+        code, err = run_main([command, "--mesh", str(mesh_file),
+                              "--lambda0", lambda0])
+        assert code == 2
+        assert (f"lambda0 {lambda0} lies within rounding (3.8e-10) of the "
+                "collapsed pencil's eigenvalue 0") in err
+        assert "internal error" not in err and "Warning" not in err
 
     @pytest.mark.parametrize("command", ["expand", "optimize"])
     @pytest.mark.parametrize("flags", [
@@ -457,12 +481,14 @@ class TestOptimize:
         assert "internal error" not in err
 
     def test_underflowing_lambda0_exit_2(self, mesh_file):
-        # <f, 1> / lambda0 overflows; the refusal comes without a
-        # RuntimeWarning (which the test run turns into an error)
+        # <f, 1> / lambda0 once overflowed here; lambda0 now meets the
+        # window's floor before any work (test_design covers the overflow
+        # refusal), without a RuntimeWarning (which the test run turns into
+        # an error)
         code, err = run_main(["optimize", "--mesh", str(mesh_file),
                               "--lambda0", "5e-324"])
         assert code == 2
-        assert "overflows" in err
+        assert "within rounding (3.8e-10)" in err
         assert "internal error" not in err
 
     @pytest.mark.parametrize("h", ["0.16", "0.12", "0.1", "0.08"])

@@ -25,7 +25,7 @@ from enzres.design import (CONVERGED_EXITS, DesignProblem, DualSolution,
                            recover_design, saddle_solve)
 from enzres.errors import InputError, NumericalError
 from enzres.fem import _gradient_blocks, factor_spd, region_operator
-from enzres.mesh import SHELL
+from enzres.mesh import INTERFACE, SHELL
 
 from conftest import (annulus_symdiff, coo_reference, design_from_json,
                       element_centroids, record_splu, stretched_mesh)
@@ -74,6 +74,16 @@ class TestProblemInput:
         with pytest.raises(InputError, match=f"^DesignProblem: .*{message}"):
             DesignProblem(mesh_coarse, lambda0_coarse,
                           change(disk.f, mesh_coarse))
+
+    def test_refuses_a_load_whose_area_overflows(self, mesh_coarse):
+        # A0 = <f, 1> / lambda0 = 8e301 / 1e-8 overflows at a lambda0 above
+        # the window's floor (3.8e-10 on this mesh); the refusal comes
+        # without a RuntimeWarning (which the test run turns into an error)
+        f = np.zeros(mesh_coarse.n_nodes)
+        f[mesh_coarse.boundary_nodes(INTERFACE)] = 1e300
+        with pytest.raises(InputError,
+                           match="^DesignProblem: A0 = .* overflows"):
+            DesignProblem(mesh_coarse, 1e-8, f)
 
 
 class TestBathtub:

@@ -127,6 +127,13 @@ class TestScale:
         with pytest.raises(InputError, match="finite"):
             scale_mesh(m, t)
 
+    def test_rejects_factor_whose_areas_underflow(self, mesh_coarse):
+        # at 1e-160 the h = 0.08 disk's coordinates stay normal floats, but
+        # triangle 0's area underflows to 0; it was blamed on orientation
+        with pytest.raises(InputError, match="zero triangle area.*too small "
+                           r"to carry its area \(triangle 0\)"):
+            scale_mesh(mesh_coarse, 1e-160)
+
 
 SQUARE_TEXT = ("enzmesh v1\n"
                "nodes 4\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
@@ -221,6 +228,15 @@ class TestValidation:
         text = SQUARE_TEXT.replace("0 1 2 0", "0 2 1 0")
         with pytest.raises(InputError, match="orient"):
             load_mesh(text)
+
+    def test_rejects_collinear_triangle(self):
+        # node 2 moved to (2, 0) puts triangle 0's corners on one line: its
+        # zero area is named as zero, not blamed on its orientation
+        text = SQUARE_TEXT.replace("1.0 1.0\n", "2.0 0.0\n")
+        with pytest.raises(InputError, match="zero triangle area: a "
+                           "degenerate triangle") as err:
+            load_mesh(text)
+        assert "orient" not in str(err.value)
 
     def test_rejects_dangling_boundary_edge(self):
         text = SQUARE_TEXT.replace("3 0 1", "1 3 1")
@@ -448,12 +464,31 @@ def _mutated_mesh_text(draw):
     return "\n".join(lines) + "\n"
 
 
+@pytest.fixture(scope="session")
+def fuzz_input(tmp_path_factory):
+    """One unbuffered file, kept open: rewriting it costs no open or close
+    per example, and each write reaches the OS before the parse starts."""
+    path = tmp_path_factory.getbasetemp() / "fuzz_load_mesh_input.txt"
+    with open(path, "wb", buffering=0) as file:
+        yield file
+
+
 class TestFuzzLoadMesh:
     """`load_mesh` returns a Mesh or raises InputError, never anything
-    else, on mutated valid text and on arbitrary text."""
+    else, on mutated valid text and on arbitrary text.
+
+    Before each parse, `check` overwrites `fuzz_load_mesh_input.txt` in
+    pytest's base temporary directory (`--basetemp`, by default
+    `pytest-of-<user>/pytest-<n>/` under the system's temporary directory)
+    with the `ascii()` of the text, so an input that crashes the
+    interpreter stays on disk; `ast.literal_eval` of the file gives the
+    text back."""
 
     @staticmethod
-    def check(data):
+    def check(file, data):
+        file.seek(0)
+        file.write(ascii(data).encode())
+        file.truncate()
         try:
             mesh = load_mesh(data)
         except InputError:
@@ -466,11 +501,11 @@ class TestFuzzLoadMesh:
         f"nodes {len(_FUZZ_LINES)}", "nodes 1") + "\n")
     @example(text="enzmesh v1\nnodes 99999999999999\n")
     @example(text=SQUARE_TEXT.replace("0 1 2 0", f"0 1 2 {10 ** 30}"))
-    def test_mutated_text(self, text):
-        self.check(text)
+    def test_mutated_text(self, fuzz_input, text):
+        self.check(fuzz_input, text)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.text(max_size=300))
     @example(data="enzmesh v1\n\xff\n")
-    def test_arbitrary_bytes(self, data):
-        self.check(data)
+    def test_arbitrary_bytes(self, fuzz_input, data):
+        self.check(fuzz_input, data)

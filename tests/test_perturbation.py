@@ -49,22 +49,35 @@ class TestFindLambda0:
 
     @pytest.mark.parametrize("bracket", [(5e-324, 0.3), (1e-16, 1e-13),
                                          (1e-16, 1e-15)])
-    def test_pencil_zero_mode_is_no_root(self, mesh_coarse, bracket):
+    def test_pencil_zero_mode_is_no_root(self, mesh_coarse, bracket,
+                                         monkeypatch):
         # the collapsed pencil's exact eigenvalue 0 has a constant
         # eigenvector: nonzero shell value, but nonzero mean over Omega.
-        # It comes back at 7.7e-14 and 3.1e-14, inside the first two
-        # brackets; the third shifts K_c, which is singular, by a
-        # rounding-level sigma (the eigenvalue returns at 7.8e-15)
-        with pytest.raises(InputError, match="sign"):
-            find_lambda0(mesh_coarse, bracket)
+        # In the first bracket it comes back at 7.7e-14 and is skipped as
+        # no root.  The midpoints of the other two lie within rounding of
+        # it (below eps times the pencil bound, 3.8e-10 here), where a
+        # shift cannot tell a root from 0; they are refused before any
+        # factorization
+        calls = record_splu(monkeypatch)
+        if bracket[1] > 1e-3:
+            with pytest.raises(InputError, match="sign"):
+                find_lambda0(mesh_coarse, bracket)
+            assert len(calls) == 1
+        else:
+            with pytest.raises(InputError, match="within rounding"):
+                find_lambda0(mesh_coarse, bracket)
+            assert calls == []
 
     def test_singular_shift_at_zero_eigenvalue_is_input_error(
-            self, mesh_coarse):
+            self, mesh_coarse, monkeypatch):
         # the midpoint 2.09e-14 is a tiny shift at which the LU of
-        # K_c - sigma M_c meets an exactly zero pivot; the interval holds
-        # no root, so it is refused as one, naming the eigenvalue 0
+        # K_c - sigma M_c meets an exactly zero pivot; it lies within
+        # rounding of the eigenvalue 0, so the interval is refused, naming
+        # it, before anything is factored
+        calls = record_splu(monkeypatch)
         with pytest.raises(InputError, match="eigenvalue 0"):
             find_lambda0(mesh_coarse, (2.4e-38, 4.18e-14))
+        assert calls == []
 
     def test_two_roots_raise(self, mesh_coarse):
         # (6, 40) holds the roots near 9.01 and 34.97
@@ -106,21 +119,26 @@ TAKES_LAMBDA0 = {
     "make_disk_problem": make_disk_problem,
     "DesignProblem": lambda mesh, value: DesignProblem(
         mesh, value, interface_load(mesh)),
-    "find_lambda0": lambda mesh, value: find_lambda0(mesh, (6.0, value)),
+    "find_lambda0": lambda mesh, value: find_lambda0(mesh,
+                                                     (value / 2, value)),
 }
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0,
-                                   9 + 1j, 9 + 0j, 1e300, 1e308])
+                                   9 + 1j, 9 + 0j, 1e300, 1e308,
+                                   5e-324, 1e-320, 1e-16])
 @pytest.mark.parametrize("name", sorted(TAKES_LAMBDA0))
 def test_bad_lambda0_refused_by_its_caller(mesh_coarse, name, value,
                                            monkeypatch):
-    # a non-finite, non-positive or complex lambda0 (an interval end for
-    # find_lambda0), or one past the bound on the collapsed pencil's
-    # largest eigenvalue, is an input error named after the function
-    # called, refused before anything is factored; a complex one had
-    # raised a bare TypeError, and 1e300 had failed the core factor's
-    # condition estimate as a NumericalError
+    # a non-finite, non-positive or complex lambda0 (the top of the
+    # interval (value / 2, value) for find_lambda0), one past the bound on
+    # the collapsed pencil's largest eigenvalue, or one within rounding of
+    # its eigenvalue 0 (eps times that bound, 3.8e-10 here), is an input
+    # error named after the function called, refused before anything is
+    # factored.  A complex one had raised a bare TypeError, 1e300 had
+    # failed the core factor's condition estimate as a NumericalError, and
+    # all but DesignProblem factored the tiny ones first (expand_series
+    # overflowing a division at 5e-324)
     calls = record_splu(monkeypatch)
     with pytest.raises(InputError, match=f"^{name}: "):
         TAKES_LAMBDA0[name](mesh_coarse, value)
@@ -140,12 +158,10 @@ def test_lambda0_gate_bounds_the_collapsed_pencil(mesh_r13, stretch):
         expand_series(mesh, 1e300)
     bound = re.search(r"exceeds (\S+), a bound", str(gate.value))[1]
     assert float(bound) >= top
-    if stretch == 1.0:
-        # on the disk it is the pencil's own bound, which find_lambda0
-        # quotes for an interval past it
-        with pytest.raises(InputError) as interval:
-            find_lambda0(mesh, (6.0, 1e300))
-        assert f"reaches past {bound}, a bound" in str(interval.value)
+    # find_lambda0 quotes the same bound for an interval past it
+    with pytest.raises(InputError) as interval:
+        find_lambda0(mesh, (6.0, 1e300))
+    assert f"reaches past {bound}, a bound" in str(interval.value)
 
 
 def core_dim(mesh):
