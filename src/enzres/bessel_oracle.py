@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import j0, j1
 
 from enzres.errors import InputError
@@ -70,12 +71,14 @@ def disk_case(lambda0: float) -> DiskCase:
     return DiskCase(lambda0=lambda0, k=k, A0=a0, r0=math.sqrt(1.0 + a0 / math.pi))
 
 
-def disk_psi_d(case: DiskCase, r: float) -> float:
-    """Core profile psi_d(r) = J0(k r)/J0(k); equals 1 at r = 1."""
-    r = float(r)
-    if r < 0.0 or r > 1.0:
-        raise InputError(f"disk_psi_d: r must lie in [0, 1], got {r}")
-    return float(j0(case.k * r)) / float(j0(case.k))
+def disk_psi_d(case: DiskCase, r: float | np.ndarray) -> float | np.ndarray:
+    """Core profile psi_d(r) = J0(k r)/J0(k) at a radius r, a float, or at
+    each radius of an array r; equals 1 at r = 1."""
+    r = np.asarray(r, dtype=float)
+    outside = r[(r < 0.0) | (r > 1.0)]
+    if outside.size:
+        raise InputError(f"disk_psi_d: r must lie in [0, 1], got {outside[0]}")
+    return j0(case.k * r) / float(j0(case.k))
 
 
 def annulus_phi1(case: DiskCase, r: float) -> float:

@@ -91,11 +91,10 @@ class DesignProblem:
         if not self.elements.size:
             raise InputError("DesignProblem: mesh has no design region "
                              "(tags 1 or 2)")
-        tris = self.mesh.triangles[self.elements]
-        self.nodes = np.flatnonzero(np.bincount(tris.ravel()))
+        self.nodes = self.mesh.region_nodes(DESIGN_TAGS)
         label = np.empty(self.mesh.n_nodes, dtype=np.intp)
         label[self.nodes] = np.arange(self.nodes.size)
-        self.conn = label[tris]
+        self.conn = label[self.mesh.triangles[self.elements]]
         self.areas, self.gx, self.gy = element_geometry(self.mesh,
                                                         self.elements)
         self.blocks = _gradient_blocks(self.gx, self.gy)

@@ -359,7 +359,7 @@ class RegionOperator:
         self.K = pattern.fill(_gradient_blocks(gx, gy) * area[:, None, None])
         self.M = pattern.fill(_MASS_REF * area[:, None, None])
         self.m = _scatter_vector(conn, (area / 3.0)[:, None], n)
-        self.nodes = np.flatnonzero(np.bincount(conn.ravel(), minlength=n))
+        self.nodes = mesh.region_nodes(tag)
         self.boundary = mesh.boundary_nodes(INTERFACE)
         self.interior = np.setdiff1d(self.nodes, self.boundary,
                                      assume_unique=True)

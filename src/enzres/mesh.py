@@ -91,8 +91,8 @@ class Mesh:
 
     def region_nodes(self, tags) -> np.ndarray:
         """Sorted node indices touching any triangle with a tag in `tags`."""
-        tris = self.region_triangles(tags)
-        return np.unique(self.triangles[tris])
+        tris = self.triangles[self.region_triangles(tags)]
+        return np.flatnonzero(np.bincount(tris.ravel()))
 
     def boundary_nodes(self, tag: int) -> np.ndarray:
         """Sorted node indices lying on boundary edges with the given tag."""
@@ -268,7 +268,9 @@ def _validate(mesh: Mesh, lines=None) -> None:
                          f"(interface) or {OUTER} (outer boundary)")
     with np.errstate(over="ignore", invalid="ignore"):
         areas = mesh.areas()
-    bad = np.flatnonzero(areas <= 0.0)
+    # a subnormal area keeps only a few digits, and 1 / (2 * area) in
+    # `fem.element_geometry` overflows below 2.8e-309
+    bad = np.flatnonzero(areas < np.finfo(float).tiny)
     if bad.size:
         why = ("negative triangle area, CCW orientation required"
                if areas[bad[0]] < 0 else "zero triangle area: a degenerate "

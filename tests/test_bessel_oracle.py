@@ -96,6 +96,24 @@ class TestPsiD:
         case = disk_case(9.0)
         assert disk_psi_d(case, 1.0) == pytest.approx(1.0, rel=1e-14)
 
+    def test_array_equals_scalar_calls(self):
+        # one call on an array of radii gives the scalar calls' values to
+        # the bit; a scalar r gives a float
+        case = disk_case(9.0)
+        r = np.concatenate([np.linspace(0.0, 1.0, 101),
+                            np.random.default_rng(0).random(200)])
+        got = disk_psi_d(case, r)
+        want = np.array([disk_psi_d(case, x) for x in r.tolist()])
+        assert got.tobytes() == want.tobytes()
+        assert isinstance(disk_psi_d(case, 0.5), float)
+
+    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 1e-15, 2.0])
+    def test_array_with_one_radius_out_of_range_refused(self, bad):
+        r = np.linspace(0.0, 1.0, 11)
+        r[7] = bad
+        with pytest.raises(InputError, match=f"got {bad}"):
+            disk_psi_d(disk_case(9.0), r)
+
     def test_radial_ode_residual(self):
         # (r u')' / r + lambda0 u = 0 for u = psi_d, via finite differences.
         case = disk_case(9.0)

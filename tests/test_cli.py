@@ -104,6 +104,19 @@ class TestMesh:
         assert "zero triangle area" in err and "orient" not in err
         assert "internal error" not in err
 
+    def test_subnormal_triangle_area_exit_2(self, tmp_path):
+        # the areas (3e-313 to 2e-312) are subnormal, not 0; the mesh was
+        # written, and `expand --lambda0 1e300` on it then overflowed in
+        # the element gradients' 1 / (2 * area)
+        out = tmp_path / "t.mesh"
+        code, err = run_main(["mesh", "--kind", "concentric", "--rd",
+                              "1e-155", "--r0", "1.4e-155", "--h", "2e-156",
+                              "-o", str(out)])
+        assert code == 2
+        assert "zero triangle area" in err
+        assert "internal error" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flags", [
         (["--kind", "concentric", "--rd", "1", "--r0", "1.3", "--h", "0.2",
           "--in", "no-such.mesh"], ["--in"]),
@@ -634,6 +647,27 @@ class TestValidateDisk:
         assert doc["schema_version"] == 1
         r1, r2 = doc["remainder_ratios"]
         assert 2 <= r1 <= 8 and 4 <= r2 <= 16
+
+    def test_two_meshes_two_roots(self, monkeypatch):
+        # lambda0's order reads the roots at 4h and h alone: a third mesh's
+        # error cancels out of it
+        from enzres import perturbation
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(perturbation, "find_lambda0",
+                            counted(perturbation.find_lambda0))
+        monkeypatch.setattr(cli, "build_concentric_mesh",
+                            counted(cli.build_concentric_mesh))
+        code, err = run_main(["validate-disk", "--h", "0.08"])
+        assert code == 0, err
+        assert calls.count("find_lambda0") == 2
+        assert calls.count("build_concentric_mesh") == 2
 
     @pytest.mark.parametrize("h", ["1e-3", "1.5e-3"])
     def test_oversized_h_refused_before_any_root(self, h, monkeypatch):

@@ -346,7 +346,6 @@ class TestNewtonPieces:
         nodes, inverse = np.unique(tris, return_inverse=True)
         assert np.array_equal(prob.nodes, nodes)
         assert np.array_equal(prob.conn, inverse.reshape(-1, 3))
-        assert np.array_equal(prob.nodes, prob.mesh.region_nodes((1, 2)))
 
     @pytest.mark.parametrize("seed, beta", [(0, 1.0), (1, 1e-3), (2, 1e-8)])
     def test_hessian_on_fixed_pattern(self, off_disk_problem, seed, beta):

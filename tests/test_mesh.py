@@ -133,6 +133,11 @@ class TestScale:
         with pytest.raises(InputError, match="zero triangle area.*too small "
                            r"to carry its area \(triangle 0\)"):
             scale_mesh(mesh_coarse, 1e-160)
+        # at h = 0.6 every area stays above 0 but is subnormal, keeping
+        # only a few digits (down to 3.66e-322); it was accepted
+        coarse = build_concentric_mesh(1.0, 1.3671899114809272, 0.6, r_b=2.0)
+        with pytest.raises(InputError, match="zero triangle area"):
+            scale_mesh(coarse, 1e-160)
 
 
 SQUARE_TEXT = ("enzmesh v1\n"
