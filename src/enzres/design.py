@@ -13,7 +13,6 @@ eigenvalue correction is lambda1 = 2 * (saddle value) / norm_const.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -649,9 +648,6 @@ def design_to_json(state: DesignState, prob: DesignProblem) -> str:
 def design_to_csv(state: DesignState, prob: DesignProblem) -> str:
     """Per-element (centroid_x, centroid_y, theta, density) for plotting."""
     cent = prob.mesh.nodes[prob.mesh.triangles[prob.elements]].mean(axis=1)
-    d = energy_density(state.w, prob)
-    out = io.StringIO()
-    out.write("centroid_x,centroid_y,theta,density\n")
-    for (cx, cy), th, de in zip(cent, state.theta, d):
-        out.write(f"{float(cx)!r},{float(cy)!r},{float(th)!r},{float(de)!r}\n")
-    return out.getvalue()
+    rows = np.column_stack((cent, state.theta, energy_density(state.w, prob)))
+    return ("centroid_x,centroid_y,theta,density\n"
+            + "%r,%r,%r,%r\n" * len(rows) % tuple(rows.ravel().tolist()))

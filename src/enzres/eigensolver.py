@@ -105,8 +105,13 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
     The iteration stops once the residual is at most RESIDUAL_TOL * 1e-2,
     or when it is not below half its value two sweeps before, or after
     MAX_ITERATIONS sweeps; a residual not at most RESIDUAL_TOL at that
-    point raises NumericalError.  A non-finite delta or lam_guess, or a
-    psi_d on another mesh, raises InputError before any work.
+    point raises NumericalError.  Breakdown raises NumericalError too: a
+    unit iterate v with |v^T M v| below 1e-14 * ||M||_inf, or a final one
+    with |v^T M u0| below 1e-14 * ||M u0||.  M scales as t**2 when the mesh
+    is scaled by t, and so do both sides of each test; an absolute
+    threshold of 1e-14 would refuse every t <= 1e-6.  A non-finite delta or
+    lam_guess, or a psi_d on another mesh, raises InputError before any
+    work.
     Measured on the disk (target 9): at h = 0.02, 3 sweeps at
     delta = 0.01 e^{i pi/4} and 2 at delta/2; at h = 0.08 and 0.04 it
     converges for |delta| <= 0.5 and is refused at |delta| = 0.6.
@@ -142,7 +147,7 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
         v /= np.linalg.norm(v)
         Mv = M @ v
         vMv = v @ Mv
-        if abs(vMv) < 1e-14:
+        if abs(vMv) < 1e-14 * M_norm:
             raise NumericalError("resonance_near: degenerate bilinear norm "
                                  "(complex-symmetric breakdown)")
         Kv = K @ v
@@ -165,7 +170,7 @@ def resonance_near(mesh: Mesh, delta, lam_guess, psi_d) -> ResonancePair:
     M_u0 = M @ u0
     norm_const = float(np.real(u0 @ M_u0))
     pairing = v @ M_u0
-    if abs(pairing) < 1e-14:
+    if abs(pairing) < 1e-14 * np.linalg.norm(M_u0):
         raise NumericalError("resonance_near: eigenvector orthogonal to u0 "
                              "in the bilinear pairing")
     v = v * (norm_const / pairing)

@@ -270,8 +270,13 @@ class MeanZeroFactor:
         """Solve for one real or complex load b, read on the support only.
         Summing the first block row gives mu = sum(b) / sum(m); K u =
         b - mu*m is then consistent and is solved with the pinned node's
-        value 0, and u is shifted by a constant so that m @ u = 0.  The
-        residual is that of the bordered equations.
+        value 0, and u is shifted by a constant so that m @ u = 0.  Each
+        block row of the bordered equations passes `_accept_solve` at its
+        own scale: the stiffness rows' residual against ||b||, and the
+        mean row m @ u against ||m|| * ||u||.  With the mesh scaled by t,
+        K keeps its entries and m scales as t**2, while u scales with b,
+        so neither ratio depends on the length unit; m @ u held against
+        ||b|| would grow as t**2, and refuse the series from t = 1e6.
 
         Returns (u, mu), u zero off the support.
         """
@@ -286,9 +291,10 @@ class MeanZeroFactor:
             u = np.zeros(m.size, dtype=r.dtype)
             u[keep] = _solve_real(self.lu, r[keep])
             u -= (m @ u) / m.sum()
-        _accept_solve("MeanZeroFactor.solve",
-                      math.hypot(_residual_norm(K, u, r), abs(m @ u)),
+        _accept_solve("MeanZeroFactor.solve", _residual_norm(K, u, r),
                       np.linalg.norm(b))
+        _accept_solve("MeanZeroFactor.solve", abs(m @ u),
+                      np.linalg.norm(m) * np.linalg.norm(u))
         full = np.zeros(self.n, dtype=u.dtype)
         full[self.nodes] = u
         return full, mu

@@ -5,6 +5,13 @@ present only for design runs).  Boundary tags: `INTERFACE` = 0 (core
 interface), `OUTER` = 1 (outer boundary).  No other tag is accepted.
 All geometry is nondimensional; eigenvalues carry units 1/length**2 and
 obey the scaling rule lambda0(t*D) = lambda0(D)/t**2 (see `scale_mesh`).
+`find_lambda0`, `expand_series` and `resonance_near` keep that rule, as
+tested from t = 1e-9 to 1e9 and at the ends of the length window of
+`perturbation.MAX_LENGTH_SCALE`, where a length scale sqrt|Omega|
+outside [1e-40, 1e40] is refused.  `design.minimize_dual` does not yet:
+its smoothing is a pure number against a density that scales as
+t**-2, so its value drifts from t = 100 and turns positive, which no
+saddle value can be, at t = 1e6.
 """
 
 from __future__ import annotations
@@ -157,53 +164,43 @@ def build_concentric_mesh(r_d: float, r_0: float, h: float,
             f"build_concentric_mesh: h = {h} too coarse "
             f"(only {n_theta} angular segments, need >= 8)")
 
-    ring_r = [0.0]
-    tag_of_ring = []  # region tag of the annulus ending at this ring
-    for tag, (a, b), n in zip((CORE, SHELL, SLACK), bands, n_sub):
-        for j in range(1, n + 1):
-            # the band's last ring exactly at b: a + (b - a) can round off it
-            ring_r.append(b if j == n else a + (b - a) * j / n)
-            tag_of_ring.append(tag)
-    n_rings = len(ring_r) - 1  # rings of nodes beyond the center
+    # the rings beyond the center, band by band, each band's last ring
+    # exactly at b: a + (b - a) can round off it
+    ring_r = []
+    for (a, b), n in zip(bands, n_sub):
+        r = a + (b - a) * np.arange(1, n + 1) / n
+        r[-1] = b
+        ring_r.append(r)
+    ring_r = np.concatenate(ring_r)
+    # region tag of the annulus ending at each ring
+    tag_of_ring = np.repeat((CORE, SHELL, SLACK)[:len(n_sub)], n_sub)
 
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    nodes = [np.zeros((1, 2))]
-    for r in ring_r[1:]:
-        nodes.append(np.column_stack((r * cos_t, r * sin_t)))
-    nodes = np.vstack(nodes)
+    nodes = np.vstack([np.zeros((1, 2)), np.column_stack(
+        ((ring_r[:, None] * np.cos(theta)).ravel(),
+         (ring_r[:, None] * np.sin(theta)).ravel()))])
+    # node ids by (ring, angle) after the center node 0, and each node's
+    # successor in angle
+    ids = 1 + np.arange(nodes.shape[0] - 1).reshape(ring_r.size, n_theta)
+    nxt = np.roll(ids, -1, axis=1)
+    # the center fan, then between each ring a and the next ring b the
+    # triangles (a_j, b_j, b_j+1) followed by (a_j, b_j+1, a_j+1)
+    a, b, a1, b1 = ids[:-1], ids[1:], nxt[:-1], nxt[1:]
+    quads = np.stack([np.stack((a, b, b1), axis=-1),
+                      np.stack((a, b1, a1), axis=-1)], axis=1)
+    triangles = np.vstack([
+        np.column_stack((np.zeros_like(ids[0]), ids[0], nxt[0])),
+        quads.reshape(-1, 3)])
+    # the fan's n_theta triangles take the first ring's tag, and the
+    # 2 * n_theta inside each later ring that ring's tag
+    regions = np.repeat(tag_of_ring, 2 * n_theta)[n_theta:]
 
-    def ring_ids(i):  # i = 1..n_rings
-        return 1 + (i - 1) * n_theta + np.arange(n_theta)
-
-    j = np.arange(n_theta)
-    jp = (j + 1) % n_theta
-    tris, regs = [], []
-    # center fan
-    inner = ring_ids(1)
-    tris.append(np.column_stack((np.zeros(n_theta, dtype=np.int64),
-                                 inner[j], inner[jp])))
-    regs.append(np.full(n_theta, tag_of_ring[0], dtype=np.int64))
-    # quad bands
-    for i in range(1, n_rings):
-        a_ids, b_ids = ring_ids(i), ring_ids(i + 1)
-        tris.append(np.column_stack((a_ids[j], b_ids[j], b_ids[jp])))
-        tris.append(np.column_stack((a_ids[j], b_ids[jp], a_ids[jp])))
-        regs.append(np.full(2 * n_theta, tag_of_ring[i], dtype=np.int64))
-    triangles = np.vstack(tris)
-    regions = np.concatenate(regs)
-
-    # boundary edges: interface ring at r_d and outermost ring
-    i_rd = ring_r.index(float(r_d))
-    ids = ring_ids(i_rd)
-    edges = [np.column_stack((ids[j], ids[jp]))]
-    tags = [np.full(n_theta, INTERFACE, dtype=np.int64)]
-    ids = ring_ids(n_rings)
-    edges.append(np.column_stack((ids[j], ids[jp])))
-    tags.append(np.full(n_theta, OUTER, dtype=np.int64))
-
+    # boundary edges: the interface ring at r_d, then the outermost ring
+    rings = [n_sub[0] - 1, -1]
     mesh = Mesh(nodes=nodes, triangles=triangles, regions=regions,
-                boundary_edges=np.vstack(edges), edge_tags=np.concatenate(tags))
+                boundary_edges=np.column_stack((ids[rings].ravel(),
+                                                nxt[rings].ravel())),
+                edge_tags=np.repeat((INTERFACE, OUTER), n_theta))
     _validate(mesh)
     return mesh
 

@@ -43,8 +43,8 @@ from enzres.mesh import CORE, SHELL, Mesh
 __all__ = ["PerturbationSeries", "CoreProfile", "find_lambda0",
            "expand_series", "eval_lambda"]
 
-#: tolerance factor (relative to |Omega| * lambda0 at order 1, and to
-#: |Omega| * max(1, |lambda_k|) after) on the recursion's Neumann
+#: tolerance factor (relative to |Omega| * max_k |lambda_k| over the
+#: coefficients so far, lambda0 at order 1) on the recursion's Neumann
 #: consistency defect
 DEFECT_TOL = 1e-8
 #: most eigenvalues of the collapsed pencil `find_lambda0` asks for
@@ -56,6 +56,12 @@ MAX_LANCZOS_STEPS = 2 * MAX_PENCIL_EIGS
 #: a Ritz value nu of the shift-inverted pencil counts as converged once
 #: its Lanczos residual estimate is at most `RITZ_TOL` * |nu|
 RITZ_TOL = 1e-8
+#: widest length scale sqrt|Omega| of a mesh, either way from 1, that
+#: `_lambda_window` accepts.  The solves' norms carry powers of it: on the
+#: h = 0.15 disk scaled by t, `find_lambda0`'s Lanczos norms (up to t**6)
+#: under- or overflow from t = 1e-55 and 1e55, and `expand_series` fails
+#: from 1e-80 and 1e80
+MAX_LENGTH_SCALE = 1e40
 
 
 @dataclass
@@ -104,9 +110,11 @@ class PerturbationSeries:
         return np.array([self.lambda0, *self.lambda_coeffs])
 
 
-def _lambda_window(mesh: Mesh):
+def _lambda_window(caller: str, mesh: Mesh):
     """(floor, top): the one window (floor, top] in which `_check_lambda0`
-    accepts a lambda0 and `find_lambda0` an interval.
+    accepts a lambda0 and `find_lambda0` an interval.  A mesh whose length
+    scale sqrt|Omega| lies outside [1 / `MAX_LENGTH_SCALE`,
+    `MAX_LENGTH_SCALE`] has no window: it is refused, naming `caller`.
 
     top is `_largest_eigenvalue_bound` of the cached core
     `RegionOperator`'s K and m / 4; no pencil is built.  It bounds every
@@ -116,6 +124,13 @@ def _lambda_window(mesh: Mesh):
     equals the pencil's own Gershgorin bound bit for bit.  floor = eps *
     top is the rounding of the pencil's eigenvalue 0, which is no root: a
     lambda at or below it cannot be told from 0."""
+    length = math.sqrt(sum(mesh.area_by_region().values()))
+    if not 1 / MAX_LENGTH_SCALE <= length <= MAX_LENGTH_SCALE:
+        raise InputError(
+            f"{caller}: the mesh's length scale sqrt|Omega| = {length:.3g} "
+            f"lies outside [{1 / MAX_LENGTH_SCALE:g}, {MAX_LENGTH_SCALE:g}], "
+            "where the solvers' norms stay normal floats; rescale the mesh "
+            "(its eigenvalues scale as 1/length**2)")
     op = region_operator(mesh, CORE)
     top = _largest_eigenvalue_bound(op.K, op.m / 4)
     return np.finfo(float).eps * top, top
@@ -130,7 +145,7 @@ def _check_lambda0(caller: str, mesh: Mesh, lambda0) -> None:
     if np.iscomplexobj(lambda0) or not 0 < lambda0 < math.inf:
         raise InputError(f"{caller}: lambda0 must be real, finite and > 0, "
                          f"got {lambda0}")
-    floor, top = _lambda_window(mesh)
+    floor, top = _lambda_window(caller, mesh)
     if lambda0 > top:
         raise InputError(
             f"{caller}: lambda0 {lambda0} exceeds {top:.6g}, a bound on the "
@@ -270,7 +285,7 @@ def find_lambda0(mesh: Mesh, search_interval) -> float:
         raise InputError(f"find_lambda0: need 0 < t_lo < t_hi < inf, got "
                          f"({t_lo}, {t_hi})")
 
-    floor, top = _lambda_window(mesh)
+    floor, top = _lambda_window("find_lambda0", mesh)
     if t_hi > top:
         raise InputError(
             f"find_lambda0: ({t_lo}, {t_hi}) reaches past {top:.6g}, a bound "
@@ -360,7 +375,8 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
     held to `DEFECT_TOL` * |Omega| * lambda0, so the residual is held to
     `DEFECT_TOL` * |Omega| whatever lambda0; a lambda0 that fails there is
     no root of this mesh and is refused with InputError.  A later order's
-    defect is held to `DEFECT_TOL` * |Omega| * max(1, |lambda_k|), and a
+    defect is held to `DEFECT_TOL` * |Omega| * max_k |lambda_k|, which,
+    like the defect, does not change when the mesh is scaled, and a
     failure there raises NumericalError.
     """
     if not 1 <= order <= MAX_ORDER:
@@ -398,11 +414,10 @@ def expand_series(mesh: Mesh, lambda0: float, order: int = 4) -> PerturbationSer
         # the flux is oriented out of the core, so it enters the load with
         # a minus sign; int(source) - sum(flux) is the consistency defect
         defect = shell.m @ shell_source - flux_n.sum()
-        # at order 1 the defect is lambda0 * (|shell| + int_D psi_d), so
-        # the scale lambda0 holds that residual to DEFECT_TOL * |Omega|
-        # whatever lambda0
-        scale = max(1.0, *(abs(l) for l in lambdas)) if n else lambda0
-        tol = DEFECT_TOL * area * scale
+        # the scale max_k |lambda_k| is lambda0 at order 1, where the
+        # defect is lambda0 * (|shell| + int_D psi_d), so that residual is
+        # held to DEFECT_TOL * |Omega| whatever lambda0
+        tol = DEFECT_TOL * area * max(abs(l) for l in lambdas)
         if abs(defect) > tol:
             if not n:
                 # the order-1 defect is lambda0 * (|shell| + int_D psi_d)

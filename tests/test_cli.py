@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -285,6 +286,67 @@ class TestExpand:
         payload = json.loads(res.stdout)
         assert payload["order"] == 2
         assert payload["lambda"][0] < 0.0
+
+
+def scaled_disk(path, t):
+    """The chain's h = 0.08 slack-ring disk with every length times t,
+    written by `enzres mesh`; returns its path."""
+    code, err = run_main(["mesh", "--rd", repr(t), "--r0",
+                          repr(float(R0) * t), "--rb", repr(2 * t), "--h",
+                          repr(0.08 * t), "-o", str(path)])
+    assert code == 0, err
+    return str(path)
+
+
+class TestLengthScale:
+    """Eigenvalues carry units 1/length**2, and no gate depends on the
+    length unit."""
+
+    @pytest.mark.parametrize("t", [1e-9, 1e-6, 1e6, 1e9])
+    def test_expand_scales_as_inverse_length_squared(self, tmp_path, t):
+        # the mean-zero solve's gate once added |m @ u| to the stiffness
+        # residual against the load's norm; its rounding grows as t**2
+        # against it, and from t = 1e6 expand exited 1 ("relative residual
+        # 2.122e-05 exceeds 1e-10")
+        mesh = scaled_disk(tmp_path / "disk.mesh", t)
+        series = tmp_path / "s.json"
+        code, err = run_main(["expand", "--mesh", mesh, "--lo",
+                              repr(6 / t**2), "--hi", repr(14 / t**2),
+                              "--order", "3", "-o", str(series)])
+        assert code == 0, err
+        doc = json.loads(series.read_text())
+        golden = json.loads(
+            (pathlib.Path(__file__).with_name("golden.json")).read_text())
+        want = [golden[f"expand.lambda{n}"] for n in ("0", "1", "2", "3")]
+        got = [doc["lambda0"], *doc["lambda"]]
+        assert [lam * t**2 for lam in got] == pytest.approx(want, rel=1e-11,
+                                                             abs=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_valid_mesh_exit_2(self, tmp_path):
+        # a valid mesh at length scale 2.4e-150: expand on it exited 1
+        # ("internal error: array must not contain infs or NaNs"), since
+        # the Lanczos M-norm of find_lambda0 underflowed to 0
+        mesh = tmp_path / "tiny.mesh"
+        assert run_main(["mesh", "--kind", "concentric", "--rd", "1e-150",
+                         "--r0", "1.3671899114809272e-150", "--h",
+                         "1.5e-151", "-o", str(mesh)])[0] == 0
+        code, err = run_main(["expand", "--mesh", str(mesh), "--lo", "6e300",
+                              "--hi", "1.4e301", "--order", "2"])
+        assert code == 2
+        assert "length scale sqrt|Omega| = 2.42e-150 lies outside" in err
+        assert "internal error" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1e-60, 1e60])
+    def test_lambda0_out_of_length_range_exit_2(self, tmp_path, t):
+        # with warnings as errors, both exited 1 with an internal error
+        # ("divide by zero", "overflow encountered in matmul")
+        mesh = scaled_disk(tmp_path / "disk.mesh", t)
+        code, err = run_main(["lambda0", "--mesh", mesh, "--lo",
+                              repr(6 / t**2), "--hi", repr(14 / t**2)])
+        assert code == 2
+        assert "length scale" in err and "internal error" not in err
 
 
 def resonate_argv(series_file):

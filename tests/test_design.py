@@ -1,6 +1,7 @@
 """Convex shell design: bathtub projection, dual objective, optimizer,
 saddle cross-check, and serialization."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -25,7 +26,8 @@ from enzres.design import (CONVERGED_EXITS, DesignProblem, DualSolution,
                            recover_design, saddle_solve)
 from enzres.errors import InputError, NumericalError
 from enzres.fem import _gradient_blocks, factor_spd, region_operator
-from enzres.mesh import INTERFACE, SHELL
+from enzres.mesh import INTERFACE, SHELL, build_concentric_mesh
+from enzres.perturbation import find_lambda0
 
 from conftest import (annulus_symdiff, coo_reference, design_from_json,
                       element_centroids, record_splu, stretched_mesh)
@@ -516,8 +518,6 @@ class TestOptimum:
     def test_saddle_agrees_with_dual_at_other_targets(self, target):
         # Thick (7.5), standard (9.0) and thin (11.5) optimal shells on the
         # h = 0.08 disk.
-        from enzres.mesh import build_concentric_mesh
-        from enzres.perturbation import find_lambda0
         mesh = build_concentric_mesh(1.0, disk_case(target).r0, 0.08,
                                      r_b=2.0)
         prob = make_disk_problem(
@@ -548,7 +548,6 @@ class TestOptimum:
     def test_slack_region_invariance(self, disk_meshes, disk_lambda0s,
                                      case9):
         # Enlarging the outer design container must not move the optimum.
-        from enzres.mesh import build_concentric_mesh
         big = build_concentric_mesh(1.0, case9.r0, 0.08, r_b=3.0)
         lam0 = find_lambda0_cached(big)
         prob_big = make_disk_problem(big, lam0)
@@ -594,7 +593,6 @@ def stage_records_per_blas_threads(h, load=None):
 
 
 def find_lambda0_cached(mesh):
-    from enzres.perturbation import find_lambda0
     return find_lambda0(mesh, (6.0, 14.0))
 
 
@@ -622,3 +620,12 @@ class TestSerialization:
         row = lines[1].split(",")
         assert len(row) == 4
         float(row[0]), float(row[1]), float(row[2]), float(row[3])
+
+    def test_csv_bytes_are_pinned(self):
+        # sha256 of `enzres optimize --csv` on the h = 0.08 chain's disk,
+        # recorded when each row was written by its own f-string
+        mesh = build_concentric_mesh(1.0, 1.3671899114809272, 0.08, r_b=2.0)
+        prob = make_disk_problem(mesh, find_lambda0(mesh, (6.0, 14.0)))
+        text = design_to_csv(recover_design(prob, minimize_dual(prob)), prob)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "79a198eace62ddc5a11928e46d2e2862ade4f6029ae66d3a42f7de6bbfe80b70")

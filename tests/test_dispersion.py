@@ -2,6 +2,7 @@
 resonance trace."""
 
 import cmath
+import hashlib
 import itertools
 import math
 
@@ -255,6 +256,22 @@ class TestTrace:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert int(first[5]) == 0
+
+    @pytest.mark.parametrize("steps, digest", [
+        (200,
+         "b3ed8475cbc7791a71879f7596f1ef96e7d75c138786833db383ed46cf46cd8d"),
+        (1,
+         "48f1ead110d45d2afa24f8fae7db1daaedfd94a61aa849c34f131b262a023860")])
+    def test_csv_bytes_are_pinned(self, steps, digest):
+        # sha256 of the CSV that `enzres resonate` writes with CI's SiC
+        # flags on the h = 0.08 chain's order-3 series (tests/golden.json),
+        # recorded when each row was written by its own f-string
+        lambdas = [9.01432556069395, -1.0321814158354805,
+                   -0.12827813717060224, 0.013067515913357006]
+        trace = trace_resonance(lambdas, SIC, VACUUM_CORE, gamma_max=0.006,
+                                steps=steps)
+        text = trace_to_csv(trace)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _random_trace_case(rng):

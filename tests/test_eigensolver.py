@@ -11,7 +11,7 @@ import pytest
 from enzres.eigensolver import (RESIDUAL_TOL, assemble_operator,
                                 remainder_ratios, resonance_near)
 from enzres.errors import InputError, NumericalError
-from enzres.mesh import load_mesh, save_mesh
+from enzres.mesh import load_mesh, save_mesh, scale_mesh
 from enzres.perturbation import eval_lambda, expand_series, find_lambda0
 
 from conftest import record_splu, ritz_values_near
@@ -111,6 +111,24 @@ class TestResonanceNear:
         assert pair.residual <= RESIDUAL_TOL
         assert abs(pair.lam - good.lam) <= 1e-13 * abs(good.lam)
         assert np.allclose(pair.u, good.u, rtol=1e-9, atol=1e-12)
+
+
+class TestLengthScale:
+    @pytest.fixture(scope="class")
+    def lam_at_unit_scale(self, series_coarse):
+        return resonance_at(series_coarse, DELTA).lam
+
+    @pytest.mark.parametrize("t", [1e-9, 1e-6, 1e6, 1e9])
+    def test_resonance_scales_as_inverse_length_squared(
+            self, mesh_coarse, lambda0_coarse, lam_at_unit_scale, t):
+        # the h = 0.08 disk scaled by t: lambda * t**2 is the t = 1 value.
+        # The degenerate-norm threshold was an absolute 1e-14 on u^T M u,
+        # which scales as t**2, and refused every t <= 1e-6; the mean-zero
+        # solve's gate refused every t >= 1e6
+        mesh = scale_mesh(mesh_coarse, t)
+        series = expand_series(mesh, lambda0_coarse / t**2, order=4)
+        assert resonance_at(series, DELTA).lam * t**2 == pytest.approx(
+            lam_at_unit_scale, rel=1e-11)
 
 
 class TestPreconditionedIteration:

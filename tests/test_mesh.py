@@ -1,6 +1,7 @@
 """Concentric mesh generator, validation invariants, scaling, and the
 text round trip."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -103,6 +104,26 @@ class TestBuildConcentric:
         for h in (0.2, 0.1, 0.05):
             m = build_concentric_mesh(1.0, 1.4, h, r_b=2.0)
             assert mesh_metrics(m)["h_max"] <= 2.0 * h
+
+    @pytest.mark.parametrize("args, digest", [
+        ((1.0, 1.3671899114809272, 0.02, 2.0),
+         "fb38ced5fbc36658003faeb2ccc15677f5f3f9938d2d6cf6f4967fd9402d84a0"),
+        ((1.0, 1.05, 0.13, 2.0),
+         "762286f934d926a7a2b1f7b581a1b027f9248ba92b3069771b58394b1cacde00"),
+        ((1.0, 1.3671899114809272, 0.08, None),
+         "ce29eb89fc7b3c95dabb8fe678dc7e6a3fea32a7fbba242c92ea8c66b1bd175d"),
+        ((0.3, 0.57, 0.05, 1.11),
+         "a10b7aa0b114a14f886438498aa17fb132d5cc19fb05538a4f5d9001434bc274"),
+        ((2.5, 4.75, 0.6, 9.25),
+         "d737225de73411bf450babca519c0588075b7f499b9097f9b0b11a460939f6bf")],
+        ids=["benchmark-h02", "one-ring-shell", "no-rb", "small", "coarse"])
+    def test_saved_mesh_bytes_are_pinned(self, args, digest):
+        # sha256 of the `save_mesh` text, recorded when the builder made
+        # each ring in a Python loop: building from one (ring x angle)
+        # array of node ids must keep every coordinate, index and tag
+        r_d, r_0, h, r_b = args
+        text = save_mesh(build_concentric_mesh(r_d, r_0, h, r_b=r_b))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestScale:

@@ -20,7 +20,8 @@ from enzres.design import DesignProblem, make_disk_problem
 from enzres.dispersion import read_series
 from enzres.errors import InputError, NumericalError
 from enzres.fem import region_operator
-from enzres.mesh import CORE, SHELL, build_concentric_mesh, save_mesh
+from enzres.mesh import (CORE, SHELL, build_concentric_mesh, save_mesh,
+                         scale_mesh)
 from enzres.perturbation import (CoreProfile, eval_lambda, expand_series,
                                  find_lambda0)
 
@@ -162,6 +163,46 @@ def test_lambda0_gate_bounds_the_collapsed_pencil(mesh_r13, stretch):
     with pytest.raises(InputError) as interval:
         find_lambda0(mesh, (6.0, 1e300))
     assert f"reaches past {bound}, a bound" in str(interval.value)
+
+
+def window_ends(mesh, nudge):
+    """The scale factors t that put the mesh's length scale sqrt|Omega| at
+    1 / MAX_LENGTH_SCALE and at MAX_LENGTH_SCALE, each moved by the
+    factor 1 + nudge away from 1 (nudge < 0: into the window)."""
+    length = math.sqrt(sum(mesh.area_by_region().values()))
+    end = perturbation.MAX_LENGTH_SCALE
+    return (1 / (end * length) / (1 + nudge), end / length * (1 + nudge))
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["small", "large"])
+def test_length_scale_window_inside(mesh_r13, end):
+    # the h = 0.15 disk scaled by t just inside either end of the window
+    # gives the t = 1 coefficients times t**-2: every norm of the root
+    # find and of the recursion stays a normal float there
+    t = window_ends(mesh_r13, -1e-6)[end]
+    want = expand_series(mesh_r13, find_lambda0(mesh_r13, (6.0, 14.0)),
+                         order=3).all_lambdas()
+    mesh = scale_mesh(mesh_r13, t)
+    got = expand_series(mesh, find_lambda0(mesh, (6 / t**2, 14 / t**2)),
+                        order=3).all_lambdas()
+    assert got * t**2 == pytest.approx(want, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["small", "large"])
+@pytest.mark.parametrize("name", sorted(TAKES_LAMBDA0))
+def test_length_scale_window_outside(mesh_r13, name, end, monkeypatch):
+    # just outside either end, every entry point refuses the mesh, naming
+    # its scale, before anything is factored; find_lambda0's Lanczos norms
+    # under- or overflowed from t = 1e-55 and 1e55 on the h = 0.15 disk
+    # with a slack ring, an internal error, and the recursion failed from
+    # 1e-80 and 1e80
+    t = window_ends(mesh_r13, 1e-6)[end]
+    mesh = scale_mesh(mesh_r13, t)
+    calls = record_splu(monkeypatch)
+    with pytest.raises(InputError, match=f"^{name}: the mesh's length scale "
+                       r"sqrt\|Omega\| = \S+ lies outside \[1e-40, 1e\+40\]"):
+        TAKES_LAMBDA0[name](mesh, 9.6 / t**2)
+    assert calls == []
 
 
 def core_dim(mesh):
